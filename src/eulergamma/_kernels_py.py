@@ -1,8 +1,10 @@
 """Pure-Python tanh-sinh node loop.
 
-This module mirrors ``_kernels.pyx`` statement for statement; the two must
-stay in lockstep so that either backend produces the same floats.  Keep the
-arithmetic order identical when editing.
+This module does the same per-node arithmetic as ``_kernels.pyx``, so that
+either backend produces the same floats; keep the arithmetic order identical
+when editing.  The one difference is where node geometry comes from: the
+compiled loop computes it inline, this one reads it from per-level tables
+(see ``_nodes``) built by the very same expressions.
 
 Node geometry
 -------------
@@ -24,6 +26,15 @@ from .errors import NonFiniteIntegrandError
 
 T_MAX = 6.1
 HALF_PI = 1.5707963267948966
+
+# Levels with a step at least this coarse keep their node geometry for the
+# life of the process: with the default ``max_refinements`` of 12 that is
+# every level a quadrature visits, about 25k nodes (4 MB) in all; the default
+# suite touches 97 of them.  Finer levels stream their nodes instead of
+# storing them.  A table depends only on its key, so sharing one process-wide
+# (and two threads racing to build the same one) never changes a result.
+TABLE_MIN_H = 2.0 ** -12
+_node_tables = {}
 
 # Integrand family tags, shared with the compiled kernel.
 GENERIC = 0
@@ -71,6 +82,34 @@ def point_value(family, p0, p1, p2, x):
     return family_value(family, p0, p1, p2, x, x, False)
 
 
+def _node_geometry(h, odd_only):
+    """Yield (dm, ch, ez2, opez2sq) for the nodes t = k h, 0 < t <= T_MAX.
+
+    ``dm`` is the distance of the node to the nearer endpoint of (-1, 1);
+    the others are the factors of its weight.  With ``odd_only`` set, only
+    odd k are visited.
+    """
+    kmax = int(T_MAX / h)
+    for k in range(1, kmax + 1, 2 if odd_only else 1):
+        t = k * h
+        sh = math.sinh(t)
+        ch = math.cosh(t)
+        z = HALF_PI * sh
+        ez2 = math.exp(-2.0 * z)
+        opez2 = 1.0 + ez2
+        yield 2.0 * ez2 / opez2, ch, ez2, opez2 * opez2
+
+
+def _nodes(h, odd_only):
+    """The node geometry of one level: a stored table, or a stream below TABLE_MIN_H."""
+    if h < TABLE_MIN_H:
+        return _node_geometry(h, odd_only)
+    table = _node_tables.get((h, odd_only))
+    if table is None:
+        table = _node_tables[h, odd_only] = tuple(_node_geometry(h, odd_only))
+    return table
+
+
 def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
     """Sum weighted integrand values at the tanh-sinh nodes of spacing ``h``.
 
@@ -81,7 +120,6 @@ def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
     """
     halfspan = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    kmax = int(T_MAX / h)
     total = 0.0
     n = 0
 
@@ -99,17 +137,8 @@ def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
             total += halfspan * HALF_PI * v
         n += 1
 
-    step = 2 if odd_only else 1
-    k = 1
-    while k <= kmax:
-        t = k * h
-        sh = math.sinh(t)
-        ch = math.cosh(t)
-        z = HALF_PI * sh
-        ez2 = math.exp(-2.0 * z)
-        opez2 = 1.0 + ez2
-        dm = 2.0 * ez2 / opez2
-        w = halfspan * HALF_PI * ch * 4.0 * ez2 / (opez2 * opez2)
+    for dm, ch, ez2, opez2sq in _nodes(h, odd_only):
+        w = halfspan * HALF_PI * ch * 4.0 * ez2 / opez2sq
         dist = halfspan * dm
 
         if family == GENERIC:
@@ -134,6 +163,5 @@ def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
                 raise NonFiniteIntegrandError("integrand not finite")
             total += w * (vp + vm)
             n += 2
-        k += step
 
     return total, n

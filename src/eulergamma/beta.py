@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import backend
-from .errors import DomainError
+from .errors import integer, positive
 from .gamma import log_gamma
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -34,8 +34,8 @@ class BetaArgs:
     y: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _positive(self.x, "x"))
-        object.__setattr__(self, "y", _positive(self.y, "y"))
+        object.__setattr__(self, "x", positive(self.x, "x"))
+        object.__setattr__(self, "y", positive(self.y, "y"))
 
 
 @dataclass(frozen=True)
@@ -47,55 +47,38 @@ class EulerSymbolParams:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _positive(self.p, "p"))
-        object.__setattr__(self, "q", _positive(self.q, "q"))
-        object.__setattr__(self, "n", _positive_int(self.n, "n"))
-
-
-def _positive(value, name):
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be positive and finite")
-    return value
-
-
-def _positive_int(value, name):
-    as_float = float(value)
-    as_int = int(as_float)
-    if as_int != as_float:
-        raise DomainError(f"{name} must be an integer")
-    if as_int < 1:
-        raise DomainError(f"{name} must be >= 1")
-    return as_int
+        object.__setattr__(self, "p", positive(self.p, "p"))
+        object.__setattr__(self, "q", positive(self.q, "q"))
+        object.__setattr__(self, "n", integer(self.n, "n", 1))
 
 
 def beta_closed(x: float, y: float) -> float:
     """B(x, y) as exp(lgamma(x) + lgamma(y) - lgamma(x + y)); x, y > 0."""
-    x = _positive(x, "x")
-    y = _positive(y, "y")
+    x = positive(x, "x")
+    y = positive(y, "y")
     return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
 
 
 def beta_integral(x: float, y: float,
                   config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralEstimate:
     """B(x, y) as the integral of t^(x-1) (1-t)^(y-1) over (0, 1)."""
-    x = _positive(x, "x")
-    y = _positive(y, "y")
+    x = positive(x, "x")
+    y = positive(y, "y")
     return _integrate_family(backend.BETA, x, y, 0.0, 0.0, 1.0, config)
 
 
 def euler_symbol(p: float, q: float, n: int,
                  config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralEstimate:
     """S(p, q; n) by direct quadrature of its defining integral."""
-    p = _positive(p, "p")
-    q = _positive(q, "q")
-    n = _positive_int(n, "n")
+    p = positive(p, "p")
+    q = positive(q, "q")
+    n = integer(n, "n", 1)
     return _integrate_family(backend.EULER_SYMBOL, p, q, float(n), 0.0, 1.0, config)
 
 
 def euler_symbol_closed(p: float, q: float, n: int) -> float:
     """S(p, q; n) in closed form, B(p/n, q/n) / n."""
-    p = _positive(p, "p")
-    q = _positive(q, "q")
-    n = _positive_int(n, "n")
+    p = positive(p, "p")
+    q = positive(q, "q")
+    n = integer(n, "n", 1)
     return beta_closed(p / n, q / n) / n

@@ -57,6 +57,17 @@ def _config_from(args):
     )
 
 
+def _tolerance(text):
+    """argparse type for a pass tolerance: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="eulergamma",
@@ -76,7 +87,7 @@ def _build_parser():
     for axis in _NUMERIC_AXES:
         p_verify.add_argument(f"--{axis}", type=float, default=None)
     p_verify.add_argument("--mode", choices=("closed", "quadrature"), default=None)
-    p_verify.add_argument("--tol", type=float, default=None,
+    p_verify.add_argument("--tol", type=_tolerance, default=None,
                           help="override the identity's default tolerance")
     _add_config_flags(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
@@ -209,9 +220,9 @@ def _parse_tolerances(entries, parser):
             if not sep:
                 parser.error(f"--tol expects ID=VALUE, got {piece!r}")
             try:
-                tolerances[name.strip()] = float(text)
-            except ValueError:
-                parser.error(f"--tol {name}: not a number: {text!r}")
+                tolerances[name.strip()] = _tolerance(text)
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"--tol {name}: {exc}")
     return tolerances
 
 

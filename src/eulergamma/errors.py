@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument validators
+that raise them."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -11,3 +14,27 @@ class NonFiniteIntegrandError(ValueError):
 
 class NonIntegrableTailError(ValueError):
     """No decay below the truncation threshold was found within the probing budget."""
+
+
+def positive(value, name):
+    """``value`` as a float; DomainError unless it is positive and finite."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be positive and finite")
+    return value
+
+
+def integer(value, name="parameter", minimum=None):
+    """``value`` as an int; DomainError unless it is a finite integer >= ``minimum``."""
+    try:
+        as_float = float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must be finite") from None
+    if not math.isfinite(as_float):
+        raise DomainError(f"{name} must be finite")
+    as_int = int(as_float)
+    if as_int != as_float:
+        raise DomainError(f"{name} must be an integer")
+    if minimum is not None and as_int < minimum:
+        raise DomainError(f"{name} must be >= {minimum}")
+    return as_int

@@ -28,9 +28,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from .beta import euler_symbol, euler_symbol_closed
-from .errors import DomainError
+from .errors import DomainError, integer, positive
 from .gamma import factorial_interp, gamma_reference, gamma_log_integral, log_gamma
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _integrate_family
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _integrate_family, suite_memo
 from . import backend
 
 _LN_2 = math.log(2.0)
@@ -122,23 +122,6 @@ def _report(identity_id, params, lhs, rhs, tolerance, start, aux_ok=True):
     )
 
 
-def _positive(value, name):
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be positive and finite")
-    return value
-
-
-def _integer(value, name, minimum):
-    as_float = float(value)
-    as_int = int(as_float)
-    if as_int != as_float:
-        raise DomainError(f"{name} must be an integer")
-    if as_int < minimum:
-        raise DomainError(f"{name} must be >= {minimum}")
-    return as_int
-
-
 def check_reflection(x: float, tolerance: float | None = None) -> IdentityReport:
     """gamma(x) * gamma(1-x) = pi / sin(pi x), for x in (0, 1).
 
@@ -168,8 +151,8 @@ def check_gauss_multiplication(x: float, n: int,
     degenerates to gamma(x) = gamma(x).
     """
     start = time.perf_counter()
-    x = _positive(x, "x")
-    n = _integer(n, "n", 1)
+    x = positive(x, "x")
+    n = integer(n, "n", 1)
     if tolerance is None:
         tolerance = default_tolerance("gauss-multiplication")
     lhs = math.fsum(log_gamma((x + k) / n) for k in range(n))
@@ -196,7 +179,7 @@ def check_duplication(x: float, tolerance: float | None = None) -> IdentityRepor
 def check_sine_product(n: int, tolerance: float | None = None) -> IdentityReport:
     """sin(pi/n) sin(2 pi/n) ... sin((n-1) pi/n) = n / 2^(n-1), for n >= 2."""
     start = time.perf_counter()
-    n = _integer(n, "n", 2)
+    n = integer(n, "n", 2)
     if tolerance is None:
         tolerance = default_tolerance("sine-product")
     lhs = math.exp(math.fsum(math.log(math.sin(i * math.pi / n)) for i in range(1, n)))
@@ -214,7 +197,7 @@ def check_sine_multiple_angle(n: int, phi: float,
     the sign is tracked separately from the log-space magnitude.
     """
     start = time.perf_counter()
-    n = _integer(n, "n", 1)
+    n = integer(n, "n", 1)
     phi = float(phi)
     if not math.isfinite(phi):
         raise DomainError("phi must be finite")
@@ -238,7 +221,7 @@ def check_gamma_square_product(n: int, tolerance: float | None = None) -> Identi
     Compared in log space; lhs/rhs are the logs of the two sides.
     """
     start = time.perf_counter()
-    n = _integer(n, "n", 2)
+    n = integer(n, "n", 2)
     if tolerance is None:
         tolerance = default_tolerance("gamma-square-product")
     lhs = math.fsum(2.0 * log_gamma(i / n) for i in range(1, n))
@@ -254,7 +237,7 @@ def check_gamma_fraction_product(n: int, tolerance: float | None = None) -> Iden
     Compared in log space; lhs/rhs are the logs of the two sides.
     """
     start = time.perf_counter()
-    n = _integer(n, "n", 2)
+    n = integer(n, "n", 2)
     if tolerance is None:
         tolerance = default_tolerance("gamma-fraction-product")
     lhs = math.fsum(log_gamma(i / n) for i in range(1, n))
@@ -270,7 +253,7 @@ def check_log_integral_product(n: int, config: QuadratureConfig = DEFAULT_CONFIG
     The left side is n-1 independent quadratures, multiplied in log space.
     """
     start = time.perf_counter()
-    n = _integer(n, "n", 2)
+    n = integer(n, "n", 2)
     if tolerance is None:
         tolerance = default_tolerance("log-integral-product")
     estimates = [gamma_log_integral(k / n, config) for k in range(1, n)]
@@ -326,8 +309,8 @@ def check_factorial_root(m: float, n: int, mode: str = "closed",
     direct integration.
     """
     start = time.perf_counter()
-    m = _positive(m, "m")
-    n = _integer(n, "n", 1)
+    m = positive(m, "m")
+    n = integer(n, "n", 1)
     if mode not in ("closed", "quadrature"):
         raise DomainError("mode must be 'closed' or 'quadrature'")
     if tolerance is None:
@@ -349,8 +332,8 @@ def check_algebraic_interpolation(p: int, q: int,
     the right side chains q-1 more, so this is the loosest check in the set.
     """
     start = time.perf_counter()
-    p = _integer(p, "p", 1)
-    q = _integer(q, "q", 1)
+    p = integer(p, "p", 1)
+    q = integer(q, "q", 1)
     if tolerance is None:
         tolerance = default_tolerance("algebraic-interpolation")
     s = p / q
@@ -377,7 +360,7 @@ def check_symbol_symmetry(p: float, q: float, n: int,
         tolerance = default_tolerance("symbol-symmetry")
     a = euler_symbol(p, q, n, config)
     b = euler_symbol(q, p, n, config)
-    params = {"n": _integer(n, "n", 1), "p": float(p), "q": float(q)}
+    params = {"n": integer(n, "n", 1), "p": float(p), "q": float(q)}
     return _report("symbol-symmetry", params, a.value, b.value, tolerance, start,
                    a.converged and b.converged)
 
@@ -391,7 +374,7 @@ def check_symbol_bridge(p: float, q: float, n: int,
         tolerance = default_tolerance("symbol-bridge")
     estimate = euler_symbol(p, q, n, config)
     rhs = euler_symbol_closed(p, q, n)
-    params = {"n": _integer(n, "n", 1), "p": float(p), "q": float(q)}
+    params = {"n": integer(n, "n", 1), "p": float(p), "q": float(q)}
     return _report("symbol-bridge", params, estimate.value, rhs, tolerance, start,
                    estimate.converged)
 
@@ -410,8 +393,8 @@ def derivation_chain_values(m: float, n: int) -> tuple:
     Pairwise agreement of the three certifies that the factorial-root
     identity plus the fraction product imply the multiplication formula.
     """
-    m = _positive(m, "m")
-    n = _integer(n, "n", 1)
+    m = positive(m, "m")
+    n = integer(n, "n", 1)
     direct = factorial_interp(m / n)
     terms, _ = _factorial_root_log_inner(m, n, "closed", DEFAULT_CONFIG)
     root_form = (m / n) * math.exp(math.fsum(terms) / n)
@@ -427,14 +410,6 @@ def _float_axis(value):
     if not math.isfinite(value):
         raise DomainError("parameter must be finite")
     return value
-
-
-def _int_axis(value):
-    as_float = float(value)
-    as_int = int(as_float)
-    if as_int != as_float:
-        raise DomainError(f"expected an integer, got {value!r}")
-    return as_int
 
 
 def _mode_axis(value):
@@ -460,7 +435,7 @@ IDENTITIES = {
         lambda params, tol, config: check_reflection(params["x"], tolerance=tol),
     ),
     "gauss-multiplication": IdentitySpec(
-        "gauss-multiplication", ("n", "x"), {"n": _int_axis, "x": _float_axis},
+        "gauss-multiplication", ("n", "x"), {"n": integer, "x": _float_axis},
         lambda params, tol, config: check_gauss_multiplication(
             params["x"], params["n"], tolerance=tol),
     ),
@@ -469,47 +444,47 @@ IDENTITIES = {
         lambda params, tol, config: check_duplication(params["x"], tolerance=tol),
     ),
     "sine-product": IdentitySpec(
-        "sine-product", ("n",), {"n": _int_axis},
+        "sine-product", ("n",), {"n": integer},
         lambda params, tol, config: check_sine_product(params["n"], tolerance=tol),
     ),
     "sine-multiple-angle": IdentitySpec(
-        "sine-multiple-angle", ("n", "phi"), {"n": _int_axis, "phi": _float_axis},
+        "sine-multiple-angle", ("n", "phi"), {"n": integer, "phi": _float_axis},
         lambda params, tol, config: check_sine_multiple_angle(
             params["n"], params["phi"], tolerance=tol),
     ),
     "gamma-square-product": IdentitySpec(
-        "gamma-square-product", ("n",), {"n": _int_axis},
+        "gamma-square-product", ("n",), {"n": integer},
         lambda params, tol, config: check_gamma_square_product(params["n"], tolerance=tol),
     ),
     "gamma-fraction-product": IdentitySpec(
-        "gamma-fraction-product", ("n",), {"n": _int_axis},
+        "gamma-fraction-product", ("n",), {"n": integer},
         lambda params, tol, config: check_gamma_fraction_product(params["n"], tolerance=tol),
     ),
     "log-integral-product": IdentitySpec(
-        "log-integral-product", ("n",), {"n": _int_axis},
+        "log-integral-product", ("n",), {"n": integer},
         lambda params, tol, config: check_log_integral_product(
             params["n"], config, tolerance=tol),
     ),
     "factorial-root": IdentitySpec(
         "factorial-root", ("m", "n", "mode"),
-        {"m": _float_axis, "n": _int_axis, "mode": _mode_axis},
+        {"m": _float_axis, "n": integer, "mode": _mode_axis},
         lambda params, tol, config: check_factorial_root(
             params["m"], params["n"], params["mode"], config, tolerance=tol),
     ),
     "algebraic-interpolation": IdentitySpec(
-        "algebraic-interpolation", ("p", "q"), {"p": _int_axis, "q": _int_axis},
+        "algebraic-interpolation", ("p", "q"), {"p": integer, "q": integer},
         lambda params, tol, config: check_algebraic_interpolation(
             params["p"], params["q"], config, tolerance=tol),
     ),
     "symbol-symmetry": IdentitySpec(
         "symbol-symmetry", ("p", "q", "n"),
-        {"p": _float_axis, "q": _float_axis, "n": _int_axis},
+        {"p": _float_axis, "q": _float_axis, "n": integer},
         lambda params, tol, config: check_symbol_symmetry(
             params["p"], params["q"], params["n"], config, tolerance=tol),
     ),
     "symbol-bridge": IdentitySpec(
         "symbol-bridge", ("p", "q", "n"),
-        {"p": _float_axis, "q": _float_axis, "n": _int_axis},
+        {"p": _float_axis, "q": _float_axis, "n": integer},
         lambda params, tol, config: check_symbol_bridge(
             params["p"], params["q"], params["n"], config, tolerance=tol),
     ),
@@ -616,40 +591,50 @@ def run_suite(grid: dict | None = None,
     Reports come back sorted by identity_id, then by parameter values, no
     matter the order of the input.  A check that raises is recorded as a
     failed report with NaN sides rather than aborting the suite.
+
+    Within one run, equal family integrals (the same integrand, parameters,
+    interval and config) are computed once and shared by every check that
+    needs them, so S(p, q; n) serves both symbol-symmetry and symbol-bridge.
+    Nothing is kept between runs, and calls outside a run are never shared.
     """
     if grid is None:
         grid = default_grid()
     tolerances = dict(tolerances or {})
-    for identity_id in tolerances:
+    for identity_id, tol in tolerances.items():
         if identity_id not in IDENTITIES:
             raise DomainError(f"unknown identity {identity_id!r}")
+        tolerances[identity_id] = positive(tol, f"tolerance for {identity_id}")
     if not any(grid.values()):
         raise DomainError("grid is empty")
     reports = []
-    for identity_id in sorted(grid):
-        if identity_id not in IDENTITIES:
-            raise DomainError(f"unknown identity {identity_id!r}")
-        spec = IDENTITIES[identity_id]
-        tol = tolerances.get(identity_id)
-        for params in sorted(grid[identity_id], key=params_key):
-            start = time.perf_counter()
-            try:
-                report = spec.run(params, tol, config)
-            except Exception:
-                mode = params.get("mode", "closed")
-                tolerance = tol if tol is not None else default_tolerance(identity_id, mode)
-                report = IdentityReport(
-                    identity_id=identity_id,
-                    params=dict(params),
-                    lhs=math.nan,
-                    rhs=math.nan,
-                    abs_residual=math.inf,
-                    rel_residual=math.inf,
-                    tolerance=tolerance,
-                    passed=False,
-                    wall_time=time.perf_counter() - start,
-                )
-            reports.append(report)
+    memo_token = suite_memo.set({})
+    try:
+        for identity_id in sorted(grid):
+            if identity_id not in IDENTITIES:
+                raise DomainError(f"unknown identity {identity_id!r}")
+            spec = IDENTITIES[identity_id]
+            tol = tolerances.get(identity_id)
+            for params in sorted(grid[identity_id], key=params_key):
+                start = time.perf_counter()
+                try:
+                    report = spec.run(params, tol, config)
+                except Exception:
+                    mode = params.get("mode", "closed")
+                    tolerance = tol if tol is not None else default_tolerance(identity_id, mode)
+                    report = IdentityReport(
+                        identity_id=identity_id,
+                        params=dict(params),
+                        lhs=math.nan,
+                        rhs=math.nan,
+                        abs_residual=math.inf,
+                        rel_residual=math.inf,
+                        tolerance=tolerance,
+                        passed=False,
+                        wall_time=time.perf_counter() - start,
+                    )
+                reports.append(report)
+    finally:
+        suite_memo.reset(memo_token)
     n_pass = sum(1 for r in reports if r.passed)
     config_echo = {
         "abs_tol": config.abs_tol,

@@ -19,6 +19,7 @@ distance to its nearest endpoint instead, which keeps endpoint singularities
 fully resolved; the gamma and beta modules rely on that path.
 """
 
+import contextvars
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -28,6 +29,11 @@ from .errors import DomainError, NonFiniteIntegrandError, NonIntegrableTailError
 
 _PROBE_START = 16.0
 _PROBE_LIMIT = 2.0 ** 20
+
+# Family integrals already computed in the current suite run, keyed on every
+# input of ``_integrate_family``.  ``identities.run_suite`` sets a fresh dict
+# for the length of one run; everywhere else it is None and nothing is kept.
+suite_memo = contextvars.ContextVar("suite_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -154,8 +160,19 @@ def _with_tail(base, tail, config):
 
 
 def _integrate_family(family, p0, p1, p2, a, b, config):
-    """Driver for the built-in integrand families over a finite interval."""
-    return _refine(a, b, config, family, p0, p1, p2, None)
+    """Driver for the built-in integrand families over a finite interval.
+
+    Inside a suite run an equal call returns the estimate already computed;
+    a call that raised is not remembered and raises again when repeated.
+    """
+    memo = suite_memo.get()
+    if memo is None:
+        return _refine(a, b, config, family, p0, p1, p2, None)
+    key = (family, p0, p1, p2, a, b, config)
+    estimate = memo.get(key)
+    if estimate is None:
+        estimate = memo[key] = _refine(a, b, config, family, p0, p1, p2, None)
+    return estimate
 
 
 def _integrate_family_semi_infinite(family, p0, p1, p2, config):

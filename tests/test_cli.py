@@ -73,6 +73,30 @@ def test_eval_non_integer_symbol_exponent_exits_2():
     assert "integer" in result.stderr
 
 
+def test_eval_non_finite_symbol_exponent_exits_2():
+    result = run_cli("eval", "symbol", "1", "1", "inf")
+    assert result.returncode == 2
+    assert "n must be finite" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_verify_non_finite_integer_axis_exits_2():
+    result = run_cli("verify", "sine-product", "--n", "inf")
+    assert result.returncode == 2
+    assert "must be finite" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_bad_tolerances_exit_2(tol):
+    suite = run_cli("suite", "--identities", "sine-product", "--tol", f"sine-product={tol}")
+    assert suite.returncode == 2
+    assert "positive and finite" in suite.stderr
+    verify = run_cli("verify", "reflection", "--x", "0.5", "--tol", tol)
+    assert verify.returncode == 2
+    assert "positive and finite" in verify.stderr
+
+
 def test_eval_unknown_function_exits_2():
     assert run_cli("eval", "zeta", "2").returncode == 2
 

@@ -1,11 +1,13 @@
 """Identity check and suite tests."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
 from eulergamma import (
+    IDENTITIES,
     DomainError,
     check_algebraic_interpolation,
     check_duplication,
@@ -22,9 +24,11 @@ from eulergamma import (
     default_grid,
     default_tolerance,
     derivation_chain_values,
+    euler_symbol,
     log_gamma,
     run_suite,
 )
+from eulergamma import quadrature
 
 HALF_SQRT_PI = 0.8862269254527580
 
@@ -304,6 +308,59 @@ def test_run_suite_rejects_bad_input():
         run_suite({"sine-product": [{"n": 4}]}, tolerances={"nope": 1e-3})
 
 
+def test_run_suite_rejects_bad_tolerances():
+    for bad in (math.nan, math.inf, -1e-3, 0.0):
+        with pytest.raises(DomainError, match="tolerance for sine-product"):
+            run_suite({"sine-product": [{"n": 4}]}, tolerances={"sine-product": bad})
+
+
+def test_default_suite_integrates_each_distinct_integral_once(refine_calls):
+    suite = run_suite()
+    assert suite.n_fail == 0
+    assert len(refine_calls) == 172
+    assert len(set(refine_calls)) == 172
+
+
+def _without_time(report):
+    return dataclasses.replace(report, wall_time=0.0)
+
+
+def test_suite_reports_equal_checks_run_outside_a_suite():
+    suite = run_suite()
+    assert quadrature.suite_memo.get() is None
+    for report in suite.reports:
+        direct = IDENTITIES[report.identity_id].run(report.params, None, quadrature.DEFAULT_CONFIG)
+        assert _without_time(direct) == _without_time(report)
+
+
+def _assert_not_memoized(refine_calls):
+    assert quadrature.suite_memo.get() is None
+    before = len(refine_calls)
+    euler_symbol(1.0, 2.0, 3)
+    euler_symbol(1.0, 2.0, 3)
+    assert len(refine_calls) == before + 2
+
+
+def test_memo_ends_with_the_suite_run(refine_calls):
+    run_suite({"symbol-bridge": [{"p": 1.0, "q": 2.0, "n": 3}]})
+    _assert_not_memoized(refine_calls)
+
+
+def test_memo_ends_when_a_check_raises(refine_calls):
+    grid = {"symbol-bridge": [{"p": 1.0, "q": 2.0, "n": 3}], "reflection": [{"x": 1.5}]}
+    suite = run_suite(grid)
+    assert suite.n_fail == 1
+    _assert_not_memoized(refine_calls)
+
+
+def test_memo_ends_when_the_suite_raises(refine_calls):
+    # symbol-bridge runs first, then the unknown id aborts the run
+    grid = {"symbol-bridge": [{"p": 1.0, "q": 2.0, "n": 3}], "zzz": [{"n": 2}]}
+    with pytest.raises(DomainError, match="unknown identity"):
+        run_suite(grid)
+    _assert_not_memoized(refine_calls)
+
+
 def test_run_suite_config_echo():
     suite = run_suite({"sine-product": [{"n": 4}]})
     echo = suite.config_echo
@@ -317,6 +374,11 @@ def test_run_suite_config_echo():
 def test_integer_parameters_validated():
     with pytest.raises(DomainError):
         check_sine_product(1)
+    for bad in (math.inf, -math.inf, math.nan, 10 ** 400):
+        with pytest.raises(DomainError, match="n must be finite"):
+            check_sine_product(bad)
+    with pytest.raises(DomainError, match="must be finite"):
+        IDENTITIES["sine-product"].convert["n"](math.inf)
     with pytest.raises(DomainError):
         check_sine_product(2.5)
     with pytest.raises(DomainError):

@@ -7,19 +7,25 @@ engine under test.
 """
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulergamma import (
+    DEFAULT_CONFIG,
     DomainError,
     NonFiniteIntegrandError,
     NonIntegrableTailError,
     QuadratureConfig,
+    euler_symbol,
     integrate_finite,
     integrate_semi_infinite,
 )
+from eulergamma import _kernels_py as kern
+from eulergamma import quadrature
 
 # integral_0^1 sqrt(x - x^2) dx, the area under one parabola-like arch.
 # Equals pi/8; confirmed by the midpoint oracle below before being frozen.
@@ -202,3 +208,187 @@ def test_interval_additivity(c):
     budget = (whole.error_estimate + left.error_estimate + right.error_estimate
               + 1e-13)
     assert abs(whole.value - (left.value + right.value)) <= budget
+
+
+# ---------------------------------------------------------------- node tables
+
+
+def _inline_level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
+    """The node loop with its geometry computed inline at every node, as the
+    compiled kernel does; the table-reading loop must match it bit for bit."""
+    halfspan = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    kmax = int(kern.T_MAX / h)
+    total = 0.0
+    n = 0
+    if not odd_only:
+        if family == kern.GENERIC:
+            fx = float(f(mid))
+        else:
+            fx = kern.family_value(family, p0, p1, p2, mid, halfspan, False)
+        total += halfspan * kern.HALF_PI * fx
+        n += 1
+    step = 2 if odd_only else 1
+    k = 1
+    while k <= kmax:
+        t = k * h
+        sh = math.sinh(t)
+        ch = math.cosh(t)
+        z = kern.HALF_PI * sh
+        ez2 = math.exp(-2.0 * z)
+        opez2 = 1.0 + ez2
+        dm = 2.0 * ez2 / opez2
+        w = halfspan * kern.HALF_PI * ch * 4.0 * ez2 / (opez2 * opez2)
+        dist = halfspan * dm
+        if family == kern.GENERIC:
+            xp = b - dist
+            if xp != b:
+                total += w * float(f(xp))
+                n += 1
+            xm = a + dist
+            if xm != a:
+                total += w * float(f(xm))
+                n += 1
+        else:
+            vp = kern.family_value(family, p0, p1, p2, b - dist, dist, True)
+            vm = kern.family_value(family, p0, p1, p2, a + dist, dist, False)
+            total += w * (vp + vm)
+            n += 2
+        k += step
+    return total, n
+
+
+# (family, p0, p1, p2, a, b): every built-in family, on the intervals the
+# engines integrate over
+FAMILY_CASES = [
+    (kern.GAMMA_TAIL, 2.5, 0.0, 0.0, 0.0, 37.0),
+    (kern.GAMMA_TAIL, -0.5, 0.0, 0.0, 0.0, 41.5),
+    (kern.NEG_LOG_POW, 0.5, 0.0, 0.0, 0.0, 1.0),
+    (kern.BETA, 0.5, 0.5, 0.0, 0.0, 1.0),
+    (kern.BETA, 1.5, 1.5, 0.0, 0.0, 1.0),
+    (kern.EULER_SYMBOL, 1.0, 1.0, 2.0, 0.0, 1.0),
+    (kern.EULER_SYMBOL, 3.0, 2.0, 5.0, 0.0, 1.0),
+    (kern.ALGEBRAIC, 2.0, 3.0, 0.0, 0.0, 1.0),
+]
+
+
+def _levels(last):
+    """(h, odd_only) for refinement levels 0..last, as ``_refine`` visits them."""
+    return [(2.0 ** -level, level > 0) for level in range(last + 1)]
+
+
+@pytest.mark.parametrize("case", FAMILY_CASES)
+def test_level_sum_bitwise_equals_inline_geometry(case):
+    family, p0, p1, p2, a, b = case
+    for h, odd_only in _levels(6):
+        # twice: the first call may build the table, the second reads it
+        for _ in range(2):
+            got = kern.level_sum(a, b, h, odd_only, family, p0, p1, p2, None)
+            want = _inline_level_sum(a, b, h, odd_only, family, p0, p1, p2, None)
+            assert got[0] == want[0] and got[1] == want[1], (family, h)
+
+
+def test_level_sum_bitwise_equals_inline_geometry_generic_callable():
+    f = lambda x: math.cos(3.0 * x) / (1.0 + x * x)
+    for h, odd_only in _levels(6):
+        got = kern.level_sum(-1.0, 2.0, h, odd_only, kern.GENERIC, 0.0, 0.0, 0.0, f)
+        want = _inline_level_sum(-1.0, 2.0, h, odd_only, kern.GENERIC, 0.0, 0.0, 0.0, f)
+        assert got == want, h
+
+
+def test_levels_finer_than_table_limit_are_streamed_not_stored():
+    h = 2.0 ** -13  # one level past the default depth: about 50k nodes
+    assert h < kern.TABLE_MIN_H
+    args = (0.0, 1.0, h, False, kern.BETA, 1.5, 1.5, 0.0, None)
+    kern.level_sum(0.0, 1.0, 0.5, True, kern.BETA, 1.5, 1.5, 0.0, None)
+    assert (0.5, True) in kern._node_tables
+    stored = set(kern._node_tables)
+    got = kern.level_sum(*args)
+    assert set(kern._node_tables) == stored
+    assert got == _inline_level_sum(*args)
+    assert got[1] == 2 * int(kern.T_MAX / h) + 1
+
+
+def test_node_tables_built_by_racing_threads_give_identical_sums(monkeypatch):
+    monkeypatch.setattr(kern, "_node_tables", {})
+    family, p0, p1, p2, a, b = FAMILY_CASES[6]
+    want = [_inline_level_sum(a, b, h, odd, family, p0, p1, p2, None)
+            for h, odd in _levels(8)]
+    results, errors = [], []
+
+    def work():
+        try:
+            results.append([kern.level_sum(a, b, h, odd, family, p0, p1, p2, None)
+                            for h, odd in _levels(8)])
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert results == [want] * len(threads)
+
+
+# --------------------------------------------------------------- suite memo
+
+
+def test_family_integrals_are_not_memoized_outside_a_suite(refine_calls):
+    assert quadrature.suite_memo.get() is None
+    first = euler_symbol(3.0, 2.0, 5)
+    second = euler_symbol(3.0, 2.0, 5)
+    assert first == second
+    assert len(refine_calls) == 2
+
+
+def test_memo_shares_equal_integrals_and_separates_distinct_ones(refine_calls):
+    token = quadrature.suite_memo.set({})
+    try:
+        first = euler_symbol(3.0, 2.0, 5)
+        assert euler_symbol(3.0, 2.0, 5) is first
+        assert len(refine_calls) == 1
+        euler_symbol(2.0, 3.0, 5)
+        euler_symbol(3.0, 2.0, 5, QuadratureConfig(rel_tol=1e-10))
+        assert len(refine_calls) == 3
+    finally:
+        quadrature.suite_memo.reset(token)
+
+
+def test_memo_is_not_seen_by_other_threads():
+    seen = []
+    token = quadrature.suite_memo.set({})
+    try:
+        thread = threading.Thread(target=lambda: seen.append(quadrature.suite_memo.get()))
+        thread.start()
+        thread.join(timeout=10)
+    finally:
+        quadrature.suite_memo.reset(token)
+    assert not thread.is_alive()
+    assert seen == [None]
+
+
+def test_memo_does_not_remember_exceptions(monkeypatch):
+    attempts = []
+
+    def failing(*args):
+        attempts.append(args)
+        raise NonFiniteIntegrandError("integrand not finite")
+
+    monkeypatch.setattr(quadrature, "_refine", failing)
+    token = quadrature.suite_memo.set({})
+    try:
+        for _ in range(2):
+            with pytest.raises(NonFiniteIntegrandError):
+                euler_symbol(3.0, 2.0, 5, DEFAULT_CONFIG)
+        assert len(attempts) == 2
+        assert quadrature.suite_memo.get() == {}
+    finally:
+        quadrature.suite_memo.reset(token)
