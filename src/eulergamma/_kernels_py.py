@@ -1,10 +1,14 @@
 """Pure-Python tanh-sinh node loop.
 
-This module does the same per-node arithmetic as ``_kernels.pyx``, so that
-either backend produces the same floats; keep the arithmetic order identical
-when editing.  The one difference is where node geometry comes from: the
-compiled loop computes it inline, this one reads it from per-level tables
-(see ``_nodes``) built by the very same expressions.
+This loop and the compiled one in ``_kernels.pyx`` give the same floats, not
+the same statements.  Every value is formed by the same expressions in the
+same order, so either backend produces the same sums bit for bit; keep the
+expressions and their order identical when editing either file.  What
+differs is where the work happens: the compiled loop computes each node's
+geometry and logs inline and branches on the integrand family at every node,
+while this one reads what depends only on the level and the interval from
+per-process tables (see below) and dispatches on the family once per level,
+to a loop written for that family.
 
 Node geometry
 -------------
@@ -18,23 +22,45 @@ which stays accurate down to ~1e-304 * halfspan while ``b - x`` would round to
 zero long before.  Built-in integrand families consume ``dist`` directly and
 therefore resolve endpoint singularities to the last bit.  Arbitrary callables
 get x = a + dist or x = b - dist and skip nodes that round onto an endpoint.
+
+Stored tables
+-------------
+Two tables keep, for the life of the process, what a level needs before any
+integrand is evaluated:
+
+* ``_node_tables``, keyed on (h, odd_only): each node's (dm, ch, ez2,
+  (1 + ez2)^2), the factors of its distance and weight on (-1, 1);
+* ``_row_tables``, keyed on (h, odd_only, a, b, tail): each node's weight
+  ``w`` with what the families read of its distance.  The (0, 1) families
+  (``tail`` False) read (w, log(dist), log1p(-dist)); ``GAMMA_TAIL`` reads
+  (w, dist, b - dist, log(dist), log(b - dist)).
+
+Only levels with h >= ``TABLE_MIN_H`` are stored; finer levels stream from
+the same expressions.  With the default ``max_refinements`` of 12 that is
+every level a quadrature visits, at most 24,985 nodes per interval.  The
+engines pass two kinds of interval: (0, 1), and the tail probe's spans
+(0, 16 * 2^k) with 16 * 2^k <= 2^20.  So at most 18 intervals get rows, and
+all levels of all of them would hold 4.2 MiB of node geometry, 3.4 MiB of
+(0, 1) rows and 5.0 MiB of rows per span (tracemalloc), 93 MiB in all.  In
+practice far less is stored: the default suite keeps 97 nodes of (0, 1)
+rows, and ``gamma_integral`` over x in (0.01, 150) about 3,000 rows over
+the spans 32 to 2048.  A table depends only on its key, so sharing one
+process-wide (and two threads racing to build the same one) never changes a
+result.
 """
 
 import math
+# Bare names save an attribute lookup per call in the per-node loops.
+from math import exp, expm1, isfinite, log, log1p
 
 from .errors import NonFiniteIntegrandError
 
 T_MAX = 6.1
 HALF_PI = 1.5707963267948966
 
-# Levels with a step at least this coarse keep their node geometry for the
-# life of the process: with the default ``max_refinements`` of 12 that is
-# every level a quadrature visits, about 25k nodes (4 MB) in all; the default
-# suite touches 97 of them.  Finer levels stream their nodes instead of
-# storing them.  A table depends only on its key, so sharing one process-wide
-# (and two threads racing to build the same one) never changes a result.
 TABLE_MIN_H = 2.0 ** -12
 _node_tables = {}
+_row_tables = {}
 
 # Integrand family tags, shared with the compiled kernel.
 GENERIC = 0
@@ -78,8 +104,15 @@ def family_value(family, p0, p1, p2, x, dist, near_upper):
 
 
 def point_value(family, p0, p1, p2, x):
-    """Evaluate a built-in integrand at a plain abscissa, used for tail probing."""
-    return family_value(family, p0, p1, p2, x, x, False)
+    """Evaluate a built-in integrand at a plain abscissa, used for tail probing.
+
+    A value past the double-precision range is returned as infinity, as the
+    compiled kernel's libm calls return it.
+    """
+    try:
+        return family_value(family, p0, p1, p2, x, x, False)
+    except OverflowError:
+        return math.inf
 
 
 def _node_geometry(h, odd_only):
@@ -110,58 +143,160 @@ def _nodes(h, odd_only):
     return table
 
 
+def _node_count(h, odd_only):
+    return len(range(1, int(T_MAX / h) + 1, 2 if odd_only else 1))
+
+
+def _unit_rows(geometry, a, b):
+    """(w, log(dist), log1p(-dist)) per node, for the (0, 1) families."""
+    halfspan = 0.5 * (b - a)
+    for dm, ch, ez2, opez2sq in geometry:
+        dist = halfspan * dm
+        yield halfspan * HALF_PI * ch * 4.0 * ez2 / opez2sq, log(dist), log1p(-dist)
+
+
+def _tail_rows(geometry, a, b):
+    """(w, dist, b - dist, log(dist), log(b - dist)) per node, for GAMMA_TAIL."""
+    halfspan = 0.5 * (b - a)
+    for dm, ch, ez2, opez2sq in geometry:
+        dist = halfspan * dm
+        t = b - dist
+        yield halfspan * HALF_PI * ch * 4.0 * ez2 / opez2sq, dist, t, log(dist), log(t)
+
+
+def _rows(h, odd_only, a, b, tail):
+    """The rows of one level and interval: a stored table, or a stream below TABLE_MIN_H."""
+    build = _tail_rows if tail else _unit_rows
+    if h < TABLE_MIN_H:
+        return build(_node_geometry(h, odd_only), a, b)
+    key = (h, odd_only, a, b, tail)
+    table = _row_tables.get(key)
+    if table is None:
+        table = _row_tables[key] = tuple(build(_nodes(h, odd_only), a, b))
+    return table
+
+
+# One loop per family.  Each adds its terms onto ``total`` in node order, and
+# forms vp (the node near b) and vm (near a) exactly as ``family_value`` does.
+
+def _gamma_tail_sum(rows, total, p0, p1, p2):
+    for w, dist, t, ln_dist, ln_t in rows:
+        vp = exp(p0 * ln_t - t)
+        vm = exp(p0 * ln_dist - dist)
+        if not (isfinite(vp) and isfinite(vm)):
+            raise NonFiniteIntegrandError("integrand not finite")
+        total += w * (vp + vm)
+    return total
+
+
+def _neg_log_pow_sum(rows, total, p0, p1, p2):
+    for w, ln_dist, ln_1md in rows:
+        vp = (-ln_1md) ** p0
+        vm = (-ln_dist) ** p0
+        if not (isfinite(vp) and isfinite(vm)):
+            raise NonFiniteIntegrandError("integrand not finite")
+        total += w * (vp + vm)
+    return total
+
+
+def _beta_sum(rows, total, p0, p1, p2):
+    c0 = p0 - 1.0
+    c1 = p1 - 1.0
+    for w, ln_dist, ln_1md in rows:
+        vp = exp(c0 * ln_1md + c1 * ln_dist)
+        vm = exp(c0 * ln_dist + c1 * ln_1md)
+        if not (isfinite(vp) and isfinite(vm)):
+            raise NonFiniteIntegrandError("integrand not finite")
+        total += w * (vp + vm)
+    return total
+
+
+def _euler_symbol_sum(rows, total, p0, p1, p2):
+    c0 = p0 - 1.0
+    c1 = p1 / p2 - 1.0
+    for w, ln_dist, ln_1md in rows:
+        vp = exp(c0 * ln_1md + c1 * log(-expm1(p2 * ln_1md)))
+        vm = exp(c0 * ln_dist + c1 * log(-expm1(p2 * ln_dist)))
+        if not (isfinite(vp) and isfinite(vm)):
+            raise NonFiniteIntegrandError("integrand not finite")
+        total += w * (vp + vm)
+    return total
+
+
+def _algebraic_sum(rows, total, p0, p1, p2):
+    for w, ln_dist, ln_1md in rows:
+        vp = exp(p1 * (p0 * ln_1md + ln_dist))
+        vm = exp(p1 * (p0 * ln_dist + ln_1md))
+        if not (isfinite(vp) and isfinite(vm)):
+            raise NonFiniteIntegrandError("integrand not finite")
+        total += w * (vp + vm)
+    return total
+
+
+_FAMILY_SUMS = {
+    GAMMA_TAIL: _gamma_tail_sum,
+    NEG_LOG_POW: _neg_log_pow_sum,
+    BETA: _beta_sum,
+    EULER_SYMBOL: _euler_symbol_sum,
+    ALGEBRAIC: _algebraic_sum,
+}
+
+
 def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
     """Sum weighted integrand values at the tanh-sinh nodes of spacing ``h``.
 
     With ``odd_only`` set, only odd multiples of ``h`` are visited; this is
     how a refinement level reuses the coarser level's nodes.  Returns the
     weighted sum (to be scaled by ``h`` by the caller) and the number of
-    integrand evaluations.
+    integrand evaluations.  A built-in integrand that is not finite, or
+    overflows, at a node raises NonFiniteIntegrandError.
     """
     halfspan = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     total = 0.0
     n = 0
 
+    if family != GENERIC:
+        family_sum = _FAMILY_SUMS.get(family)
+        if family_sum is None:
+            raise ValueError(f"unknown integrand family {family}")
+        try:
+            if not odd_only:
+                # Center node t = 0: weight (pi/2)*halfspan, abscissa exactly mid.
+                v = family_value(family, p0, p1, p2, mid, halfspan, False)
+                if not math.isfinite(v):
+                    raise NonFiniteIntegrandError("integrand not finite")
+                total += halfspan * HALF_PI * v
+                n += 1
+            rows = _rows(h, odd_only, a, b, family == GAMMA_TAIL)
+            total = family_sum(rows, total, p0, p1, p2)
+        except OverflowError:
+            raise NonFiniteIntegrandError("integrand not finite") from None
+        return total, n + 2 * _node_count(h, odd_only)
+
     if not odd_only:
-        # Center node t = 0: weight (pi/2)*halfspan, abscissa exactly mid.
-        if family == GENERIC:
-            fx = float(f(mid))
-            if not math.isfinite(fx):
-                raise NonFiniteIntegrandError("integrand not finite")
-            total += halfspan * HALF_PI * fx
-        else:
-            v = family_value(family, p0, p1, p2, mid, halfspan, False)
-            if not math.isfinite(v):
-                raise NonFiniteIntegrandError("integrand not finite")
-            total += halfspan * HALF_PI * v
+        fx = float(f(mid))
+        if not math.isfinite(fx):
+            raise NonFiniteIntegrandError("integrand not finite")
+        total += halfspan * HALF_PI * fx
         n += 1
 
     for dm, ch, ez2, opez2sq in _nodes(h, odd_only):
         w = halfspan * HALF_PI * ch * 4.0 * ez2 / opez2sq
         dist = halfspan * dm
-
-        if family == GENERIC:
-            xp = b - dist
-            if xp != b:
-                fx = float(f(xp))
-                if not math.isfinite(fx):
-                    raise NonFiniteIntegrandError("integrand not finite")
-                total += w * fx
-                n += 1
-            xm = a + dist
-            if xm != a:
-                fx = float(f(xm))
-                if not math.isfinite(fx):
-                    raise NonFiniteIntegrandError("integrand not finite")
-                total += w * fx
-                n += 1
-        else:
-            vp = family_value(family, p0, p1, p2, b - dist, dist, True)
-            vm = family_value(family, p0, p1, p2, a + dist, dist, False)
-            if not (math.isfinite(vp) and math.isfinite(vm)):
+        xp = b - dist
+        if xp != b:
+            fx = float(f(xp))
+            if not math.isfinite(fx):
                 raise NonFiniteIntegrandError("integrand not finite")
-            total += w * (vp + vm)
-            n += 2
+            total += w * fx
+            n += 1
+        xm = a + dist
+        if xm != a:
+            fx = float(f(xm))
+            if not math.isfinite(fx):
+                raise NonFiniteIntegrandError("integrand not finite")
+            total += w * fx
+            n += 1
 
     return total, n

@@ -8,8 +8,9 @@ Examples:
     eulergamma suite --format json --out report.json
     eulergamma suite --identities sine-product --n 2..40
 
-Exit codes: 0 success / all checks passed; 1 failed check or unconverged
-quadrature; 2 usage error; 3 I/O error.
+Exit codes: 0 success / all checks passed; 1 failed check, unconverged
+quadrature or non-finite integrand; 2 usage error, domain error or a result
+past the double-precision range; 3 I/O error.
 """
 
 import argparse
@@ -27,6 +28,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+_NOT_FINITE = "result not finite in double precision"
 
 _EVAL_ARITY = {
     "gamma": 1,
@@ -154,6 +157,8 @@ def _cmd_eval(args, parser):
             estimate = gamma_log_integral(s, config)
     if estimate is not None and args.function != "lgamma":
         value = estimate.value
+    if not math.isfinite(value):
+        raise DomainError(_NOT_FINITE)
     print(format(value, ".15g"))
     if estimate is not None and not estimate.converged:
         print(
@@ -261,6 +266,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # DomainError and config validation both land here
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError:
+        # gamma_reference and other closed forms raise it, as math.gamma does
+        print(f"error: {_NOT_FINITE}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

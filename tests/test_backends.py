@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from eulergamma import _kernels_py as ref
+from eulergamma import NonFiniteIntegrandError
 from eulergamma.backend import BACKEND
 
 try:
@@ -68,6 +69,19 @@ def test_point_value_bitwise_identical():
         got = ext.point_value(ref.GAMMA_TAIL, 2.5, 0.0, 0.0, x)
         want = ref.point_value(ref.GAMMA_TAIL, 2.5, 0.0, 0.0, x)
         assert got == want, x
+
+
+@needs_ext
+def test_overflow_raises_and_probes_alike():
+    # libm returns inf where Python's math raises OverflowError; both loops
+    # must end in NonFiniteIntegrandError and both probes must read inf.
+    cases = [(0.0, 1.0, 0.5, True, ref.NEG_LOG_POW, 150.0),
+             (0.0, 8192.0, 1.0, False, ref.GAMMA_TAIL, 799.0)]
+    for kernel in (ext, ref):
+        for a, b, h, odd_only, family, p0 in cases:
+            with pytest.raises(NonFiniteIntegrandError):
+                kernel.level_sum(a, b, h, odd_only, family, p0, 0.0, 0.0, None)
+        assert kernel.point_value(ref.GAMMA_TAIL, 799.0, 0.0, 0.0, 16.0) == math.inf
 
 
 @needs_ext

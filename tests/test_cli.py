@@ -80,6 +80,26 @@ def test_eval_non_finite_symbol_exponent_exits_2():
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("args", [("loggamma_integral", "150"), ("gamma", "800")])
+def test_eval_overflowing_integrand_exits_1(args):
+    result = run_cli("eval", *args, "--engine", "integral")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: integrand not finite\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("eval", "gamma", "172"),
+    ("eval", "gamma", "1e-320"),
+    ("verify", "factorial-root", "--m", "200", "--n", "1"),
+])
+def test_result_past_double_range_exits_2(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: result not finite in double precision\n"
+
+
 def test_verify_non_finite_integer_axis_exits_2():
     result = run_cli("verify", "sine-product", "--n", "inf")
     assert result.returncode == 2

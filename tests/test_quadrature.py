@@ -21,11 +21,13 @@ from eulergamma import (
     NonIntegrableTailError,
     QuadratureConfig,
     euler_symbol,
+    gamma_integral,
     integrate_finite,
     integrate_semi_infinite,
 )
 from eulergamma import _kernels_py as kern
 from eulergamma import quadrature
+from eulergamma.identities import default_grid, run_suite
 
 # integral_0^1 sqrt(x - x^2) dx, the area under one parabola-like arch.
 # Equals pi/8; confirmed by the midpoint oracle below before being frozen.
@@ -259,15 +261,21 @@ def _inline_level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
 
 
 # (family, p0, p1, p2, a, b): every built-in family, on the intervals the
-# engines integrate over
+# engines integrate over (the tail probe's spans 16 * 2^k among them), and
+# on intervals they do not
 FAMILY_CASES = [
     (kern.GAMMA_TAIL, 2.5, 0.0, 0.0, 0.0, 37.0),
     (kern.GAMMA_TAIL, -0.5, 0.0, 0.0, 0.0, 41.5),
+    (kern.GAMMA_TAIL, -0.9, 0.0, 0.0, 0.0, 16.0),
+    (kern.GAMMA_TAIL, 99.0, 0.0, 0.0, 0.0, 1024.0),
+    (kern.GAMMA_TAIL, 2.5, 0.0, 0.0, 0.0, 1.0),
     (kern.NEG_LOG_POW, 0.5, 0.0, 0.0, 0.0, 1.0),
     (kern.BETA, 0.5, 0.5, 0.0, 0.0, 1.0),
     (kern.BETA, 1.5, 1.5, 0.0, 0.0, 1.0),
+    (kern.BETA, 1.5, 2.5, 0.0, 0.1, 0.7),
     (kern.EULER_SYMBOL, 1.0, 1.0, 2.0, 0.0, 1.0),
     (kern.EULER_SYMBOL, 3.0, 2.0, 5.0, 0.0, 1.0),
+    (kern.EULER_SYMBOL, 0.7, 5.4, 9.0, 0.0, 1.0),
     (kern.ALGEBRAIC, 2.0, 3.0, 0.0, 0.0, 1.0),
 ]
 
@@ -280,8 +288,8 @@ def _levels(last):
 @pytest.mark.parametrize("case", FAMILY_CASES)
 def test_level_sum_bitwise_equals_inline_geometry(case):
     family, p0, p1, p2, a, b = case
-    for h, odd_only in _levels(6):
-        # twice: the first call may build the table, the second reads it
+    for h, odd_only in _levels(8):
+        # twice: the first call may build the tables, the second reads them
         for _ in range(2):
             got = kern.level_sum(a, b, h, odd_only, family, p0, p1, p2, None)
             want = _inline_level_sum(a, b, h, odd_only, family, p0, p1, p2, None)
@@ -299,19 +307,51 @@ def test_level_sum_bitwise_equals_inline_geometry_generic_callable():
 def test_levels_finer_than_table_limit_are_streamed_not_stored():
     h = 2.0 ** -13  # one level past the default depth: about 50k nodes
     assert h < kern.TABLE_MIN_H
-    args = (0.0, 1.0, h, False, kern.BETA, 1.5, 1.5, 0.0, None)
-    kern.level_sum(0.0, 1.0, 0.5, True, kern.BETA, 1.5, 1.5, 0.0, None)
-    assert (0.5, True) in kern._node_tables
-    stored = set(kern._node_tables)
-    got = kern.level_sum(*args)
-    assert set(kern._node_tables) == stored
-    assert got == _inline_level_sum(*args)
-    assert got[1] == 2 * int(kern.T_MAX / h) + 1
+    for family, p0, b in [(kern.BETA, 1.5, 1.0), (kern.GAMMA_TAIL, 2.5, 32.0)]:
+        args = (0.0, b, h, False, family, p0, 1.5, 0.0, None)
+        kern.level_sum(0.0, b, 0.5, True, family, p0, 1.5, 0.0, None)
+        assert (0.5, True) in kern._node_tables
+        assert (0.5, True, 0.0, b, family == kern.GAMMA_TAIL) in kern._row_tables
+        stored = set(kern._node_tables), set(kern._row_tables)
+        got = kern.level_sum(*args)
+        assert (set(kern._node_tables), set(kern._row_tables)) == stored
+        assert got == _inline_level_sum(*args)
+        assert got[1] == 2 * int(kern.T_MAX / h) + 1
+
+
+def test_tables_hold_only_the_documented_intervals(monkeypatch):
+    # The engines integrate over (0, 1) and over the tail probe's spans
+    # (0, 16 * 2^k), 16 * 2^k <= 2^20; the memory bound in the module
+    # docstring counts on that.
+    monkeypatch.setattr(kern, "_row_tables", {})
+    run_suite(default_grid())
+    for i in range(60):
+        gamma_integral(0.01 * 15000.0 ** (i / 59))
+    spans = {16.0 * 2.0 ** k for k in range(17)}
+    assert max(spans) == 2.0 ** 20
+    keys = set(kern._row_tables)
+    assert (1.0, False, 0.0, 1.0, False) in keys
+    assert any(tail for *_, tail in keys)
+    for h, _, a, b, tail in keys:
+        assert h >= kern.TABLE_MIN_H
+        assert a == 0.0
+        assert b in spans if tail else b == 1.0
+
+
+def test_family_overflow_raises_non_finite_and_probes_read_infinity():
+    # As in the compiled kernel, where libm returns inf for these values.
+    with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
+        kern.level_sum(0.0, 1.0, 0.5, True, kern.NEG_LOG_POW, 150.0, 0.0, 0.0, None)
+    with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
+        kern.level_sum(0.0, 8192.0, 1.0, False, kern.GAMMA_TAIL, 799.0, 0.0, 0.0, None)
+    assert kern.point_value(kern.GAMMA_TAIL, 799.0, 0.0, 0.0, 16.0) == math.inf
+    assert kern.point_value(kern.NEG_LOG_POW, 150.0, 0.0, 0.0, 1e-300) == math.inf
 
 
 def test_node_tables_built_by_racing_threads_give_identical_sums(monkeypatch):
     monkeypatch.setattr(kern, "_node_tables", {})
-    family, p0, p1, p2, a, b = FAMILY_CASES[6]
+    monkeypatch.setattr(kern, "_row_tables", {})
+    family, p0, p1, p2, a, b = (kern.EULER_SYMBOL, 3.0, 2.0, 5.0, 0.0, 1.0)
     want = [_inline_level_sum(a, b, h, odd, family, p0, p1, p2, None)
             for h, odd in _levels(8)]
     results, errors = [], []
