@@ -20,7 +20,7 @@ import sys
 from .beta import beta_closed, beta_integral, euler_symbol, euler_symbol_closed
 from .errors import DomainError, NonFiniteIntegrandError, NonIntegrableTailError
 from .gamma import gamma_integral, gamma_log_integral, gamma_reference, log_gamma
-from .identities import IDENTITIES, build_grid, run_suite
+from .identities import IDENTITIES, MAX_N, build_grid, run_suite
 from .quadrature import QuadratureConfig
 from .reporting import render_report, render_suite
 
@@ -208,6 +208,8 @@ def _parse_axis_values(axis, text, parser):
                 parser.error(f"--{axis}: ranges need integer endpoints, got {chunk!r}")
             if hi < lo:
                 parser.error(f"--{axis}: empty range {chunk!r}")
+            if hi - lo >= MAX_N:
+                parser.error(f"--{axis}: range {chunk!r} is longer than {MAX_N} values")
             values.extend(float(v) for v in range(lo, hi + 1))
         else:
             try:

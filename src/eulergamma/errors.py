@@ -24,8 +24,9 @@ def positive(value, name):
     return value
 
 
-def integer(value, name="parameter", minimum=None):
-    """``value`` as an int; DomainError unless it is a finite integer >= ``minimum``."""
+def integer(value, name="parameter", minimum=None, maximum=None):
+    """``value`` as an int; DomainError unless it is a finite integer in
+    [``minimum``, ``maximum``] (either bound may be None)."""
     try:
         as_float = float(value)
     except OverflowError:
@@ -37,4 +38,6 @@ def integer(value, name="parameter", minimum=None):
         raise DomainError(f"{name} must be an integer")
     if minimum is not None and as_int < minimum:
         raise DomainError(f"{name} must be >= {minimum}")
+    if maximum is not None and as_int > maximum:
+        raise DomainError(f"{name} must be <= {maximum}")
     return as_int

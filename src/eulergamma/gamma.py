@@ -3,10 +3,13 @@
 The reference engine is a Lanczos approximation with the classic g = 7,
 n = 9 double-precision coefficient set.  Measured against a 50-digit
 reference, its relative error stays below 7e-14 on [0.5, 100]; arguments
-below 0.5 are lifted through the recurrence gamma(x) = gamma(x + 1) / x.
-``log_gamma`` reuses the same coefficients in log form rather than calling
-``math.lgamma`` so that both engines share one rounding profile and results
-are reproducible across libm builds.
+below 0.5 are lifted through the recurrence gamma(x) = gamma(x + 1) / x,
+evaluated at x + 1 in the same call.  ``log_gamma`` reuses the same
+coefficients in log form rather than calling ``math.lgamma`` so that both
+engines share one rounding profile and results are reproducible across libm
+builds.  The Lanczos sum is written out term by term in the order a loop over
+the coefficients adds them, so it rounds exactly as that loop does, on every
+platform.
 
 The integral engines evaluate gamma through its defining integrals with
 tanh-sinh quadrature and report an IntegralEstimate rather than a bare float.
@@ -15,7 +18,7 @@ tanh-sinh quadrature and report an IntegralEstimate rather than a bare float.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, positive
 from .quadrature import (
     DEFAULT_CONFIG,
     IntegralEstimate,
@@ -25,21 +28,8 @@ from .quadrature import (
 )
 from . import backend
 
-# Lanczos coefficients, g = 7, 9 terms.  This is the widely reproduced
-# double-precision set (Godfrey's computation); do not reorder or "clean up"
-# the digits, the trailing ones are load-bearing.
+# Lanczos g = 7; the nine coefficients live in ``_lanczos_sum``.
 _LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 _SQRT_2PI = math.sqrt(math.tau)
 _LN_SQRT_2PI = 0.5 * math.log(math.tau)
@@ -92,21 +82,24 @@ class GammaArg:
         return self.x
 
 
-def _as_positive_float(x, name="x"):
-    if isinstance(x, GammaArg):
-        return x.x
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"{name} must be positive and finite")
-    return x
+def _lanczos_sum(y):
+    """A_g(x) = c0 + sum over i in 1..8 of c_i / (x - 1 + i), given y = x - 1.
 
-
-def _lanczos_sum(x):
-    # A_g(x) = c0 + sum_i c_i / (x - 1 + i), for x >= 0.5.
-    s = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        s += _LANCZOS_COEF[i] / (x - 1.0 + i)
-    return s
+    The nine terms are added left to right, as a loop over a coefficient
+    tuple would add them, and ``y + i`` is the float ``x - 1.0 + i``.  The
+    coefficients are the widely reproduced double-precision set (Godfrey's
+    computation); do not reorder or "clean up" the digits, the trailing ones
+    are load-bearing.
+    """
+    return (0.99999999999980993
+            + 676.5203681218851 / (y + 1.0)
+            - 1259.1392167224028 / (y + 2.0)
+            + 771.32342877765313 / (y + 3.0)
+            - 176.61502916214059 / (y + 4.0)
+            + 12.507343278686905 / (y + 5.0)
+            - 0.13857109526572012 / (y + 6.0)
+            + 9.9843695780195716e-6 / (y + 7.0)
+            + 1.5056327351493116e-7 / (y + 8.0))
 
 
 def gamma_reference(x: "float | GammaArg") -> float:
@@ -115,25 +108,29 @@ def gamma_reference(x: "float | GammaArg") -> float:
     Overflows (OverflowError, as with ``math.gamma``) once x exceeds about
     171.62.
     """
-    x = _as_positive_float(x)
+    x = positive(x, "x")
+    divisor = 1.0
     if x < 0.5:
-        return gamma_reference(x + 1.0) / x
+        divisor = x
+        x += 1.0
     t = x + (_LANCZOS_G - 0.5)
-    a = _lanczos_sum(x)
+    a = _lanczos_sum(x - 1.0)
     pow_exponent = (x - 0.5) * math.log(t)
     if pow_exponent > _POW_EXPONENT_LIMIT:
-        return _SQRT_2PI * a * math.exp(pow_exponent - t)
-    return _SQRT_2PI * t ** (x - 0.5) * math.exp(-t) * a
+        return _SQRT_2PI * a * math.exp(pow_exponent - t) / divisor
+    return _SQRT_2PI * t ** (x - 0.5) * math.exp(-t) * a / divisor
 
 
 def log_gamma(x: "float | GammaArg") -> float:
     """log(Gamma(x)) for x > 0, on the same coefficient set as gamma_reference."""
-    x = _as_positive_float(x)
+    x = positive(x, "x")
+    shift = 0.0
     if x < 0.5:
-        return log_gamma(x + 1.0) - math.log(x)
+        shift = math.log(x)
+        x += 1.0
     t = x + (_LANCZOS_G - 0.5)
-    a = _lanczos_sum(x)
-    return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(a)
+    a = _lanczos_sum(x - 1.0)
+    return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(a) - shift
 
 
 def gamma_integral(x: "float | GammaArg",
@@ -144,7 +141,7 @@ def gamma_integral(x: "float | GammaArg",
     integrating: the integrand's x -> 0 endpoint spike is integrable but
     needlessly expensive to chase directly.
     """
-    x = _as_positive_float(x)
+    x = positive(x, "x")
     if x < 0.1:
         lifted = gamma_integral(x + 1.0, config)
         return _scaled(lifted, 1.0 / x, config)
@@ -181,7 +178,7 @@ def _scaled(estimate, factor, config):
     """Rescale an estimate (value and error) and re-derive the converged flag."""
     value = estimate.value * factor
     error = estimate.error_estimate * abs(factor)
-    converged = estimate.converged and error <= max(
+    converged = estimate.converged and math.isfinite(value) and error <= max(
         config.abs_tol, config.rel_tol * abs(value)
     )
     return IntegralEstimate(value, error, estimate.evaluations, converged)

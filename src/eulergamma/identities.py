@@ -37,6 +37,12 @@ _LN_2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 _LN_2PI = math.log(math.tau)
 
+# Largest n the closed-form product checks accept.  Their work grows
+# linearly in n; the cap turns a mistyped n such as 1e30 into a DomainError
+# instead of a loop that never ends, and sits far above any grid in use
+# (the widest benchmark grid stops at n = 120).
+MAX_N = 100_000
+
 # Sides this close to zero switch the pass rule to absolute residual.
 NEAR_ZERO = 1e-6
 _TINY = 1e-300
@@ -152,7 +158,7 @@ def check_gauss_multiplication(x: float, n: int,
     """
     start = time.perf_counter()
     x = positive(x, "x")
-    n = integer(n, "n", 1)
+    n = integer(n, "n", 1, MAX_N)
     if tolerance is None:
         tolerance = default_tolerance("gauss-multiplication")
     lhs = math.fsum(log_gamma((x + k) / n) for k in range(n))
@@ -179,7 +185,7 @@ def check_duplication(x: float, tolerance: float | None = None) -> IdentityRepor
 def check_sine_product(n: int, tolerance: float | None = None) -> IdentityReport:
     """sin(pi/n) sin(2 pi/n) ... sin((n-1) pi/n) = n / 2^(n-1), for n >= 2."""
     start = time.perf_counter()
-    n = integer(n, "n", 2)
+    n = integer(n, "n", 2, MAX_N)
     if tolerance is None:
         tolerance = default_tolerance("sine-product")
     lhs = math.exp(math.fsum(math.log(math.sin(i * math.pi / n)) for i in range(1, n)))
@@ -197,7 +203,7 @@ def check_sine_multiple_angle(n: int, phi: float,
     the sign is tracked separately from the log-space magnitude.
     """
     start = time.perf_counter()
-    n = integer(n, "n", 1)
+    n = integer(n, "n", 1, MAX_N)
     phi = float(phi)
     if not math.isfinite(phi):
         raise DomainError("phi must be finite")
@@ -221,7 +227,7 @@ def check_gamma_square_product(n: int, tolerance: float | None = None) -> Identi
     Compared in log space; lhs/rhs are the logs of the two sides.
     """
     start = time.perf_counter()
-    n = integer(n, "n", 2)
+    n = integer(n, "n", 2, MAX_N)
     if tolerance is None:
         tolerance = default_tolerance("gamma-square-product")
     lhs = math.fsum(2.0 * log_gamma(i / n) for i in range(1, n))
@@ -237,7 +243,7 @@ def check_gamma_fraction_product(n: int, tolerance: float | None = None) -> Iden
     Compared in log space; lhs/rhs are the logs of the two sides.
     """
     start = time.perf_counter()
-    n = integer(n, "n", 2)
+    n = integer(n, "n", 2, MAX_N)
     if tolerance is None:
         tolerance = default_tolerance("gamma-fraction-product")
     lhs = math.fsum(log_gamma(i / n) for i in range(1, n))
@@ -277,20 +283,21 @@ def _factorial_root_log_inner(m, n, mode, config):
     """Log of the radicand n^(n-m) gamma(m) S(1,m;n) S(2,m;n) ... S(n-1,m;n).
 
     Returns (log terms, all quadratures converged).  In closed mode each
-    symbol contributes through B(i/n, m/n)/n; in quadrature mode it is
-    integrated directly.
+    symbol contributes through B(i/n, m/n)/n, whose log gamma(m/n) and log n
+    terms do not depend on i: they are computed once and the same floats
+    appended n-1 times, which is the list the per-symbol evaluation would
+    build, so ``math.fsum`` of it is unchanged.  In quadrature mode each
+    symbol is integrated directly.
     """
-    terms = [(n - m) * math.log(n), log_gamma(m)]
+    log_n = math.log(n)
+    terms = [(n - m) * log_n, log_gamma(m)]
     converged = True
-    for i in range(1, n):
-        if mode == "closed":
-            terms += [
-                log_gamma(i / n),
-                log_gamma(m / n),
-                -log_gamma((i + m) / n),
-                -math.log(n),
-            ]
-        else:
+    if mode == "closed":
+        log_gamma_m_n = log_gamma(m / n)
+        for i in range(1, n):
+            terms += [log_gamma(i / n), log_gamma_m_n, -log_gamma((i + m) / n), -log_n]
+    else:
+        for i in range(1, n):
             estimate = euler_symbol(float(i), m, n, config)
             converged = converged and estimate.converged
             terms.append(math.log(estimate.value))
@@ -310,7 +317,7 @@ def check_factorial_root(m: float, n: int, mode: str = "closed",
     """
     start = time.perf_counter()
     m = positive(m, "m")
-    n = integer(n, "n", 1)
+    n = integer(n, "n", 1, MAX_N)
     if mode not in ("closed", "quadrature"):
         raise DomainError("mode must be 'closed' or 'quadrature'")
     if tolerance is None:

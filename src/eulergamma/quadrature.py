@@ -73,8 +73,9 @@ DEFAULT_CONFIG = QuadratureConfig()
 class IntegralEstimate:
     """Result of one adaptive integration.
 
-    ``converged`` is True exactly when ``error_estimate`` met the configured
-    tolerance; a False value still carries the best estimate found.
+    ``converged`` is True exactly when ``value`` is finite and
+    ``error_estimate`` met the configured tolerance; a False value still
+    carries the best estimate found.
     """
 
     value: float
@@ -99,7 +100,8 @@ def _refine(a, b, config, family, p0, p1, p2, f):
         error = abs(new_value - value)
         value = new_value
         if error <= max(config.abs_tol, config.rel_tol * abs(value)):
-            converged = True
+            # An infinite value meets the rule vacuously (inf <= inf).
+            converged = math.isfinite(value)
             break
     return IntegralEstimate(value, error, evaluations, converged)
 
@@ -155,7 +157,9 @@ def _truncation_span(value_at, threshold):
 
 def _with_tail(base, tail, config):
     error = base.error_estimate + tail
-    converged = error <= max(config.abs_tol, config.rel_tol * abs(base.value))
+    converged = math.isfinite(base.value) and error <= max(
+        config.abs_tol, config.rel_tol * abs(base.value)
+    )
     return IntegralEstimate(base.value, error, base.evaluations, converged)
 
 

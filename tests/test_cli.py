@@ -92,6 +92,7 @@ def test_eval_overflowing_integrand_exits_1(args):
     ("eval", "gamma", "172"),
     ("eval", "gamma", "1e-320"),
     ("verify", "factorial-root", "--m", "200", "--n", "1"),
+    ("eval", "gamma", "171.5", "--engine", "integral"),
 ])
 def test_result_past_double_range_exits_2(args):
     result = run_cli(*args)
@@ -105,6 +106,22 @@ def test_verify_non_finite_integer_axis_exits_2():
     assert result.returncode == 2
     assert "must be finite" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_closed_form_n_past_the_cap_exits_2():
+    result = run_cli("verify", "gauss-multiplication", "--x", "1", "--n", "1e30", timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: n must be <= 100000\n"
+
+
+def test_axis_range_past_the_cap_exits_2():
+    # One value past the cap; without it this grid runs for hours.
+    result = run_cli("suite", "--identities", "sine-product", "--n", "2..4,2..100002",
+                     timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "error: --n: range '2..100002' is longer than 100000 values" in result.stderr
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])

@@ -5,6 +5,7 @@ reference engine's accuracy gate; the engines themselves never see mpmath.
 """
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -216,3 +217,106 @@ def test_custom_config_is_respected():
     est = gamma_integral(2.5, cfg)
     assert est.converged
     assert abs(est.value - gamma_reference(2.5)) / gamma_reference(2.5) <= 1e-6
+
+
+# The loop form of the Lanczos sum and the recursive lift below 0.5, kept as
+# the reference the unrolled engine must reproduce bit for bit.
+_LOOP_COEF = (
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
+    1.5056327351493116e-7,
+)
+
+
+def _loop_lanczos_sum(x):
+    s = _LOOP_COEF[0]
+    for i in range(1, 9):
+        s += _LOOP_COEF[i] / (x - 1.0 + i)
+    return s
+
+
+def _loop_log_gamma(x):
+    if x < 0.5:
+        return _loop_log_gamma(x + 1.0) - math.log(x)
+    t = x + 6.5
+    return 0.5 * math.log(math.tau) + (x - 0.5) * math.log(t) - t + math.log(_loop_lanczos_sum(x))
+
+
+def _loop_gamma(x):
+    if x < 0.5:
+        return _loop_gamma(x + 1.0) / x
+    t = x + 6.5
+    a = _loop_lanczos_sum(x)
+    pow_exponent = (x - 0.5) * math.log(t)
+    if pow_exponent > 700.0:
+        return math.sqrt(math.tau) * a * math.exp(pow_exponent - t)
+    return math.sqrt(math.tau) * t ** (x - 0.5) * math.exp(-t) * a
+
+
+def _outcome(f, x):
+    try:
+        return f(x).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+def _sweep_arguments():
+    rng = random.Random(20261018)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    xs = [log_uniform(1e-300, 0.5) for _ in range(4000)]
+    below = above = 0.5
+    for _ in range(200):
+        below = math.nextafter(below, 0.0)
+        above = math.nextafter(above, 1.0)
+        xs += [below, above]
+    xs += [0.5, 5e-324, 1e-320, 171.6, 171.62, 171.63]
+    xs += [rng.uniform(0.5, 171.6) for _ in range(4000)]
+    xs += [log_uniform(171.6, 1e300) for _ in range(2000)]
+    return xs
+
+
+def test_unrolled_engine_is_bitwise_the_loop_form():
+    overflows = 0
+    for x in _sweep_arguments():
+        assert log_gamma(x).hex() == _loop_log_gamma(x).hex(), x
+        expected = _outcome(_loop_gamma, x)
+        assert _outcome(gamma_reference, x) == expected, x
+        overflows += expected == "OverflowError"
+    assert overflows >= 2000  # the sweep reaches the overflow branch
+
+
+def test_lifted_argument_is_validated_once(monkeypatch):
+    from eulergamma import gamma as gamma_module
+
+    calls = []
+    real = gamma_module.positive
+    monkeypatch.setattr(gamma_module, "positive", lambda *a: calls.append(a) or real(*a))
+    log_gamma(0.25)
+    gamma_reference(0.25)
+    assert calls == [(0.25, "x"), (0.25, "x")]
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -2.5, math.nan, math.inf, -math.inf])
+def test_closed_forms_reject_non_positive_and_non_finite(bad):
+    for f in (log_gamma, gamma_reference, gamma_integral):
+        with pytest.raises(DomainError, match="x must be positive and finite"):
+            f(bad)
+
+
+def test_infinite_gamma_integral_is_not_converged():
+    # Gamma(171.5) = 9.5e307 is finite, but the weighted node sum overflows;
+    # the truncated tail (and x below 0.1, rescaled by 1/x) must not report
+    # an infinite value as converged.
+    for x in (171.5, 1e-310):
+        estimate = gamma_integral(x)
+        assert estimate.value == math.inf
+        assert not estimate.converged

@@ -387,3 +387,47 @@ def test_integer_parameters_validated():
         check_algebraic_interpolation(0, 2)
     with pytest.raises(DomainError):
         check_factorial_root(-1.0, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 120])
+def test_closed_factorial_root_computes_log_gamma_m_over_n_once(monkeypatch, n):
+    from eulergamma import identities
+
+    calls = []
+    monkeypatch.setattr(identities, "log_gamma", lambda x: calls.append(x) or log_gamma(x))
+    check_factorial_root(7.3, n)
+    # log gamma(m), log gamma(m/n) once, then gamma(i/n) and gamma((i+m)/n)
+    assert len(calls) == 2 * (n - 1) + 2
+    assert calls.count(7.3 / n) == (2 if n == 1 else 1)
+
+
+def test_derivation_chain_values_are_pinned():
+    pinned = {
+        (1.0, 2): ("0x1.c5bf891b4ef70p-1", "0x1.c5bf891b4ef66p-1", "0x1.c5bf891b4ef66p-1"),
+        (5.0, 7): ("0x1.d2a614791d369p-1", "0x1.d2a614791d374p-1", "0x1.d2a614791d373p-1"),
+        (0.5, 3): ("0x1.dafe074b9da91p-1", "0x1.dafe074b9da92p-1", "0x1.dafe074b9da95p-1"),
+        (7.3, 40): ("0x1.d89420b65968bp-1", "0x1.d89420b659694p-1", "0x1.d89420b6596cbp-1"),
+        (19.9, 120): ("0x1.db1fbe7046be4p-1", "0x1.db1fbe7046bdfp-1", "0x1.db1fbe7046c43p-1"),
+    }
+    for (m, n), expected in pinned.items():
+        assert tuple(v.hex() for v in derivation_chain_values(m, n)) == expected
+
+
+def test_closed_form_n_is_capped():
+    from eulergamma.identities import MAX_N
+
+    too_big = MAX_N + 1
+    checks = [
+        lambda n: check_gauss_multiplication(1.0, n),
+        check_gamma_fraction_product,
+        check_gamma_square_product,
+        check_sine_product,
+        lambda n: check_sine_multiple_angle(n, 0.3),
+        lambda n: check_factorial_root(1.0, n),
+        lambda n: check_factorial_root(1.0, n, mode="quadrature"),
+    ]
+    for check in checks:
+        for n in (too_big, 1e30):
+            with pytest.raises(DomainError, match=f"n must be <= {MAX_N}"):
+                check(n)
+    assert check_sine_product(MAX_N).passed

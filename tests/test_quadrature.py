@@ -432,3 +432,16 @@ def test_memo_does_not_remember_exceptions(monkeypatch):
         assert quadrature.suite_memo.get() == {}
     finally:
         quadrature.suite_memo.reset(token)
+
+
+def test_refinement_does_not_converge_on_an_infinite_value(monkeypatch):
+    # A finite coarsest level followed by an overflowing one: the change is
+    # inf, which the stop rule inf <= rel_tol * inf would accept.
+    def level_sum(a, b, h, odd_only, *rest):
+        return (math.inf if odd_only else 1.0), 1
+
+    monkeypatch.setattr(quadrature.backend, "level_sum", level_sum)
+    estimate = integrate_finite(lambda x: 1.0, 0.0, 1.0)
+    assert estimate.value == math.inf
+    assert not estimate.converged
+    assert estimate.evaluations == 2  # it stops there, as a converged run would
