@@ -22,6 +22,7 @@ from eulergamma import (
     gamma_reference,
     log_gamma,
 )
+from eulergamma import gamma as gamma_module
 
 mpmath.mp.dps = 50
 
@@ -295,8 +296,6 @@ def test_unrolled_engine_is_bitwise_the_loop_form():
 
 
 def test_lifted_argument_is_validated_once(monkeypatch):
-    from eulergamma import gamma as gamma_module
-
     calls = []
     real = gamma_module.positive
     monkeypatch.setattr(gamma_module, "positive", lambda *a: calls.append(a) or real(*a))

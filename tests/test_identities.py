@@ -28,7 +28,7 @@ from eulergamma import (
     log_gamma,
     run_suite,
 )
-from eulergamma import quadrature
+from eulergamma import identities, quadrature
 
 HALF_SQRT_PI = 0.8862269254527580
 
@@ -391,8 +391,6 @@ def test_integer_parameters_validated():
 
 @pytest.mark.parametrize("n", [1, 2, 9, 120])
 def test_closed_factorial_root_computes_log_gamma_m_over_n_once(monkeypatch, n):
-    from eulergamma import identities
-
     calls = []
     monkeypatch.setattr(identities, "log_gamma", lambda x: calls.append(x) or log_gamma(x))
     check_factorial_root(7.3, n)
@@ -414,9 +412,7 @@ def test_derivation_chain_values_are_pinned():
 
 
 def test_closed_form_n_is_capped():
-    from eulergamma.identities import MAX_N
-
-    too_big = MAX_N + 1
+    too_big = identities.MAX_N + 1
     checks = [
         lambda n: check_gauss_multiplication(1.0, n),
         check_gamma_fraction_product,
@@ -428,6 +424,6 @@ def test_closed_form_n_is_capped():
     ]
     for check in checks:
         for n in (too_big, 1e30):
-            with pytest.raises(DomainError, match=f"n must be <= {MAX_N}"):
+            with pytest.raises(DomainError, match=f"n must be <= {identities.MAX_N}"):
                 check(n)
-    assert check_sine_product(MAX_N).passed
+    assert check_sine_product(identities.MAX_N).passed
