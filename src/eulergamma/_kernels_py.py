@@ -6,9 +6,9 @@ same order, so either backend produces the same sums bit for bit; keep the
 expressions and their order identical when editing either file.  What
 differs is where the work happens: the compiled loop computes each node's
 geometry and logs inline and branches on the integrand family at every node,
-while this one reads what depends only on the level and the interval from
-per-process tables (see below) and dispatches on the family once per level,
-to a loop written for that family.
+while this one reads what depends only on the level, the interval and the
+``EULER_SYMBOL`` exponent from per-process tables (see below) and dispatches
+on the family once per level, to a loop written for that family.
 
 Node geometry
 -------------
@@ -25,7 +25,7 @@ get x = a + dist or x = b - dist and skip nodes that round onto an endpoint.
 
 Stored tables
 -------------
-Two tables keep, for the life of the process, what a level needs before any
+Three tables keep, for the life of the process, what a level needs before any
 integrand is evaluated:
 
 * ``_node_tables``, keyed on (h, odd_only): each node's (dm, ch, ez2,
@@ -33,7 +33,13 @@ integrand is evaluated:
 * ``_row_tables``, keyed on (h, odd_only, a, b, tail): each node's weight
   ``w`` with what the families read of its distance.  The (0, 1) families
   (``tail`` False) read (w, log(dist), log1p(-dist)); ``GAMMA_TAIL`` reads
-  (w, dist, b - dist, log(dist), log(b - dist)).
+  (w, dist, b - dist, log(dist), log(b - dist));
+* ``_symbol_tables``, keyed on (h, odd_only, a, b, p2): the rows of the
+  (0, 1) families, each extended by the two exponent columns of
+  ``EULER_SYMBOL``, log(-expm1(p2 * log1p(-dist))) and
+  log(-expm1(p2 * log(dist))): the log of 1 - x^p2 at the node near b and
+  at the node near a.  They depend on the exponent n = p2 but not on p or
+  q, so every S(p, q; n) with the same n reads one table.
 
 Only levels with h >= ``TABLE_MIN_H`` are stored; finer levels stream from
 the same expressions.  With the default ``max_refinements`` of 12 that is
@@ -41,15 +47,38 @@ every level a quadrature visits, at most 24,985 nodes per interval.  The
 engines pass two kinds of interval: (0, 1), and the tail probe's spans
 (0, 16 * 2^k) with 16 * 2^k <= 2^20.  So at most 18 intervals get rows, and
 all levels of all of them would hold 4.2 MiB of node geometry, 3.4 MiB of
-(0, 1) rows and 5.0 MiB of rows per span (tracemalloc), 93 MiB in all.  In
-practice far less is stored: the default suite keeps 97 nodes of (0, 1)
-rows, and ``gamma_integral`` over x in (0.01, 150) about 3,000 rows over
-the spans 32 to 2048.  A table depends only on its key, so sharing one
-process-wide (and two threads racing to build the same one) never changes a
-result.
+(0, 1) rows and 5.0 MiB of rows per span (tracemalloc), 93 MiB in all.
+Exponent columns are stored for at most ``TABLE_MAX_EXPONENTS`` (16)
+distinct exponents per interval, the first ones asked for; later exponents
+stream their columns, so a sweep over n cannot grow the store without
+bound.  The engines take columns only on (0, 1), where all levels of one
+exponent hold 3.2 MiB (tracemalloc), 52 MiB for 16.  In practice far less
+is stored: the default suite keeps 97 nodes of (0, 1) rows and 485 rows of
+columns for its five exponents, and ``gamma_integral`` over x in
+(0.01, 150) about 3,000 rows over the spans 32 to 2048.  A table depends
+only on its key and is published only once complete, so sharing one
+process-wide (and two threads racing to build the same one) never changes
+a result.
+
+Finiteness
+----------
+The family loops test nothing per node; ``level_sum`` tests the centre node
+and then the level's total, once each.  That gives the outcome a test at
+every node would give.  In pure Python ``exp`` and ``**`` raise
+OverflowError rather than return inf, and ``level_sum`` turns that into
+NonFiniteIntegrandError.  Every other family value is >= 0 or NaN, and every
+weight is >= 0, so the total is not finite exactly when some node value is
+NaN, or when finite terms overflowed the sum (or a weight that underflowed
+to 0 met a pair of values whose sum overflowed, 0 * inf).  Only then is the
+level scanned again with ``family_value``: a node value that is not finite
+raises NonFiniteIntegrandError; otherwise the infinite (or NaN) total is
+returned, as a test at every node would return it.  The generic-callable
+loop keeps its test at every node, since a user's function must not be
+called twice.
 """
 
 import math
+import threading
 # Bare names save an attribute lookup per call in the per-node loops.
 from math import exp, expm1, isfinite, log, log1p
 
@@ -59,8 +88,12 @@ T_MAX = 6.1
 HALF_PI = 1.5707963267948966
 
 TABLE_MIN_H = 2.0 ** -12
+TABLE_MAX_EXPONENTS = 16
 _node_tables = {}
 _row_tables = {}
+_symbol_tables = {}
+_symbol_exponents = {}
+_symbol_lock = threading.Lock()
 
 # Integrand family tags, shared with the compiled kernel.
 GENERIC = 0
@@ -176,60 +209,71 @@ def _rows(h, odd_only, a, b, tail):
     return table
 
 
-# One loop per family.  Each adds its terms onto ``total`` in node order, and
-# forms vp (the node near b) and vm (near a) exactly as ``family_value`` does.
-
-def _gamma_tail_sum(rows, total, p0, p1, p2):
-    for w, dist, t, ln_dist, ln_t in rows:
-        vp = exp(p0 * ln_t - t)
-        vm = exp(p0 * ln_dist - dist)
-        if not (isfinite(vp) and isfinite(vm)):
-            raise NonFiniteIntegrandError("integrand not finite")
-        total += w * (vp + vm)
-    return total
-
-
-def _neg_log_pow_sum(rows, total, p0, p1, p2):
+def _symbol_columns(rows, p2):
+    """Each (0, 1) row extended by log(1 - x^p2) at the node near b and near a."""
     for w, ln_dist, ln_1md in rows:
-        vp = (-ln_1md) ** p0
-        vm = (-ln_dist) ** p0
-        if not (isfinite(vp) and isfinite(vm)):
-            raise NonFiniteIntegrandError("integrand not finite")
-        total += w * (vp + vm)
+        yield w, ln_dist, ln_1md, log(-expm1(p2 * ln_1md)), log(-expm1(p2 * ln_dist))
+
+
+def _symbol_rows(rows, h, odd_only, a, b, p2):
+    """The level's (0, 1) ``rows`` with the EULER_SYMBOL columns of exponent
+    p2: a stored table, or a stream below TABLE_MIN_H or past
+    TABLE_MAX_EXPONENTS."""
+    if h < TABLE_MIN_H:
+        return _symbol_columns(rows, p2)
+    key = (h, odd_only, a, b, p2)
+    table = _symbol_tables.get(key)
+    if table is None:
+        with _symbol_lock:
+            exponents = _symbol_exponents.setdefault((a, b), set())
+            if len(exponents) < TABLE_MAX_EXPONENTS:
+                exponents.add(p2)
+            stored = p2 in exponents
+        if not stored:
+            return _symbol_columns(rows, p2)
+        table = _symbol_tables[key] = tuple(_symbol_columns(rows, p2))
+    return table
+
+
+# One loop per family.  Each reads the rows of its level and interval, adds
+# its terms onto ``total`` in node order, and forms the value near b and the
+# one near a exactly as ``family_value`` does.  None tests finiteness:
+# ``level_sum`` tests the total once.
+
+def _gamma_tail_sum(h, odd_only, a, b, total, p0, p1, p2):
+    for w, dist, t, ln_dist, ln_t in _rows(h, odd_only, a, b, True):
+        total += w * (exp(p0 * ln_t - t) + exp(p0 * ln_dist - dist))
     return total
 
 
-def _beta_sum(rows, total, p0, p1, p2):
+def _neg_log_pow_sum(h, odd_only, a, b, total, p0, p1, p2):
+    for w, ln_dist, ln_1md in _rows(h, odd_only, a, b, False):
+        total += w * ((-ln_1md) ** p0 + (-ln_dist) ** p0)
+    return total
+
+
+def _beta_sum(h, odd_only, a, b, total, p0, p1, p2):
     c0 = p0 - 1.0
     c1 = p1 - 1.0
-    for w, ln_dist, ln_1md in rows:
-        vp = exp(c0 * ln_1md + c1 * ln_dist)
-        vm = exp(c0 * ln_dist + c1 * ln_1md)
-        if not (isfinite(vp) and isfinite(vm)):
-            raise NonFiniteIntegrandError("integrand not finite")
-        total += w * (vp + vm)
+    for w, ln_dist, ln_1md in _rows(h, odd_only, a, b, False):
+        total += w * (exp(c0 * ln_1md + c1 * ln_dist) + exp(c0 * ln_dist + c1 * ln_1md))
     return total
 
 
-def _euler_symbol_sum(rows, total, p0, p1, p2):
+def _euler_symbol_sum(h, odd_only, a, b, total, p0, p1, p2):
+    # Rows, then c1, then the exponent columns: an invalid interval or
+    # exponent raises the error that computing each node in turn meets first.
+    rows = _rows(h, odd_only, a, b, False)
     c0 = p0 - 1.0
     c1 = p1 / p2 - 1.0
-    for w, ln_dist, ln_1md in rows:
-        vp = exp(c0 * ln_1md + c1 * log(-expm1(p2 * ln_1md)))
-        vm = exp(c0 * ln_dist + c1 * log(-expm1(p2 * ln_dist)))
-        if not (isfinite(vp) and isfinite(vm)):
-            raise NonFiniteIntegrandError("integrand not finite")
-        total += w * (vp + vm)
+    for w, ln_dist, ln_1md, ln_1mxn_p, ln_1mxn_m in _symbol_rows(rows, h, odd_only, a, b, p2):
+        total += w * (exp(c0 * ln_1md + c1 * ln_1mxn_p) + exp(c0 * ln_dist + c1 * ln_1mxn_m))
     return total
 
 
-def _algebraic_sum(rows, total, p0, p1, p2):
-    for w, ln_dist, ln_1md in rows:
-        vp = exp(p1 * (p0 * ln_1md + ln_dist))
-        vm = exp(p1 * (p0 * ln_dist + ln_1md))
-        if not (isfinite(vp) and isfinite(vm)):
-            raise NonFiniteIntegrandError("integrand not finite")
-        total += w * (vp + vm)
+def _algebraic_sum(h, odd_only, a, b, total, p0, p1, p2):
+    for w, ln_dist, ln_1md in _rows(h, odd_only, a, b, False):
+        total += w * (exp(p1 * (p0 * ln_1md + ln_dist)) + exp(p1 * (p0 * ln_dist + ln_1md)))
     return total
 
 
@@ -240,6 +284,17 @@ _FAMILY_SUMS = {
     EULER_SYMBOL: _euler_symbol_sum,
     ALGEBRAIC: _algebraic_sum,
 }
+
+
+def _has_non_finite_node(a, b, h, odd_only, family, p0, p1, p2):
+    """Whether ``family_value`` is NaN or infinite at a node t != 0 of this level."""
+    halfspan = 0.5 * (b - a)
+    for dm, _, _, _ in _nodes(h, odd_only):
+        dist = halfspan * dm
+        if not (isfinite(family_value(family, p0, p1, p2, b - dist, dist, True))
+                and isfinite(family_value(family, p0, p1, p2, a + dist, dist, False))):
+            return True
+    return False
 
 
 def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
@@ -268,8 +323,9 @@ def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
                     raise NonFiniteIntegrandError("integrand not finite")
                 total += halfspan * HALF_PI * v
                 n += 1
-            rows = _rows(h, odd_only, a, b, family == GAMMA_TAIL)
-            total = family_sum(rows, total, p0, p1, p2)
+            total = family_sum(h, odd_only, a, b, total, p0, p1, p2)
+            if not isfinite(total) and _has_non_finite_node(a, b, h, odd_only, family, p0, p1, p2):
+                raise NonFiniteIntegrandError("integrand not finite")
         except OverflowError:
             raise NonFiniteIntegrandError("integrand not finite") from None
         return total, n + 2 * _node_count(h, odd_only)

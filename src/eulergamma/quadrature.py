@@ -75,7 +75,8 @@ class IntegralEstimate:
 
     ``converged`` is True exactly when ``value`` is finite and
     ``error_estimate`` met the configured tolerance; a False value still
-    carries the best estimate found.
+    carries the best estimate found.  Refinement stops at the first level
+    whose value is not finite, and reports an ``error_estimate`` of inf.
     """
 
     value: float
@@ -93,6 +94,8 @@ def _refine(a, b, config, family, p0, p1, p2, f):
     error = math.inf
     converged = False
     for _ in range(config.max_refinements):
+        if not math.isfinite(value):
+            break  # every later change would be inf - inf = nan
         h *= 0.5
         s, n = backend.level_sum(a, b, h, True, family, p0, p1, p2, f)
         new_value = 0.5 * value + h * s
@@ -100,9 +103,11 @@ def _refine(a, b, config, family, p0, p1, p2, f):
         error = abs(new_value - value)
         value = new_value
         if error <= max(config.abs_tol, config.rel_tol * abs(value)):
-            # An infinite value meets the rule vacuously (inf <= inf).
-            converged = math.isfinite(value)
+            converged = True
             break
+    if not math.isfinite(value):
+        # An infinite value meets the stop rule vacuously (inf <= inf).
+        return IntegralEstimate(value, math.inf, evaluations, False)
     return IntegralEstimate(value, error, evaluations, converged)
 
 

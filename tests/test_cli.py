@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import eulergamma
+from eulergamma import cli
 from eulergamma.cli import main
 from eulergamma.identities import run_suite
 from eulergamma.reporting import render_json
@@ -122,6 +123,26 @@ def test_axis_range_past_the_cap_exits_2():
     assert result.returncode == 2
     assert result.stdout == ""
     assert "error: --n: range '2..100002' is longer than 100000 values" in result.stderr
+
+
+@pytest.mark.parametrize("axes", [("sine-product", "--n", "1..100000"),
+                                  ("gauss-multiplication", "--n", "1..100000", "--x", "0.5")])
+def test_grid_past_the_work_budget_exits_2(axes):
+    # Each axis is within its cap, but n sums to 5e9 over the grid.
+    result = run_cli("suite", "--identities", *axes, timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert ("error: the grid's n sums to 5000050000 over its cases; "
+            "at most 10000000 is allowed") in result.stderr
+
+
+def test_work_budget_admits_a_grid_at_the_budget(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_GRID_N", 5)
+    assert main(["suite", "--identities", "sine-product", "--n", "2,3"]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["suite", "--identities", "sine-product", "--n", "2,4"])
+    assert exit_info.value.code == 2
+    assert "n sums to 6 over its cases; at most 5 is allowed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])

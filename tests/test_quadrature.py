@@ -277,6 +277,9 @@ FAMILY_CASES = [
     (kern.EULER_SYMBOL, 3.0, 2.0, 5.0, 0.0, 1.0),
     (kern.EULER_SYMBOL, 0.7, 5.4, 9.0, 0.0, 1.0),
     (kern.ALGEBRAIC, 2.0, 3.0, 0.0, 0.0, 1.0),
+    (kern.EULER_SYMBOL, 4.5, 0.8, 5.0, 0.0, 1.0),  # reads the columns of n = 5
+    (kern.EULER_SYMBOL, 2.0, 1.5, 2.5, 0.0, 1.0),
+    (kern.EULER_SYMBOL, 3.0, 2.0, 5.0, 0.1, 0.7),
 ]
 
 
@@ -285,8 +288,7 @@ def _levels(last):
     return [(2.0 ** -level, level > 0) for level in range(last + 1)]
 
 
-@pytest.mark.parametrize("case", FAMILY_CASES)
-def test_level_sum_bitwise_equals_inline_geometry(case):
+def _assert_levels_equal_inline_geometry(case):
     family, p0, p1, p2, a, b = case
     for h, odd_only in _levels(8):
         # twice: the first call may build the tables, the second reads them
@@ -294,6 +296,18 @@ def test_level_sum_bitwise_equals_inline_geometry(case):
             got = kern.level_sum(a, b, h, odd_only, family, p0, p1, p2, None)
             want = _inline_level_sum(a, b, h, odd_only, family, p0, p1, p2, None)
             assert got[0] == want[0] and got[1] == want[1], (family, h)
+
+
+@pytest.mark.parametrize("case", FAMILY_CASES)
+def test_level_sum_bitwise_equals_inline_geometry(case):
+    _assert_levels_equal_inline_geometry(case)
+
+
+@pytest.mark.parametrize("case", FAMILY_CASES)
+def test_streamed_level_sum_bitwise_equals_inline_geometry(case, monkeypatch):
+    # Every level streams, as those finer than the real TABLE_MIN_H do.
+    monkeypatch.setattr(kern, "TABLE_MIN_H", 2.0)
+    _assert_levels_equal_inline_geometry(case)
 
 
 def test_level_sum_bitwise_equals_inline_geometry_generic_callable():
@@ -307,14 +321,16 @@ def test_level_sum_bitwise_equals_inline_geometry_generic_callable():
 def test_levels_finer_than_table_limit_are_streamed_not_stored():
     h = 2.0 ** -13  # one level past the default depth: about 50k nodes
     assert h < kern.TABLE_MIN_H
-    for family, p0, b in [(kern.BETA, 1.5, 1.0), (kern.GAMMA_TAIL, 2.5, 32.0)]:
-        args = (0.0, b, h, False, family, p0, 1.5, 0.0, None)
-        kern.level_sum(0.0, b, 0.5, True, family, p0, 1.5, 0.0, None)
+    for family, p0, b in [(kern.BETA, 1.5, 1.0), (kern.GAMMA_TAIL, 2.5, 32.0),
+                          (kern.EULER_SYMBOL, 2.5, 1.0)]:
+        args = (0.0, b, h, False, family, p0, 1.5, 3.0, None)
+        kern.level_sum(0.0, b, 0.5, True, family, p0, 1.5, 3.0, None)
         assert (0.5, True) in kern._node_tables
         assert (0.5, True, 0.0, b, family == kern.GAMMA_TAIL) in kern._row_tables
-        stored = set(kern._node_tables), set(kern._row_tables)
+        tables = (kern._node_tables, kern._row_tables, kern._symbol_tables)
+        stored = [set(table) for table in tables]
         got = kern.level_sum(*args)
-        assert (set(kern._node_tables), set(kern._row_tables)) == stored
+        assert [set(table) for table in tables] == stored
         assert got == _inline_level_sum(*args)
         assert got[1] == 2 * int(kern.T_MAX / h) + 1
 
@@ -351,6 +367,8 @@ def test_family_overflow_raises_non_finite_and_probes_read_infinity():
 def test_node_tables_built_by_racing_threads_give_identical_sums(monkeypatch):
     monkeypatch.setattr(kern, "_node_tables", {})
     monkeypatch.setattr(kern, "_row_tables", {})
+    monkeypatch.setattr(kern, "_symbol_tables", {})
+    monkeypatch.setattr(kern, "_symbol_exponents", {})
     family, p0, p1, p2, a, b = (kern.EULER_SYMBOL, 3.0, 2.0, 5.0, 0.0, 1.0)
     want = [_inline_level_sum(a, b, h, odd, family, p0, p1, p2, None)
             for h, odd in _levels(8)]
@@ -376,6 +394,48 @@ def test_node_tables_built_by_racing_threads_give_identical_sums(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert results == [want] * len(threads)
+    assert kern._symbol_exponents == {(a, b): {p2}}
+    assert {key[:2] for key in kern._symbol_tables} == set(_levels(8))
+
+
+def test_exponent_columns_stay_within_their_cap(monkeypatch):
+    monkeypatch.setattr(kern, "_symbol_tables", {})
+    monkeypatch.setattr(kern, "_symbol_exponents", {})
+    cap = kern.TABLE_MAX_EXPONENTS
+    # S(n, n; n) integrates x^(n-1): a few levels for every n.
+    estimates = {n: euler_symbol(float(n), float(n), n) for n in range(1, 201)}
+    stored = set(range(1, cap + 1))
+    assert kern._symbol_exponents == {(0.0, 1.0): stored}
+    assert {p2 for *_, p2 in kern._symbol_tables} == stored
+    for n in (1, cap, cap + 1, 200):
+        assert estimates[n].converged
+        assert abs(estimates[n].value - 1.0 / n) <= 1e-12 / n
+    # An exponent past the cap streams its columns, to the same floats.
+    monkeypatch.setattr(kern, "_symbol_exponents", {})
+    assert euler_symbol(200.0, 200.0, 200) == estimates[200]
+    assert 200.0 in kern._symbol_exponents[0.0, 1.0]
+
+
+def test_non_finite_node_raises_once_the_level_total_is_not_finite(monkeypatch):
+    with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
+        kern.level_sum(0.0, 1.0, 0.5, True, kern.BETA, math.nan, 1.5, 0.0, None)
+    # A NaN row makes the total NaN; the rescan then decides by family_value.
+    rows = list(kern._rows(0.5, True, 0.0, 1.0, False))
+    rows[1] = (rows[1][0], math.nan, rows[1][2])
+    monkeypatch.setattr(kern, "_row_tables", {(0.5, True, 0.0, 1.0, False): tuple(rows)})
+    args = (0.0, 1.0, 0.5, True, kern.BETA, 1.5, 2.5, 0.0, None)
+    assert math.isnan(kern.level_sum(*args)[0])
+    monkeypatch.setattr(kern, "family_value", lambda *args: math.nan)
+    with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
+        kern.level_sum(*args)
+
+
+def test_finite_node_values_whose_sum_overflows_return_inf():
+    # Every t^170.5 e^-t is finite; their weighted sum is not, as for
+    # gamma_integral(171.5).
+    total, n = kern.level_sum(0.0, 256.0, 0.25, True, kern.GAMMA_TAIL, 170.5, 0.0, 0.0, None)
+    assert total == math.inf
+    assert n == 2 * kern._node_count(0.25, True)
 
 
 # --------------------------------------------------------------- suite memo
@@ -445,3 +505,10 @@ def test_refinement_does_not_converge_on_an_infinite_value(monkeypatch):
     assert estimate.value == math.inf
     assert not estimate.converged
     assert estimate.evaluations == 2  # it stops there, as a converged run would
+
+
+def test_refinement_stops_at_the_first_infinite_level():
+    f = lambda x: 1.7e308
+    estimate = integrate_finite(f, 0.0, 10.0)
+    _, first_level = kern.level_sum(0.0, 10.0, 1.0, False, kern.GENERIC, 0.0, 0.0, 0.0, f)
+    assert estimate == quadrature.IntegralEstimate(math.inf, math.inf, first_level, False)
