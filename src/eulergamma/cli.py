@@ -41,11 +41,6 @@ _EVAL_ARITY = {
 
 _NUMERIC_AXES = ("x", "m", "n", "p", "q", "phi")
 
-# The closed-form product checks do work in proportion to n, so a suite grid
-# may ask for at most this much n summed over its cases (the default grid
-# asks for 4,346).
-MAX_GRID_N = 10_000_000
-
 
 def _add_config_flags(sub):
     group = sub.add_argument_group("quadrature options")
@@ -252,10 +247,6 @@ def _cmd_suite(args, parser):
     tolerances = _parse_tolerances(args.tol, parser)
     config = _config_from(args)
     grid = build_grid(identities, axis_values)
-    grid_n = sum(case.get("n", 0) for cases in grid.values() for case in cases)
-    if grid_n > MAX_GRID_N:
-        parser.error(f"the grid's n sums to {grid_n} over its cases; "
-                     f"at most {MAX_GRID_N} is allowed")
     suite = run_suite(grid, config, tolerances)
     text = render_suite(suite, args.format)
     if args.out is not None:

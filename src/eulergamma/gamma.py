@@ -7,9 +7,15 @@ below 0.5 are lifted through the recurrence gamma(x) = gamma(x + 1) / x,
 evaluated at x + 1 in the same call.  ``log_gamma`` reuses the same
 coefficients in log form rather than calling ``math.lgamma`` so that both
 engines share one rounding profile and results are reproducible across libm
-builds.  The Lanczos sum is written out term by term in the order a loop over
-the coefficients adds them, so it rounds exactly as that loop does, on every
-platform.
+builds.  The Lanczos sum is written out term by term in the order a loop
+over the coefficients adds them, so it rounds exactly as that loop does, on
+every platform.
+
+``log_gamma_terms`` is the batch form of ``log_gamma`` for callers that
+evaluate many terms at once.  It takes arguments the caller has already
+validated as positive and finite, skips the per-call check, and returns
+exactly the floats ``log_gamma`` would: ``log_gamma`` validates its one
+argument and runs the same loop, so the log form is written once.
 
 The integral engines evaluate gamma through its defining integrals with
 tanh-sinh quadrature and report an IntegralEstimate rather than a bare float.
@@ -123,14 +129,29 @@ def gamma_reference(x: "float | GammaArg") -> float:
 
 def log_gamma(x: "float | GammaArg") -> float:
     """log(Gamma(x)) for x > 0, on the same coefficient set as gamma_reference."""
-    x = positive(x, "x")
-    shift = 0.0
-    if x < 0.5:
-        shift = math.log(x)
-        x += 1.0
-    t = x + (_LANCZOS_G - 0.5)
-    a = _lanczos_sum(x - 1.0)
-    return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(a) - shift
+    return log_gamma_terms((positive(x, "x"),))[0]
+
+
+def log_gamma_terms(xs) -> list:
+    """[log(Gamma(x)) for x in xs], for arguments the caller has already
+    validated as positive finite floats.
+
+    Nothing is checked here; each value is the float ``log_gamma`` returns
+    for the same argument, since ``log_gamma`` is this loop run once.
+    """
+    log = math.log
+    lanczos_sum = _lanczos_sum
+    ln_sqrt_2pi = _LN_SQRT_2PI
+    t_offset = _LANCZOS_G - 0.5
+    terms = []
+    for x in xs:
+        shift = 0.0
+        if x < 0.5:
+            shift = log(x)
+            x += 1.0
+        t = x + t_offset
+        terms.append(ln_sqrt_2pi + (x - 0.5) * log(t) - t + log(lanczos_sum(x - 1.0)) - shift)
+    return terms
 
 
 def gamma_integral(x: "float | GammaArg",

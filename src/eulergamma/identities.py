@@ -11,12 +11,23 @@ parameter grids and aggregates.  Conventions shared by all checks:
   gamma-fraction-product, gamma-square-product) report lhs/rhs as the natural
   logs of the two sides and their residuals are log-space residuals.  All
   other checks report linear values.
+* The log gamma terms of those products, and of closed-mode factorial-root
+  and ``derivation_chain_values``, are evaluated in batches by
+  ``gamma.log_gamma_terms``: the arguments are positive by construction, so
+  the per-call check is skipped, and each term is the float ``log_gamma``
+  gives.  The table log gamma(i/n), i = 1..n-1, depends on n alone; inside
+  one ``run_suite`` it is computed once per n and shared by every check that
+  needs it, and it is never kept past the run or between calls outside one.
 * n-th roots are computed as exp(log/n); every radicand on the supported
   domain is a product of positive reals, so there is no branch to pick.
-* rel_residual = |lhs - rhs| / max(|lhs|, |rhs|, 1e-300).  A check passes
-  when rel_residual <= tolerance, except that sides both within 1e-6 of zero
-  are compared absolutely (relative error is meaningless at a zero of the
-  identity).
+* rel_residual = |lhs - rhs| / max(|lhs|, |rhs|, 1e-300) and abs_residual =
+  |lhs - rhs| are both reported.  A linear check passes when rel_residual <=
+  tolerance, except that sides both within 1e-6 of zero are compared
+  absolutely (relative error is meaningless at a zero of the identity).  A
+  log-space check passes when abs_residual <= tolerance: a difference of
+  logs is already the relative error of the two linear products, so it
+  needs no scaling by |log|, which would loosen the rule where the log is
+  large and blow it up where the log nears 0.
 * Checks that integrate also require every quadrature to have converged;
   a nonconverged estimate fails the report even if the residual looks small.
 """
@@ -29,7 +40,13 @@ from typing import Callable, Mapping
 
 from .beta import euler_symbol, euler_symbol_closed
 from .errors import DomainError, integer, positive
-from .gamma import factorial_interp, gamma_reference, gamma_log_integral, log_gamma
+from .gamma import (
+    factorial_interp,
+    gamma_reference,
+    gamma_log_integral,
+    log_gamma,
+    log_gamma_terms,
+)
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _integrate_family, suite_memo
 from . import backend
 
@@ -42,6 +59,13 @@ _LN_2PI = math.log(math.tau)
 # instead of a loop that never ends, and sits far above any grid in use
 # (the widest benchmark grid stops at n = 120).
 MAX_N = 100_000
+
+# Bounds on a whole grid, checked before it is expanded.  The closed-form
+# product checks do work in proportion to n, so n summed over the cases may
+# be at most MAX_GRID_N (the default grid asks for 4,346); the case count is
+# capped on its own because a grid with no n axis passes that budget.
+MAX_GRID_N = 10_000_000
+MAX_GRID_CASES = 100_000
 
 # Sides this close to zero switch the pass rule to absolute residual.
 NEAR_ZERO = 1e-6
@@ -105,12 +129,15 @@ def _rel(lhs, rhs):
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _TINY)
 
 
-def _report(identity_id, params, lhs, rhs, tolerance, start, aux_ok=True):
+def _report(identity_id, params, lhs, rhs, tolerance, start, aux_ok=True,
+            log_space=False):
     """Assemble a report; ``aux_ok`` folds in side conditions (quadrature
-    convergence, secondary-form agreement) that must hold for a pass."""
+    convergence, secondary-form agreement) that must hold for a pass.
+    ``log_space`` marks sides that are logs, which pass on the absolute
+    residual."""
     abs_residual = abs(lhs - rhs)
     rel_residual = abs_residual / max(abs(lhs), abs(rhs), _TINY)
-    if max(abs(lhs), abs(rhs)) <= NEAR_ZERO:
+    if log_space or max(abs(lhs), abs(rhs)) <= NEAR_ZERO:
         passed = abs_residual <= tolerance
     else:
         passed = rel_residual <= tolerance
@@ -126,6 +153,23 @@ def _report(identity_id, params, lhs, rhs, tolerance, start, aux_ok=True):
         passed=passed,
         wall_time=time.perf_counter() - start,
     )
+
+
+def _log_gamma_fractions(n):
+    """(log gamma(1/n), log gamma(2/n), ..., log gamma((n-1)/n)).
+
+    The table depends on n alone.  Inside a suite run it is computed once per
+    n and kept in the run's ``suite_memo`` dict, under a 2-tuple key that no
+    7-tuple quadrature key can equal; outside a run it is computed afresh.
+    """
+    memo = suite_memo.get()
+    if memo is None:
+        memo = {}
+    key = ("log_gamma_fractions", n)
+    table = memo.get(key)
+    if table is None:
+        table = memo[key] = tuple(log_gamma_terms(i / n for i in range(1, n)))
+    return table
 
 
 def check_reflection(x: float, tolerance: float | None = None) -> IdentityReport:
@@ -161,9 +205,10 @@ def check_gauss_multiplication(x: float, n: int,
     n = integer(n, "n", 1, MAX_N)
     if tolerance is None:
         tolerance = default_tolerance("gauss-multiplication")
-    lhs = math.fsum(log_gamma((x + k) / n) for k in range(n))
+    lhs = math.fsum(log_gamma_terms((x + k) / n for k in range(n)))
     rhs = math.fsum([0.5 * (n - 1) * _LN_2PI, (0.5 - x) * math.log(n), log_gamma(x)])
-    return _report("gauss-multiplication", {"n": n, "x": x}, lhs, rhs, tolerance, start)
+    return _report("gauss-multiplication", {"n": n, "x": x}, lhs, rhs, tolerance, start,
+                   log_space=True)
 
 
 def check_duplication(x: float, tolerance: float | None = None) -> IdentityReport:
@@ -230,11 +275,12 @@ def check_gamma_square_product(n: int, tolerance: float | None = None) -> Identi
     n = integer(n, "n", 2, MAX_N)
     if tolerance is None:
         tolerance = default_tolerance("gamma-square-product")
-    lhs = math.fsum(2.0 * log_gamma(i / n) for i in range(1, n))
+    lhs = math.fsum([2.0 * term for term in _log_gamma_fractions(n)])
     rhs = math.fsum(
         [(n - 1) * _LN_PI] + [-math.log(math.sin(i * math.pi / n)) for i in range(1, n)]
     )
-    return _report("gamma-square-product", {"n": n}, lhs, rhs, tolerance, start)
+    return _report("gamma-square-product", {"n": n}, lhs, rhs, tolerance, start,
+                   log_space=True)
 
 
 def check_gamma_fraction_product(n: int, tolerance: float | None = None) -> IdentityReport:
@@ -246,9 +292,10 @@ def check_gamma_fraction_product(n: int, tolerance: float | None = None) -> Iden
     n = integer(n, "n", 2, MAX_N)
     if tolerance is None:
         tolerance = default_tolerance("gamma-fraction-product")
-    lhs = math.fsum(log_gamma(i / n) for i in range(1, n))
+    lhs = math.fsum(_log_gamma_fractions(n))
     rhs = math.fsum([0.5 * (n - 1) * _LN_2PI, -0.5 * math.log(n)])
-    return _report("gamma-fraction-product", {"n": n}, lhs, rhs, tolerance, start)
+    return _report("gamma-fraction-product", {"n": n}, lhs, rhs, tolerance, start,
+                   log_space=True)
 
 
 def check_log_integral_product(n: int, config: QuadratureConfig = DEFAULT_CONFIG,
@@ -283,19 +330,21 @@ def _factorial_root_log_inner(m, n, mode, config):
     """Log of the radicand n^(n-m) gamma(m) S(1,m;n) S(2,m;n) ... S(n-1,m;n).
 
     Returns (log terms, all quadratures converged).  In closed mode each
-    symbol contributes through B(i/n, m/n)/n, whose log gamma(m/n) and log n
-    terms do not depend on i: they are computed once and the same floats
-    appended n-1 times, which is the list the per-symbol evaluation would
-    build, so ``math.fsum`` of it is unchanged.  In quadrature mode each
-    symbol is integrated directly.
+    symbol contributes log gamma(i/n) + log gamma(m/n) - log gamma((i+m)/n)
+    - log n, through B(i/n, m/n)/n.  The terms are appended grouped by kind
+    rather than symbol by symbol, and log gamma(m/n) and log n, which do not
+    depend on i, are computed once and appended n-1 times: the list holds the
+    same floats the per-symbol evaluation would, so ``math.fsum`` of it is
+    unchanged.  In quadrature mode each symbol is integrated directly.
     """
     log_n = math.log(n)
     terms = [(n - m) * log_n, log_gamma(m)]
     converged = True
     if mode == "closed":
-        log_gamma_m_n = log_gamma(m / n)
-        for i in range(1, n):
-            terms += [log_gamma(i / n), log_gamma_m_n, -log_gamma((i + m) / n), -log_n]
+        terms += _log_gamma_fractions(n)
+        terms += [log_gamma(m / n)] * (n - 1)
+        terms += [-term for term in log_gamma_terms((i + m) / n for i in range(1, n))]
+        terms += [-log_n] * (n - 1)
     else:
         for i in range(1, n):
             estimate = euler_symbol(float(i), m, n, config)
@@ -406,8 +455,8 @@ def derivation_chain_values(m: float, n: int) -> tuple:
     terms, _ = _factorial_root_log_inner(m, n, "closed", DEFAULT_CONFIG)
     root_form = (m / n) * math.exp(math.fsum(terms) / n)
     product_terms = [math.log(m / n), log_gamma(m), (1.0 - m) * math.log(n)]
-    for k in range(1, n):
-        product_terms += [log_gamma(k / n), -log_gamma((m + k) / n)]
+    product_terms += _log_gamma_fractions(n)
+    product_terms += [-term for term in log_gamma_terms((m + k) / n for k in range(1, n))]
     product_form = math.exp(math.fsum(product_terms))
     return direct, root_form, product_form
 
@@ -560,23 +609,41 @@ def build_grid(identities=None, axis_values=None) -> dict:
     ``identities`` restricts to a subset; ``axis_values`` maps an axis name
     to a replacement value list that overrides the default wherever that
     axis occurs.  Duplicate parameter points collapse to one.
+
+    Raises DomainError, before expanding any block, when the grid would hold
+    more than MAX_GRID_CASES cases or its n summed over the cases would
+    exceed MAX_GRID_N; both are counted before duplicates collapse.
     """
     if identities is None:
         identities = sorted(_GRID_BLOCKS)
     axis_values = axis_values or {}
-    grid = {}
+    blocks = {}
+    n_cases = n_sum = 0
     for identity_id in identities:
         if identity_id not in IDENTITIES:
             raise DomainError(f"unknown identity {identity_id!r}")
         spec = IDENTITIES[identity_id]
-        cases, seen = [], set()
+        blocks[identity_id] = []
         for block in _GRID_BLOCKS[identity_id]:
-            axes = []
-            for axis in spec.axes:
-                raw = axis_values.get(axis, block[axis])
-                axes.append([spec.convert[axis](v) for v in raw])
-            for combo in itertools.product(*axes):
-                params = dict(zip(spec.axes, combo))
+            axes = {axis: [spec.convert[axis](v) for v in axis_values.get(axis, block[axis])]
+                    for axis in spec.axes}
+            size = math.prod(len(values) for values in axes.values())
+            n_cases += size
+            if "n" in axes and size:
+                n_sum += sum(axes["n"]) * (size // len(axes["n"]))
+            blocks[identity_id].append(axes)
+    if n_cases > MAX_GRID_CASES:
+        raise DomainError(f"the grid has {n_cases} cases; at most {MAX_GRID_CASES} "
+                          "are allowed")
+    if n_sum > MAX_GRID_N:
+        raise DomainError(f"the grid's n sums to {n_sum} over its cases; "
+                          f"at most {MAX_GRID_N} is allowed")
+    grid = {}
+    for identity_id, axes_list in blocks.items():
+        cases, seen = [], set()
+        for axes in axes_list:
+            for combo in itertools.product(*axes.values()):
+                params = dict(zip(axes, combo))
                 key = params_key(params)
                 if key not in seen:
                     seen.add(key)
@@ -602,7 +669,9 @@ def run_suite(grid: dict | None = None,
     Within one run, equal family integrals (the same integrand, parameters,
     interval and config) are computed once and shared by every check that
     needs them, so S(p, q; n) serves both symbol-symmetry and symbol-bridge.
-    Nothing is kept between runs, and calls outside a run are never shared.
+    The same memo holds each n's table of log gamma(i/n), shared by the
+    closed-form product and factorial-root checks with that n.  Nothing is
+    kept between runs, and calls outside a run are never shared.
     """
     if grid is None:
         grid = default_grid()

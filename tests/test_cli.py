@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import eulergamma
-from eulergamma import cli
+from eulergamma import identities
 from eulergamma.cli import main
 from eulergamma.identities import run_suite
 from eulergamma.reporting import render_json
@@ -137,12 +137,29 @@ def test_grid_past_the_work_budget_exits_2(axes):
 
 
 def test_work_budget_admits_a_grid_at_the_budget(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "MAX_GRID_N", 5)
+    monkeypatch.setattr(identities, "MAX_GRID_N", 5)
     assert main(["suite", "--identities", "sine-product", "--n", "2,3"]) == 0
-    with pytest.raises(SystemExit) as exit_info:
-        main(["suite", "--identities", "sine-product", "--n", "2,4"])
-    assert exit_info.value.code == 2
+    assert main(["suite", "--identities", "sine-product", "--n", "2,4"]) == 2
     assert "n sums to 6 over its cases; at most 5 is allowed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axes, cases", [
+    (("gauss-multiplication", "--n", "1..100000"), 700_000),
+    # No n axis, so only the case cap stops these 10^10 cases.
+    (("algebraic-interpolation", "--p", "1..100000", "--q", "1..100000"), 10 ** 10),
+])
+def test_grid_past_the_case_cap_exits_2(axes, cases):
+    # Rejected before the grid is expanded, so well inside the timeout.
+    result = run_cli("suite", "--identities", *axes, timeout=20)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"error: the grid has {cases} cases; at most 100000 are allowed" in result.stderr
+
+
+def test_case_cap_admits_a_grid_at_the_cap(monkeypatch):
+    monkeypatch.setattr(identities, "MAX_GRID_CASES", 2)
+    assert main(["suite", "--identities", "sine-product", "--n", "2,3"]) == 0
+    assert main(["suite", "--identities", "sine-product", "--n", "2,3,4"]) == 2
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])

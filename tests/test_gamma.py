@@ -287,12 +287,15 @@ def _sweep_arguments():
 
 def test_unrolled_engine_is_bitwise_the_loop_form():
     overflows = 0
-    for x in _sweep_arguments():
+    xs = _sweep_arguments()
+    for x in xs:
         assert log_gamma(x).hex() == _loop_log_gamma(x).hex(), x
         expected = _outcome(_loop_gamma, x)
         assert _outcome(gamma_reference, x) == expected, x
         overflows += expected == "OverflowError"
     assert overflows >= 2000  # the sweep reaches the overflow branch
+    batch = gamma_module.log_gamma_terms(xs)
+    assert [v.hex() for v in batch] == [_loop_log_gamma(x).hex() for x in xs]
 
 
 def test_lifted_argument_is_validated_once(monkeypatch):

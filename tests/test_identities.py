@@ -151,6 +151,23 @@ def test_fraction_product_is_half_square_product_log():
         assert abs(fraction.lhs - square.lhs / 2.0) <= 1e-12 * max(1.0, abs(fraction.lhs))
 
 
+def test_log_space_checks_pass_on_the_log_residual():
+    # |dlog| is about 3e-14 and 7e-14, far inside 1e-10, but the log sides
+    # are near 0, so |dlog|/|log| exceeded the tolerance.
+    for x, n in ((24.79554080257118, 17), (58.66017791097947, 93)):
+        report = check_gauss_multiplication(x, n)
+        assert report.rel_residual > report.tolerance
+        assert report.passed
+
+
+def test_log_space_residual_is_not_scaled_by_the_log():
+    # |dlog| = 5.7e-14 over |log| = 177: relative 3.2e-16 is within 1e-14,
+    # the linear products' relative error is not.
+    report = check_gamma_square_product(100, tolerance=1e-14)
+    assert report.rel_residual <= 1e-14 < report.abs_residual
+    assert not report.passed
+
+
 def test_log_integral_product_small_case():
     report = check_log_integral_product(2)
     assert report.passed
@@ -321,6 +338,12 @@ def test_default_suite_integrates_each_distinct_integral_once(refine_calls):
     assert len(set(refine_calls)) == 172
 
 
+def test_default_suite_evaluates_each_fraction_table_once(log_gamma_args):
+    run_suite()
+    # 3,155 when every check evaluated its own log gamma(i/n) table
+    assert len(log_gamma_args) == 2491
+
+
 def _without_time(report):
     return dataclasses.replace(report, wall_time=0.0)
 
@@ -333,32 +356,88 @@ def test_suite_reports_equal_checks_run_outside_a_suite():
         assert _without_time(direct) == _without_time(report)
 
 
-def _assert_not_memoized(refine_calls):
+@pytest.fixture
+def log_gamma_args(monkeypatch):
+    """Every argument log gamma is evaluated at through ``identities``, by the
+    scalar ``log_gamma`` or the batch ``log_gamma_terms``, in call order."""
+    args = []
+    batch = identities.log_gamma_terms
+
+    def counting_batch(xs):
+        xs = list(xs)
+        args.extend(xs)
+        return batch(xs)
+
+    monkeypatch.setattr(identities, "log_gamma", lambda x: args.append(x) or log_gamma(x))
+    monkeypatch.setattr(identities, "log_gamma_terms", counting_batch)
+    return args
+
+
+def _fraction_counts(args, n):
+    return [args.count(i / n) for i in range(1, n)]
+
+
+def _assert_not_memoized(refine_calls, log_gamma_args):
     assert quadrature.suite_memo.get() is None
     before = len(refine_calls)
     euler_symbol(1.0, 2.0, 3)
     euler_symbol(1.0, 2.0, 3)
     assert len(refine_calls) == before + 2
+    before = _fraction_counts(log_gamma_args, 5)
+    check_gamma_fraction_product(5)
+    check_gamma_fraction_product(5)
+    assert _fraction_counts(log_gamma_args, 5) == [count + 2 for count in before]
 
 
-def test_memo_ends_with_the_suite_run(refine_calls):
-    run_suite({"symbol-bridge": [{"p": 1.0, "q": 2.0, "n": 3}]})
-    _assert_not_memoized(refine_calls)
+_MEMO_GRID = {"symbol-bridge": [{"p": 1.0, "q": 2.0, "n": 3}],
+              "gamma-fraction-product": [{"n": 5}]}
 
 
-def test_memo_ends_when_a_check_raises(refine_calls):
-    grid = {"symbol-bridge": [{"p": 1.0, "q": 2.0, "n": 3}], "reflection": [{"x": 1.5}]}
+def test_memo_ends_with_the_suite_run(refine_calls, log_gamma_args):
+    run_suite(_MEMO_GRID)
+    _assert_not_memoized(refine_calls, log_gamma_args)
+
+
+def test_memo_ends_when_a_check_raises(refine_calls, log_gamma_args):
+    grid = {**_MEMO_GRID, "reflection": [{"x": 1.5}]}
     suite = run_suite(grid)
     assert suite.n_fail == 1
-    _assert_not_memoized(refine_calls)
+    _assert_not_memoized(refine_calls, log_gamma_args)
 
 
-def test_memo_ends_when_the_suite_raises(refine_calls):
-    # symbol-bridge runs first, then the unknown id aborts the run
-    grid = {"symbol-bridge": [{"p": 1.0, "q": 2.0, "n": 3}], "zzz": [{"n": 2}]}
+def test_memo_ends_when_the_suite_raises(refine_calls, log_gamma_args):
+    # the two known ids run first, then the unknown id aborts the run
+    grid = {**_MEMO_GRID, "zzz": [{"n": 2}]}
     with pytest.raises(DomainError, match="unknown identity"):
         run_suite(grid)
-    _assert_not_memoized(refine_calls)
+    _assert_not_memoized(refine_calls, log_gamma_args)
+
+
+def test_fraction_table_is_shared_within_a_run_only(monkeypatch, log_gamma_args):
+    memos = []
+    table = identities._log_gamma_fractions
+
+    def recording(n):
+        memos.append(quadrature.suite_memo.get())
+        return table(n)
+
+    monkeypatch.setattr(identities, "_log_gamma_fractions", recording)
+    grid = {
+        "factorial-root": [{"m": 0.5, "n": 9, "mode": "closed"},
+                           {"m": 7.3, "n": 9, "mode": "closed"}],
+        "gamma-fraction-product": [{"n": 9}],
+    }
+    suite = run_suite(grid)
+    assert suite.n_fail == 0
+    assert _fraction_counts(log_gamma_args, 9) == [1] * 8
+    # the run's memo holds the one table, as a tuple
+    assert memos[0] is memos[-1]
+    assert list(memos[0].values()) == [tuple(log_gamma(i / 9) for i in range(1, 9))]
+    log_gamma_args.clear()
+    for case in grid["factorial-root"]:
+        check_factorial_root(case["m"], case["n"])
+    check_gamma_fraction_product(9)
+    assert _fraction_counts(log_gamma_args, 9) == [3] * 8
 
 
 def test_run_suite_config_echo():
@@ -390,13 +469,11 @@ def test_integer_parameters_validated():
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 120])
-def test_closed_factorial_root_computes_log_gamma_m_over_n_once(monkeypatch, n):
-    calls = []
-    monkeypatch.setattr(identities, "log_gamma", lambda x: calls.append(x) or log_gamma(x))
+def test_closed_factorial_root_computes_log_gamma_m_over_n_once(log_gamma_args, n):
     check_factorial_root(7.3, n)
     # log gamma(m), log gamma(m/n) once, then gamma(i/n) and gamma((i+m)/n)
-    assert len(calls) == 2 * (n - 1) + 2
-    assert calls.count(7.3 / n) == (2 if n == 1 else 1)
+    assert len(log_gamma_args) == 2 * (n - 1) + 2
+    assert log_gamma_args.count(7.3 / n) == (2 if n == 1 else 1)
 
 
 def test_derivation_chain_values_are_pinned():
