@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -160,12 +162,30 @@ def test_log_space_checks_pass_on_the_log_residual():
         assert report.passed
 
 
-def test_log_space_residual_is_not_scaled_by_the_log():
-    # |dlog| = 5.7e-14 over |log| = 177: relative 3.2e-16 is within 1e-14,
-    # the linear products' relative error is not.
-    report = check_gamma_square_product(100, tolerance=1e-14)
-    assert report.rel_residual <= 1e-14 < report.abs_residual
+def test_log_space_residual_is_not_scaled_by_the_log(monkeypatch):
+    # An engine error of 1e-9 in log gamma(x) is a relative error of 1e-9 in
+    # the linear products, ten times the tolerance; over |log| = 252 it is
+    # only 4.0e-12 relative to the log.  The rounding allowance is 1.3e-12.
+    monkeypatch.setattr(identities, "log_gamma", lambda x: log_gamma(x) + 1e-9)
+    report = check_gauss_multiplication(100.0, 3)
+    assert report.rel_residual <= report.tolerance < report.abs_residual
     assert not report.passed
+
+
+def test_log_space_rule_allows_for_rounding_at_large_logs():
+    # log gamma(1e6) is 1.28e7, where one ulp is 1.9e-9: rounding alone puts
+    # |dlog| past 1e-10, and the identity is still true.
+    for report in (check_duplication(1e6), check_gauss_multiplication(1e6, 3)):
+        assert report.abs_residual > report.tolerance
+        assert report.passed
+
+
+def test_gauss_multiplication_rejects_an_underflowing_term():
+    # the k = 0 term x/n rounds to 0 for a subnormal x
+    with pytest.raises(DomainError, match="x / n must be positive"):
+        check_gauss_multiplication(5e-324, 2)
+    with pytest.raises(DomainError, match="x / n must be positive"):
+        check_duplication(5e-324)
 
 
 def test_log_integral_product_small_case():
@@ -344,6 +364,21 @@ def test_default_suite_evaluates_each_fraction_table_once(log_gamma_args):
     assert len(log_gamma_args) == 2491
 
 
+def test_distinct_n_sweep_keeps_8_bytes_per_table_term():
+    # No table is reused here, yet each is kept until the run ends: the peak
+    # is its 8 bytes per term plus about 100 kB of reports (a tuple of float
+    # objects would take 32 bytes per term).
+    grid = {"gamma-fraction-product": [{"n": n} for n in range(2, 202)]}
+    terms = sum(n - 1 for n in range(2, 202))
+    tracemalloc.start()
+    try:
+        run_suite(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * terms + 200_000
+
+
 def _without_time(report):
     return dataclasses.replace(report, wall_time=0.0)
 
@@ -430,9 +465,11 @@ def test_fraction_table_is_shared_within_a_run_only(monkeypatch, log_gamma_args)
     suite = run_suite(grid)
     assert suite.n_fail == 0
     assert _fraction_counts(log_gamma_args, 9) == [1] * 8
-    # the run's memo holds the one table, as a tuple
+    # the run's memo holds the one table, as an array of doubles
     assert memos[0] is memos[-1]
-    assert list(memos[0].values()) == [tuple(log_gamma(i / 9) for i in range(1, 9))]
+    (stored,) = memos[0].values()
+    assert isinstance(stored, array) and stored.typecode == "d"
+    assert list(stored) == [log_gamma(i / 9) for i in range(1, 9)]
     log_gamma_args.clear()
     for case in grid["factorial-root"]:
         check_factorial_root(case["m"], case["n"])
