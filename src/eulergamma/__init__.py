@@ -2,14 +2,10 @@
 
 Closed-form evaluation (Lanczos) and integral evaluation (tanh-sinh
 quadrature) of the gamma family, plus checks that certify the classical
-product identities relating them.  ``backend.BACKEND`` names the node-loop
-implementation in use ("compiled" or "python").
+product identities relating them.
 """
 
-from .backend import BACKEND
 from .beta import (
-    BetaArgs,
-    EulerSymbolParams,
     beta_closed,
     beta_integral,
     euler_symbol,
@@ -17,7 +13,6 @@ from .beta import (
 )
 from .errors import DomainError, NonFiniteIntegrandError, NonIntegrableTailError
 from .gamma import (
-    GammaArg,
     factorial_interp,
     gamma_integral,
     gamma_log_integral,
@@ -55,13 +50,13 @@ from .quadrature import (
 
 __version__ = "0.1.0"
 
+# The node loop is pure Python; the name stays for provenance records.
+BACKEND = "python"
+
 __all__ = [
     "BACKEND",
-    "BetaArgs",
     "DEFAULT_CONFIG",
     "DomainError",
-    "EulerSymbolParams",
-    "GammaArg",
     "IDENTITIES",
     "IdentityReport",
     "IntegralEstimate",

@@ -13,7 +13,6 @@ naturals.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import backend
 from .errors import integer, positive
@@ -24,32 +23,6 @@ from .quadrature import (
     QuadratureConfig,
     _integrate_family,
 )
-
-
-@dataclass(frozen=True)
-class BetaArgs:
-    """A pair of positive Beta-function arguments."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", positive(self.x, "x"))
-        object.__setattr__(self, "y", positive(self.y, "y"))
-
-
-@dataclass(frozen=True)
-class EulerSymbolParams:
-    """Symbol parameters: positive reals p, q and an integer exponent n >= 1."""
-
-    p: float
-    q: float
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", positive(self.p, "p"))
-        object.__setattr__(self, "q", positive(self.q, "q"))
-        object.__setattr__(self, "n", integer(self.n, "n", 1))
 
 
 def beta_closed(x: float, y: float) -> float:

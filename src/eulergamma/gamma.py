@@ -22,7 +22,6 @@ tanh-sinh quadrature and report an IntegralEstimate rather than a bare float.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, positive
 from .quadrature import (
@@ -45,49 +44,6 @@ _LN_SQRT_2PI = 0.5 * math.log(math.tau)
 _POW_EXPONENT_LIMIT = 700.0
 
 
-@dataclass(frozen=True)
-class GammaArg:
-    """A positive gamma argument, optionally tagged with its exact rational form.
-
-    ``num``/``den`` record that ``x`` arose as the fraction num/den (in lowest
-    terms); they are carried for callers that want to display or regroup
-    arguments exactly and have no effect on evaluation.
-    """
-
-    x: float
-    num: int | None = None
-    den: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        if not (math.isfinite(self.x) and self.x > 0.0):
-            raise DomainError("x must be positive and finite")
-        if (self.num is None) != (self.den is None):
-            raise DomainError("num and den must be given together")
-        if self.num is not None:
-            if not (isinstance(self.num, int) and isinstance(self.den, int)):
-                raise DomainError("num and den must be integers")
-            if self.num <= 0 or self.den <= 0:
-                raise DomainError("num and den must be positive")
-            if math.gcd(self.num, self.den) != 1:
-                raise DomainError("num/den must be in lowest terms")
-            if self.x != self.num / self.den:
-                raise DomainError("x must equal num/den")
-
-    @classmethod
-    def from_rational(cls, num: int, den: int) -> "GammaArg":
-        """Build the argument num/den, reducing to lowest terms first."""
-        if not (isinstance(num, int) and isinstance(den, int)) or num <= 0 or den <= 0:
-            raise DomainError("num and den must be positive integers")
-        g = math.gcd(num, den)
-        num //= g
-        den //= g
-        return cls(num / den, num, den)
-
-    def __float__(self) -> float:
-        return self.x
-
-
 def _lanczos_sum(y):
     """A_g(x) = c0 + sum over i in 1..8 of c_i / (x - 1 + i), given y = x - 1.
 
@@ -108,7 +64,7 @@ def _lanczos_sum(y):
             + 1.5056327351493116e-7 / (y + 8.0))
 
 
-def gamma_reference(x: "float | GammaArg") -> float:
+def gamma_reference(x: float) -> float:
     """Gamma(x) for x > 0 via the Lanczos approximation.
 
     Overflows (OverflowError, as with ``math.gamma``) once x exceeds about
@@ -127,7 +83,7 @@ def gamma_reference(x: "float | GammaArg") -> float:
     return _SQRT_2PI * t ** (x - 0.5) * math.exp(-t) * a / divisor
 
 
-def log_gamma(x: "float | GammaArg") -> float:
+def log_gamma(x: float) -> float:
     """log(Gamma(x)) for x > 0, on the same coefficient set as gamma_reference."""
     return log_gamma_terms((positive(x, "x"),))[0]
 
@@ -154,7 +110,7 @@ def log_gamma_terms(xs) -> list:
     return terms
 
 
-def gamma_integral(x: "float | GammaArg",
+def gamma_integral(x: float,
                    config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralEstimate:
     """Gamma(x) as the integral of t^(x-1) e^(-t) over (0, infinity).
 

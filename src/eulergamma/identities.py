@@ -70,10 +70,11 @@ _LN_2PI = math.log(math.tau)
 # magnitude of the log terms of both sides.
 _LOG_ROUNDING = 8.0 * sys.float_info.epsilon
 
-# Largest n the closed-form product checks accept.  Their work grows
-# linearly in n; the cap turns a mistyped n such as 1e30 into a DomainError
-# instead of a loop that never ends, and sits far above any grid in use
-# (the widest benchmark grid stops at n = 120).
+# Largest n the product checks accept, and largest q of
+# algebraic-interpolation.  Their work grows linearly in n (or q); the cap
+# turns a mistyped n such as 1e30 into a DomainError instead of a loop that
+# never ends, and sits far above any grid in use (the widest benchmark grid
+# stops at n = 120).
 MAX_N = 100_000
 
 # Bounds on a whole grid, checked before it is expanded.  The closed-form
@@ -338,7 +339,7 @@ def check_log_integral_product(n: int, config: QuadratureConfig = DEFAULT_CONFIG
     The left side is n-1 independent quadratures, multiplied in log space.
     """
     start = time.perf_counter()
-    n = integer(n, "n", 2)
+    n = integer(n, "n", 2, MAX_N)
     if tolerance is None:
         tolerance = default_tolerance("log-integral-product")
     estimates = [gamma_log_integral(k / n, config) for k in range(1, n)]
@@ -421,7 +422,7 @@ def check_algebraic_interpolation(p: int, q: int,
     """
     start = time.perf_counter()
     p = integer(p, "p", 1)
-    q = integer(q, "q", 1)
+    q = integer(q, "q", 1, MAX_N)
     if tolerance is None:
         tolerance = default_tolerance("algebraic-interpolation")
     s = p / q

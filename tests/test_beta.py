@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulergamma import (
-    BetaArgs,
     DomainError,
-    EulerSymbolParams,
     beta_closed,
     beta_integral,
     euler_symbol,
@@ -122,16 +120,3 @@ def test_symbol_domain():
         euler_symbol(1.0, 1.0, 2.5)
     with pytest.raises(DomainError):
         euler_symbol_closed(1.0, 1.0, -3)
-
-
-def test_args_types_validate():
-    args = BetaArgs(2, 3)
-    assert (args.x, args.y) == (2.0, 3.0)
-    params = EulerSymbolParams(1.5, 2.5, 3)
-    assert (params.p, params.q, params.n) == (1.5, 2.5, 3)
-    with pytest.raises(DomainError):
-        BetaArgs(0.0, 1.0)
-    with pytest.raises(DomainError):
-        EulerSymbolParams(1.0, 1.0, 0)
-    with pytest.raises(DomainError):
-        EulerSymbolParams(1.0, 1.0, 1.5)

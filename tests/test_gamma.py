@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from eulergamma import (
     DomainError,
-    GammaArg,
     QuadratureConfig,
     factorial_interp,
     gamma_integral,
@@ -184,33 +183,6 @@ def test_recurrence_property(x):
 def test_log_convexity_midpoint(a, b):
     mid = log_gamma((a + b) / 2.0)
     assert mid <= (log_gamma(a) + log_gamma(b)) / 2.0 + 1e-12
-
-
-def test_gamma_arg_accepts_plain_and_rational():
-    plain = GammaArg(2.5)
-    assert float(plain) == 2.5
-    assert plain.num is None and plain.den is None
-    ratio = GammaArg.from_rational(2, 4)
-    assert (ratio.num, ratio.den) == (1, 2)
-    assert float(ratio) == 0.5
-    assert gamma_reference(ratio) == gamma_reference(0.5)
-    assert log_gamma(ratio) == log_gamma(0.5)
-    assert gamma_integral(ratio).value == gamma_integral(0.5).value
-
-
-def test_gamma_arg_validation():
-    with pytest.raises(DomainError):
-        GammaArg(-1.0)
-    with pytest.raises(DomainError):
-        GammaArg(0.5, num=1)  # den missing
-    with pytest.raises(DomainError):
-        GammaArg(0.5, num=2, den=4)  # not reduced
-    with pytest.raises(DomainError):
-        GammaArg(0.6, num=1, den=2)  # x disagrees with num/den
-    with pytest.raises(DomainError):
-        GammaArg.from_rational(1, 0)
-    with pytest.raises(DomainError):
-        GammaArg.from_rational(-1, 2)
 
 
 def test_custom_config_is_respected():

@@ -535,9 +535,11 @@ def test_closed_form_n_is_capped():
         lambda n: check_sine_multiple_angle(n, 0.3),
         lambda n: check_factorial_root(1.0, n),
         lambda n: check_factorial_root(1.0, n, mode="quadrature"),
+        check_log_integral_product,
+        lambda q: check_algebraic_interpolation(1, q),
     ]
     for check in checks:
         for n in (too_big, 1e30):
-            with pytest.raises(DomainError, match=f"n must be <= {identities.MAX_N}"):
+            with pytest.raises(DomainError, match=f"[nq] must be <= {identities.MAX_N}"):
                 check(n)
     assert check_sine_product(identities.MAX_N).passed

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulergamma import (
+    BACKEND,
     DEFAULT_CONFIG,
     DomainError,
     NonFiniteIntegrandError,
@@ -25,7 +26,7 @@ from eulergamma import (
     integrate_finite,
     integrate_semi_infinite,
 )
-from eulergamma import _kernels_py as kern
+from eulergamma import backend as kern
 from eulergamma import quadrature
 from eulergamma.identities import default_grid, run_suite
 
@@ -216,8 +217,8 @@ def test_interval_additivity(c):
 
 
 def _inline_level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
-    """The node loop with its geometry computed inline at every node, as the
-    compiled kernel does; the table-reading loop must match it bit for bit."""
+    """The node loop with its geometry computed inline at every node, the
+    reference that the table-reading loop must match bit for bit."""
     halfspan = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     kmax = int(kern.T_MAX / h)
@@ -355,13 +356,24 @@ def test_tables_hold_only_the_documented_intervals(monkeypatch):
 
 
 def test_family_overflow_raises_non_finite_and_probes_read_infinity():
-    # As in the compiled kernel, where libm returns inf for these values.
+    # exp and ** overflow at these values: the loop raises, the probe reads inf.
     with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
         kern.level_sum(0.0, 1.0, 0.5, True, kern.NEG_LOG_POW, 150.0, 0.0, 0.0, None)
     with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
         kern.level_sum(0.0, 8192.0, 1.0, False, kern.GAMMA_TAIL, 799.0, 0.0, 0.0, None)
     assert kern.point_value(kern.GAMMA_TAIL, 799.0, 0.0, 0.0, 16.0) == math.inf
     assert kern.point_value(kern.NEG_LOG_POW, 150.0, 0.0, 0.0, 1e-300) == math.inf
+
+
+def test_active_backend_is_reported():
+    # The one node loop is pure Python; provenance records still name it.
+    assert BACKEND == "python"
+
+
+def test_family_value_rejects_generic_tag():
+    # A generic callable has no built-in value; only ``level_sum`` calls it.
+    with pytest.raises(ValueError, match="unknown integrand family 0"):
+        kern.family_value(kern.GENERIC, 0.0, 0.0, 0.0, 0.5, 0.5, False)
 
 
 def test_node_tables_built_by_racing_threads_give_identical_sums(monkeypatch):
