@@ -22,7 +22,7 @@ from .errors import DomainError, NonFiniteIntegrandError, NonIntegrableTailError
 from .gamma import gamma_integral, gamma_log_integral, gamma_reference, log_gamma
 from .identities import IDENTITIES, MAX_N, build_grid, run_suite
 from .quadrature import QuadratureConfig
-from .reporting import render_report, render_suite
+from .reporting import params_string, render_report, render_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -44,7 +44,10 @@ _NUMERIC_AXES = ("x", "m", "n", "p", "q", "phi")
 
 def _add_config_flags(sub):
     group = sub.add_argument_group("quadrature options")
-    group.add_argument("--abs-tol", type=float, default=1e-12, metavar="TOL")
+    group.add_argument("--abs-tol", type=float, default=1e-12, metavar="TOL",
+                       help="error floor for arbitrary integrands only; every integral "
+                            "here is a positive built-in family, which stops on "
+                            "--rel-tol alone, so this only reaches the JSON config echo")
     group.add_argument("--rel-tol", type=float, default=1e-11, metavar="TOL")
     group.add_argument("--max-refinements", type=int, default=12, metavar="N")
     group.add_argument("--truncation-threshold", type=float, default=1e-15, metavar="EPS")
@@ -254,6 +257,10 @@ def _cmd_suite(args, parser):
             handle.write(text)
     else:
         sys.stdout.write(text)
+    for report in suite.reports:
+        if report.error is not None:
+            print(f"error: {report.identity_id} {params_string(report.params)}: {report.error}",
+                  file=sys.stderr)
     return EXIT_OK if suite.n_fail == 0 else EXIT_FAIL
 
 

@@ -84,7 +84,14 @@ def gamma_reference(x: float) -> float:
 
 
 def log_gamma(x: float) -> float:
-    """log(Gamma(x)) for x > 0, on the same coefficient set as gamma_reference."""
+    """log(Gamma(x)) for x > 0, on the same coefficient set as gamma_reference.
+
+    Near the zeros of log Gamma, x = 1 and x = 2, the error is absolute, not
+    relative: against 50-digit mpmath it stays below 4e-15 for x within 0.1
+    of either zero, and below 1e-15 at 1 + 1e-9 and 2 + 1e-9, where the
+    relative error is 1.4e-6 and 2.3e-6 because log Gamma itself is below
+    1e-9 in magnitude.  ``log_gamma(1.0)`` is -8.9e-16, not 0.
+    """
     return log_gamma_terms((positive(x, "x"),))[0]
 
 
@@ -152,10 +159,10 @@ def factorial_interp(lam: float) -> float:
 
 
 def _scaled(estimate, factor, config):
-    """Rescale an estimate (value and error) and re-derive the converged flag."""
+    """Rescale a family estimate (value and error) and re-derive the
+    converged flag, on the relative rule alone."""
     value = estimate.value * factor
     error = estimate.error_estimate * abs(factor)
-    converged = estimate.converged and math.isfinite(value) and error <= max(
-        config.abs_tol, config.rel_tol * abs(value)
-    )
+    converged = (estimate.converged and math.isfinite(value)
+                 and error <= config.rel_tol * abs(value))
     return IntegralEstimate(value, error, estimate.evaluations, converged)

@@ -119,7 +119,11 @@ def default_tolerance(identity_id: str, mode: str = "closed") -> float:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Outcome of checking one identity at one parameter point."""
+    """Outcome of checking one identity at one parameter point.
+
+    ``error`` is set only on the report of a check that raised: the
+    exception's class and message, as ``"DomainError: x must ..."``.
+    """
 
     identity_id: str
     params: Mapping[str, object]
@@ -130,6 +134,7 @@ class IdentityReport:
     tolerance: float
     passed: bool
     wall_time: float
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -697,7 +702,8 @@ def run_suite(grid: dict | None = None,
 
     Reports come back sorted by identity_id, then by parameter values, no
     matter the order of the input.  A check that raises is recorded as a
-    failed report with NaN sides rather than aborting the suite.
+    failed report with NaN sides, and the exception in its ``error``, rather
+    than aborting the suite.
 
     Within one run, equal family integrals (the same integrand, parameters,
     interval and config) are computed once and shared by every check that
@@ -727,7 +733,7 @@ def run_suite(grid: dict | None = None,
                 start = time.perf_counter()
                 try:
                     report = spec.run(params, tol, config)
-                except Exception:
+                except Exception as exc:
                     mode = params.get("mode", "closed")
                     tolerance = tol if tol is not None else default_tolerance(identity_id, mode)
                     report = IdentityReport(
@@ -740,6 +746,7 @@ def run_suite(grid: dict | None = None,
                         tolerance=tolerance,
                         passed=False,
                         wall_time=time.perf_counter() - start,
+                        error=f"{type(exc).__name__}: {exc}",
                     )
                 reports.append(report)
     finally:

@@ -42,7 +42,11 @@ class QuadratureConfig:
 
     abs_tol, rel_tol
         Refinement stops once the level-to-level change is at or below
-        ``max(abs_tol, rel_tol * |value|)``.
+        ``rel_tol * |value|``.  For arbitrary callables the bar is
+        ``max(abs_tol, rel_tol * |value|)``, so an integral of zero (say
+        cos over (0, pi)) still converges.  The built-in integrand families
+        are positive and ignore ``abs_tol``: a floor would accept any
+        integral smaller than it, however wrong.
     max_refinements
         Number of step halvings allowed past the coarsest level.
     truncation_threshold
@@ -85,8 +89,15 @@ class IntegralEstimate:
     converged: bool
 
 
+def _error_floor(family, config):
+    """Error that always passes: abs_tol for arbitrary callables, none for
+    the positive built-in families."""
+    return config.abs_tol if family == backend.GENERIC else 0.0
+
+
 def _refine(a, b, config, family, p0, p1, p2, f):
     """Run the level-doubling loop over (a, b); returns an IntegralEstimate."""
+    floor = _error_floor(family, config)
     h = 1.0
     s, n = backend.level_sum(a, b, h, False, family, p0, p1, p2, f)
     value = h * s
@@ -102,7 +113,7 @@ def _refine(a, b, config, family, p0, p1, p2, f):
         evaluations += n
         error = abs(new_value - value)
         value = new_value
-        if error <= max(config.abs_tol, config.rel_tol * abs(value)):
+        if error <= max(floor, config.rel_tol * abs(value)):
             converged = True
             break
     if not math.isfinite(value):
@@ -141,7 +152,7 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float,
     shifted = f if a == 0.0 else (lambda u: f(a + u))
     span, tail = _truncation_span(shifted, config.truncation_threshold)
     base = _refine(0.0, span, config, backend.GENERIC, 0.0, 0.0, 0.0, shifted)
-    return _with_tail(base, tail, config)
+    return _with_tail(base, tail, config, backend.GENERIC)
 
 
 def _truncation_span(value_at, threshold):
@@ -160,10 +171,10 @@ def _truncation_span(value_at, threshold):
     raise NonIntegrableTailError("tail not integrable at configured threshold")
 
 
-def _with_tail(base, tail, config):
+def _with_tail(base, tail, config, family):
     error = base.error_estimate + tail
     converged = math.isfinite(base.value) and error <= max(
-        config.abs_tol, config.rel_tol * abs(base.value)
+        _error_floor(family, config), config.rel_tol * abs(base.value)
     )
     return IntegralEstimate(base.value, error, base.evaluations, converged)
 
@@ -191,4 +202,4 @@ def _integrate_family_semi_infinite(family, p0, p1, p2, config):
         config.truncation_threshold,
     )
     base = _refine(0.0, span, config, family, p0, p1, p2, None)
-    return _with_tail(base, tail, config)
+    return _with_tail(base, tail, config, family)

@@ -5,12 +5,27 @@ string that round-trips to the exact binary64 value.  Human tables use 15
 significant digits.  Suite renderings exclude wall_time so that identical
 flags produce byte-identical output; timing stays available on the in-memory
 reports and in the single-check view.
+
+``render_json`` writes each report by one fixed template instead of by
+``json.dumps(document, indent=2, allow_nan=False)``, whose indenting encoder
+is pure Python, and returns exactly that call's bytes plus a newline.  One
+rule, ``_json_value``, writes every value as that encoder would: finite
+floats by ``float.__repr__``, ints by ``int.__repr__`` (subclasses by their
+base repr), strings by json's C ``encode_basestring_ascii``, and bool and
+None as literals.  Non-finite sides (lhs, rhs, residuals) become null, as
+only crashed checks produce them.  Anything else, a container a crashed
+check echoes from a caller's grid or a non-finite parameter or tolerance, is
+handed to ``json.dumps`` itself, re-indented to its depth; that call renders
+it, or raises json's own ValueError or TypeError.  The default suite renders
+in about 8 ms against 14-18 ms for the encoder (2-vCPU Linux container,
+Python 3.11).
 """
 
 import csv
 import io
 import json
 import math
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .identities import IdentityReport, SuiteReport
 
@@ -26,34 +41,83 @@ def params_string(params) -> str:
     return ";".join(f"{k}={_fmt_value(v)}" for k, v in sorted(params.items()))
 
 
-def _json_number(value):
+# Indentation of the lines that hold a report's fields and its params.
+_FIELD = " " * 6
+_PARAM = " " * 8
+
+
+def _json_value(value, indent):
+    """``value`` as json.dumps(..., indent=2, allow_nan=False) writes it on a
+    line indented by ``indent``."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+    elif isinstance(value, str):
+        return _json_string(value)
+    elif value is None:
+        return "null"
+    elif value is True:
+        return "true"
+    elif value is False:
+        return "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    # Containers, and the non-finite floats strict JSON refuses: the encoder
+    # writes the value (or raises its own error), shifted to this depth.
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + indent)
+
+
+def _json_side(value):
     # Strict JSON has no NaN/Infinity; those only arise from checks that
     # crashed, and null marks them unambiguously.
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    return _json_value(value, _FIELD)
 
 
-def _report_object(report: IdentityReport) -> dict:
-    return {
-        "identity_id": report.identity_id,
-        "params": {k: report.params[k] for k in sorted(report.params)},
-        "lhs": _json_number(report.lhs),
-        "rhs": _json_number(report.rhs),
-        "abs_residual": _json_number(report.abs_residual),
-        "rel_residual": _json_number(report.rel_residual),
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-    }
+def _json_params(params):
+    keys = sorted(params)
+    if not all(isinstance(k, str) for k in keys):
+        # json's own rules for int, float, bool and None keys
+        return _json_value({k: params[k] for k in keys}, _FIELD)
+    if not keys:
+        return "{}"
+    entries = ",\n".join(
+        f"{_PARAM}{_json_string(k)}: {_json_value(params[k], _PARAM)}"
+        for k in keys
+    )
+    return f"{{\n{entries}\n{_FIELD}}}"
+
+
+def _json_report(r: IdentityReport) -> str:
+    return f"""    {{
+      "identity_id": {_json_value(r.identity_id, _FIELD)},
+      "params": {_json_params(r.params)},
+      "lhs": {_json_side(r.lhs)},
+      "rhs": {_json_side(r.rhs)},
+      "abs_residual": {_json_side(r.abs_residual)},
+      "rel_residual": {_json_side(r.rel_residual)},
+      "tolerance": {_json_value(r.tolerance, _FIELD)},
+      "passed": {_json_value(r.passed, _FIELD)}
+    }}"""
 
 
 def render_json(suite: SuiteReport) -> str:
-    document = {
-        "config": {k: suite.config_echo[k] for k in suite.config_echo},
-        "reports": [_report_object(r) for r in suite.reports],
-        "summary": {"pass": suite.n_pass, "fail": suite.n_fail},
-    }
-    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    config = _json_value({k: suite.config_echo[k] for k in suite.config_echo}, "  ")
+    reports = ",\n".join([_json_report(r) for r in suite.reports])
+    if reports:
+        reports = f"[\n{reports}\n  ]"
+    else:
+        reports = "[]"
+    return f"""{{
+  "config": {config},
+  "reports": {reports},
+  "summary": {{
+    "pass": {_json_value(suite.n_pass, "    ")},
+    "fail": {_json_value(suite.n_fail, "    ")}
+  }}
+}}
+"""
 
 
 CSV_HEADER = ("identity_id", "params", "lhs", "rhs", "abs_residual",

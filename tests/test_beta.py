@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,3 +121,14 @@ def test_symbol_domain():
         euler_symbol(1.0, 1.0, 2.5)
     with pytest.raises(DomainError):
         euler_symbol_closed(1.0, 1.0, -3)
+
+
+@pytest.mark.parametrize("x, y", [(20.0, 20.0), (20.0, 40.0), (40.0, 40.0)])
+def test_beta_integral_tiny_values_converge_to_mpmath(x, y):
+    # B(40, 40) is about 1e-24: a converged estimate must meet the relative
+    # rule, not the absolute floor every value this small falls under.
+    with mpmath.workdps(40):
+        exact = mpmath.beta(x, y)
+        estimate = beta_integral(x, y)
+        assert estimate.converged
+        assert abs((mpmath.mpf(estimate.value) - exact) / exact) <= 1e-15

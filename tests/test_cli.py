@@ -257,6 +257,14 @@ def test_suite_tol_override_forces_exit_1():
     assert result.returncode == 1
 
 
+def test_suite_names_each_crashed_check_on_stderr():
+    result = run_cli("suite", "--identities", "reflection", "--x", "0.5,1.5",
+                     "--format", "csv")
+    assert result.returncode == 1
+    assert result.stderr == "error: reflection x=1.5: DomainError: x must lie in (0,1)\n"
+    assert result.stdout.splitlines()[2] == "reflection,x=1.5,nan,nan,inf,inf,1e-12,false"
+
+
 def test_suite_unknown_identity_exits_2():
     result = run_cli("suite", "--identities", "nope")
     assert result.returncode == 2

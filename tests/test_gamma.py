@@ -92,6 +92,20 @@ def test_log_gamma_known_zeros():
     assert abs(log_gamma(2.0)) <= 5e-14
 
 
+def test_log_gamma_error_is_absolute_near_its_zeros():
+    # log gamma vanishes at 1 and 2, so its relative error there is
+    # unbounded; the documented bound is absolute.
+    for zero in (1.0, 2.0):
+        offsets = [d * 10.0 ** -k for k in range(1, 16) for d in (1, -1)]
+        offsets += [0.1 * i / 100 for i in range(-100, 101)]
+        for x in (zero + d for d in offsets):
+            assert abs(log_gamma(x) - _mp_loggamma(x)) <= 4e-15, x
+        x = zero + 1e-9
+        assert abs(log_gamma(x) - _mp_loggamma(x)) <= 1e-15
+    x = 1.0 + 1e-9
+    assert abs(log_gamma(x) - _mp_loggamma(x)) / abs(_mp_loggamma(x)) > 1e-7
+
+
 def test_log_gamma_finite_beyond_gamma_overflow():
     value = log_gamma(171.5)
     assert math.isfinite(value)

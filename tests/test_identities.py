@@ -325,6 +325,14 @@ def test_run_suite_records_check_crash_as_failure():
     assert math.isnan(failed[0].lhs)
 
 
+def test_crash_report_records_the_exception():
+    suite = run_suite({"reflection": [{"x": 1.5}, {"x": 0.5}]})
+    crashed, passed = suite.reports[1], suite.reports[0]
+    assert crashed.params == {"x": 1.5}
+    assert crashed.error == "DomainError: x must lie in (0,1)"
+    assert passed.error is None
+
+
 def test_run_suite_tolerance_override_forces_failure():
     suite = run_suite(
         {"gauss-multiplication": [{"n": 3, "x": 2.5}]},
