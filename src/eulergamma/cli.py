@@ -18,9 +18,10 @@ import math
 import sys
 
 from .beta import beta_closed, beta_integral, euler_symbol, euler_symbol_closed
-from .errors import DomainError, NonFiniteIntegrandError, NonIntegrableTailError
+from .errors import (DomainError, NonFiniteIntegrandError, NonIntegrableTailError, nonnegative,
+                     positive)
 from .gamma import gamma_integral, gamma_log_integral, gamma_reference, log_gamma
-from .identities import IDENTITIES, MAX_N, build_grid, run_suite
+from .identities import IDENTITIES, MAX_N, MODES, build_grid, run_suite
 from .quadrature import QuadratureConfig
 from .reporting import params_string, render_report, render_suite
 
@@ -39,15 +40,14 @@ _EVAL_ARITY = {
     "loggamma_integral": 1,
 }
 
-_NUMERIC_AXES = ("x", "m", "n", "p", "q", "phi")
+# Every parameter axis of the identity table, in order of first use; each is
+# a --<axis> flag of verify and suite, its text validated by the row's
+# converter.
+_AXES = tuple(dict.fromkeys(axis for spec in IDENTITIES.values() for axis in spec.axes))
 
 
 def _add_config_flags(sub):
     group = sub.add_argument_group("quadrature options")
-    group.add_argument("--abs-tol", type=float, default=1e-12, metavar="TOL",
-                       help="error floor for arbitrary integrands only; every integral "
-                            "here is a positive built-in family, which stops on "
-                            "--rel-tol alone, so this only reaches the JSON config echo")
     group.add_argument("--rel-tol", type=float, default=1e-11, metavar="TOL")
     group.add_argument("--max-refinements", type=int, default=12, metavar="N")
     group.add_argument("--truncation-threshold", type=float, default=1e-15, metavar="EPS")
@@ -56,7 +56,6 @@ def _add_config_flags(sub):
 def _config_from(args):
     # QuadratureConfig validates; ValueError maps to a usage error in main().
     return QuadratureConfig(
-        abs_tol=args.abs_tol,
         rel_tol=args.rel_tol,
         max_refinements=args.max_refinements,
         truncation_threshold=args.truncation_threshold,
@@ -66,12 +65,9 @@ def _config_from(args):
 def _tolerance(text):
     """argparse type for a pass tolerance: a positive finite number."""
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
+        return positive(text, "tolerance")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser():
@@ -90,9 +86,9 @@ def _build_parser():
 
     p_verify = sub.add_parser("verify", help="run one identity check")
     p_verify.add_argument("identity", metavar="IDENTITY")
-    for axis in _NUMERIC_AXES:
-        p_verify.add_argument(f"--{axis}", type=float, default=None)
-    p_verify.add_argument("--mode", choices=("closed", "quadrature"), default=None)
+    for axis in _AXES:
+        p_verify.add_argument(f"--{axis}", default=None,
+                              choices=MODES if axis == "mode" else None)
     p_verify.add_argument("--tol", type=_tolerance, default=None,
                           help="override the identity's default tolerance")
     _add_config_flags(p_verify)
@@ -101,11 +97,10 @@ def _build_parser():
     p_suite = sub.add_parser("suite", help="run identity checks over parameter grids")
     p_suite.add_argument("--identities", default=None, metavar="ID,ID,...",
                          help="restrict to a comma-separated subset")
-    for axis in _NUMERIC_AXES:
+    for axis in _AXES:
         p_suite.add_argument(f"--{axis}", default=None, metavar="LIST",
-                             help=f"override the {axis} axis: comma list and/or lo..hi ranges")
-    p_suite.add_argument("--mode", default=None, metavar="MODE[,MODE]",
-                         help="restrict factorial-root modes (closed, quadrature)")
+                             help=f"override the {axis} axis: comma list and/or "
+                                  "lo..hi integer ranges")
     p_suite.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_suite.add_argument("--tol", action="append", default=[], metavar="ID=TOL",
                          help="per-identity tolerance override, repeatable")
@@ -151,9 +146,7 @@ def _cmd_eval(args, parser):
         else:
             estimate = euler_symbol(p, q, n, config)
     else:  # loggamma_integral
-        (s,) = args.values
-        if not (math.isfinite(s) and s >= 0.0):
-            raise DomainError("s must be nonnegative and finite")
+        s = nonnegative(args.values[0], "s")
         if args.engine == "reference":
             value = gamma_reference(s + 1.0)
         else:
@@ -180,18 +173,17 @@ def _cmd_verify(args, parser):
             f"unknown identity {identity_id!r} (known: {', '.join(sorted(IDENTITIES))})"
         )
     spec = IDENTITIES[identity_id]
-    for axis in (*_NUMERIC_AXES, "mode"):
+    for axis in _AXES:
         if axis not in spec.axes and getattr(args, axis) is not None:
             parser.error(f"identity '{identity_id}' does not take --{axis}")
     params = {}
-    for axis in spec.axes:
+    for axis, convert in spec.axes.items():
         raw = getattr(args, axis)
         if raw is None:
-            if axis == "mode":
-                raw = "closed"
-            else:
+            if axis != "mode":
                 parser.error(f"identity '{identity_id}' requires --{axis}")
-        params[axis] = spec.convert[axis](raw)
+            raw = MODES[0]
+        params[axis] = convert(raw, axis)
     config = _config_from(args)
     report = spec.run(params, args.tol, config)
     sys.stdout.write(render_report(report))
@@ -199,7 +191,8 @@ def _cmd_verify(args, parser):
 
 
 def _parse_axis_values(axis, text, parser):
-    """Parse `1,2.5,7` / `2..12` / mixes of both into a value list."""
+    """Split `1,2.5,7` / `2..12` / mixes of both into a value list; single
+    values stay text, for the identity's converter to validate."""
     values = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -215,10 +208,7 @@ def _parse_axis_values(axis, text, parser):
                 parser.error(f"--{axis}: range {chunk!r} is longer than {MAX_N} values")
             values.extend(float(v) for v in range(lo, hi + 1))
         else:
-            try:
-                values.append(float(chunk))
-            except ValueError:
-                parser.error(f"--{axis}: not a number: {chunk!r}")
+            values.append(chunk)
     return values
 
 
@@ -241,12 +231,10 @@ def _cmd_suite(args, parser):
     if args.identities is not None:
         identities = [name.strip() for name in args.identities.split(",")]
     axis_values = {}
-    for axis in _NUMERIC_AXES:
+    for axis in _AXES:
         raw = getattr(args, axis)
         if raw is not None:
             axis_values[axis] = _parse_axis_values(axis, raw, parser)
-    if args.mode is not None:
-        axis_values["mode"] = [m.strip() for m in args.mode.split(",")]
     tolerances = _parse_tolerances(args.tol, parser)
     config = _config_from(args)
     grid = build_grid(identities, axis_values)

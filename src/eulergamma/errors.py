@@ -24,15 +24,31 @@ def positive(value, name):
     return value
 
 
+def nonnegative(value, name):
+    """``value`` as a float; DomainError unless it is nonnegative and finite."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise DomainError(f"{name} must be nonnegative and finite")
+    return value
+
+
+def finite(value, name="parameter"):
+    """``value`` as a float; DomainError unless it is finite."""
+    try:
+        value = float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must be finite") from None
+    except ValueError:
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite")
+    return value
+
+
 def integer(value, name="parameter", minimum=None, maximum=None):
     """``value`` as an int; DomainError unless it is a finite integer in
     [``minimum``, ``maximum``] (either bound may be None)."""
-    try:
-        as_float = float(value)
-    except OverflowError:
-        raise DomainError(f"{name} must be finite") from None
-    if not math.isfinite(as_float):
-        raise DomainError(f"{name} must be finite")
+    as_float = finite(value, name)
     as_int = int(as_float)
     if as_int != as_float:
         raise DomainError(f"{name} must be an integer")

@@ -23,7 +23,7 @@ tanh-sinh quadrature and report an IntegralEstimate rather than a bare float.
 
 import math
 
-from .errors import DomainError, positive
+from .errors import DomainError, nonnegative, positive
 from .quadrature import (
     DEFAULT_CONFIG,
     IntegralEstimate,
@@ -141,9 +141,7 @@ def gamma_log_integral(s: float,
     roughly 100) raises NonFiniteIntegrandError; the closed-form engine is
     the right tool there.
     """
-    s = float(s)
-    if not (math.isfinite(s) and s >= 0.0):
-        raise DomainError("s must be nonnegative and finite")
+    s = nonnegative(s, "s")
     return _integrate_family(backend.NEG_LOG_POW, s, 0.0, 0.0, 0.0, 1.0, config)
 
 

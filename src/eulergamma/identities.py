@@ -2,7 +2,14 @@
 
 Every check evaluates both sides of one identity independently, measures the
 residual, and returns an IdentityReport; run_suite drives all checks over
-parameter grids and aggregates.  Conventions shared by all checks:
+parameter grids and aggregates.
+
+``IDENTITIES`` holds one ``IdentitySpec`` row per identity: its axes, default
+grid, default tolerance, work axis and ``run``.  ``default_tolerance``,
+``build_grid``, ``run_suite`` and the command line's ``--<axis>`` flags all
+read the rows; adding an identity is one check function plus one row.
+
+Conventions shared by all checks:
 
 * Products of gamma values and powers of n are accumulated in log space with
   ``math.fsum`` (exactly rounded, hence independent of term order); direct
@@ -51,7 +58,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from .beta import euler_symbol, euler_symbol_closed
-from .errors import DomainError, integer, positive
+from .errors import DomainError, finite, integer, positive
 from .gamma import (
     factorial_interp,
     gamma_reference,
@@ -77,10 +84,11 @@ _LOG_ROUNDING = 8.0 * sys.float_info.epsilon
 # stops at n = 120).
 MAX_N = 100_000
 
-# Bounds on a whole grid, checked before it is expanded.  The closed-form
-# product checks do work in proportion to n, so n summed over the cases may
-# be at most MAX_GRID_N (the default grid asks for 4,346); the case count is
-# capped on its own because a grid with no n axis passes that budget.
+# Bounds on a whole grid, checked before it is expanded.  Most checks do
+# work in proportion to one axis, the row's ``work_axis`` (n for the product
+# checks, q for algebraic-interpolation), so that axis summed over the cases
+# may be at most MAX_GRID_N (the default grid asks for 4,386); the case count
+# is capped on its own because a grid with no work axis passes that budget.
 MAX_GRID_N = 10_000_000
 MAX_GRID_CASES = 100_000
 
@@ -88,33 +96,34 @@ MAX_GRID_CASES = 100_000
 NEAR_ZERO = 1e-6
 _TINY = 1e-300
 
-# Closed-form-only identities run at 1e-10; one layer of quadrature loosens
-# that to 1e-7; the algebraic interpolation chains q-1 quadratures and gets
-# 1e-6.  Conservative multiples of observed engine accuracy.
-_DEFAULT_TOL = {
-    "reflection": 1e-12,
-    "gauss-multiplication": 1e-10,
-    "duplication": 1e-10,
-    "sine-product": 1e-10,
-    "sine-multiple-angle": 1e-10,
-    "gamma-square-product": 1e-10,
-    "gamma-fraction-product": 1e-10,
-    "log-integral-product": 1e-7,
-    "factorial-root": 1e-10,
-    "algebraic-interpolation": 1e-6,
-    "symbol-symmetry": 1e-7,
-    "symbol-bridge": 1e-7,
-}
+# The values of factorial-root's ``mode`` axis; the first is the default.
+MODES = ("closed", "quadrature")
+
+
+def _mode_axis(value, name="mode"):
+    mode = str(value)
+    if mode not in MODES:
+        raise DomainError(f"{name} must be {' or '.join(map(repr, MODES))}")
+    return mode
 
 
 def default_tolerance(identity_id: str, mode: str = "closed") -> float:
-    """The built-in pass tolerance for one identity (mode-aware)."""
-    if identity_id == "factorial-root" and mode == "quadrature":
-        return 1e-7
-    try:
-        return _DEFAULT_TOL[identity_id]
-    except KeyError:
-        raise DomainError(f"unknown identity {identity_id!r}") from None
+    """The built-in pass tolerance for one identity, read from its row.
+
+    ``mode`` matters only to a row whose tolerance is a mapping by mode
+    (factorial-root); a mode outside ``MODES`` reads as the first.
+    """
+    tolerance = _row_of(identity_id).tolerance
+    if isinstance(tolerance, float):
+        return tolerance
+    return tolerance[mode if mode in MODES else MODES[0]]
+
+
+def _resolved(tolerance, identity_id, params):
+    """``tolerance``, or the identity's default at ``params`` when it is None."""
+    if tolerance is None:
+        return default_tolerance(identity_id, params.get("mode", MODES[0]))
+    return tolerance
 
 
 @dataclass(frozen=True)
@@ -157,7 +166,9 @@ def _report(identity_id, params, lhs, rhs, tolerance, start, aux_ok=True,
     convergence, secondary-form agreement) that must hold for a pass.
     ``log_scale``, given when the sides are logs, is the summed magnitude of
     their terms; such sides pass on the absolute residual, or on the
-    relative one where the absolute residual is within rounding of them."""
+    relative one where the absolute residual is within rounding of them.
+    A ``tolerance`` of None is the identity's default."""
+    tolerance = _resolved(tolerance, identity_id, params)
     abs_residual = abs(lhs - rhs)
     rel_residual = abs_residual / max(abs(lhs), abs(rhs), _TINY)
     if log_scale is not None:
@@ -215,8 +226,7 @@ def check_reflection(x: float, tolerance: float | None = None) -> IdentityReport
     x = float(x)
     if not (math.isfinite(x) and 0.0 < x < 1.0):
         raise DomainError("x must lie in (0,1)")
-    if tolerance is None:
-        tolerance = default_tolerance("reflection")
+    tolerance = _resolved(tolerance, "reflection", {})
     lhs = gamma_reference(x) * gamma_reference(1.0 - x)
     rhs = math.pi / math.sin(math.pi * x)
     fact_lhs = factorial_interp(x) * factorial_interp(-x)
@@ -235,8 +245,6 @@ def check_gauss_multiplication(x: float, n: int,
     start = time.perf_counter()
     x = positive(x, "x")
     n = integer(n, "n", 1, MAX_N)
-    if tolerance is None:
-        tolerance = default_tolerance("gauss-multiplication")
     # the smallest term, x/n, can underflow to 0 for a subnormal x
     positive(x / n, "x / n")
     lhs_terms = log_gamma_terms((x + k) / n for k in range(n))
@@ -254,6 +262,7 @@ def check_duplication(x: float, tolerance: float | None = None) -> IdentityRepor
     the two checks agree bit for bit.
     """
     start = time.perf_counter()
+    tolerance = _resolved(tolerance, "duplication", {})
     inner = check_gauss_multiplication(x, 2, tolerance=tolerance)
     return replace(
         inner,
@@ -267,8 +276,6 @@ def check_sine_product(n: int, tolerance: float | None = None) -> IdentityReport
     """sin(pi/n) sin(2 pi/n) ... sin((n-1) pi/n) = n / 2^(n-1), for n >= 2."""
     start = time.perf_counter()
     n = integer(n, "n", 2, MAX_N)
-    if tolerance is None:
-        tolerance = default_tolerance("sine-product")
     lhs = math.exp(math.fsum(math.log(math.sin(i * math.pi / n)) for i in range(1, n)))
     rhs = n * 2.0 ** (1 - n)
     return _report("sine-product", {"n": n}, lhs, rhs, tolerance, start)
@@ -285,11 +292,7 @@ def check_sine_multiple_angle(n: int, phi: float,
     """
     start = time.perf_counter()
     n = integer(n, "n", 1, MAX_N)
-    phi = float(phi)
-    if not math.isfinite(phi):
-        raise DomainError("phi must be finite")
-    if tolerance is None:
-        tolerance = default_tolerance("sine-multiple-angle")
+    phi = finite(phi, "phi")
     lhs = math.sin(n * phi)
     factors = [math.sin(phi + k * math.pi / n) for k in range(n)]
     if any(f == 0.0 for f in factors):
@@ -309,8 +312,6 @@ def check_gamma_square_product(n: int, tolerance: float | None = None) -> Identi
     """
     start = time.perf_counter()
     n = integer(n, "n", 2, MAX_N)
-    if tolerance is None:
-        tolerance = default_tolerance("gamma-square-product")
     lhs_terms = [2.0 * term for term in _log_gamma_fractions(n)]
     rhs_terms = [(n - 1) * _LN_PI] + [-math.log(math.sin(i * math.pi / n)) for i in range(1, n)]
     lhs = math.fsum(lhs_terms)
@@ -326,8 +327,6 @@ def check_gamma_fraction_product(n: int, tolerance: float | None = None) -> Iden
     """
     start = time.perf_counter()
     n = integer(n, "n", 2, MAX_N)
-    if tolerance is None:
-        tolerance = default_tolerance("gamma-fraction-product")
     lhs_terms = _log_gamma_fractions(n)
     rhs_terms = [0.5 * (n - 1) * _LN_2PI, -0.5 * math.log(n)]
     lhs = math.fsum(lhs_terms)
@@ -345,8 +344,6 @@ def check_log_integral_product(n: int, config: QuadratureConfig = DEFAULT_CONFIG
     """
     start = time.perf_counter()
     n = integer(n, "n", 2, MAX_N)
-    if tolerance is None:
-        tolerance = default_tolerance("log-integral-product")
     estimates = [gamma_log_integral(k / n, config) for k in range(1, n)]
     converged = all(e.converged for e in estimates)
     lhs = math.exp(math.fsum(math.log(e.value) for e in estimates))
@@ -405,10 +402,7 @@ def check_factorial_root(m: float, n: int, mode: str = "closed",
     start = time.perf_counter()
     m = positive(m, "m")
     n = integer(n, "n", 1, MAX_N)
-    if mode not in ("closed", "quadrature"):
-        raise DomainError("mode must be 'closed' or 'quadrature'")
-    if tolerance is None:
-        tolerance = default_tolerance("factorial-root", mode)
+    mode = _mode_axis(mode)
     lhs = factorial_interp(m / n)
     terms, converged = _factorial_root_log_inner(m, n, mode, config)
     rhs = (m / n) * math.exp(math.fsum(terms) / n)
@@ -428,8 +422,6 @@ def check_algebraic_interpolation(p: int, q: int,
     start = time.perf_counter()
     p = integer(p, "p", 1)
     q = integer(q, "q", 1, MAX_N)
-    if tolerance is None:
-        tolerance = default_tolerance("algebraic-interpolation")
     s = p / q
     lhs_estimate = gamma_log_integral(s, config)
     converged = lhs_estimate.converged
@@ -450,8 +442,6 @@ def check_symbol_symmetry(p: float, q: float, n: int,
                           tolerance: float | None = None) -> IdentityReport:
     """S(p, q; n) = S(q, p; n), both sides by direct quadrature."""
     start = time.perf_counter()
-    if tolerance is None:
-        tolerance = default_tolerance("symbol-symmetry")
     a = euler_symbol(p, q, n, config)
     b = euler_symbol(q, p, n, config)
     params = {"n": integer(n, "n", 1), "p": float(p), "q": float(q)}
@@ -464,8 +454,6 @@ def check_symbol_bridge(p: float, q: float, n: int,
                         tolerance: float | None = None) -> IdentityReport:
     """S(p, q; n) by quadrature = B(p/n, q/n)/n in closed form."""
     start = time.perf_counter()
-    if tolerance is None:
-        tolerance = default_tolerance("symbol-bridge")
     estimate = euler_symbol(p, q, n, config)
     rhs = euler_symbol_closed(p, q, n)
     params = {"n": integer(n, "n", 1), "p": float(p), "q": float(q)}
@@ -499,141 +487,85 @@ def derivation_chain_values(m: float, n: int) -> tuple:
     return direct, root_form, product_form
 
 
-def _float_axis(value):
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError("parameter must be finite")
-    return value
-
-
-def _mode_axis(value):
-    mode = str(value)
-    if mode not in ("closed", "quadrature"):
-        raise DomainError("mode must be 'closed' or 'quadrature'")
-    return mode
-
-
 @dataclass(frozen=True)
 class IdentitySpec:
-    """Wiring for one identity: its parameter axes and a run adapter."""
+    """Everything the suite knows about one identity.
+
+    ``axes`` maps each parameter, in order, to its converter, called as
+    ``converter(value, name)``.  ``grid`` is the default grid: blocks of axis
+    value lists, each expanded by product.  ``tolerance`` is the default pass
+    tolerance, or a mapping from mode to it.  ``work_axis`` is the axis the
+    check's work grows with, if any.  ``run(params, tolerance, config)``
+    checks one case.
+    """
 
     identity_id: str
-    axes: tuple
-    convert: Mapping[str, Callable]
+    axes: Mapping[str, Callable]
+    grid: tuple
+    tolerance: float | Mapping[str, float]
+    work_axis: str | None
     run: Callable
 
 
-IDENTITIES = {
-    "reflection": IdentitySpec(
-        "reflection", ("x",), {"x": _float_axis},
-        lambda params, tol, config: check_reflection(params["x"], tolerance=tol),
-    ),
-    "gauss-multiplication": IdentitySpec(
-        "gauss-multiplication", ("n", "x"), {"n": integer, "x": _float_axis},
-        lambda params, tol, config: check_gauss_multiplication(
-            params["x"], params["n"], tolerance=tol),
-    ),
-    "duplication": IdentitySpec(
-        "duplication", ("x",), {"x": _float_axis},
-        lambda params, tol, config: check_duplication(params["x"], tolerance=tol),
-    ),
-    "sine-product": IdentitySpec(
-        "sine-product", ("n",), {"n": integer},
-        lambda params, tol, config: check_sine_product(params["n"], tolerance=tol),
-    ),
-    "sine-multiple-angle": IdentitySpec(
-        "sine-multiple-angle", ("n", "phi"), {"n": integer, "phi": _float_axis},
-        lambda params, tol, config: check_sine_multiple_angle(
-            params["n"], params["phi"], tolerance=tol),
-    ),
-    "gamma-square-product": IdentitySpec(
-        "gamma-square-product", ("n",), {"n": integer},
-        lambda params, tol, config: check_gamma_square_product(params["n"], tolerance=tol),
-    ),
-    "gamma-fraction-product": IdentitySpec(
-        "gamma-fraction-product", ("n",), {"n": integer},
-        lambda params, tol, config: check_gamma_fraction_product(params["n"], tolerance=tol),
-    ),
-    "log-integral-product": IdentitySpec(
-        "log-integral-product", ("n",), {"n": integer},
-        lambda params, tol, config: check_log_integral_product(
-            params["n"], config, tolerance=tol),
-    ),
-    "factorial-root": IdentitySpec(
-        "factorial-root", ("m", "n", "mode"),
-        {"m": _float_axis, "n": integer, "mode": _mode_axis},
-        lambda params, tol, config: check_factorial_root(
-            params["m"], params["n"], params["mode"], config, tolerance=tol),
-    ),
-    "algebraic-interpolation": IdentitySpec(
-        "algebraic-interpolation", ("p", "q"), {"p": integer, "q": integer},
-        lambda params, tol, config: check_algebraic_interpolation(
-            params["p"], params["q"], config, tolerance=tol),
-    ),
-    "symbol-symmetry": IdentitySpec(
-        "symbol-symmetry", ("p", "q", "n"),
-        {"p": _float_axis, "q": _float_axis, "n": integer},
-        lambda params, tol, config: check_symbol_symmetry(
-            params["p"], params["q"], params["n"], config, tolerance=tol),
-    ),
-    "symbol-bridge": IdentitySpec(
-        "symbol-bridge", ("p", "q", "n"),
-        {"p": _float_axis, "q": _float_axis, "n": integer},
-        lambda params, tol, config: check_symbol_bridge(
-            params["p"], params["q"], params["n"], config, tolerance=tol),
-    ),
-}
+def _row(check, identity_id, axes, grid, tolerance, work_axis=None, integrates=False):
+    """The IdentitySpec whose run calls ``check(**params, tolerance=...)``;
+    a check that integrates also gets the quadrature config."""
+    def run(params, tolerance, config):
+        if integrates:
+            return check(**params, config=config, tolerance=tolerance)
+        return check(**params, tolerance=tolerance)
+    return IdentitySpec(identity_id, axes, tuple(grid), tolerance, work_axis, run)
 
-# Default parameter grids, as blocks of axis lists expanded by product.  An
-# identity may have several blocks (factorial-root runs a wide closed-mode
-# grid and a smaller quadrature-mode one).
-_GRID_BLOCKS = {
-    "reflection": [
-        {"x": sorted(set(i / 20 for i in range(1, 20)) | {1 / 2, 1 / 3, 1 / 4})},
-    ],
-    "gauss-multiplication": [
-        {"n": list(range(1, 13)), "x": [0.1, 0.5, 1.0, 2.5, 7.0, 19.3, 50.0]},
-    ],
-    "duplication": [
-        {"x": [0.1, 0.5, 1.0, 2.5, 7.0, 19.3, 50.0]},
-    ],
-    "sine-product": [{"n": list(range(2, 31))}],
-    "sine-multiple-angle": [
-        {"n": list(range(1, 11)), "phi": [0.3, 0.7, 1.1]},
-    ],
-    "gamma-square-product": [{"n": list(range(2, 26))}],
-    "gamma-fraction-product": [{"n": list(range(2, 51))}],
-    "log-integral-product": [{"n": list(range(2, 9))}],
-    "factorial-root": [
-        {
-            "m": [float(m) for m in range(1, 11)] + [0.5, 7.3, 19.9],
-            "n": list(range(1, 9)),
-            "mode": ["closed"],
-        },
-        {
-            "m": [float(m) for m in range(1, 6)],
-            "n": list(range(2, 6)),
-            "mode": ["quadrature"],
-        },
-    ],
-    "algebraic-interpolation": [
-        {"p": [1, 2, 3, 4], "q": [1, 2, 3, 4]},
-    ],
-    "symbol-symmetry": [
-        {
-            "p": [1.0, 2.0, 3.0, 4.0, 5.0],
-            "q": [1.0, 2.0, 3.0, 4.0, 5.0],
-            "n": [2, 3, 4, 5, 6],
-        },
-    ],
-    "symbol-bridge": [
-        {
-            "p": [1.0, 2.0, 3.0, 4.0, 5.0],
-            "q": [1.0, 2.0, 3.0, 4.0, 5.0],
-            "n": [2, 3, 4, 5, 6],
-        },
-    ],
-}
+
+_X_GRID = [0.1, 0.5, 1.0, 2.5, 7.0, 19.3, 50.0]
+_SYMBOL_AXES = {"p": finite, "q": finite, "n": integer}
+_SYMBOL_GRID = [{"p": [1.0, 2.0, 3.0, 4.0, 5.0], "q": [1.0, 2.0, 3.0, 4.0, 5.0],
+                 "n": [2, 3, 4, 5, 6]}]
+
+# Each row: check, id, axes, default grid blocks, default tolerance, work
+# axis.  Closed-form-only identities run at 1e-10; one layer of quadrature
+# loosens that to 1e-7; the algebraic interpolation chains q-1 quadratures
+# and gets 1e-6.  Conservative multiples of observed engine accuracy.
+IDENTITIES = {spec.identity_id: spec for spec in (
+    _row(check_reflection, "reflection", {"x": finite},
+         [{"x": sorted(set(i / 20 for i in range(1, 20)) | {1 / 2, 1 / 3, 1 / 4})}],
+         1e-12),
+    _row(check_gauss_multiplication, "gauss-multiplication", {"n": integer, "x": finite},
+         [{"n": list(range(1, 13)), "x": _X_GRID}], 1e-10, "n"),
+    _row(check_duplication, "duplication", {"x": finite}, [{"x": _X_GRID}], 1e-10),
+    _row(check_sine_product, "sine-product", {"n": integer},
+         [{"n": list(range(2, 31))}], 1e-10, "n"),
+    _row(check_sine_multiple_angle, "sine-multiple-angle", {"n": integer, "phi": finite},
+         [{"n": list(range(1, 11)), "phi": [0.3, 0.7, 1.1]}], 1e-10, "n"),
+    _row(check_gamma_square_product, "gamma-square-product", {"n": integer},
+         [{"n": list(range(2, 26))}], 1e-10, "n"),
+    _row(check_gamma_fraction_product, "gamma-fraction-product", {"n": integer},
+         [{"n": list(range(2, 51))}], 1e-10, "n"),
+    _row(check_log_integral_product, "log-integral-product", {"n": integer},
+         [{"n": list(range(2, 9))}], 1e-7, "n", integrates=True),
+    _row(check_factorial_root, "factorial-root",
+         {"m": finite, "n": integer, "mode": _mode_axis},
+         [{"m": [float(m) for m in range(1, 11)] + [0.5, 7.3, 19.9],
+           "n": list(range(1, 9)), "mode": ["closed"]},
+          {"m": [float(m) for m in range(1, 6)], "n": list(range(2, 6)),
+           "mode": ["quadrature"]}],
+         {"closed": 1e-10, "quadrature": 1e-7}, "n", integrates=True),
+    _row(check_algebraic_interpolation, "algebraic-interpolation",
+         {"p": integer, "q": integer}, [{"p": [1, 2, 3, 4], "q": [1, 2, 3, 4]}],
+         1e-6, "q", integrates=True),
+    _row(check_symbol_symmetry, "symbol-symmetry", _SYMBOL_AXES, _SYMBOL_GRID, 1e-7, "n",
+         integrates=True),
+    _row(check_symbol_bridge, "symbol-bridge", _SYMBOL_AXES, _SYMBOL_GRID, 1e-7, "n",
+         integrates=True),
+)}
+
+
+def _row_of(identity_id):
+    """The row of ``identity_id`` at call time; DomainError if there is none."""
+    try:
+        return IDENTITIES[identity_id]
+    except KeyError:
+        raise DomainError(f"unknown identity {identity_id!r}") from None
 
 
 def params_key(params: Mapping) -> tuple:
@@ -649,33 +581,35 @@ def build_grid(identities=None, axis_values=None) -> dict:
     axis occurs.  Duplicate parameter points collapse to one.
 
     Raises DomainError, before expanding any block, when the grid would hold
-    more than MAX_GRID_CASES cases or its n summed over the cases would
-    exceed MAX_GRID_N; both are counted before duplicates collapse.
+    more than MAX_GRID_CASES cases or its work axes (each row's
+    ``work_axis``) summed over the cases would exceed MAX_GRID_N; both are
+    counted before duplicates collapse.
     """
     if identities is None:
-        identities = sorted(_GRID_BLOCKS)
+        identities = sorted(IDENTITIES)
     axis_values = axis_values or {}
     blocks = {}
-    n_cases = n_sum = 0
+    n_cases = work = 0
+    work_axes = set()
     for identity_id in identities:
-        if identity_id not in IDENTITIES:
-            raise DomainError(f"unknown identity {identity_id!r}")
-        spec = IDENTITIES[identity_id]
+        spec = _row_of(identity_id)
         blocks[identity_id] = []
-        for block in _GRID_BLOCKS[identity_id]:
-            axes = {axis: [spec.convert[axis](v) for v in axis_values.get(axis, block[axis])]
-                    for axis in spec.axes}
+        for block in spec.grid:
+            axes = {axis: [convert(v, axis) for v in axis_values.get(axis, block[axis])]
+                    for axis, convert in spec.axes.items()}
             size = math.prod(len(values) for values in axes.values())
             n_cases += size
-            if "n" in axes and size:
-                n_sum += sum(axes["n"]) * (size // len(axes["n"]))
+            if spec.work_axis is not None and size:
+                values = axes[spec.work_axis]
+                work += sum(values) * (size // len(values))
+                work_axes.add(spec.work_axis)
             blocks[identity_id].append(axes)
     if n_cases > MAX_GRID_CASES:
         raise DomainError(f"the grid has {n_cases} cases; at most {MAX_GRID_CASES} "
                           "are allowed")
-    if n_sum > MAX_GRID_N:
-        raise DomainError(f"the grid's n sums to {n_sum} over its cases; "
-                          f"at most {MAX_GRID_N} is allowed")
+    if work > MAX_GRID_N:
+        raise DomainError(f"the grid's {' + '.join(sorted(work_axes))} sums to {work} "
+                          f"over its cases; at most {MAX_GRID_N} is allowed")
     grid = {}
     for identity_id, axes_list in blocks.items():
         cases, seen = [], set()
@@ -716,8 +650,7 @@ def run_suite(grid: dict | None = None,
         grid = default_grid()
     tolerances = dict(tolerances or {})
     for identity_id, tol in tolerances.items():
-        if identity_id not in IDENTITIES:
-            raise DomainError(f"unknown identity {identity_id!r}")
+        _row_of(identity_id)
         tolerances[identity_id] = positive(tol, f"tolerance for {identity_id}")
     if not any(grid.values()):
         raise DomainError("grid is empty")
@@ -725,17 +658,13 @@ def run_suite(grid: dict | None = None,
     memo_token = suite_memo.set({})
     try:
         for identity_id in sorted(grid):
-            if identity_id not in IDENTITIES:
-                raise DomainError(f"unknown identity {identity_id!r}")
-            spec = IDENTITIES[identity_id]
+            spec = _row_of(identity_id)
             tol = tolerances.get(identity_id)
             for params in sorted(grid[identity_id], key=params_key):
                 start = time.perf_counter()
                 try:
                     report = spec.run(params, tol, config)
                 except Exception as exc:
-                    mode = params.get("mode", "closed")
-                    tolerance = tol if tol is not None else default_tolerance(identity_id, mode)
                     report = IdentityReport(
                         identity_id=identity_id,
                         params=dict(params),
@@ -743,7 +672,7 @@ def run_suite(grid: dict | None = None,
                         rhs=math.nan,
                         abs_residual=math.inf,
                         rel_residual=math.inf,
-                        tolerance=tolerance,
+                        tolerance=_resolved(tol, identity_id, params),
                         passed=False,
                         wall_time=time.perf_counter() - start,
                         error=f"{type(exc).__name__}: {exc}",

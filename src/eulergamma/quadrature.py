@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import backend
-from .errors import DomainError, NonFiniteIntegrandError, NonIntegrableTailError
+from .errors import (DomainError, NonFiniteIntegrandError, NonIntegrableTailError, finite,
+                     positive)
 
 _PROBE_START = 16.0
 _PROBE_LIMIT = 2.0 ** 20
@@ -60,14 +61,11 @@ class QuadratureConfig:
     truncation_threshold: float = 1e-15
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ValueError("abs_tol must be positive and finite")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise ValueError("rel_tol must be positive and finite")
+        positive(self.abs_tol, "abs_tol")
+        positive(self.rel_tol, "rel_tol")
         if not (isinstance(self.max_refinements, int) and self.max_refinements >= 1):
             raise ValueError("max_refinements must be an integer >= 1")
-        if not (self.truncation_threshold > 0.0 and math.isfinite(self.truncation_threshold)):
-            raise ValueError("truncation_threshold must be positive and finite")
+        positive(self.truncation_threshold, "truncation_threshold")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -131,8 +129,7 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
     evaluated.  Raises NonFiniteIntegrandError if ``f`` returns NaN or an
     infinity, and DomainError for a degenerate interval.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integration bounds must be finite")
+    a, b = finite(a, "a"), finite(b, "b")
     if not a < b:
         raise DomainError("integration bounds must satisfy a < b")
     return _refine(a, b, config, backend.GENERIC, 0.0, 0.0, 0.0, f)
@@ -147,8 +144,7 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float,
     folded into ``error_estimate``.  Raises NonIntegrableTailError when no
     such T exists below the probing budget.
     """
-    if not math.isfinite(a):
-        raise DomainError("lower bound must be finite")
+    a = finite(a, "a")
     shifted = f if a == 0.0 else (lambda u: f(a + u))
     span, tail = _truncation_span(shifted, config.truncation_threshold)
     base = _refine(0.0, span, config, backend.GENERIC, 0.0, 0.0, 0.0, shifted)

@@ -1,5 +1,7 @@
 """End-to-end CLI tests (subprocess) plus in-process exit-code checks."""
 
+import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import eulergamma
-from eulergamma import identities
+from eulergamma import cli, identities
 from eulergamma.cli import main
 from eulergamma.identities import run_suite
 from eulergamma.reporting import render_json
@@ -55,6 +57,12 @@ def test_eval_loggamma_integral():
     result = run_cli("eval", "loggamma_integral", "0.5", "--engine", "integral")
     assert result.returncode == 0
     assert abs(float(result.stdout) - 0.8862269254527580) <= 1e-9
+
+
+def test_eval_negative_loggamma_integral_exits_2(capsys):
+    for engine in ("reference", "integral"):
+        assert main(["eval", "loggamma_integral", "-1", "--engine", engine]) == 2
+        assert capsys.readouterr().err == "error: s must be nonnegative and finite\n"
 
 
 def test_eval_wrong_arity_exits_2():
@@ -126,13 +134,16 @@ def test_axis_range_past_the_cap_exits_2():
 
 
 @pytest.mark.parametrize("axes", [("sine-product", "--n", "1..100000"),
-                                  ("gauss-multiplication", "--n", "1..100000", "--x", "0.5")])
+                                  ("gauss-multiplication", "--n", "1..100000", "--x", "0.5"),
+                                  ("algebraic-interpolation", "--p", "1", "--q", "1..100000")])
 def test_grid_past_the_work_budget_exits_2(axes):
-    # Each axis is within its cap, but n sums to 5e9 over the grid.
+    # Each axis is within its cap, but the work axis (n, or q for
+    # algebraic-interpolation) sums to 5e9 over the grid.
+    work_axis = identities.IDENTITIES[axes[0]].work_axis
     result = run_cli("suite", "--identities", *axes, timeout=60)
     assert result.returncode == 2
     assert result.stdout == ""
-    assert ("error: the grid's n sums to 5000050000 over its cases; "
+    assert (f"error: the grid's {work_axis} sums to 5000050000 over its cases; "
             "at most 10000000 is allowed") in result.stderr
 
 
@@ -145,7 +156,8 @@ def test_work_budget_admits_a_grid_at_the_budget(monkeypatch, capsys):
 
 @pytest.mark.parametrize("axes, cases", [
     (("gauss-multiplication", "--n", "1..100000"), 700_000),
-    # No n axis, so only the case cap stops these 10^10 cases.
+    # The case cap is checked first, so it stops these 10^10 cases whatever
+    # their q sums to.
     (("algebraic-interpolation", "--p", "1..100000", "--q", "1..100000"), 10 ** 10),
 ])
 def test_grid_past_the_case_cap_exits_2(axes, cases):
@@ -234,6 +246,50 @@ def test_verify_beyond_default_grid():
     assert run_cli("verify", "sine-product", "--n", "40").returncode == 0
 
 
+def _perfbench_tracing():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rows_swap_their_run_as_the_benchmark_tracer_does(monkeypatch):
+    # The benchmark's tracer replaces each row by dataclasses.replace(spec,
+    # run=...) in IDENTITIES itself; run_suite and verify must call the
+    # replacement, so they look the row up when they run.
+    tracing = _perfbench_tracing()
+    assert sorted(identities.IDENTITIES) == sorted(tracing.IDENTITY_IDS)
+    assert len(tracing.IDENTITY_IDS) == 12
+    calls = []
+    for identity_id, spec in list(identities.IDENTITIES.items()):
+        def traced(params, tolerance, config, identity_id=identity_id, run=spec.run):
+            calls.append(identity_id)
+            return run(params, tolerance, config)
+        monkeypatch.setitem(identities.IDENTITIES, identity_id,
+                            dataclasses.replace(spec, run=traced))
+    grid = {identity_id: cases[:1] for identity_id, cases in identities.default_grid().items()}
+    assert run_suite(grid).n_fail == 0
+    assert calls == sorted(tracing.IDENTITY_IDS)
+    calls.clear()
+    assert main(["verify", "factorial-root", "--m", "2", "--n", "3"]) == 0
+    assert calls == ["factorial-root"]
+
+
+@pytest.mark.parametrize("identity_id", sorted(identities.IDENTITIES))
+def test_verify_flags_from_the_table_give_the_suite_report(identity_id, monkeypatch):
+    case = identities.build_grid([identity_id])[identity_id][0]
+    argv = ["verify", identity_id]
+    for axis, value in case.items():
+        argv += [f"--{axis}", str(value)]
+    shown = []
+    monkeypatch.setattr(cli, "render_report", lambda report: shown.append(report) or "")
+    assert main(argv) == 0
+    (expected,) = run_suite({identity_id: [case]}).reports
+    assert dataclasses.replace(shown[0], wall_time=0.0) == dataclasses.replace(
+        expected, wall_time=0.0)
+
+
 def test_suite_csv_header_and_rows():
     result = run_cli("suite", "--identities", "sine-product", "--n", "2..6",
                      "--format", "csv")
@@ -276,7 +332,9 @@ def test_suite_bad_flags_exit_2():
     assert run_cli("suite", "--identities", "sine-product", "--n", "abc").returncode == 2
     assert run_cli("suite", "--tol", "gauss-multiplication").returncode == 2
     assert run_cli("suite", "--format", "xml").returncode == 2
-    assert run_cli("suite", "--abs-tol", "-1").returncode == 2
+    rejected = run_cli("suite", "--rel-tol", "-1")
+    assert rejected.returncode == 2
+    assert rejected.stderr == "error: rel_tol must be positive and finite\n"
 
 
 def test_suite_out_file_matches_stdout(tmp_path):

@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -269,6 +270,18 @@ def test_log_space_accumulation_is_permutation_invariant():
         assert math.fsum(terms) == report.lhs
 
 
+def _catalogue_tolerances():
+    """{id: default tol column} from the README's identity catalogue."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Identity catalogue", 1)[1]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if len(cells) == 5 and cells[1].startswith("`"):
+            rows[cells[1].strip("`")] = cells[3]
+    return rows
+
+
 def test_default_tolerances():
     assert default_tolerance("reflection") == 1e-12
     assert default_tolerance("gauss-multiplication") == 1e-10
@@ -277,6 +290,20 @@ def test_default_tolerances():
     assert default_tolerance("algebraic-interpolation") == 1e-6
     with pytest.raises(DomainError):
         default_tolerance("nope")
+    # every row against the catalogue; "closed / quadrature" where the mode matters
+    catalogue = _catalogue_tolerances()
+    assert sorted(catalogue) == sorted(IDENTITIES)
+    for identity_id, column in catalogue.items():
+        modes = ("closed", "quadrature") if "/" in column else ("closed",)
+        stated = [float(text) for text in column.split("/")]
+        assert [default_tolerance(identity_id, mode) for mode in modes] == stated
+
+
+@pytest.mark.parametrize("mode, tolerance", [("closed", 1e-10), ("quadrature", 1e-7)])
+def test_crashed_case_reports_its_modes_tolerance(mode, tolerance):
+    (report,) = run_suite({"factorial-root": [{"m": -1.0, "n": 2, "mode": mode}]}).reports
+    assert report.error == "DomainError: m must be positive and finite"
+    assert report.tolerance == tolerance
 
 
 def test_default_grid_shape():
@@ -502,9 +529,13 @@ def test_integer_parameters_validated():
         with pytest.raises(DomainError, match="n must be finite"):
             check_sine_product(bad)
     with pytest.raises(DomainError, match="must be finite"):
-        IDENTITIES["sine-product"].convert["n"](math.inf)
+        IDENTITIES["sine-product"].axes["n"](math.inf)
     with pytest.raises(DomainError):
         check_sine_product(2.5)
+    with pytest.raises(DomainError, match="phi must be finite"):
+        check_sine_multiple_angle(3, math.inf)
+    with pytest.raises(DomainError, match="x must be finite"):
+        identities.build_grid(["reflection"], {"x": [math.nan]})
     with pytest.raises(DomainError):
         check_gauss_multiplication(1.0, 0)
     with pytest.raises(DomainError):
