@@ -16,13 +16,15 @@ past the double-precision range; 3 I/O error.
 import argparse
 import math
 import sys
+import time
+from dataclasses import replace
 
 from .beta import beta_closed, beta_integral, euler_symbol, euler_symbol_closed
 from .errors import (DomainError, NonFiniteIntegrandError, NonIntegrableTailError, nonnegative,
                      positive)
 from .gamma import gamma_integral, gamma_log_integral, gamma_reference, log_gamma
 from .identities import IDENTITIES, MAX_N, MODES, build_grid, run_suite
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .reporting import params_string, render_report, render_suite
 
 EXIT_OK = 0
@@ -32,12 +34,23 @@ EXIT_IO = 3
 
 _NOT_FINITE = "result not finite in double precision"
 
-_EVAL_ARITY = {
-    "gamma": 1,
-    "lgamma": 1,
-    "beta": 2,
-    "symbol": 3,
-    "loggamma_integral": 1,
+
+def _lgamma_integral(x, config):
+    # no direct log-space quadrature; integrate, then take the log
+    estimate = gamma_integral(x, config)
+    return replace(estimate, value=math.log(estimate.value))
+
+
+# One row per eval function: its arity, its reference route (called with the
+# values) and its integral route (called with the values and the quadrature
+# config, returning an IntegralEstimate).
+_EVAL = {
+    "gamma": (1, gamma_reference, gamma_integral),
+    "lgamma": (1, log_gamma, _lgamma_integral),
+    "beta": (2, beta_closed, beta_integral),
+    "symbol": (3, euler_symbol_closed, euler_symbol),
+    "loggamma_integral": (1, lambda s: gamma_reference(nonnegative(s, "s") + 1.0),
+                          gamma_log_integral),
 }
 
 # Every parameter axis of the identity table, in order of first use; each is
@@ -48,9 +61,11 @@ _AXES = tuple(dict.fromkeys(axis for spec in IDENTITIES.values() for axis in spe
 
 def _add_config_flags(sub):
     group = sub.add_argument_group("quadrature options")
-    group.add_argument("--rel-tol", type=float, default=1e-11, metavar="TOL")
-    group.add_argument("--max-refinements", type=int, default=12, metavar="N")
-    group.add_argument("--truncation-threshold", type=float, default=1e-15, metavar="EPS")
+    group.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol, metavar="TOL")
+    group.add_argument("--max-refinements", type=int, default=DEFAULT_CONFIG.max_refinements,
+                       metavar="N")
+    group.add_argument("--truncation-threshold", type=float,
+                       default=DEFAULT_CONFIG.truncation_threshold, metavar="EPS")
 
 
 def _config_from(args):
@@ -78,7 +93,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one function at given arguments")
-    p_eval.add_argument("function", choices=sorted(_EVAL_ARITY))
+    p_eval.add_argument("function", choices=sorted(_EVAL))
     p_eval.add_argument("values", nargs="+", type=float, metavar="VALUE")
     p_eval.add_argument("--engine", choices=("reference", "integral"), default="reference")
     _add_config_flags(p_eval)
@@ -113,45 +128,14 @@ def _build_parser():
 
 
 def _cmd_eval(args, parser):
-    arity = _EVAL_ARITY[args.function]
+    arity, reference, integral = _EVAL[args.function]
     if len(args.values) != arity:
         parser.error(f"{args.function} takes {arity} value(s), got {len(args.values)}")
     config = _config_from(args)
-    estimate = None
-    if args.function == "gamma":
-        (x,) = args.values
-        if args.engine == "reference":
-            value = gamma_reference(x)
-        else:
-            estimate = gamma_integral(x, config)
-    elif args.function == "lgamma":
-        (x,) = args.values
-        if args.engine == "reference":
-            value = log_gamma(x)
-        else:
-            # no direct log-space quadrature; integrate, then take the log
-            inner = gamma_integral(x, config)
-            estimate = inner
-            value = math.log(inner.value)
-    elif args.function == "beta":
-        x, y = args.values
-        if args.engine == "reference":
-            value = beta_closed(x, y)
-        else:
-            estimate = beta_integral(x, y, config)
-    elif args.function == "symbol":
-        p, q, n = args.values
-        if args.engine == "reference":
-            value = euler_symbol_closed(p, q, n)
-        else:
-            estimate = euler_symbol(p, q, n, config)
-    else:  # loggamma_integral
-        s = nonnegative(args.values[0], "s")
-        if args.engine == "reference":
-            value = gamma_reference(s + 1.0)
-        else:
-            estimate = gamma_log_integral(s, config)
-    if estimate is not None and args.function != "lgamma":
+    if args.engine == "reference":
+        estimate, value = None, reference(*args.values)
+    else:
+        estimate = integral(*args.values, config)
         value = estimate.value
     if not math.isfinite(value):
         raise DomainError(_NOT_FINITE)
@@ -185,8 +169,9 @@ def _cmd_verify(args, parser):
             raw = MODES[0]
         params[axis] = convert(raw, axis)
     config = _config_from(args)
+    start = time.perf_counter()
     report = spec.run(params, args.tol, config)
-    sys.stdout.write(render_report(report))
+    sys.stdout.write(render_report(report, time.perf_counter() - start))
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

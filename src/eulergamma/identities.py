@@ -2,7 +2,9 @@
 
 Every check evaluates both sides of one identity independently, measures the
 residual, and returns an IdentityReport; run_suite drives all checks over
-parameter grids and aggregates.
+parameter grids and aggregates.  A report is a value of the identity, its
+parameters, the tolerance and the quadrature config alone: equal inputs give
+equal reports, and nothing in one is timed.
 
 ``IDENTITIES`` holds one ``IdentitySpec`` row per identity: its axes, default
 grid, default tolerance, work axis and ``run``.  ``default_tolerance``,
@@ -14,11 +16,14 @@ Conventions shared by all checks:
 * Products of gamma values and powers of n are accumulated in log space with
   ``math.fsum`` (exactly rounded, hence independent of term order); direct
   products would overflow binary64 once n*x grows past ~170.
-* Identities that are pure gamma products (gauss-multiplication, duplication,
-  gamma-fraction-product, gamma-square-product) report lhs/rhs as the natural
-  logs of the two sides and their residuals are log-space residuals.  All
-  other checks report linear values.
-* The log gamma terms of those products, and of closed-mode factorial-root
+* The six product identities (gauss-multiplication, duplication,
+  gamma-fraction-product, gamma-square-product, sine-product,
+  log-integral-product) report lhs/rhs as the natural logs of the two sides
+  and their residuals are log-space residuals.  Their sides shrink or grow
+  geometrically in n, so a linear comparison would meet the near-zero rule
+  below and pass on any sides small enough.  All other checks report linear
+  values.
+* The log gamma terms of the gamma products, and of closed-mode factorial-root
   and ``derivation_chain_values``, are evaluated in batches by
   ``gamma.log_gamma_terms``: the arguments are positive by construction, so
   the per-call check is skipped, and each term is the float ``log_gamma``
@@ -52,7 +57,6 @@ Conventions shared by all checks:
 import itertools
 import math
 import sys
-import time
 from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
@@ -142,7 +146,6 @@ class IdentityReport:
     rel_residual: float
     tolerance: float
     passed: bool
-    wall_time: float
     error: str | None = None
 
 
@@ -160,8 +163,7 @@ def _rel(lhs, rhs):
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _TINY)
 
 
-def _report(identity_id, params, lhs, rhs, tolerance, start, aux_ok=True,
-            log_scale=None):
+def _report(identity_id, params, lhs, rhs, tolerance, aux_ok=True, log_scale=None):
     """Assemble a report; ``aux_ok`` folds in side conditions (quadrature
     convergence, secondary-form agreement) that must hold for a pass.
     ``log_scale``, given when the sides are logs, is the summed magnitude of
@@ -188,13 +190,16 @@ def _report(identity_id, params, lhs, rhs, tolerance, start, aux_ok=True,
         rel_residual=rel_residual,
         tolerance=tolerance,
         passed=passed,
-        wall_time=time.perf_counter() - start,
     )
 
 
-def _magnitude(*term_lists):
-    """Summed magnitude of the log terms, the scale of their rounding."""
-    return sum(sum(map(abs, terms)) for terms in term_lists)
+def _log_report(identity_id, params, lhs_terms, rhs_terms, tolerance, aux_ok=True):
+    """Report on sides given as lists of log terms: each side is their fsum,
+    and the summed magnitude of all the terms, their rounding scale, is the
+    ``log_scale``."""
+    return _report(identity_id, params, math.fsum(lhs_terms), math.fsum(rhs_terms),
+                   tolerance, aux_ok,
+                   log_scale=sum(map(abs, lhs_terms)) + sum(map(abs, rhs_terms)))
 
 
 def _log_gamma_fractions(n):
@@ -222,7 +227,6 @@ def check_reflection(x: float, tolerance: float | None = None) -> IdentityReport
     x! * (-x)! = pi x / sin(pi x) is cross-checked against the same
     tolerance; a pass certifies both.
     """
-    start = time.perf_counter()
     x = float(x)
     if not (math.isfinite(x) and 0.0 < x < 1.0):
         raise DomainError("x must lie in (0,1)")
@@ -232,7 +236,7 @@ def check_reflection(x: float, tolerance: float | None = None) -> IdentityReport
     fact_lhs = factorial_interp(x) * factorial_interp(-x)
     fact_rhs = math.pi * x / math.sin(math.pi * x)
     fact_ok = _rel(fact_lhs, fact_rhs) <= tolerance
-    return _report("reflection", {"x": x}, lhs, rhs, tolerance, start, aux_ok=fact_ok)
+    return _report("reflection", {"x": x}, lhs, rhs, tolerance, aux_ok=fact_ok)
 
 
 def check_gauss_multiplication(x: float, n: int,
@@ -242,17 +246,13 @@ def check_gauss_multiplication(x: float, n: int,
     Compared in log space; lhs/rhs are the logs of the two sides.  n = 1
     degenerates to gamma(x) = gamma(x).
     """
-    start = time.perf_counter()
     x = positive(x, "x")
     n = integer(n, "n", 1, MAX_N)
     # the smallest term, x/n, can underflow to 0 for a subnormal x
     positive(x / n, "x / n")
     lhs_terms = log_gamma_terms((x + k) / n for k in range(n))
     rhs_terms = [0.5 * (n - 1) * _LN_2PI, (0.5 - x) * math.log(n), log_gamma(x)]
-    lhs = math.fsum(lhs_terms)
-    rhs = math.fsum(rhs_terms)
-    return _report("gauss-multiplication", {"n": n, "x": x}, lhs, rhs, tolerance, start,
-                   log_scale=_magnitude(lhs_terms, rhs_terms))
+    return _log_report("gauss-multiplication", {"n": n, "x": x}, lhs_terms, rhs_terms, tolerance)
 
 
 def check_duplication(x: float, tolerance: float | None = None) -> IdentityReport:
@@ -261,24 +261,20 @@ def check_duplication(x: float, tolerance: float | None = None) -> IdentityRepor
     The n = 2 instance of the multiplication formula; the delegation makes
     the two checks agree bit for bit.
     """
-    start = time.perf_counter()
     tolerance = _resolved(tolerance, "duplication", {})
     inner = check_gauss_multiplication(x, 2, tolerance=tolerance)
-    return replace(
-        inner,
-        identity_id="duplication",
-        params={"x": float(x)},
-        wall_time=time.perf_counter() - start,
-    )
+    return replace(inner, identity_id="duplication", params={"x": float(x)})
 
 
 def check_sine_product(n: int, tolerance: float | None = None) -> IdentityReport:
-    """sin(pi/n) sin(2 pi/n) ... sin((n-1) pi/n) = n / 2^(n-1), for n >= 2."""
-    start = time.perf_counter()
+    """sin(pi/n) sin(2 pi/n) ... sin((n-1) pi/n) = n / 2^(n-1), for n >= 2.
+
+    Compared in log space; lhs/rhs are the logs of the two sides.
+    """
     n = integer(n, "n", 2, MAX_N)
-    lhs = math.exp(math.fsum(math.log(math.sin(i * math.pi / n)) for i in range(1, n)))
-    rhs = n * 2.0 ** (1 - n)
-    return _report("sine-product", {"n": n}, lhs, rhs, tolerance, start)
+    lhs_terms = [math.log(math.sin(i * math.pi / n)) for i in range(1, n)]
+    rhs_terms = [math.log(n), (1 - n) * _LN_2]
+    return _log_report("sine-product", {"n": n}, lhs_terms, rhs_terms, tolerance)
 
 
 def check_sine_multiple_angle(n: int, phi: float,
@@ -290,7 +286,6 @@ def check_sine_multiple_angle(n: int, phi: float,
     sin((n-k) pi/n + phi) = sin(k pi/n - phi).  Factors may be negative, so
     the sign is tracked separately from the log-space magnitude.
     """
-    start = time.perf_counter()
     n = integer(n, "n", 1, MAX_N)
     phi = finite(phi, "phi")
     lhs = math.sin(n * phi)
@@ -302,7 +297,7 @@ def check_sine_multiple_angle(n: int, phi: float,
         rhs = sign * math.exp(
             math.fsum([(n - 1) * _LN_2] + [math.log(abs(f)) for f in factors])
         )
-    return _report("sine-multiple-angle", {"n": n, "phi": phi}, lhs, rhs, tolerance, start)
+    return _report("sine-multiple-angle", {"n": n, "phi": phi}, lhs, rhs, tolerance)
 
 
 def check_gamma_square_product(n: int, tolerance: float | None = None) -> IdentityReport:
@@ -310,14 +305,10 @@ def check_gamma_square_product(n: int, tolerance: float | None = None) -> Identi
 
     Compared in log space; lhs/rhs are the logs of the two sides.
     """
-    start = time.perf_counter()
     n = integer(n, "n", 2, MAX_N)
     lhs_terms = [2.0 * term for term in _log_gamma_fractions(n)]
     rhs_terms = [(n - 1) * _LN_PI] + [-math.log(math.sin(i * math.pi / n)) for i in range(1, n)]
-    lhs = math.fsum(lhs_terms)
-    rhs = math.fsum(rhs_terms)
-    return _report("gamma-square-product", {"n": n}, lhs, rhs, tolerance, start,
-                   log_scale=_magnitude(lhs_terms, rhs_terms))
+    return _log_report("gamma-square-product", {"n": n}, lhs_terms, rhs_terms, tolerance)
 
 
 def check_gamma_fraction_product(n: int, tolerance: float | None = None) -> IdentityReport:
@@ -325,14 +316,10 @@ def check_gamma_fraction_product(n: int, tolerance: float | None = None) -> Iden
 
     Compared in log space; lhs/rhs are the logs of the two sides.
     """
-    start = time.perf_counter()
     n = integer(n, "n", 2, MAX_N)
     lhs_terms = _log_gamma_fractions(n)
     rhs_terms = [0.5 * (n - 1) * _LN_2PI, -0.5 * math.log(n)]
-    lhs = math.fsum(lhs_terms)
-    rhs = math.fsum(rhs_terms)
-    return _report("gamma-fraction-product", {"n": n}, lhs, rhs, tolerance, start,
-                   log_scale=_magnitude(lhs_terms, rhs_terms))
+    return _log_report("gamma-fraction-product", {"n": n}, lhs_terms, rhs_terms, tolerance)
 
 
 def check_log_integral_product(n: int, config: QuadratureConfig = DEFAULT_CONFIG,
@@ -340,25 +327,16 @@ def check_log_integral_product(n: int, config: QuadratureConfig = DEFAULT_CONFIG
     """product over k in 1..n-1 of integral_0^1 (-log x)^(k/n) dx
     = ((n-1)!/n^(n-1)) sqrt(2^(n-1) pi^(n-1) / n), for n >= 2.
 
-    The left side is n-1 independent quadratures, multiplied in log space.
+    The left side is n-1 independent quadratures.  Compared in log space;
+    lhs/rhs are the logs of the two sides.
     """
-    start = time.perf_counter()
     n = integer(n, "n", 2, MAX_N)
     estimates = [gamma_log_integral(k / n, config) for k in range(1, n)]
-    converged = all(e.converged for e in estimates)
-    lhs = math.exp(math.fsum(math.log(e.value) for e in estimates))
-    rhs = math.exp(
-        math.fsum(
-            [
-                log_gamma(float(n)),
-                -(n - 1) * math.log(n),
-                0.5 * (n - 1) * _LN_2,
-                0.5 * (n - 1) * _LN_PI,
-                -0.5 * math.log(n),
-            ]
-        )
-    )
-    return _report("log-integral-product", {"n": n}, lhs, rhs, tolerance, start, converged)
+    lhs_terms = [math.log(e.value) for e in estimates]
+    rhs_terms = [log_gamma(float(n)), -(n - 1) * math.log(n), 0.5 * (n - 1) * _LN_2,
+                 0.5 * (n - 1) * _LN_PI, -0.5 * math.log(n)]
+    return _log_report("log-integral-product", {"n": n}, lhs_terms, rhs_terms, tolerance,
+                       all(e.converged for e in estimates))
 
 
 def _factorial_root_log_inner(m, n, mode, config):
@@ -399,7 +377,6 @@ def check_factorial_root(m: float, n: int, mode: str = "closed",
     the symbols come from the Beta closed form, in quadrature mode from
     direct integration.
     """
-    start = time.perf_counter()
     m = positive(m, "m")
     n = integer(n, "n", 1, MAX_N)
     mode = _mode_axis(mode)
@@ -407,7 +384,7 @@ def check_factorial_root(m: float, n: int, mode: str = "closed",
     terms, converged = _factorial_root_log_inner(m, n, mode, config)
     rhs = (m / n) * math.exp(math.fsum(terms) / n)
     params = {"m": m, "n": n, "mode": mode}
-    return _report("factorial-root", params, lhs, rhs, tolerance, start, converged)
+    return _report("factorial-root", params, lhs, rhs, tolerance, converged)
 
 
 def check_algebraic_interpolation(p: int, q: int,
@@ -419,7 +396,6 @@ def check_algebraic_interpolation(p: int, q: int,
     with k running 1..q-1; natural p, q.  The left side is one quadrature and
     the right side chains q-1 more, so this is the loosest check in the set.
     """
-    start = time.perf_counter()
     p = integer(p, "p", 1)
     q = integer(q, "q", 1, MAX_N)
     s = p / q
@@ -434,18 +410,17 @@ def check_algebraic_interpolation(p: int, q: int,
         terms.append(math.log(estimate.value))
     rhs = math.exp(math.fsum(terms) / q)
     return _report("algebraic-interpolation", {"p": p, "q": q}, lhs, rhs, tolerance,
-                   start, converged)
+                   converged)
 
 
 def check_symbol_symmetry(p: float, q: float, n: int,
                           config: QuadratureConfig = DEFAULT_CONFIG,
                           tolerance: float | None = None) -> IdentityReport:
     """S(p, q; n) = S(q, p; n), both sides by direct quadrature."""
-    start = time.perf_counter()
     a = euler_symbol(p, q, n, config)
     b = euler_symbol(q, p, n, config)
     params = {"n": integer(n, "n", 1), "p": float(p), "q": float(q)}
-    return _report("symbol-symmetry", params, a.value, b.value, tolerance, start,
+    return _report("symbol-symmetry", params, a.value, b.value, tolerance,
                    a.converged and b.converged)
 
 
@@ -453,11 +428,10 @@ def check_symbol_bridge(p: float, q: float, n: int,
                         config: QuadratureConfig = DEFAULT_CONFIG,
                         tolerance: float | None = None) -> IdentityReport:
     """S(p, q; n) by quadrature = B(p/n, q/n)/n in closed form."""
-    start = time.perf_counter()
     estimate = euler_symbol(p, q, n, config)
     rhs = euler_symbol_closed(p, q, n)
     params = {"n": integer(n, "n", 1), "p": float(p), "q": float(q)}
-    return _report("symbol-bridge", params, estimate.value, rhs, tolerance, start,
+    return _report("symbol-bridge", params, estimate.value, rhs, tolerance,
                    estimate.converged)
 
 
@@ -476,7 +450,7 @@ def derivation_chain_values(m: float, n: int) -> tuple:
     identity plus the fraction product imply the multiplication formula.
     """
     m = positive(m, "m")
-    n = integer(n, "n", 1)
+    n = integer(n, "n", 1, MAX_N)
     direct = factorial_interp(m / n)
     terms, _ = _factorial_root_log_inner(m, n, "closed", DEFAULT_CONFIG)
     root_form = (m / n) * math.exp(math.fsum(terms) / n)
@@ -661,7 +635,6 @@ def run_suite(grid: dict | None = None,
             spec = _row_of(identity_id)
             tol = tolerances.get(identity_id)
             for params in sorted(grid[identity_id], key=params_key):
-                start = time.perf_counter()
                 try:
                     report = spec.run(params, tol, config)
                 except Exception as exc:
@@ -674,7 +647,6 @@ def run_suite(grid: dict | None = None,
                         rel_residual=math.inf,
                         tolerance=_resolved(tol, identity_id, params),
                         passed=False,
-                        wall_time=time.perf_counter() - start,
                         error=f"{type(exc).__name__}: {exc}",
                     )
                 reports.append(report)

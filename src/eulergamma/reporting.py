@@ -2,9 +2,9 @@
 
 Machine formats (JSON, CSV) serialize floats with ``repr``: the shortest
 string that round-trips to the exact binary64 value.  Human tables use 15
-significant digits.  Suite renderings exclude wall_time so that identical
-flags produce byte-identical output; timing stays available on the in-memory
-reports and in the single-check view.
+significant digits.  Reports carry no timing, so identical flags produce
+byte-identical output; only the single-check view shows a wall time, the one
+its caller measured.
 
 ``render_json`` writes each report by one fixed template instead of by
 ``json.dumps(document, indent=2, allow_nan=False)``, whose indenting encoder
@@ -177,8 +177,8 @@ def render_table(suite: SuiteReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report(report: IdentityReport) -> str:
-    """Single-check view for the verify command, wall time included."""
+def render_report(report: IdentityReport, seconds: float) -> str:
+    """Single-check view for the verify command, ``seconds`` its wall time."""
     lines = [
         f"identity:      {report.identity_id}",
         f"params:        {params_string(report.params)}",
@@ -187,7 +187,7 @@ def render_report(report: IdentityReport) -> str:
         f"abs_residual:  {_g15(report.abs_residual)}",
         f"rel_residual:  {_g15(report.rel_residual)}",
         f"tolerance:     {_g15(report.tolerance)}",
-        f"wall_time_s:   {format(report.wall_time, '.6f')}",
+        f"wall_time_s:   {format(seconds, '.6f')}",
         f"result:        {'PASS' if report.passed else 'FAIL'}",
     ]
     return "\n".join(lines) + "\n"

@@ -59,10 +59,12 @@ def test_criterion_02_gamma_fraction_product():
 def test_criterion_03_sine_product():
     reports = [check_sine_product(n) for n in range(2, 31)]
     _assert_all(reports, 1e-10, "sine-product")
+    # the sides are logs: log 1 = 0 and log 0.75
     two = check_sine_product(2)
     three = check_sine_product(3)
-    assert abs(two.lhs - 1.0) <= 1e-14 and two.rhs == 1.0
-    assert abs(three.lhs - 0.75) <= 1e-14 and three.rhs == 0.75
+    assert abs(two.lhs) <= 1e-14 and two.rhs == 0.0
+    assert abs(three.lhs - math.log(0.75)) <= 1e-14
+    assert abs(three.rhs - math.log(0.75)) <= 1e-15
 
 
 def test_criterion_04_gamma_square_product():

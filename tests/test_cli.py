@@ -14,10 +14,23 @@ from pathlib import Path
 import pytest
 
 import eulergamma
-from eulergamma import cli, identities
+from eulergamma import (
+    DEFAULT_CONFIG,
+    beta_closed,
+    beta_integral,
+    check_reflection,
+    cli,
+    euler_symbol,
+    euler_symbol_closed,
+    gamma_integral,
+    gamma_log_integral,
+    gamma_reference,
+    identities,
+    log_gamma,
+)
 from eulergamma.cli import main
 from eulergamma.identities import run_suite
-from eulergamma.reporting import render_json
+from eulergamma.reporting import render_json, render_report
 
 
 def run_cli(*args, **kwargs):
@@ -63,6 +76,34 @@ def test_eval_negative_loggamma_integral_exits_2(capsys):
     for engine in ("reference", "integral"):
         assert main(["eval", "loggamma_integral", "-1", "--engine", engine]) == 2
         assert capsys.readouterr().err == "error: s must be nonnegative and finite\n"
+
+
+# Every (function, engine) pair of eval, its values, and the library call
+# whose value it prints.
+EVAL_CALLS = [
+    ("gamma", "reference", ["2.5"], lambda: gamma_reference(2.5)),
+    ("gamma", "integral", ["2.5"], lambda: gamma_integral(2.5).value),
+    ("lgamma", "reference", ["7.7"], lambda: log_gamma(7.7)),
+    ("lgamma", "integral", ["7.7"], lambda: math.log(gamma_integral(7.7).value)),
+    ("beta", "reference", ["0.5", "1.5"], lambda: beta_closed(0.5, 1.5)),
+    ("beta", "integral", ["0.5", "1.5"], lambda: beta_integral(0.5, 1.5).value),
+    ("symbol", "reference", ["1", "2", "3"], lambda: euler_symbol_closed(1.0, 2.0, 3.0)),
+    ("symbol", "integral", ["1", "2", "3"], lambda: euler_symbol(1.0, 2.0, 3.0).value),
+    ("loggamma_integral", "reference", ["0.5"], lambda: gamma_reference(1.5)),
+    ("loggamma_integral", "integral", ["0.5"], lambda: gamma_log_integral(0.5).value),
+]
+
+
+@pytest.mark.parametrize("function, engine, values, library", EVAL_CALLS)
+def test_eval_prints_the_library_value(function, engine, values, library, capsys):
+    assert main(["eval", function, *values, "--engine", engine]) == 0
+    assert capsys.readouterr().out == format(library(), ".15g") + "\n"
+
+
+def test_eval_calls_cover_every_function_and_engine():
+    pairs = {(function, engine) for function, engine, _, _ in EVAL_CALLS}
+    assert pairs == {(function, engine) for function in cli._EVAL
+                     for engine in ("reference", "integral")}
 
 
 def test_eval_wrong_arity_exits_2():
@@ -201,6 +242,18 @@ def test_verify_reflection_half_shows_pi():
     assert "rhs:           3.14159265358979" in result.stdout
 
 
+def test_verify_shows_the_wall_time_of_its_check(capsys):
+    assert main(["verify", "reflection", "--x", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "identity", "params", "lhs", "rhs", "abs_residual", "rel_residual",
+        "tolerance", "wall_time_s", "result"]
+    assert float(lines[7].split()[1]) >= 0.0
+    shown = render_report(check_reflection(0.5), 0.25).splitlines()
+    assert shown[7] == "wall_time_s:   0.250000"
+    assert shown[:7] + shown[8:] == lines[:7] + lines[8:]
+
+
 def test_verify_reflection_out_of_domain_exits_2():
     result = run_cli("verify", "reflection", "--x", "1.5")
     assert result.returncode == 2
@@ -283,11 +336,11 @@ def test_verify_flags_from_the_table_give_the_suite_report(identity_id, monkeypa
     for axis, value in case.items():
         argv += [f"--{axis}", str(value)]
     shown = []
-    monkeypatch.setattr(cli, "render_report", lambda report: shown.append(report) or "")
+    monkeypatch.setattr(cli, "render_report",
+                        lambda report, seconds: shown.append(report) or "")
     assert main(argv) == 0
     (expected,) = run_suite({identity_id: [case]}).reports
-    assert dataclasses.replace(shown[0], wall_time=0.0) == dataclasses.replace(
-        expected, wall_time=0.0)
+    assert shown == [expected]
 
 
 def test_suite_csv_header_and_rows():
@@ -378,6 +431,12 @@ def test_suite_restricted_axes_apply_to_matching_identities_only():
     reflection = [line for line in lines if line.startswith("reflection")]
     assert len(sine) == 2
     assert len(reflection) == 20  # untouched default axis
+
+
+@pytest.mark.parametrize("argv", [["eval", "gamma", "1"], ["verify", "reflection"], ["suite"]])
+def test_quadrature_flag_defaults_are_the_default_config(argv):
+    args = cli._build_parser().parse_args(argv)
+    assert cli._config_from(args) == DEFAULT_CONFIG
 
 
 def test_main_is_callable_in_process(capsys):

@@ -88,11 +88,12 @@ def test_duplication_bit_identical_to_gauss_n2():
 
 
 def test_sine_product_exact_small_cases():
+    # the sides are logs: log 1 = 0 and log 0.75
     report = check_sine_product(2)
-    assert report.lhs == 1.0 and report.rhs == 1.0
+    assert report.lhs == 0.0 and report.rhs == 0.0
     report = check_sine_product(3)
-    assert abs(report.lhs - 0.75) <= 1e-14
-    assert report.rhs == 0.75
+    assert abs(report.lhs - math.log(0.75)) <= 1e-14
+    assert abs(report.rhs - math.log(0.75)) <= 1e-15
 
 
 def test_sine_product_large_n():
@@ -190,11 +191,47 @@ def test_gauss_multiplication_rejects_an_underflowing_term():
 
 
 def test_log_integral_product_small_case():
-    report = check_log_integral_product(2)
+    report = check_log_integral_product(2)  # the sides are logs
     assert report.passed
-    assert abs(report.lhs - HALF_SQRT_PI) / HALF_SQRT_PI <= 1e-9
+    assert abs(report.lhs - math.log(HALF_SQRT_PI)) <= 1e-9
     for n in (3, 6):
         assert check_log_integral_product(n).rel_residual <= 1e-7
+
+
+def test_sine_product_compares_tiny_sides_in_log_space(monkeypatch):
+    # At n = 30 both sides are about 5.6e-8, inside NEAR_ZERO.  Sines each
+    # off by 1 + 1e-9 put the product off by 2.9e-8 relative, which a linear
+    # comparison on the absolute rule (|difference| 1.6e-15) would pass.
+    sin = math.sin
+    monkeypatch.setattr(math, "sin", lambda x: sin(x) * (1.0 + 1e-9))
+    report = check_sine_product(30)
+    assert report.abs_residual > report.tolerance
+    assert not report.passed
+
+
+def test_log_integral_product_compares_tiny_sides_in_log_space(monkeypatch):
+    # From n = 171 both sides are inside NEAR_ZERO.  At n = 200, integrals
+    # each off by 1 + 1e-6 put the product off by 2e-4 relative, which a
+    # linear comparison on the absolute rule would pass.
+    integral = identities.gamma_log_integral
+
+    def scaled(s, config):
+        estimate = integral(s, config)
+        return dataclasses.replace(estimate, value=estimate.value * (1.0 + 1e-6))
+
+    monkeypatch.setattr(identities, "gamma_log_integral", scaled)
+    report = check_log_integral_product(200)
+    assert report.abs_residual > report.tolerance
+    assert not report.passed
+
+
+@pytest.mark.parametrize("check, n", [(check_sine_product, 2000),
+                                      (check_log_integral_product, 200)])
+def test_product_sides_past_the_near_zero_rule_are_finite_logs(check, n):
+    report = check(n)
+    assert report.passed
+    assert math.isfinite(report.lhs) and report.lhs < math.log(identities.NEAR_ZERO)
+    assert math.isfinite(report.rhs) and report.rhs < math.log(identities.NEAR_ZERO)
 
 
 def test_factorial_root_trivial_and_small():
@@ -414,8 +451,8 @@ def test_distinct_n_sweep_keeps_8_bytes_per_table_term():
     assert peak < 8 * terms + 200_000
 
 
-def _without_time(report):
-    return dataclasses.replace(report, wall_time=0.0)
+def test_suite_reports_are_values():
+    assert run_suite() == run_suite()
 
 
 def test_suite_reports_equal_checks_run_outside_a_suite():
@@ -423,7 +460,7 @@ def test_suite_reports_equal_checks_run_outside_a_suite():
     assert quadrature.suite_memo.get() is None
     for report in suite.reports:
         direct = IDENTITIES[report.identity_id].run(report.params, None, quadrature.DEFAULT_CONFIG)
-        assert _without_time(direct) == _without_time(report)
+        assert direct == report
 
 
 @pytest.fixture
@@ -576,6 +613,7 @@ def test_closed_form_n_is_capped():
         lambda n: check_factorial_root(1.0, n, mode="quadrature"),
         check_log_integral_product,
         lambda q: check_algebraic_interpolation(1, q),
+        lambda n: derivation_chain_values(1.0, n),
     ]
     for check in checks:
         for n in (too_big, 1e30):

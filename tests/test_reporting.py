@@ -94,7 +94,6 @@ reports = st.builds(
     rel_residual=sides,
     tolerance=st.one_of(floats, ints),
     passed=st.booleans(),
-    wall_time=st.just(0.0),
     error=st.one_of(st.none(), texts),
 )
 configs = st.one_of(
