@@ -25,33 +25,28 @@ integrand is evaluated:
 
 * ``_node_tables``, keyed on (h, odd_only): each node's (dm, ch, ez2,
   (1 + ez2)^2), the factors of its distance and weight on (-1, 1);
-* ``_row_tables``, keyed on (h, odd_only, a, b, tail): each node's weight
-  ``w`` with what the families read of its distance.  The (0, 1) families
-  (``tail`` False) read (w, log(dist), log1p(-dist)); ``GAMMA_TAIL`` reads
-  (w, dist, b - dist, log(dist), log(b - dist));
-* ``_symbol_tables``, keyed on (h, odd_only, a, b, p2): the rows of the
-  (0, 1) families, each extended by the two exponent columns of
-  ``EULER_SYMBOL``, log(-expm1(p2 * log1p(-dist))) and
-  log(-expm1(p2 * log(dist))): the log of 1 - x^p2 at the node near b and
-  at the node near a.  They depend on the exponent n = p2 but not on p or
-  q, so every S(p, q; n) with the same n reads one table.
+* ``_row_tables``, keyed on (h, odd_only, a, b): each node's
+  (w, log(dist), log1p(-dist)), its weight with what the families read of
+  its distance;
+* ``_symbol_tables``, keyed on (h, odd_only, a, b, p2): the rows, each
+  extended by the two exponent columns of ``EULER_SYMBOL``,
+  log(-expm1(p2 * log1p(-dist))) and log(-expm1(p2 * log(dist))): the log
+  of 1 - x^p2 at the node near b and at the node near a.  They depend on
+  the exponent n = p2 but not on p or q, so every S(p, q; n) with the same
+  n reads one table.
 
 Only levels with h >= ``TABLE_MIN_H`` are stored; finer levels stream from
 the same expressions.  With the default ``max_refinements`` of 12 that is
 every level a quadrature visits, at most 24,985 nodes per interval.  The
-engines pass two kinds of interval: (0, 1), and the tail probe's spans
-(0, 16 * 2^k) with 16 * 2^k <= 2^20.  So at most 18 intervals get rows, and
-all levels of all of them would hold 4.2 MiB of node geometry, 3.4 MiB of
-(0, 1) rows and 5.0 MiB of rows per span (tracemalloc), 93 MiB in all.
+engines integrate every family over (0, 1) alone, so all levels of node
+geometry hold 4.2 MiB and all levels of rows 3.4 MiB (tracemalloc).
 Exponent columns are stored for at most ``TABLE_MAX_EXPONENTS`` (16)
 distinct exponents per interval, the first ones asked for; later exponents
 stream their columns, so a sweep over n cannot grow the store without
-bound.  The engines take columns only on (0, 1), where all levels of one
-exponent hold 3.2 MiB (tracemalloc), 52 MiB for 16.  In practice far less
-is stored: the default suite keeps 97 nodes of (0, 1) rows and 485 rows of
-columns for its five exponents, and ``gamma_integral`` over x in
-(0.01, 150) about 3,000 rows over the spans 32 to 2048.  A table depends
-only on its key and is published only once complete, so sharing one
+bound.  All levels of one exponent hold 3.2 MiB (tracemalloc), 52 MiB for
+16.  In practice far less is stored: the default suite keeps 97 nodes of
+rows and 485 rows of columns for its five exponents.  A table depends only
+on its key and is published only once complete, so sharing one
 process-wide (and two threads racing to build the same one) never changes
 a result.
 
@@ -92,23 +87,18 @@ _symbol_lock = threading.Lock()
 
 # Integrand family tags.
 GENERIC = 0
-GAMMA_TAIL = 1      # t^(p0) * exp(-t)         on (0, T)
 NEG_LOG_POW = 2     # (-log x)^p0              on (0, 1)
 BETA = 3            # x^(p0-1) (1-x)^(p1-1)    on (0, 1)
 EULER_SYMBOL = 4    # x^(p0-1) (1-x^p2)^(p1/p2 - 1)   on (0, 1)
 ALGEBRAIC = 5       # (x^p0 (1-x))^p1          on (0, 1)
 
 
-def family_value(family, p0, p1, p2, x, dist, near_upper):
+def family_value(family, p0, p1, p2, dist, near_upper):
     """Evaluate one built-in integrand at a node.
 
     ``dist`` is the exact distance to the nearest endpoint; ``near_upper``
-    says which endpoint that is.  ``x`` is the rounded abscissa and is only
-    consulted where the nearest endpoint is not the singular one.
+    says which endpoint that is.
     """
-    if family == GAMMA_TAIL:
-        t = x if near_upper else dist
-        return math.exp(p0 * math.log(t) - t)
     if family == NEG_LOG_POW:
         if near_upper:
             ln = -math.log1p(-dist)
@@ -129,17 +119,6 @@ def family_value(family, p0, p1, p2, x, dist, near_upper):
     if family == ALGEBRAIC:
         return math.exp(p1 * (p0 * ln_x + ln_1mx))
     raise ValueError(f"unknown integrand family {family}")
-
-
-def point_value(family, p0, p1, p2, x):
-    """Evaluate a built-in integrand at a plain abscissa, used for tail probing.
-
-    A value past the double-precision range is returned as infinity.
-    """
-    try:
-        return family_value(family, p0, p1, p2, x, x, False)
-    except OverflowError:
-        return math.inf
 
 
 def _node_geometry(h, odd_only):
@@ -175,44 +154,33 @@ def _node_count(h, odd_only):
 
 
 def _unit_rows(geometry, a, b):
-    """(w, log(dist), log1p(-dist)) per node, for the (0, 1) families."""
+    """(w, log(dist), log1p(-dist)) per node, for the built-in families."""
     halfspan = 0.5 * (b - a)
     for dm, ch, ez2, opez2sq in geometry:
         dist = halfspan * dm
         yield halfspan * HALF_PI * ch * 4.0 * ez2 / opez2sq, log(dist), log1p(-dist)
 
 
-def _tail_rows(geometry, a, b):
-    """(w, dist, b - dist, log(dist), log(b - dist)) per node, for GAMMA_TAIL."""
-    halfspan = 0.5 * (b - a)
-    for dm, ch, ez2, opez2sq in geometry:
-        dist = halfspan * dm
-        t = b - dist
-        yield halfspan * HALF_PI * ch * 4.0 * ez2 / opez2sq, dist, t, log(dist), log(t)
-
-
-def _rows(h, odd_only, a, b, tail):
+def _rows(h, odd_only, a, b):
     """The rows of one level and interval: a stored table, or a stream below TABLE_MIN_H."""
-    build = _tail_rows if tail else _unit_rows
     if h < TABLE_MIN_H:
-        return build(_node_geometry(h, odd_only), a, b)
-    key = (h, odd_only, a, b, tail)
+        return _unit_rows(_node_geometry(h, odd_only), a, b)
+    key = (h, odd_only, a, b)
     table = _row_tables.get(key)
     if table is None:
-        table = _row_tables[key] = tuple(build(_nodes(h, odd_only), a, b))
+        table = _row_tables[key] = tuple(_unit_rows(_nodes(h, odd_only), a, b))
     return table
 
 
 def _symbol_columns(rows, p2):
-    """Each (0, 1) row extended by log(1 - x^p2) at the node near b and near a."""
+    """Each row extended by log(1 - x^p2) at the node near b and near a."""
     for w, ln_dist, ln_1md in rows:
         yield w, ln_dist, ln_1md, log(-expm1(p2 * ln_1md)), log(-expm1(p2 * ln_dist))
 
 
 def _symbol_rows(rows, h, odd_only, a, b, p2):
-    """The level's (0, 1) ``rows`` with the EULER_SYMBOL columns of exponent
-    p2: a stored table, or a stream below TABLE_MIN_H or past
-    TABLE_MAX_EXPONENTS."""
+    """The level's ``rows`` with the EULER_SYMBOL columns of exponent p2: a
+    stored table, or a stream below TABLE_MIN_H or past TABLE_MAX_EXPONENTS."""
     if h < TABLE_MIN_H:
         return _symbol_columns(rows, p2)
     key = (h, odd_only, a, b, p2)
@@ -234,14 +202,8 @@ def _symbol_rows(rows, h, odd_only, a, b, p2):
 # one near a exactly as ``family_value`` does.  None tests finiteness:
 # ``level_sum`` tests the total once.
 
-def _gamma_tail_sum(h, odd_only, a, b, total, p0, p1, p2):
-    for w, dist, t, ln_dist, ln_t in _rows(h, odd_only, a, b, True):
-        total += w * (exp(p0 * ln_t - t) + exp(p0 * ln_dist - dist))
-    return total
-
-
 def _neg_log_pow_sum(h, odd_only, a, b, total, p0, p1, p2):
-    for w, ln_dist, ln_1md in _rows(h, odd_only, a, b, False):
+    for w, ln_dist, ln_1md in _rows(h, odd_only, a, b):
         total += w * ((-ln_1md) ** p0 + (-ln_dist) ** p0)
     return total
 
@@ -249,7 +211,7 @@ def _neg_log_pow_sum(h, odd_only, a, b, total, p0, p1, p2):
 def _beta_sum(h, odd_only, a, b, total, p0, p1, p2):
     c0 = p0 - 1.0
     c1 = p1 - 1.0
-    for w, ln_dist, ln_1md in _rows(h, odd_only, a, b, False):
+    for w, ln_dist, ln_1md in _rows(h, odd_only, a, b):
         total += w * (exp(c0 * ln_1md + c1 * ln_dist) + exp(c0 * ln_dist + c1 * ln_1md))
     return total
 
@@ -257,7 +219,7 @@ def _beta_sum(h, odd_only, a, b, total, p0, p1, p2):
 def _euler_symbol_sum(h, odd_only, a, b, total, p0, p1, p2):
     # Rows, then c1, then the exponent columns: an invalid interval or
     # exponent raises the error that computing each node in turn meets first.
-    rows = _rows(h, odd_only, a, b, False)
+    rows = _rows(h, odd_only, a, b)
     c0 = p0 - 1.0
     c1 = p1 / p2 - 1.0
     for w, ln_dist, ln_1md, ln_1mxn_p, ln_1mxn_m in _symbol_rows(rows, h, odd_only, a, b, p2):
@@ -266,13 +228,12 @@ def _euler_symbol_sum(h, odd_only, a, b, total, p0, p1, p2):
 
 
 def _algebraic_sum(h, odd_only, a, b, total, p0, p1, p2):
-    for w, ln_dist, ln_1md in _rows(h, odd_only, a, b, False):
+    for w, ln_dist, ln_1md in _rows(h, odd_only, a, b):
         total += w * (exp(p1 * (p0 * ln_1md + ln_dist)) + exp(p1 * (p0 * ln_dist + ln_1md)))
     return total
 
 
 _FAMILY_SUMS = {
-    GAMMA_TAIL: _gamma_tail_sum,
     NEG_LOG_POW: _neg_log_pow_sum,
     BETA: _beta_sum,
     EULER_SYMBOL: _euler_symbol_sum,
@@ -285,8 +246,8 @@ def _has_non_finite_node(a, b, h, odd_only, family, p0, p1, p2):
     halfspan = 0.5 * (b - a)
     for dm, _, _, _ in _nodes(h, odd_only):
         dist = halfspan * dm
-        if not (isfinite(family_value(family, p0, p1, p2, b - dist, dist, True))
-                and isfinite(family_value(family, p0, p1, p2, a + dist, dist, False))):
+        if not (isfinite(family_value(family, p0, p1, p2, dist, True))
+                and isfinite(family_value(family, p0, p1, p2, dist, False))):
             return True
     return False
 
@@ -311,8 +272,8 @@ def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
             raise ValueError(f"unknown integrand family {family}")
         try:
             if not odd_only:
-                # Center node t = 0: weight (pi/2)*halfspan, abscissa exactly mid.
-                v = family_value(family, p0, p1, p2, mid, halfspan, False)
+                # Center node t = 0: weight (pi/2)*halfspan, halfspan from either end.
+                v = family_value(family, p0, p1, p2, halfspan, False)
                 if not math.isfinite(v):
                     raise NonFiniteIntegrandError("integrand not finite")
                 total += halfspan * HALF_PI * v

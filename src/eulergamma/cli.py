@@ -20,8 +20,7 @@ import time
 from dataclasses import replace
 
 from .beta import beta_closed, beta_integral, euler_symbol, euler_symbol_closed
-from .errors import (DomainError, NonFiniteIntegrandError, NonIntegrableTailError, nonnegative,
-                     positive)
+from .errors import DomainError, NonFiniteIntegrandError, nonnegative, positive
 from .gamma import gamma_integral, gamma_log_integral, gamma_reference, log_gamma
 from .identities import IDENTITIES, MAX_N, MODES, build_grid, run_suite
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -64,17 +63,11 @@ def _add_config_flags(sub):
     group.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol, metavar="TOL")
     group.add_argument("--max-refinements", type=int, default=DEFAULT_CONFIG.max_refinements,
                        metavar="N")
-    group.add_argument("--truncation-threshold", type=float,
-                       default=DEFAULT_CONFIG.truncation_threshold, metavar="EPS")
 
 
 def _config_from(args):
     # QuadratureConfig validates; ValueError maps to a usage error in main().
-    return QuadratureConfig(
-        rel_tol=args.rel_tol,
-        max_refinements=args.max_refinements,
-        truncation_threshold=args.truncation_threshold,
-    )
+    return QuadratureConfig(rel_tol=args.rel_tol, max_refinements=args.max_refinements)
 
 
 def _tolerance(text):
@@ -242,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except (NonFiniteIntegrandError, NonIntegrableTailError) as exc:
+    except NonFiniteIntegrandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:

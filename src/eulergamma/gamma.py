@@ -17,8 +17,13 @@ validated as positive and finite, skips the per-call check, and returns
 exactly the floats ``log_gamma`` would: ``log_gamma`` validates its one
 argument and runs the same loop, so the log form is written once.
 
-The integral engines evaluate gamma through its defining integrals with
-tanh-sinh quadrature and report an IntegralEstimate rather than a bare float.
+The integral engines evaluate gamma through Euler's integral
+
+    Gamma(s + 1) = s! = integral over (0, 1) of (-log u)^s du
+
+with tanh-sinh quadrature and report an IntegralEstimate rather than a bare
+float.  ``gamma_integral`` is ``gamma_log_integral`` at s = x - 1, lifted by
+the recurrence into x in [1, 100], where the integrand stays finite.
 """
 
 import math
@@ -29,7 +34,6 @@ from .quadrature import (
     IntegralEstimate,
     QuadratureConfig,
     _integrate_family,
-    _integrate_family_semi_infinite,
 )
 from . import backend
 
@@ -119,17 +123,26 @@ def log_gamma_terms(xs) -> list:
 
 def gamma_integral(x: float,
                    config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralEstimate:
-    """Gamma(x) as the integral of t^(x-1) e^(-t) over (0, infinity).
+    """Gamma(x) as Euler's integral of (-log u)^(x-1) over (0, 1).
 
-    Arguments below 0.1 are lifted through gamma(x) = gamma(x + 1) / x before
-    integrating: the integrand's x -> 0 endpoint spike is integrable but
-    needlessly expensive to chase directly.
+    The integral is taken for x in [1, 100] only.  Below, gamma(x) =
+    gamma(x + 1) / x; above, gamma(x) = (x - 1) gamma(x - 1), applied until
+    x <= 100, since (-log u)^(x-1) overflows at the outermost nodes from
+    about x = 109.44.  Past the double-precision range (x above about 171.62,
+    or x below about 5.6e-309) the estimate is inf with error inf, not
+    converged, and no node is evaluated once the factor itself is infinite.
     """
     x = positive(x, "x")
-    if x < 0.1:
-        lifted = gamma_integral(x + 1.0, config)
-        return _scaled(lifted, 1.0 / x, config)
-    return _integrate_family_semi_infinite(backend.GAMMA_TAIL, x - 1.0, 0.0, 0.0, config)
+    factor = 1.0
+    if x < 1.0:
+        factor = 1.0 / x
+        x += 1.0
+    while x > 100.0 and math.isfinite(factor):
+        x -= 1.0
+        factor *= x
+    if not math.isfinite(factor):
+        return IntegralEstimate(math.inf, math.inf, 0, False)
+    return _scaled(gamma_log_integral(x - 1.0, config), factor, config)
 
 
 def gamma_log_integral(s: float,
@@ -137,8 +150,8 @@ def gamma_log_integral(s: float,
     """Integral of (-log x)^s over (0, 1), which equals Gamma(s + 1).
 
     Requires s >= 0.  Node values are formed in linear space, so s large
-    enough to push (-log x)^s past the double-precision ceiling (s above
-    roughly 100) raises NonFiniteIntegrandError; the closed-form engine is
+    enough to push (-log x)^s past the double-precision ceiling (s from
+    about 108.44) raises NonFiniteIntegrandError; the closed-form engine is
     the right tool there.
     """
     s = nonnegative(s, "s")
@@ -158,9 +171,11 @@ def factorial_interp(lam: float) -> float:
 
 def _scaled(estimate, factor, config):
     """Rescale a family estimate (value and error) and re-derive the
-    converged flag, on the relative rule alone."""
+    converged flag, on the relative rule alone.  A value that is not finite
+    has error inf, as in ``quadrature._refine``."""
     value = estimate.value * factor
+    if not math.isfinite(value):
+        return IntegralEstimate(value, math.inf, estimate.evaluations, False)
     error = estimate.error_estimate * abs(factor)
-    converged = (estimate.converged and math.isfinite(value)
-                 and error <= config.rel_tol * abs(value))
+    converged = estimate.converged and error <= config.rel_tol * abs(value)
     return IntegralEstimate(value, error, estimate.evaluations, converged)

@@ -231,10 +231,14 @@ def check_reflection(x: float, tolerance: float | None = None) -> IdentityReport
     if not (math.isfinite(x) and 0.0 < x < 1.0):
         raise DomainError("x must lie in (0,1)")
     tolerance = _resolved(tolerance, "reflection", {})
+    # sin(pi x) = sin(pi (1 - x)).  Near x = 1, math.pi * x misses pi x by
+    # up to a few 1e-16, a large error beside sin's small value there; the
+    # smaller of x and 1 - x (exact for x >= 0.5) keeps that error relative.
+    sine = math.sin(math.pi * min(x, 1.0 - x))
     lhs = gamma_reference(x) * gamma_reference(1.0 - x)
-    rhs = math.pi / math.sin(math.pi * x)
+    rhs = math.pi / sine
     fact_lhs = factorial_interp(x) * factorial_interp(-x)
-    fact_rhs = math.pi * x / math.sin(math.pi * x)
+    fact_rhs = math.pi * x / sine
     fact_ok = _rel(fact_lhs, fact_rhs) <= tolerance
     return _report("reflection", {"x": x}, lhs, rhs, tolerance, aux_ok=fact_ok)
 
@@ -266,13 +270,20 @@ def check_duplication(x: float, tolerance: float | None = None) -> IdentityRepor
     return replace(inner, identity_id="duplication", params={"x": float(x)})
 
 
+def _sine_indices(n):
+    """min(i, n - i) for i in 1..n-1: sin(i pi/n) = sin((n - i) pi/n), and the
+    smaller multiple of pi/n is the well-conditioned one, so the rounding of
+    ``math.pi`` does not pile up in one direction over the upper half."""
+    return [min(i, n - i) for i in range(1, n)]
+
+
 def check_sine_product(n: int, tolerance: float | None = None) -> IdentityReport:
     """sin(pi/n) sin(2 pi/n) ... sin((n-1) pi/n) = n / 2^(n-1), for n >= 2.
 
     Compared in log space; lhs/rhs are the logs of the two sides.
     """
     n = integer(n, "n", 2, MAX_N)
-    lhs_terms = [math.log(math.sin(i * math.pi / n)) for i in range(1, n)]
+    lhs_terms = [math.log(math.sin(k * math.pi / n)) for k in _sine_indices(n)]
     rhs_terms = [math.log(n), (1 - n) * _LN_2]
     return _log_report("sine-product", {"n": n}, lhs_terms, rhs_terms, tolerance)
 
@@ -307,7 +318,8 @@ def check_gamma_square_product(n: int, tolerance: float | None = None) -> Identi
     """
     n = integer(n, "n", 2, MAX_N)
     lhs_terms = [2.0 * term for term in _log_gamma_fractions(n)]
-    rhs_terms = [(n - 1) * _LN_PI] + [-math.log(math.sin(i * math.pi / n)) for i in range(1, n)]
+    rhs_terms = [(n - 1) * _LN_PI]
+    rhs_terms += [-math.log(math.sin(k * math.pi / n)) for k in _sine_indices(n)]
     return _log_report("gamma-square-product", {"n": n}, lhs_terms, rhs_terms, tolerance)
 
 

@@ -51,8 +51,8 @@ class QuadratureConfig:
     max_refinements
         Number of step halvings allowed past the coarsest level.
     truncation_threshold
-        Semi-infinite integrals are cut at a point T where ``|f(T)|`` has
-        fallen below this value.
+        ``integrate_semi_infinite`` cuts its interval at a point T where
+        ``|f(T)|`` has fallen below this value.
     """
 
     abs_tol: float = 1e-12
@@ -148,7 +148,7 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float,
     shifted = f if a == 0.0 else (lambda u: f(a + u))
     span, tail = _truncation_span(shifted, config.truncation_threshold)
     base = _refine(0.0, span, config, backend.GENERIC, 0.0, 0.0, 0.0, shifted)
-    return _with_tail(base, tail, config, backend.GENERIC)
+    return _with_tail(base, tail, config)
 
 
 def _truncation_span(value_at, threshold):
@@ -167,10 +167,10 @@ def _truncation_span(value_at, threshold):
     raise NonIntegrableTailError("tail not integrable at configured threshold")
 
 
-def _with_tail(base, tail, config, family):
+def _with_tail(base, tail, config):
     error = base.error_estimate + tail
     converged = math.isfinite(base.value) and error <= max(
-        _error_floor(family, config), config.rel_tol * abs(base.value)
+        config.abs_tol, config.rel_tol * abs(base.value)
     )
     return IntegralEstimate(base.value, error, base.evaluations, converged)
 
@@ -189,13 +189,3 @@ def _integrate_family(family, p0, p1, p2, a, b, config):
     if estimate is None:
         estimate = memo[key] = _refine(a, b, config, family, p0, p1, p2, None)
     return estimate
-
-
-def _integrate_family_semi_infinite(family, p0, p1, p2, config):
-    """Driver for built-in families over (0, infinity)."""
-    span, tail = _truncation_span(
-        lambda u: backend.point_value(family, p0, p1, p2, u),
-        config.truncation_threshold,
-    )
-    base = _refine(0.0, span, config, family, p0, p1, p2, None)
-    return _with_tail(base, tail, config, family)

@@ -130,7 +130,8 @@ def test_eval_non_finite_symbol_exponent_exits_2():
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("args", [("loggamma_integral", "150"), ("gamma", "800")])
+# (-log x)^s passes the double range at the outermost nodes from s = 108.44.
+@pytest.mark.parametrize("args", [("loggamma_integral", "150"), ("loggamma_integral", "108.5")])
 def test_eval_overflowing_integrand_exits_1(args):
     result = run_cli("eval", *args, "--engine", "integral")
     assert result.returncode == 1
@@ -138,11 +139,19 @@ def test_eval_overflowing_integrand_exits_1(args):
     assert result.stderr == "error: integrand not finite\n"
 
 
+def test_eval_gamma_integral_reaches_the_double_ceiling():
+    result = run_cli("eval", "gamma", "171.5", "--engine", "integral")
+    assert result.returncode == 0
+    assert result.stdout == "9.4833675668248e+307\n"
+    assert result.stderr == ""
+
+
 @pytest.mark.parametrize("args", [
     ("eval", "gamma", "172"),
     ("eval", "gamma", "1e-320"),
     ("verify", "factorial-root", "--m", "200", "--n", "1"),
-    ("eval", "gamma", "171.5", "--engine", "integral"),
+    ("eval", "gamma", "172", "--engine", "integral"),
+    ("eval", "gamma", "800", "--engine", "integral"),
 ])
 def test_result_past_double_range_exits_2(args):
     result = run_cli(*args)
@@ -437,6 +446,15 @@ def test_suite_restricted_axes_apply_to_matching_identities_only():
 def test_quadrature_flag_defaults_are_the_default_config(argv):
     args = cli._build_parser().parse_args(argv)
     assert cli._config_from(args) == DEFAULT_CONFIG
+
+
+@pytest.mark.parametrize("command", [["eval", "gamma", "1"], ["suite"]])
+def test_truncation_threshold_is_no_flag(command, capsys):
+    # No command integrates over a semi-infinite interval.
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--truncation-threshold", "1e-9"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --truncation-threshold" in capsys.readouterr().err
 
 
 def test_main_is_callable_in_process(capsys):

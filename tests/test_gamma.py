@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from eulergamma import (
     DomainError,
+    IntegralEstimate,
     QuadratureConfig,
     factorial_interp,
     gamma_integral,
@@ -22,6 +23,7 @@ from eulergamma import (
     log_gamma,
 )
 from eulergamma import gamma as gamma_module
+from eulergamma import quadrature
 
 mpmath.mp.dps = 50
 
@@ -301,10 +303,44 @@ def test_closed_forms_reject_non_positive_and_non_finite(bad):
 
 
 def test_infinite_gamma_integral_is_not_converged():
-    # Gamma(171.5) = 9.5e307 is finite, but the weighted node sum overflows;
-    # the truncated tail (and x below 0.1, rescaled by 1/x) must not report
-    # an infinite value as converged.
-    for x in (171.5, 1e-310):
+    # Gamma(172) and Gamma(1e-310) lie past the double range, the second
+    # through its factor 1/x; neither may report an infinite value as
+    # converged.
+    for x in (172.0, 1e-310):
         estimate = gamma_integral(x)
         assert estimate.value == math.inf
+        assert estimate.error_estimate == math.inf
         assert not estimate.converged
+    estimate = gamma_integral(171.5)
+    assert estimate.converged
+    assert abs(estimate.value - _mp_gamma(171.5)) <= 1e-13 * _mp_gamma(171.5)
+
+
+def test_gamma_integral_sweep_against_mpmath():
+    # Euler's integral over (0, 1) on [1, 100], lifted by the recurrence
+    # elsewhere, holds 1e-13 relative up to the double-precision ceiling.
+    rng = random.Random(1729)
+    xs = [math.exp(rng.uniform(math.log(0.01), math.log(171.6))) for _ in range(500)]
+    xs += [0.1, 1.0, 100.0, 100.5, 171.0, 171.5]
+    with mpmath.workdps(30):
+        for x in xs:
+            estimate = gamma_integral(x)
+            exact = mpmath.gamma(mpmath.mpf(x))
+            assert estimate.converged, x
+            assert abs((mpmath.mpf(estimate.value) - exact) / exact) <= 1e-13, x
+
+
+@pytest.mark.parametrize("x", [800.0, 1e300, 1e-310])
+def test_gamma_integral_past_the_double_range_integrates_nothing(x):
+    # The recurrence's factor is infinite before any node is evaluated.
+    assert gamma_integral(x) == IntegralEstimate(math.inf, math.inf, 0, False)
+
+
+def test_gamma_integral_is_the_log_integral_one_below(refine_calls):
+    token = quadrature.suite_memo.set({})
+    try:
+        for x in (1.0, 3.7, 100.0):
+            assert gamma_integral(x) == gamma_log_integral(x - 1.0)
+    finally:
+        quadrature.suite_memo.reset(token)
+    assert len(refine_calls) == 3

@@ -7,6 +7,7 @@ import tracemalloc
 from array import array
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from eulergamma import (
@@ -56,6 +57,19 @@ def test_reflection_near_edge():
     assert report.rel_residual <= 1e-12
 
 
+@pytest.mark.parametrize("x", [0.999999, 0.9999999])
+def test_reflection_near_one_agrees_with_mpmath(x):
+    # math.pi * x misses pi x by up to a few 1e-16, large beside
+    # sin(pi x) = 3.1e-6 at x = 0.999999: sin(math.pi * x) put the right side
+    # off by 6.2e-12 relative there, and by 6.3e-10 at 0.9999999.
+    report = check_reflection(x)
+    with mpmath.workdps(30):
+        exact = float(mpmath.pi / mpmath.sinpi(mpmath.mpf(x)))
+    assert report.passed
+    assert report.rel_residual <= 1e-14
+    assert abs(report.rhs - exact) <= 1e-14 * exact
+
+
 def test_reflection_domain_message():
     with pytest.raises(DomainError, match=r"x must lie in \(0,1\)"):
         check_reflection(1.5)
@@ -100,6 +114,15 @@ def test_sine_product_large_n():
     report = check_sine_product(30)
     assert report.passed
     assert report.rel_residual <= 1e-10
+
+
+def test_sine_product_rounding_does_not_drift_at_large_n():
+    # math.pi is below pi, so sin(i math.pi / n) for i near n comes out high,
+    # all in one direction; the factors sin(k pi/n), k = min(i, n - i), do
+    # not drift.
+    report = check_sine_product(99150)
+    assert report.passed
+    assert abs(report.lhs - report.rhs) <= 1e-12
 
 
 def test_sine_multiple_angle_degenerate_n1():

@@ -228,7 +228,7 @@ def _inline_level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
         if family == kern.GENERIC:
             fx = float(f(mid))
         else:
-            fx = kern.family_value(family, p0, p1, p2, mid, halfspan, False)
+            fx = kern.family_value(family, p0, p1, p2, halfspan, False)
         total += halfspan * kern.HALF_PI * fx
         n += 1
     step = 2 if odd_only else 1
@@ -253,23 +253,22 @@ def _inline_level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
                 total += w * float(f(xm))
                 n += 1
         else:
-            vp = kern.family_value(family, p0, p1, p2, b - dist, dist, True)
-            vm = kern.family_value(family, p0, p1, p2, a + dist, dist, False)
+            vp = kern.family_value(family, p0, p1, p2, dist, True)
+            vm = kern.family_value(family, p0, p1, p2, dist, False)
             total += w * (vp + vm)
             n += 2
         k += step
     return total, n
 
 
-# (family, p0, p1, p2, a, b): every built-in family, on the intervals the
-# engines integrate over (the tail probe's spans 16 * 2^k among them), and
-# on intervals they do not
+# (family, p0, p1, p2, a, b): every built-in family, on (0, 1), the one
+# interval the engines integrate over, and on intervals they do not
 FAMILY_CASES = [
-    (kern.GAMMA_TAIL, 2.5, 0.0, 0.0, 0.0, 37.0),
-    (kern.GAMMA_TAIL, -0.5, 0.0, 0.0, 0.0, 41.5),
-    (kern.GAMMA_TAIL, -0.9, 0.0, 0.0, 0.0, 16.0),
-    (kern.GAMMA_TAIL, 99.0, 0.0, 0.0, 0.0, 1024.0),
-    (kern.GAMMA_TAIL, 2.5, 0.0, 0.0, 0.0, 1.0),
+    (kern.NEG_LOG_POW, 0.0, 0.0, 0.0, 0.0, 1.0),
+    (kern.NEG_LOG_POW, 60.25, 0.0, 0.0, 0.0, 1.0),
+    (kern.NEG_LOG_POW, 99.0, 0.0, 0.0, 0.0, 1.0),   # gamma_integral(100)
+    (kern.NEG_LOG_POW, 108.0, 0.0, 0.0, 0.0, 1.0),  # near the overflow at 108.44
+    (kern.NEG_LOG_POW, 2.5, 0.0, 0.0, 0.1, 0.7),
     (kern.NEG_LOG_POW, 0.5, 0.0, 0.0, 0.0, 1.0),
     (kern.BETA, 0.5, 0.5, 0.0, 0.0, 1.0),
     (kern.BETA, 1.5, 1.5, 0.0, 0.0, 1.0),
@@ -322,12 +321,11 @@ def test_level_sum_bitwise_equals_inline_geometry_generic_callable():
 def test_levels_finer_than_table_limit_are_streamed_not_stored():
     h = 2.0 ** -13  # one level past the default depth: about 50k nodes
     assert h < kern.TABLE_MIN_H
-    for family, p0, b in [(kern.BETA, 1.5, 1.0), (kern.GAMMA_TAIL, 2.5, 32.0),
-                          (kern.EULER_SYMBOL, 2.5, 1.0)]:
-        args = (0.0, b, h, False, family, p0, 1.5, 3.0, None)
-        kern.level_sum(0.0, b, 0.5, True, family, p0, 1.5, 3.0, None)
+    for family, p0 in [(kern.BETA, 1.5), (kern.NEG_LOG_POW, 2.5), (kern.EULER_SYMBOL, 2.5)]:
+        args = (0.0, 1.0, h, False, family, p0, 1.5, 3.0, None)
+        kern.level_sum(0.0, 1.0, 0.5, True, family, p0, 1.5, 3.0, None)
         assert (0.5, True) in kern._node_tables
-        assert (0.5, True, 0.0, b, family == kern.GAMMA_TAIL) in kern._row_tables
+        assert (0.5, True, 0.0, 1.0) in kern._row_tables
         tables = (kern._node_tables, kern._row_tables, kern._symbol_tables)
         stored = [set(table) for table in tables]
         got = kern.level_sum(*args)
@@ -337,32 +335,23 @@ def test_levels_finer_than_table_limit_are_streamed_not_stored():
 
 
 def test_tables_hold_only_the_documented_intervals(monkeypatch):
-    # The engines integrate over (0, 1) and over the tail probe's spans
-    # (0, 16 * 2^k), 16 * 2^k <= 2^20; the memory bound in the module
-    # docstring counts on that.
+    # The engines integrate every family over (0, 1) alone; the memory bound
+    # in the module docstring counts on that.
     monkeypatch.setattr(kern, "_row_tables", {})
     run_suite(default_grid())
     for i in range(60):
         gamma_integral(0.01 * 15000.0 ** (i / 59))
-    spans = {16.0 * 2.0 ** k for k in range(17)}
-    assert max(spans) == 2.0 ** 20
     keys = set(kern._row_tables)
-    assert (1.0, False, 0.0, 1.0, False) in keys
-    assert any(tail for *_, tail in keys)
-    for h, _, a, b, tail in keys:
+    assert (1.0, False, 0.0, 1.0) in keys
+    for h, _, a, b in keys:
         assert h >= kern.TABLE_MIN_H
-        assert a == 0.0
-        assert b in spans if tail else b == 1.0
+        assert (a, b) == (0.0, 1.0)
 
 
-def test_family_overflow_raises_non_finite_and_probes_read_infinity():
-    # exp and ** overflow at these values: the loop raises, the probe reads inf.
+def test_family_overflow_raises_non_finite():
+    # ** overflows at this value: the loop raises.
     with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
         kern.level_sum(0.0, 1.0, 0.5, True, kern.NEG_LOG_POW, 150.0, 0.0, 0.0, None)
-    with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
-        kern.level_sum(0.0, 8192.0, 1.0, False, kern.GAMMA_TAIL, 799.0, 0.0, 0.0, None)
-    assert kern.point_value(kern.GAMMA_TAIL, 799.0, 0.0, 0.0, 16.0) == math.inf
-    assert kern.point_value(kern.NEG_LOG_POW, 150.0, 0.0, 0.0, 1e-300) == math.inf
 
 
 def test_active_backend_is_reported():
@@ -373,7 +362,7 @@ def test_active_backend_is_reported():
 def test_family_value_rejects_generic_tag():
     # A generic callable has no built-in value; only ``level_sum`` calls it.
     with pytest.raises(ValueError, match="unknown integrand family 0"):
-        kern.family_value(kern.GENERIC, 0.0, 0.0, 0.0, 0.5, 0.5, False)
+        kern.family_value(kern.GENERIC, 0.0, 0.0, 0.0, 0.5, False)
 
 
 def test_node_tables_built_by_racing_threads_give_identical_sums(monkeypatch):
@@ -432,9 +421,9 @@ def test_non_finite_node_raises_once_the_level_total_is_not_finite(monkeypatch):
     with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
         kern.level_sum(0.0, 1.0, 0.5, True, kern.BETA, math.nan, 1.5, 0.0, None)
     # A NaN row makes the total NaN; the rescan then decides by family_value.
-    rows = list(kern._rows(0.5, True, 0.0, 1.0, False))
+    rows = list(kern._rows(0.5, True, 0.0, 1.0))
     rows[1] = (rows[1][0], math.nan, rows[1][2])
-    monkeypatch.setattr(kern, "_row_tables", {(0.5, True, 0.0, 1.0, False): tuple(rows)})
+    monkeypatch.setattr(kern, "_row_tables", {(0.5, True, 0.0, 1.0): tuple(rows)})
     args = (0.0, 1.0, 0.5, True, kern.BETA, 1.5, 2.5, 0.0, None)
     assert math.isnan(kern.level_sum(*args)[0])
     monkeypatch.setattr(kern, "family_value", lambda *args: math.nan)
@@ -443,11 +432,11 @@ def test_non_finite_node_raises_once_the_level_total_is_not_finite(monkeypatch):
 
 
 def test_finite_node_values_whose_sum_overflows_return_inf():
-    # Every t^170.5 e^-t is finite; their weighted sum is not, as for
-    # gamma_integral(171.5).
-    total, n = kern.level_sum(0.0, 256.0, 0.25, True, kern.GAMMA_TAIL, 170.5, 0.0, 0.0, None)
+    # At h = 1 every x^-3.0425 (1-x)^-3.0425 is finite, 1.06e308 at the
+    # outermost nodes; the sum of that pair is not.
+    total, n = kern.level_sum(0, 1, 1.0, True, kern.BETA, -2.0425, -2.0425, 0, None)
     assert total == math.inf
-    assert n == 2 * kern._node_count(0.25, True)
+    assert n == 6
 
 
 # --------------------------------------------------------------- suite memo
