@@ -11,7 +11,7 @@ from .beta import (
     euler_symbol,
     euler_symbol_closed,
 )
-from .errors import DomainError, NonFiniteIntegrandError, NonIntegrableTailError
+from .errors import DomainError, NonFiniteIntegrandError
 from .gamma import (
     factorial_interp,
     gamma_integral,
@@ -37,7 +37,6 @@ from .identities import (
     check_symbol_symmetry,
     default_grid,
     default_tolerance,
-    derivation_chain_values,
     run_suite,
 )
 from .quadrature import (
@@ -45,12 +44,11 @@ from .quadrature import (
     IntegralEstimate,
     QuadratureConfig,
     integrate_finite,
-    integrate_semi_infinite,
 )
 
 __version__ = "0.1.0"
 
-# The node loop is pure Python; the name stays for provenance records.
+# benchmarks/perfbench/run.py:209 reads this name; it goes in the benchmark-only change.
 BACKEND = "python"
 
 __all__ = [
@@ -61,7 +59,6 @@ __all__ = [
     "IdentityReport",
     "IntegralEstimate",
     "NonFiniteIntegrandError",
-    "NonIntegrableTailError",
     "QuadratureConfig",
     "SuiteReport",
     "beta_closed",
@@ -80,7 +77,6 @@ __all__ = [
     "check_symbol_symmetry",
     "default_grid",
     "default_tolerance",
-    "derivation_chain_values",
     "euler_symbol",
     "euler_symbol_closed",
     "factorial_interp",
@@ -88,7 +84,6 @@ __all__ = [
     "gamma_log_integral",
     "gamma_reference",
     "integrate_finite",
-    "integrate_semi_infinite",
     "log_gamma",
     "run_suite",
     "__version__",

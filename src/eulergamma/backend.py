@@ -1,9 +1,10 @@
 """Tanh-sinh node loop.
 
 ``level_sum`` evaluates one refinement level of the quadrature.  It reads
-what depends only on the level, the interval and the ``EULER_SYMBOL``
-exponent from per-process tables (see below) and dispatches on the integrand
-family once per level, to a loop written for that family.
+what depends only on the level and the ``EULER_SYMBOL`` exponent from
+per-process tables (see below) and dispatches on the integrand family once
+per level, to a loop written for that family.  The built-in families are
+defined on (0, 1) alone; arbitrary callables take any finite interval.
 
 Node geometry
 -------------
@@ -14,9 +15,10 @@ carried instead is each node's distance to its nearest endpoint,
     dist = halfspan * (1 - tanh(z)) = halfspan * 2 * exp(-2z) / (1 + exp(-2z)),
 
 which stays accurate down to ~1e-304 * halfspan while ``b - x`` would round to
-zero long before.  Built-in integrand families consume ``dist`` directly and
-therefore resolve endpoint singularities to the last bit.  Arbitrary callables
-get x = a + dist or x = b - dist and skip nodes that round onto an endpoint.
+zero long before.  Built-in integrand families consume ``dist`` directly, as
+x or 1 - x on (0, 1) with halfspan 0.5, and therefore resolve endpoint
+singularities to the last bit.  Arbitrary callables get x = a + dist or
+x = b - dist and skip nodes that round onto an endpoint.
 
 Stored tables
 -------------
@@ -25,30 +27,29 @@ integrand is evaluated:
 
 * ``_node_tables``, keyed on (h, odd_only): each node's (dm, ch, ez2,
   (1 + ez2)^2), the factors of its distance and weight on (-1, 1);
-* ``_row_tables``, keyed on (h, odd_only, a, b): each node's
-  (w, log(dist), log1p(-dist)), its weight with what the families read of
-  its distance;
-* ``_symbol_tables``, keyed on (h, odd_only, a, b, p2): the rows, each
-  extended by the two exponent columns of ``EULER_SYMBOL``,
+* ``_row_tables``, keyed on (h, odd_only): each node's
+  (w, log(dist), log1p(-dist)) on (0, 1), its weight with what the families
+  read of its distance;
+* ``_symbol_tables``, keyed on (h, odd_only, p2): the rows, each extended
+  by the two exponent columns of ``EULER_SYMBOL``,
   log(-expm1(p2 * log1p(-dist))) and log(-expm1(p2 * log(dist))): the log
-  of 1 - x^p2 at the node near b and at the node near a.  They depend on
+  of 1 - x^p2 at the node near 1 and at the node near 0.  They depend on
   the exponent n = p2 but not on p or q, so every S(p, q; n) with the same
   n reads one table.
 
 Only levels with h >= ``TABLE_MIN_H`` are stored; finer levels stream from
 the same expressions.  With the default ``max_refinements`` of 12 that is
-every level a quadrature visits, at most 24,985 nodes per interval.  The
-engines integrate every family over (0, 1) alone, so all levels of node
+every level a quadrature visits, at most 24,985 nodes.  All levels of node
 geometry hold 4.2 MiB and all levels of rows 3.4 MiB (tracemalloc).
 Exponent columns are stored for at most ``TABLE_MAX_EXPONENTS`` (16)
-distinct exponents per interval, the first ones asked for; later exponents
-stream their columns, so a sweep over n cannot grow the store without
-bound.  All levels of one exponent hold 3.2 MiB (tracemalloc), 52 MiB for
-16.  In practice far less is stored: the default suite keeps 97 nodes of
-rows and 485 rows of columns for its five exponents.  A table depends only
-on its key and is published only once complete, so sharing one
-process-wide (and two threads racing to build the same one) never changes
-a result.
+distinct exponents in ``_symbol_exponents``, the first ones asked for;
+later exponents stream their columns, so a sweep over n cannot grow the
+store without bound.  All levels of one exponent hold 3.2 MiB
+(tracemalloc), 52 MiB for 16.  In practice far less is stored: the default
+suite keeps 97 nodes of rows and 485 rows of columns for its five
+exponents.  A table depends only on its key and is published only once
+complete, so sharing one process-wide (and two threads racing to build the
+same one) never changes a result.
 
 Finiteness
 ----------
@@ -82,7 +83,7 @@ TABLE_MAX_EXPONENTS = 16
 _node_tables = {}
 _row_tables = {}
 _symbol_tables = {}
-_symbol_exponents = {}
+_symbol_exponents = set()
 _symbol_lock = threading.Lock()
 
 # Integrand family tags.
@@ -153,82 +154,79 @@ def _node_count(h, odd_only):
     return len(range(1, int(T_MAX / h) + 1, 2 if odd_only else 1))
 
 
-def _unit_rows(geometry, a, b):
-    """(w, log(dist), log1p(-dist)) per node, for the built-in families."""
-    halfspan = 0.5 * (b - a)
+def _unit_rows(geometry):
+    """(w, log(dist), log1p(-dist)) per node on (0, 1), for the built-in families."""
     for dm, ch, ez2, opez2sq in geometry:
-        dist = halfspan * dm
-        yield halfspan * HALF_PI * ch * 4.0 * ez2 / opez2sq, log(dist), log1p(-dist)
+        dist = 0.5 * dm
+        yield 0.5 * HALF_PI * ch * 4.0 * ez2 / opez2sq, log(dist), log1p(-dist)
 
 
-def _rows(h, odd_only, a, b):
-    """The rows of one level and interval: a stored table, or a stream below TABLE_MIN_H."""
+def _rows(h, odd_only):
+    """The rows of one level: a stored table, or a stream below TABLE_MIN_H."""
     if h < TABLE_MIN_H:
-        return _unit_rows(_node_geometry(h, odd_only), a, b)
-    key = (h, odd_only, a, b)
-    table = _row_tables.get(key)
+        return _unit_rows(_node_geometry(h, odd_only))
+    table = _row_tables.get((h, odd_only))
     if table is None:
-        table = _row_tables[key] = tuple(_unit_rows(_nodes(h, odd_only), a, b))
+        table = _row_tables[h, odd_only] = tuple(_unit_rows(_nodes(h, odd_only)))
     return table
 
 
 def _symbol_columns(rows, p2):
-    """Each row extended by log(1 - x^p2) at the node near b and near a."""
+    """Each row extended by log(1 - x^p2) at the node near 1 and near 0."""
     for w, ln_dist, ln_1md in rows:
         yield w, ln_dist, ln_1md, log(-expm1(p2 * ln_1md)), log(-expm1(p2 * ln_dist))
 
 
-def _symbol_rows(rows, h, odd_only, a, b, p2):
+def _symbol_rows(rows, h, odd_only, p2):
     """The level's ``rows`` with the EULER_SYMBOL columns of exponent p2: a
     stored table, or a stream below TABLE_MIN_H or past TABLE_MAX_EXPONENTS."""
     if h < TABLE_MIN_H:
         return _symbol_columns(rows, p2)
-    key = (h, odd_only, a, b, p2)
+    key = (h, odd_only, p2)
     table = _symbol_tables.get(key)
     if table is None:
         with _symbol_lock:
-            exponents = _symbol_exponents.setdefault((a, b), set())
-            if len(exponents) < TABLE_MAX_EXPONENTS:
-                exponents.add(p2)
-            stored = p2 in exponents
+            if len(_symbol_exponents) < TABLE_MAX_EXPONENTS:
+                _symbol_exponents.add(p2)
+            stored = p2 in _symbol_exponents
         if not stored:
             return _symbol_columns(rows, p2)
         table = _symbol_tables[key] = tuple(_symbol_columns(rows, p2))
     return table
 
 
-# One loop per family.  Each reads the rows of its level and interval, adds
-# its terms onto ``total`` in node order, and forms the value near b and the
-# one near a exactly as ``family_value`` does.  None tests finiteness:
+# One loop per family.  Each reads the rows of its level, adds its terms onto
+# ``total`` in node order, and forms the value near 1 and the one near 0
+# exactly as ``family_value`` does.  None tests finiteness:
 # ``level_sum`` tests the total once.
 
-def _neg_log_pow_sum(h, odd_only, a, b, total, p0, p1, p2):
-    for w, ln_dist, ln_1md in _rows(h, odd_only, a, b):
+def _neg_log_pow_sum(h, odd_only, total, p0, p1, p2):
+    for w, ln_dist, ln_1md in _rows(h, odd_only):
         total += w * ((-ln_1md) ** p0 + (-ln_dist) ** p0)
     return total
 
 
-def _beta_sum(h, odd_only, a, b, total, p0, p1, p2):
+def _beta_sum(h, odd_only, total, p0, p1, p2):
     c0 = p0 - 1.0
     c1 = p1 - 1.0
-    for w, ln_dist, ln_1md in _rows(h, odd_only, a, b):
+    for w, ln_dist, ln_1md in _rows(h, odd_only):
         total += w * (exp(c0 * ln_1md + c1 * ln_dist) + exp(c0 * ln_dist + c1 * ln_1md))
     return total
 
 
-def _euler_symbol_sum(h, odd_only, a, b, total, p0, p1, p2):
-    # Rows, then c1, then the exponent columns: an invalid interval or
-    # exponent raises the error that computing each node in turn meets first.
-    rows = _rows(h, odd_only, a, b)
+def _euler_symbol_sum(h, odd_only, total, p0, p1, p2):
+    # c1, then the exponent columns: an invalid exponent raises the error
+    # that computing each node in turn meets first.
+    rows = _rows(h, odd_only)
     c0 = p0 - 1.0
     c1 = p1 / p2 - 1.0
-    for w, ln_dist, ln_1md, ln_1mxn_p, ln_1mxn_m in _symbol_rows(rows, h, odd_only, a, b, p2):
+    for w, ln_dist, ln_1md, ln_1mxn_p, ln_1mxn_m in _symbol_rows(rows, h, odd_only, p2):
         total += w * (exp(c0 * ln_1md + c1 * ln_1mxn_p) + exp(c0 * ln_dist + c1 * ln_1mxn_m))
     return total
 
 
-def _algebraic_sum(h, odd_only, a, b, total, p0, p1, p2):
-    for w, ln_dist, ln_1md in _rows(h, odd_only, a, b):
+def _algebraic_sum(h, odd_only, total, p0, p1, p2):
+    for w, ln_dist, ln_1md in _rows(h, odd_only):
         total += w * (exp(p1 * (p0 * ln_1md + ln_dist)) + exp(p1 * (p0 * ln_dist + ln_1md)))
     return total
 
@@ -241,11 +239,10 @@ _FAMILY_SUMS = {
 }
 
 
-def _has_non_finite_node(a, b, h, odd_only, family, p0, p1, p2):
+def _has_non_finite_node(h, odd_only, family, p0, p1, p2):
     """Whether ``family_value`` is NaN or infinite at a node t != 0 of this level."""
-    halfspan = 0.5 * (b - a)
     for dm, _, _, _ in _nodes(h, odd_only):
-        dist = halfspan * dm
+        dist = 0.5 * dm
         if not (isfinite(family_value(family, p0, p1, p2, dist, True))
                 and isfinite(family_value(family, p0, p1, p2, dist, False))):
             return True
@@ -259,7 +256,8 @@ def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
     how a refinement level reuses the coarser level's nodes.  Returns the
     weighted sum (to be scaled by ``h`` by the caller) and the number of
     integrand evaluations.  A built-in integrand that is not finite, or
-    overflows, at a node raises NonFiniteIntegrandError.
+    overflows, at a node raises NonFiniteIntegrandError; one asked for over
+    an interval other than (0, 1) raises ValueError.
     """
     halfspan = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -270,6 +268,8 @@ def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
         family_sum = _FAMILY_SUMS.get(family)
         if family_sum is None:
             raise ValueError(f"unknown integrand family {family}")
+        if (a, b) != (0.0, 1.0):
+            raise ValueError(f"integrand family {family} is defined on (0, 1) only")
         try:
             if not odd_only:
                 # Center node t = 0: weight (pi/2)*halfspan, halfspan from either end.
@@ -278,8 +278,8 @@ def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
                     raise NonFiniteIntegrandError("integrand not finite")
                 total += halfspan * HALF_PI * v
                 n += 1
-            total = family_sum(h, odd_only, a, b, total, p0, p1, p2)
-            if not isfinite(total) and _has_non_finite_node(a, b, h, odd_only, family, p0, p1, p2):
+            total = family_sum(h, odd_only, total, p0, p1, p2)
+            if not isfinite(total) and _has_non_finite_node(h, odd_only, family, p0, p1, p2):
                 raise NonFiniteIntegrandError("integrand not finite")
         except OverflowError:
             raise NonFiniteIntegrandError("integrand not finite") from None

@@ -37,7 +37,7 @@ def beta_integral(x: float, y: float,
     """B(x, y) as the integral of t^(x-1) (1-t)^(y-1) over (0, 1)."""
     x = positive(x, "x")
     y = positive(y, "y")
-    return _integrate_family(backend.BETA, x, y, 0.0, 0.0, 1.0, config)
+    return _integrate_family(backend.BETA, x, y, 0.0, config)
 
 
 def euler_symbol(p: float, q: float, n: int,
@@ -46,7 +46,7 @@ def euler_symbol(p: float, q: float, n: int,
     p = positive(p, "p")
     q = positive(q, "q")
     n = integer(n, "n", 1)
-    return _integrate_family(backend.EULER_SYMBOL, p, q, float(n), 0.0, 1.0, config)
+    return _integrate_family(backend.EULER_SYMBOL, p, q, float(n), config)
 
 
 def euler_symbol_closed(p: float, q: float, n: int) -> float:

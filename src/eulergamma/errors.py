@@ -12,10 +12,6 @@ class NonFiniteIntegrandError(ValueError):
     """The integrand returned NaN or infinity at an interior node."""
 
 
-class NonIntegrableTailError(ValueError):
-    """No decay below the truncation threshold was found within the probing budget."""
-
-
 def positive(value, name):
     """``value`` as a float; DomainError unless it is positive and finite."""
     value = float(value)

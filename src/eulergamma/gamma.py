@@ -155,7 +155,7 @@ def gamma_log_integral(s: float,
     the right tool there.
     """
     s = nonnegative(s, "s")
-    return _integrate_family(backend.NEG_LOG_POW, s, 0.0, 0.0, 0.0, 1.0, config)
+    return _integrate_family(backend.NEG_LOG_POW, s, 0.0, 0.0, config)
 
 
 def factorial_interp(lam: float) -> float:

@@ -12,11 +12,14 @@ and |I_j - I_{j-1}| serves as the error estimate.  Nodes beyond |t| = 6.1
 carry weights below the double-precision underflow threshold and are never
 visited.
 
-Two evaluation paths share this driver.  Arbitrary callables receive plain
-abscissae and nodes that round onto an endpoint are skipped.  The built-in
-integrand families (see ``backend``) are evaluated from each node's exact
-distance to its nearest endpoint instead, which keeps endpoint singularities
-fully resolved; the gamma and beta modules rely on that path.
+Two evaluation paths share this driver.  Arbitrary callables, through
+``integrate_finite``, are integrated over any finite interval: they receive
+plain abscissae and nodes that round onto an endpoint are skipped.  The
+built-in integrand families (see ``backend``) are defined on (0, 1) alone,
+the interval of every integral the engines compute, and are evaluated from
+each node's exact distance to its nearest endpoint instead, which keeps
+endpoint singularities fully resolved; the gamma and beta modules rely on
+that path.
 """
 
 import contextvars
@@ -25,11 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import backend
-from .errors import (DomainError, NonFiniteIntegrandError, NonIntegrableTailError, finite,
-                     positive)
-
-_PROBE_START = 16.0
-_PROBE_LIMIT = 2.0 ** 20
+from .errors import DomainError, finite, positive
 
 # Family integrals already computed in the current suite run, keyed on every
 # input of ``_integrate_family``.  ``identities.run_suite`` sets a fresh dict
@@ -50,22 +49,17 @@ class QuadratureConfig:
         integral smaller than it, however wrong.
     max_refinements
         Number of step halvings allowed past the coarsest level.
-    truncation_threshold
-        ``integrate_semi_infinite`` cuts its interval at a point T where
-        ``|f(T)|`` has fallen below this value.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-11
     max_refinements: int = 12
-    truncation_threshold: float = 1e-15
 
     def __post_init__(self):
         positive(self.abs_tol, "abs_tol")
         positive(self.rel_tol, "rel_tol")
         if not (isinstance(self.max_refinements, int) and self.max_refinements >= 1):
             raise ValueError("max_refinements must be an integer >= 1")
-        positive(self.truncation_threshold, "truncation_threshold")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -135,57 +129,17 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
     return _refine(a, b, config, backend.GENERIC, 0.0, 0.0, 0.0, f)
 
 
-def integrate_semi_infinite(f: Callable[[float], float], a: float,
-                            config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralEstimate:
-    """Integrate ``f`` over (a, infinity) by truncating where ``f`` has decayed.
-
-    The cut point T is found by doubling from 16 until ``|f(a + T)|`` drops
-    below ``config.truncation_threshold``; a bound for the discarded tail is
-    folded into ``error_estimate``.  Raises NonIntegrableTailError when no
-    such T exists below the probing budget.
-    """
-    a = finite(a, "a")
-    shifted = f if a == 0.0 else (lambda u: f(a + u))
-    span, tail = _truncation_span(shifted, config.truncation_threshold)
-    base = _refine(0.0, span, config, backend.GENERIC, 0.0, 0.0, 0.0, shifted)
-    return _with_tail(base, tail, config)
-
-
-def _truncation_span(value_at, threshold):
-    """Double T from 16 until |value_at(T)| < threshold; return (T, tail bound)."""
-    span = _PROBE_START
-    while span <= _PROBE_LIMIT:
-        v = value_at(span)
-        if math.isnan(v):
-            raise NonFiniteIntegrandError("integrand not finite")
-        if abs(v) < threshold:
-            # Crude but safe for the decay rates seen here: the tail mass of
-            # anything falling at least as fast as exp(-u/T) past T is below
-            # |f(T)| * T.
-            return span, abs(v) * span
-        span *= 2.0
-    raise NonIntegrableTailError("tail not integrable at configured threshold")
-
-
-def _with_tail(base, tail, config):
-    error = base.error_estimate + tail
-    converged = math.isfinite(base.value) and error <= max(
-        config.abs_tol, config.rel_tol * abs(base.value)
-    )
-    return IntegralEstimate(base.value, error, base.evaluations, converged)
-
-
-def _integrate_family(family, p0, p1, p2, a, b, config):
-    """Driver for the built-in integrand families over a finite interval.
+def _integrate_family(family, p0, p1, p2, config):
+    """Driver for the built-in integrand families, over (0, 1).
 
     Inside a suite run an equal call returns the estimate already computed;
     a call that raised is not remembered and raises again when repeated.
     """
     memo = suite_memo.get()
     if memo is None:
-        return _refine(a, b, config, family, p0, p1, p2, None)
-    key = (family, p0, p1, p2, a, b, config)
+        return _refine(0.0, 1.0, config, family, p0, p1, p2, None)
+    key = (family, p0, p1, p2, config)
     estimate = memo.get(key)
     if estimate is None:
-        estimate = memo[key] = _refine(a, b, config, family, p0, p1, p2, None)
+        estimate = memo[key] = _refine(0.0, 1.0, config, family, p0, p1, p2, None)
     return estimate

@@ -25,10 +25,10 @@ from eulergamma import (
     check_sine_product,
     check_symbol_bridge,
     check_symbol_symmetry,
-    derivation_chain_values,
     gamma_integral,
     gamma_reference,
 )
+from eulergamma.identities import derivation_chain_values
 
 GAUSS_X_GRID = (0.1, 0.5, 1.0, 2.5, 7.0, 19.3, 50.0)
 REFLECTION_GRID = sorted({i / 20.0 for i in range(1, 20)} | {1 / 2, 1 / 3, 1 / 4})

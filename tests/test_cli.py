@@ -316,13 +316,51 @@ def _perfbench_tracing():
     return module
 
 
-def test_rows_swap_their_run_as_the_benchmark_tracer_does(monkeypatch):
+def _traced_names():
+    """Every (namespace, name) the benchmark's tracer replaces, with its value."""
+    from eulergamma import backend, beta, quadrature, reporting
+
+    names = [(backend, "level_sum"), (quadrature, "_refine"),
+             (identities, "log_gamma"), (beta, "log_gamma"), (cli, "log_gamma"),
+             (beta, "beta_closed"), (cli, "beta_closed"),
+             (identities, "run_suite"), (cli, "run_suite"),
+             (identities, "build_grid"), (cli, "build_grid"),
+             (reporting, "render_json"), (reporting, "render_csv"),
+             (reporting, "render_table")]
+    values = {(target.__name__, name): getattr(target, name) for target, name in names}
+    values.update({("IDENTITIES", identity_id): spec
+                   for identity_id, spec in identities.IDENTITIES.items()})
+    return values
+
+
+def test_rows_swap_their_run_as_the_benchmark_tracer_does(monkeypatch, tmp_path):
     # The benchmark's tracer replaces each row by dataclasses.replace(spec,
     # run=...) in IDENTITIES itself; run_suite and verify must call the
     # replacement, so they look the row up when they run.
     tracing = _perfbench_tracing()
     assert sorted(identities.IDENTITIES) == sorted(tracing.IDENTITY_IDS)
     assert len(tracing.IDENTITY_IDS) == 12
+    # The benchmark's provenance record reads this name.
+    assert eulergamma.BACKEND == "python"
+
+    # A real tracer around the default suite measures every layer, and
+    # finds the default suite's pinned work.
+    before = _traced_names()
+    tracer = tracing.Tracer().install()
+    try:
+        patched = _traced_names()
+        assert main(["suite", "--format", "json", "--out", str(tmp_path / "r.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert _traced_names() == before
+    assert all(patched[key] is not value for key, value in before.items())
+    assert tracer.unmeasured == set()
+    counts = tracer.counts()
+    assert counts["quadrature.calls"] == 172
+    assert counts["backend.level_calls"] == 811
+    assert counts["backend.nodes"] == 28738
+    assert counts["identities.cases"] == 640  # one check: span per case
+
     calls = []
     for identity_id, spec in list(identities.IDENTITIES.items()):
         def traced(params, tolerance, config, identity_id=identity_id, run=spec.run):

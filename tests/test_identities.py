@@ -27,12 +27,12 @@ from eulergamma import (
     check_symbol_symmetry,
     default_grid,
     default_tolerance,
-    derivation_chain_values,
     euler_symbol,
     log_gamma,
     run_suite,
 )
-from eulergamma import identities, quadrature
+from eulergamma import backend, identities, quadrature
+from eulergamma.identities import derivation_chain_values
 
 HALF_SQRT_PI = 0.8862269254527580
 
@@ -305,6 +305,23 @@ def test_symbol_symmetry_and_bridge_spot():
     assert report.rel_residual <= 1e-7
 
 
+def test_symbol_symmetry_sides_are_distinct_integrals():
+    # With p != q the two sides must be two quadratures: were they one memo
+    # entry read twice, every case would pass without testing anything.
+    cases = [case for case in default_grid()["symbol-symmetry"] if case["p"] != case["q"]]
+    assert cases
+    for case in cases:
+        p, q, n = float(case["p"]), float(case["q"]), float(case["n"])
+        token = quadrature.suite_memo.set({})
+        try:
+            check_symbol_symmetry(p, q, case["n"])
+            keys = set(quadrature.suite_memo.get())
+        finally:
+            quadrature.suite_memo.reset(token)
+        assert keys == {(backend.EULER_SYMBOL, p, q, n, quadrature.DEFAULT_CONFIG),
+                        (backend.EULER_SYMBOL, q, p, n, quadrature.DEFAULT_CONFIG)}
+
+
 def test_derivation_chain_spot():
     for m, n in [(1, 2), (5, 7), (8, 8)]:
         direct, root_form, product_form = derivation_chain_values(m, n)
@@ -574,12 +591,8 @@ def test_fraction_table_is_shared_within_a_run_only(monkeypatch, log_gamma_args)
 
 def test_run_suite_config_echo():
     suite = run_suite({"sine-product": [{"n": 4}]})
-    echo = suite.config_echo
-    assert echo["abs_tol"] == 1e-12
-    assert echo["rel_tol"] == 1e-11
-    assert echo["max_refinements"] == 12
-    assert echo["truncation_threshold"] == 1e-15
-    assert echo["grid"] == {"sine-product": 1}
+    assert suite.config_echo == {"rel_tol": 1e-11, "max_refinements": 12,
+                                 "grid": {"sine-product": 1}}
 
 
 def test_integer_parameters_validated():

@@ -6,6 +6,7 @@ everything downstream asserts against the frozen constant, not against the
 engine under test.
 """
 
+import dataclasses
 import math
 import sys
 import threading
@@ -14,17 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eulergamma
 from eulergamma import (
     BACKEND,
     DEFAULT_CONFIG,
     DomainError,
     NonFiniteIntegrandError,
-    NonIntegrableTailError,
     QuadratureConfig,
     euler_symbol,
     gamma_integral,
     integrate_finite,
-    integrate_semi_infinite,
 )
 from eulergamma import backend as kern
 from eulergamma import quadrature
@@ -33,8 +33,6 @@ from eulergamma.identities import default_grid, run_suite
 # integral_0^1 sqrt(x - x^2) dx, the area under one parabola-like arch.
 # Equals pi/8; confirmed by the midpoint oracle below before being frozen.
 PARABOLA_ARCH = 0.39269908169872414  # == pi/8 in binary64
-
-SQRT_PI = 1.7724538509055159
 
 
 def _midpoint(f, a, b, panels):
@@ -92,31 +90,6 @@ def test_shifted_interval():
     assert abs(est.value - exact) / exact <= 1e-13
 
 
-def test_semi_infinite_exponential():
-    est = integrate_semi_infinite(lambda t: math.exp(-t), 0.0)
-    assert est.converged
-    assert abs(est.value - 1.0) <= 1e-10
-
-
-def test_semi_infinite_t_exponential():
-    est = integrate_semi_infinite(lambda t: t * math.exp(-t), 0.0)
-    assert est.converged
-    assert abs(est.value - 1.0) <= 1e-10
-
-
-def test_semi_infinite_gamma_half():
-    est = integrate_semi_infinite(lambda t: math.exp(-t) * t ** -0.5, 0.0)
-    assert est.converged
-    assert abs(est.value - SQRT_PI) / SQRT_PI <= 1e-10
-
-
-def test_semi_infinite_shifted_lower_bound():
-    # integral_1^inf e^(1-t) dt = 1
-    est = integrate_semi_infinite(lambda t: math.exp(1.0 - t), 1.0)
-    assert est.converged
-    assert abs(est.value - 1.0) <= 1e-10
-
-
 def test_error_estimate_bounds_true_error():
     est = integrate_finite(lambda x: math.sqrt(x - x * x), 0.0, 1.0)
     assert abs(est.value - PARABOLA_ARCH) <= est.error_estimate + 1e-15
@@ -147,11 +120,6 @@ def test_infinite_integrand_raises():
         integrate_finite(lambda x: 1.0 if x < 0.5 else math.inf, 0.0, 1.0)
 
 
-def test_non_decaying_tail_raises():
-    with pytest.raises(NonIntegrableTailError, match="tail not integrable"):
-        integrate_semi_infinite(lambda t: 1.0 / (1.0 + t), 0.0)
-
-
 def test_bounds_validation():
     with pytest.raises(DomainError):
         integrate_finite(lambda x: x, 1.0, 1.0)
@@ -159,8 +127,6 @@ def test_bounds_validation():
         integrate_finite(lambda x: x, 2.0, 1.0)
     with pytest.raises(DomainError):
         integrate_finite(lambda x: x, 0.0, math.inf)
-    with pytest.raises(DomainError):
-        integrate_semi_infinite(lambda t: math.exp(-t), math.nan)
 
 
 def test_config_validation():
@@ -170,8 +136,6 @@ def test_config_validation():
         QuadratureConfig(rel_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_refinements=0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(truncation_threshold=math.inf)
 
 
 def test_evaluation_count_positive_and_reported():
@@ -261,25 +225,25 @@ def _inline_level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
     return total, n
 
 
-# (family, p0, p1, p2, a, b): every built-in family, on (0, 1), the one
-# interval the engines integrate over, and on intervals they do not
+# (family, p0, p1, p2): every built-in family, on (0, 1), the one interval
+# the families are defined on
 FAMILY_CASES = [
-    (kern.NEG_LOG_POW, 0.0, 0.0, 0.0, 0.0, 1.0),
-    (kern.NEG_LOG_POW, 60.25, 0.0, 0.0, 0.0, 1.0),
-    (kern.NEG_LOG_POW, 99.0, 0.0, 0.0, 0.0, 1.0),   # gamma_integral(100)
-    (kern.NEG_LOG_POW, 108.0, 0.0, 0.0, 0.0, 1.0),  # near the overflow at 108.44
-    (kern.NEG_LOG_POW, 2.5, 0.0, 0.0, 0.1, 0.7),
-    (kern.NEG_LOG_POW, 0.5, 0.0, 0.0, 0.0, 1.0),
-    (kern.BETA, 0.5, 0.5, 0.0, 0.0, 1.0),
-    (kern.BETA, 1.5, 1.5, 0.0, 0.0, 1.0),
-    (kern.BETA, 1.5, 2.5, 0.0, 0.1, 0.7),
-    (kern.EULER_SYMBOL, 1.0, 1.0, 2.0, 0.0, 1.0),
-    (kern.EULER_SYMBOL, 3.0, 2.0, 5.0, 0.0, 1.0),
-    (kern.EULER_SYMBOL, 0.7, 5.4, 9.0, 0.0, 1.0),
-    (kern.ALGEBRAIC, 2.0, 3.0, 0.0, 0.0, 1.0),
-    (kern.EULER_SYMBOL, 4.5, 0.8, 5.0, 0.0, 1.0),  # reads the columns of n = 5
-    (kern.EULER_SYMBOL, 2.0, 1.5, 2.5, 0.0, 1.0),
-    (kern.EULER_SYMBOL, 3.0, 2.0, 5.0, 0.1, 0.7),
+    (kern.NEG_LOG_POW, 0.0, 0.0, 0.0),
+    (kern.NEG_LOG_POW, 60.25, 0.0, 0.0),
+    (kern.NEG_LOG_POW, 99.0, 0.0, 0.0),   # gamma_integral(100)
+    (kern.NEG_LOG_POW, 108.0, 0.0, 0.0),  # near the overflow at 108.44
+    (kern.NEG_LOG_POW, 2.5, 0.0, 0.0),
+    (kern.NEG_LOG_POW, 0.5, 0.0, 0.0),
+    (kern.BETA, 0.5, 0.5, 0.0),
+    (kern.BETA, 1.5, 1.5, 0.0),
+    (kern.BETA, 1.5, 2.5, 0.0),  # asymmetric: the two ends differ
+    (kern.EULER_SYMBOL, 1.0, 1.0, 2.0),
+    (kern.EULER_SYMBOL, 3.0, 2.0, 5.0),
+    (kern.EULER_SYMBOL, 0.7, 5.4, 9.0),
+    (kern.ALGEBRAIC, 2.0, 3.0, 0.0),
+    (kern.EULER_SYMBOL, 4.5, 0.8, 5.0),  # reads the columns of n = 5
+    (kern.EULER_SYMBOL, 2.0, 1.5, 2.5),
+    (kern.EULER_SYMBOL, 0.5, 7.0, 3.0),  # q > n: vanishes at x = 1
 ]
 
 
@@ -289,12 +253,12 @@ def _levels(last):
 
 
 def _assert_levels_equal_inline_geometry(case):
-    family, p0, p1, p2, a, b = case
+    family, p0, p1, p2 = case
     for h, odd_only in _levels(8):
         # twice: the first call may build the tables, the second reads them
         for _ in range(2):
-            got = kern.level_sum(a, b, h, odd_only, family, p0, p1, p2, None)
-            want = _inline_level_sum(a, b, h, odd_only, family, p0, p1, p2, None)
+            got = kern.level_sum(0.0, 1.0, h, odd_only, family, p0, p1, p2, None)
+            want = _inline_level_sum(0.0, 1.0, h, odd_only, family, p0, p1, p2, None)
             assert got[0] == want[0] and got[1] == want[1], (family, h)
 
 
@@ -325,7 +289,7 @@ def test_levels_finer_than_table_limit_are_streamed_not_stored():
         args = (0.0, 1.0, h, False, family, p0, 1.5, 3.0, None)
         kern.level_sum(0.0, 1.0, 0.5, True, family, p0, 1.5, 3.0, None)
         assert (0.5, True) in kern._node_tables
-        assert (0.5, True, 0.0, 1.0) in kern._row_tables
+        assert (0.5, True) in kern._row_tables
         tables = (kern._node_tables, kern._row_tables, kern._symbol_tables)
         stored = [set(table) for table in tables]
         got = kern.level_sum(*args)
@@ -335,17 +299,28 @@ def test_levels_finer_than_table_limit_are_streamed_not_stored():
 
 
 def test_tables_hold_only_the_documented_intervals(monkeypatch):
-    # The engines integrate every family over (0, 1) alone; the memory bound
-    # in the module docstring counts on that.
+    # The families are defined on (0, 1) alone, so a row table is keyed on
+    # its level and nothing else; the memory bound in the module docstring
+    # counts on that.
     monkeypatch.setattr(kern, "_row_tables", {})
     run_suite(default_grid())
     for i in range(60):
         gamma_integral(0.01 * 15000.0 ** (i / 59))
     keys = set(kern._row_tables)
-    assert (1.0, False, 0.0, 1.0) in keys
-    for h, _, a, b in keys:
+    assert (1.0, False) in keys
+    for h, odd_only in keys:
         assert h >= kern.TABLE_MIN_H
-        assert (a, b) == (0.0, 1.0)
+        assert odd_only == (h < 1.0)
+
+
+def test_families_off_the_unit_interval_raise():
+    # The rows read log(dist) as log x and log1p(-dist) as log(1 - x), which
+    # holds on (0, 1) alone.
+    with pytest.raises(ValueError, match=r"defined on \(0, 1\) only"):
+        kern.level_sum(0.1, 0.7, 0.5, True, kern.BETA, 1.5, 2.5, 0.0, None)
+    # Integer bounds are the same interval.
+    assert kern.level_sum(0, 1, 0.5, True, kern.BETA, 1.5, 2.5, 0.0, None) == \
+        kern.level_sum(0.0, 1.0, 0.5, True, kern.BETA, 1.5, 2.5, 0.0, None)
 
 
 def test_family_overflow_raises_non_finite():
@@ -359,6 +334,26 @@ def test_active_backend_is_reported():
     assert BACKEND == "python"
 
 
+def test_public_surface_is_pinned():
+    # Adding or removing a public name is an edit here, in plain sight.
+    assert eulergamma.__all__ == [
+        "BACKEND", "DEFAULT_CONFIG", "DomainError", "IDENTITIES", "IdentityReport",
+        "IntegralEstimate", "NonFiniteIntegrandError", "QuadratureConfig", "SuiteReport",
+        "beta_closed", "beta_integral",
+        "check_algebraic_interpolation", "check_duplication", "check_factorial_root",
+        "check_gamma_fraction_product", "check_gamma_square_product",
+        "check_gauss_multiplication", "check_log_integral_product", "check_reflection",
+        "check_sine_multiple_angle", "check_sine_product", "check_symbol_bridge",
+        "check_symbol_symmetry",
+        "default_grid", "default_tolerance", "euler_symbol", "euler_symbol_closed",
+        "factorial_interp", "gamma_integral", "gamma_log_integral", "gamma_reference",
+        "integrate_finite", "log_gamma", "run_suite", "__version__",
+    ]
+    assert all(hasattr(eulergamma, name) for name in eulergamma.__all__)
+    assert [field.name for field in dataclasses.fields(QuadratureConfig)] == [
+        "abs_tol", "rel_tol", "max_refinements"]
+
+
 def test_family_value_rejects_generic_tag():
     # A generic callable has no built-in value; only ``level_sum`` calls it.
     with pytest.raises(ValueError, match="unknown integrand family 0"):
@@ -369,7 +364,7 @@ def test_node_tables_built_by_racing_threads_give_identical_sums(monkeypatch):
     monkeypatch.setattr(kern, "_node_tables", {})
     monkeypatch.setattr(kern, "_row_tables", {})
     monkeypatch.setattr(kern, "_symbol_tables", {})
-    monkeypatch.setattr(kern, "_symbol_exponents", {})
+    monkeypatch.setattr(kern, "_symbol_exponents", set())
     family, p0, p1, p2, a, b = (kern.EULER_SYMBOL, 3.0, 2.0, 5.0, 0.0, 1.0)
     want = [_inline_level_sum(a, b, h, odd, family, p0, p1, p2, None)
             for h, odd in _levels(8)]
@@ -395,35 +390,35 @@ def test_node_tables_built_by_racing_threads_give_identical_sums(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert results == [want] * len(threads)
-    assert kern._symbol_exponents == {(a, b): {p2}}
+    assert kern._symbol_exponents == {p2}
     assert {key[:2] for key in kern._symbol_tables} == set(_levels(8))
 
 
 def test_exponent_columns_stay_within_their_cap(monkeypatch):
     monkeypatch.setattr(kern, "_symbol_tables", {})
-    monkeypatch.setattr(kern, "_symbol_exponents", {})
+    monkeypatch.setattr(kern, "_symbol_exponents", set())
     cap = kern.TABLE_MAX_EXPONENTS
     # S(n, n; n) integrates x^(n-1): a few levels for every n.
     estimates = {n: euler_symbol(float(n), float(n), n) for n in range(1, 201)}
     stored = set(range(1, cap + 1))
-    assert kern._symbol_exponents == {(0.0, 1.0): stored}
+    assert kern._symbol_exponents == stored
     assert {p2 for *_, p2 in kern._symbol_tables} == stored
     for n in (1, cap, cap + 1, 200):
         assert estimates[n].converged
         assert abs(estimates[n].value - 1.0 / n) <= 1e-12 / n
     # An exponent past the cap streams its columns, to the same floats.
-    monkeypatch.setattr(kern, "_symbol_exponents", {})
+    monkeypatch.setattr(kern, "_symbol_exponents", set())
     assert euler_symbol(200.0, 200.0, 200) == estimates[200]
-    assert 200.0 in kern._symbol_exponents[0.0, 1.0]
+    assert 200.0 in kern._symbol_exponents
 
 
 def test_non_finite_node_raises_once_the_level_total_is_not_finite(monkeypatch):
     with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
         kern.level_sum(0.0, 1.0, 0.5, True, kern.BETA, math.nan, 1.5, 0.0, None)
     # A NaN row makes the total NaN; the rescan then decides by family_value.
-    rows = list(kern._rows(0.5, True, 0.0, 1.0))
+    rows = list(kern._rows(0.5, True))
     rows[1] = (rows[1][0], math.nan, rows[1][2])
-    monkeypatch.setattr(kern, "_row_tables", {(0.5, True, 0.0, 1.0): tuple(rows)})
+    monkeypatch.setattr(kern, "_row_tables", {(0.5, True): tuple(rows)})
     args = (0.0, 1.0, 0.5, True, kern.BETA, 1.5, 2.5, 0.0, None)
     assert math.isnan(kern.level_sum(*args)[0])
     monkeypatch.setattr(kern, "family_value", lambda *args: math.nan)
