@@ -17,11 +17,16 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import replace
 
 from .beta import beta_closed, beta_integral, euler_symbol, euler_symbol_closed
 from .errors import DomainError, NonFiniteIntegrandError, nonnegative, positive
-from .gamma import gamma_integral, gamma_log_integral, gamma_reference, log_gamma
+from .gamma import (
+    gamma_integral,
+    gamma_log_integral,
+    gamma_reference,
+    log_gamma,
+    log_gamma_integral,
+)
 from .identities import IDENTITIES, MAX_N, MODES, build_grid, run_suite
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .reporting import params_string, render_report, render_suite
@@ -34,18 +39,12 @@ EXIT_IO = 3
 _NOT_FINITE = "result not finite in double precision"
 
 
-def _lgamma_integral(x, config):
-    # no direct log-space quadrature; integrate, then take the log
-    estimate = gamma_integral(x, config)
-    return replace(estimate, value=math.log(estimate.value))
-
-
 # One row per eval function: its arity, its reference route (called with the
 # values) and its integral route (called with the values and the quadrature
 # config, returning an IntegralEstimate).
 _EVAL = {
     "gamma": (1, gamma_reference, gamma_integral),
-    "lgamma": (1, log_gamma, _lgamma_integral),
+    "lgamma": (1, log_gamma, log_gamma_integral),
     "beta": (2, beta_closed, beta_integral),
     "symbol": (3, euler_symbol_closed, euler_symbol),
     "loggamma_integral": (1, lambda s: gamma_reference(nonnegative(s, "s") + 1.0),

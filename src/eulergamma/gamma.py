@@ -23,7 +23,9 @@ The integral engines evaluate gamma through Euler's integral
 
 with tanh-sinh quadrature and report an IntegralEstimate rather than a bare
 float.  ``gamma_integral`` is ``gamma_log_integral`` at s = x - 1, lifted by
-the recurrence into x in [1, 100], where the integrand stays finite.
+the recurrence into x in [1, 100], where the integrand stays finite;
+``log_gamma_integral`` takes the same integral and adds the logs of the
+recurrence's factors, so it stays finite wherever log gamma does.
 """
 
 import math
@@ -42,6 +44,12 @@ _LANCZOS_G = 7.0
 
 _SQRT_2PI = math.sqrt(math.tau)
 _LN_SQRT_2PI = 0.5 * math.log(math.tau)
+
+# Largest argument the log-space integral engine lifts by the recurrence,
+# one log term per unit of x; ``identities`` caps its n and q at the same
+# value.  The cap turns a mistyped x such as 1e300 into a DomainError
+# instead of a loop that never ends.
+MAX_N = 100_000
 
 # Above this, t**(x - 0.5) overflows on its own even though gamma(x) is still
 # finite; switch to the exp-combined form there.
@@ -121,28 +129,66 @@ def log_gamma_terms(xs) -> list:
     return terms
 
 
+def _recurrence(x):
+    """Lift x > 0 into [1, 100], where Euler's integral is taken.
+
+    Returns (y, divisor, factors) with gamma(x) = gamma(y) * product of
+    ``factors`` / divisor.  Below 1, gamma(x) = gamma(x + 1) / x; above 100,
+    gamma(x) = (x - 1) gamma(x - 1), applied until x <= 100, since
+    (-log u)^(x-1) overflows at the outermost nodes from about x = 109.44.
+    ``factors`` yields x - 1, x - 2, ..., y lazily, in the order the
+    recurrence applies them; below MAX_N each subtraction is exact.
+    DomainError past MAX_N.
+    """
+    if x > MAX_N:
+        raise DomainError(f"x must be <= {MAX_N}")
+    if x < 1.0:
+        return x + 1.0, x, ()
+    steps = max(0, math.ceil(x - 100.0))
+    return x - steps, 1.0, (x - k for k in range(1, steps + 1))
+
+
 def gamma_integral(x: float,
                    config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralEstimate:
     """Gamma(x) as Euler's integral of (-log u)^(x-1) over (0, 1).
 
-    The integral is taken for x in [1, 100] only.  Below, gamma(x) =
-    gamma(x + 1) / x; above, gamma(x) = (x - 1) gamma(x - 1), applied until
-    x <= 100, since (-log u)^(x-1) overflows at the outermost nodes from
-    about x = 109.44.  Past the double-precision range (x above about 171.62,
-    or x below about 5.6e-309) the estimate is inf with error inf, not
-    converged, and no node is evaluated once the factor itself is infinite.
+    The integral is taken for x in [1, 100] only, and the recurrence lifts
+    it to x (``_recurrence``).  Past the double-precision range (x above
+    about 171.62, or x below about 5.6e-309) the estimate is inf with error
+    inf, not converged, and no node is evaluated once the factor itself is
+    infinite.
     """
     x = positive(x, "x")
-    factor = 1.0
-    if x < 1.0:
-        factor = 1.0 / x
-        x += 1.0
-    while x > 100.0 and math.isfinite(factor):
-        x -= 1.0
-        factor *= x
+    if x > MAX_N:
+        # far past the double range, and past what _recurrence lifts
+        return IntegralEstimate(math.inf, math.inf, 0, False)
+    y, divisor, factors = _recurrence(x)
+    factor = 1.0 / divisor
+    for f in factors:
+        if not math.isfinite(factor):
+            break
+        factor *= f
     if not math.isfinite(factor):
         return IntegralEstimate(math.inf, math.inf, 0, False)
-    return _scaled(gamma_log_integral(x - 1.0, config), factor, config)
+    return _scaled(gamma_log_integral(y - 1.0, config), factor, config)
+
+
+def log_gamma_integral(x: float,
+                       config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralEstimate:
+    """log(Gamma(x)) as the log of Euler's integral at the lifted argument
+    plus the ``math.fsum`` of the logs of the recurrence's factors.
+
+    Finite wherever log Gamma(x) is, for x up to MAX_N (DomainError past
+    it).  The error estimate is the integral's relative error, which is the
+    absolute error of its log.
+    """
+    x = positive(x, "x")
+    y, divisor, factors = _recurrence(x)
+    estimate = gamma_log_integral(y - 1.0, config)
+    terms = [math.log(estimate.value), -math.log(divisor)]
+    terms += map(math.log, factors)
+    return IntegralEstimate(math.fsum(terms), estimate.error_estimate / estimate.value,
+                            estimate.evaluations, estimate.converged)
 
 
 def gamma_log_integral(s: float,

@@ -27,11 +27,13 @@ Conventions shared by all checks:
   and ``derivation_chain_values``, are evaluated in batches by
   ``gamma.log_gamma_terms``: the arguments are positive by construction, so
   the per-call check is skipped, and each term is the float ``log_gamma``
-  gives.  The table log gamma(i/n), i = 1..n-1, depends on n alone; inside
-  one ``run_suite`` it is computed once per n and shared by every check that
-  needs it, and it is never kept past the run or between calls outside one.
-  A run keeps 8 bytes per term of each distinct n it meets, at most 80 MB
-  under the grid caps below (n summed over the cases <= MAX_GRID_N).
+  gives.  The table log gamma(i/n), i = 1..n-1, depends on n alone.  For
+  n <= FRACTION_TABLE_MAX_N (1024) it is computed once per process and
+  shared by every check that needs it, in or outside a run: 8 bytes per
+  term, at most 4.2 MB.  A larger n's table is computed once per
+  ``run_suite`` and kept until the run ends, at most 80 MB per run under the
+  grid caps below (n summed over the cases <= MAX_GRID_N); outside a run it
+  is computed afresh.
 * n-th roots are computed as exp(log/n); every radicand on the supported
   domain is a product of positive reals, so there is no branch to pick.
 * rel_residual = |lhs - rhs| / max(|lhs|, |rhs|, 1e-300) and abs_residual =
@@ -64,6 +66,7 @@ from typing import Callable, Mapping
 from .beta import euler_symbol, euler_symbol_closed
 from .errors import DomainError, finite, integer, positive
 from .gamma import (
+    MAX_N,
     factorial_interp,
     gamma_reference,
     gamma_log_integral,
@@ -81,12 +84,11 @@ _LN_2PI = math.log(math.tau)
 # magnitude of the log terms of both sides.
 _LOG_ROUNDING = 8.0 * sys.float_info.epsilon
 
-# Largest n the product checks accept, and largest q of
-# algebraic-interpolation.  Their work grows linearly in n (or q); the cap
-# turns a mistyped n such as 1e30 into a DomainError instead of a loop that
-# never ends, and sits far above any grid in use (the widest benchmark grid
-# stops at n = 120).
-MAX_N = 100_000
+# ``MAX_N`` (from ``gamma``) is the largest n the product checks accept, and
+# largest q of algebraic-interpolation.  Their work grows linearly in n (or
+# q); the cap turns a mistyped n such as 1e30 into a DomainError instead of a
+# loop that never ends, and sits far above any grid in use (the widest
+# benchmark grid stops at n = 120).
 
 # Bounds on a whole grid, checked before it is expanded.  Most checks do
 # work in proportion to one axis, the row's ``work_axis`` (n for the product
@@ -202,21 +204,35 @@ def _log_report(identity_id, params, lhs_terms, rhs_terms, tolerance, aux_ok=Tru
                    log_scale=sum(map(abs, lhs_terms)) + sum(map(abs, rhs_terms)))
 
 
+# Tables of log gamma(i/n) with n <= FRACTION_TABLE_MAX_N, kept for the
+# life of the process: 8 bytes per term, 4.2 MB if every such n is met.  A
+# fixed bound on n rather than an eviction rule: run_suite visits
+# factorial-root cases by m, then n, so a wide sweep meets each n once per m,
+# and an evicted table would be rebuilt for every m.
+FRACTION_TABLE_MAX_N = 1024
+_fraction_tables = {}
+
+
 def _log_gamma_fractions(n):
     """log gamma(1/n), log gamma(2/n), ..., log gamma((n-1)/n), as an
     ``array('d')`` (8 bytes per term; callers only read it).
 
-    The table depends on n alone.  Inside a suite run it is computed once per
-    n and kept in the run's ``suite_memo`` dict, under a 2-tuple key that no
-    7-tuple quadrature key can equal; outside a run it is computed afresh.
+    The table depends on n alone.  For n <= FRACTION_TABLE_MAX_N it is
+    computed once per process and kept in ``_fraction_tables``.  A larger n's
+    table is computed once per suite run and kept in the run's
+    ``suite_memo`` dict, under a 2-tuple key that no 7-tuple quadrature key
+    can equal; outside a run it is computed afresh.  A table is stored only
+    once complete, so two threads racing to build one get equal tables.
     """
-    memo = suite_memo.get()
-    if memo is None:
-        memo = {}
-    key = ("log_gamma_fractions", n)
-    table = memo.get(key)
+    if n <= FRACTION_TABLE_MAX_N:
+        store, key = _fraction_tables, n
+    else:
+        store, key = suite_memo.get(), ("log_gamma_fractions", n)
+        if store is None:
+            store = {}
+    table = store.get(key)
     if table is None:
-        table = memo[key] = array("d", log_gamma_terms(i / n for i in range(1, n)))
+        table = store[key] = array("d", log_gamma_terms(i / n for i in range(1, n)))
     return table
 
 
@@ -628,9 +644,11 @@ def run_suite(grid: dict | None = None,
     Within one run, equal family integrals (the same integrand, parameters
     and config) are computed once and shared by every check that
     needs them, so S(p, q; n) serves both symbol-symmetry and symbol-bridge.
-    The same memo holds each n's table of log gamma(i/n), shared by the
-    closed-form product and factorial-root checks with that n.  Nothing is
-    kept between runs, and calls outside a run are never shared.
+    Nothing in that memo is kept between runs, and calls outside a run never
+    share an integral.  Each n's table of log gamma(i/n), read by the
+    closed-form product and factorial-root checks with that n, is kept for
+    the process when n <= FRACTION_TABLE_MAX_N (at most 4.2 MB), and in the
+    run's memo otherwise.
     """
     if grid is None:
         grid = default_grid()

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from eulergamma import (
     log_gamma,
 )
 from eulergamma.cli import main
+from eulergamma.gamma import log_gamma_integral
 from eulergamma.identities import run_suite
 from eulergamma.reporting import render_json, render_report
 
@@ -66,6 +68,22 @@ def test_eval_lgamma_both_engines():
     assert abs(float(ref.stdout) - float(quad.stdout)) <= 1e-9
 
 
+def test_eval_lgamma_integral_past_the_gamma_ceiling():
+    # log gamma(200) is finite though gamma(200) is not
+    ref = run_cli("eval", "lgamma", "200")
+    quad = run_cli("eval", "lgamma", "200", "--engine", "integral")
+    assert ref.returncode == 0 and ref.stdout == "857.933669825857\n"
+    assert quad.returncode == 0 and quad.stderr == ""
+    assert abs(float(quad.stdout) - 857.933669825857) <= 1e-13 * 857.933669825857
+
+
+def test_eval_lgamma_integral_past_max_n_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["eval", "lgamma", "1e300", "--engine", "integral"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", "error: x must be <= 100000\n")
+
+
 def test_eval_loggamma_integral():
     result = run_cli("eval", "loggamma_integral", "0.5", "--engine", "integral")
     assert result.returncode == 0
@@ -84,7 +102,7 @@ EVAL_CALLS = [
     ("gamma", "reference", ["2.5"], lambda: gamma_reference(2.5)),
     ("gamma", "integral", ["2.5"], lambda: gamma_integral(2.5).value),
     ("lgamma", "reference", ["7.7"], lambda: log_gamma(7.7)),
-    ("lgamma", "integral", ["7.7"], lambda: math.log(gamma_integral(7.7).value)),
+    ("lgamma", "integral", ["7.7"], lambda: log_gamma_integral(7.7).value),
     ("beta", "reference", ["0.5", "1.5"], lambda: beta_closed(0.5, 1.5)),
     ("beta", "integral", ["0.5", "1.5"], lambda: beta_integral(0.5, 1.5).value),
     ("symbol", "reference", ["1", "2", "3"], lambda: euler_symbol_closed(1.0, 2.0, 3.0)),
@@ -374,6 +392,29 @@ def test_rows_swap_their_run_as_the_benchmark_tracer_does(monkeypatch, tmp_path)
     calls.clear()
     assert main(["verify", "factorial-root", "--m", "2", "--n", "3"]) == 0
     assert calls == ["factorial-root"]
+
+
+def _traced_closed_form_wide_pass(tmp_path, name):
+    """One traced pass of the benchmark's closed-form-wide workload, seed 7,
+    in a child process, as ``run.py --trace 1`` makes it."""
+    passchild = Path(__file__).resolve().parents[1] / "benchmarks" / "perfbench" / "passchild.py"
+    out = tmp_path / f"{name}.json"
+    result = subprocess.run(
+        [sys.executable, str(passchild), "trace", "closed-form-wide", "7", str(tmp_path), str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_traced_closed_form_wide_pass_runs_clean(tmp_path):
+    first = _traced_closed_form_wide_pass(tmp_path, "first")
+    second = _traced_closed_form_wide_pass(tmp_path, "second")
+    for record in (first, second):
+        assert record["units"] == 6
+        assert record["failed"] == 0
+        assert record["unmeasured"] == []
+    assert first["counts"] == second["counts"]
+    assert first["counts"]["quadrature.calls"] == 0
 
 
 @pytest.mark.parametrize("identity_id", sorted(identities.IDENTITIES))

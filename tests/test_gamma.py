@@ -24,6 +24,7 @@ from eulergamma import (
 )
 from eulergamma import gamma as gamma_module
 from eulergamma import quadrature
+from eulergamma.gamma import MAX_N, log_gamma_integral
 
 mpmath.mp.dps = 50
 
@@ -344,3 +345,38 @@ def test_gamma_integral_is_the_log_integral_one_below(refine_calls):
     finally:
         quadrature.suite_memo.reset(token)
     assert len(refine_calls) == 3
+
+
+def test_log_gamma_integral_sweep_against_mpmath():
+    # In log space the integral engine stays finite wherever log gamma is,
+    # up to MAX_N: within 1e-14 relative, absolute near the zeros at 1 and 2.
+    rng = random.Random(4242)
+    xs = [math.exp(rng.uniform(math.log(1e-300), math.log(MAX_N))) for _ in range(200)]
+    xs += [1e-310, 0.5, 1.0, 2.0, 100.0, 100.5, 171.7, 200.0, 1000.0, float(MAX_N)]
+    with mpmath.workdps(30):
+        for x in xs:
+            estimate = log_gamma_integral(x)
+            exact = mpmath.loggamma(mpmath.mpf(x))
+            assert estimate.converged, x
+            assert abs(mpmath.mpf(estimate.value) - exact) <= 1e-14 * max(1.0, abs(exact)), x
+
+
+def test_log_gamma_integral_reports_the_relative_error_of_its_integral():
+    # The error of log I is the relative error of I; the recurrence's
+    # factors add no error estimate of their own.
+    for x, s in ((0.25, 0.25), (7.7, 6.7), (200.0, 99.0)):
+        inner = gamma_log_integral(s)
+        estimate = log_gamma_integral(x)
+        assert estimate.error_estimate == inner.error_estimate / inner.value
+        assert estimate.evaluations == inner.evaluations
+        assert estimate.converged == inner.converged
+    assert log_gamma_integral(7.7).value == math.log(gamma_integral(7.7).value)
+
+
+@pytest.mark.parametrize("x", [math.nextafter(float(MAX_N), math.inf), 1e300])
+def test_log_gamma_integral_past_max_n_is_a_domain_error(x, refine_calls):
+    with pytest.raises(DomainError, match="x must be <= 100000"):
+        log_gamma_integral(x)
+    assert refine_calls == []
+    # the Gamma engine has overflowed long before; it still reads inf
+    assert gamma_integral(x) == IntegralEstimate(math.inf, math.inf, 0, False)

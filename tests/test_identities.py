@@ -3,8 +3,11 @@
 import dataclasses
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from array import array
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -32,6 +35,7 @@ from eulergamma import (
     run_suite,
 )
 from eulergamma import backend, identities, quadrature
+from eulergamma.gamma import log_gamma_terms
 from eulergamma.identities import derivation_chain_values
 
 HALF_SQRT_PI = 0.8862269254527580
@@ -474,11 +478,16 @@ def test_default_suite_evaluates_each_fraction_table_once(log_gamma_args):
     run_suite()
     # 3,155 when every check evaluated its own log gamma(i/n) table
     assert len(log_gamma_args) == 2491
+    # A second run reads the tables the first one stored: 1,225 fewer, the
+    # 1 + 2 + ... + 49 terms of n = 2..50.
+    log_gamma_args.clear()
+    run_suite()
+    assert len(log_gamma_args) == 1266
 
 
-def test_distinct_n_sweep_keeps_8_bytes_per_table_term():
-    # No table is reused here, yet each is kept until the run ends: the peak
-    # is its 8 bytes per term plus about 100 kB of reports (a tuple of float
+def test_distinct_n_sweep_keeps_8_bytes_per_table_term(fraction_tables):
+    # No table is reused here, yet each is kept for the process: the peak is
+    # its 8 bytes per term plus about 100 kB of reports (a tuple of float
     # objects would take 32 bytes per term).
     grid = {"gamma-fraction-product": [{"n": n} for n in range(2, 202)]}
     terms = sum(n - 1 for n in range(2, 202))
@@ -504,9 +513,19 @@ def test_suite_reports_equal_checks_run_outside_a_suite():
 
 
 @pytest.fixture
-def log_gamma_args(monkeypatch):
+def fraction_tables(monkeypatch):
+    """The process's store of log gamma(i/n) tables, empty for the test, so
+    what it counts does not depend on the tests run before it."""
+    tables = {}
+    monkeypatch.setattr(identities, "_fraction_tables", tables)
+    return tables
+
+
+@pytest.fixture
+def log_gamma_args(monkeypatch, fraction_tables):
     """Every argument log gamma is evaluated at through ``identities``, by the
-    scalar ``log_gamma`` or the batch ``log_gamma_terms``, in call order."""
+    scalar ``log_gamma`` or the batch ``log_gamma_terms``, in call order,
+    starting from an empty store of fraction tables."""
     args = []
     batch = identities.log_gamma_terms
 
@@ -521,19 +540,22 @@ def log_gamma_args(monkeypatch):
 
 
 def _fraction_counts(args, n):
-    return [args.count(i / n) for i in range(1, n)]
+    counts = Counter(args)
+    return [counts[i / n] for i in range(1, n)]
 
 
-def _assert_not_memoized(refine_calls, log_gamma_args):
+def _assert_memo_ended(refine_calls, log_gamma_args):
+    # Integrals are no longer shared once the run is over ...
     assert quadrature.suite_memo.get() is None
     before = len(refine_calls)
     euler_symbol(1.0, 2.0, 3)
     euler_symbol(1.0, 2.0, 3)
     assert len(refine_calls) == before + 2
-    before = _fraction_counts(log_gamma_args, 5)
+    # ... while the run's n = 5 table, built once, stays for the process.
+    assert _fraction_counts(log_gamma_args, 5) == [1] * 4
     check_gamma_fraction_product(5)
     check_gamma_fraction_product(5)
-    assert _fraction_counts(log_gamma_args, 5) == [count + 2 for count in before]
+    assert _fraction_counts(log_gamma_args, 5) == [1] * 4
 
 
 _MEMO_GRID = {"symbol-bridge": [{"p": 1.0, "q": 2.0, "n": 3}],
@@ -542,14 +564,14 @@ _MEMO_GRID = {"symbol-bridge": [{"p": 1.0, "q": 2.0, "n": 3}],
 
 def test_memo_ends_with_the_suite_run(refine_calls, log_gamma_args):
     run_suite(_MEMO_GRID)
-    _assert_not_memoized(refine_calls, log_gamma_args)
+    _assert_memo_ended(refine_calls, log_gamma_args)
 
 
 def test_memo_ends_when_a_check_raises(refine_calls, log_gamma_args):
     grid = {**_MEMO_GRID, "reflection": [{"x": 1.5}]}
     suite = run_suite(grid)
     assert suite.n_fail == 1
-    _assert_not_memoized(refine_calls, log_gamma_args)
+    _assert_memo_ended(refine_calls, log_gamma_args)
 
 
 def test_memo_ends_when_the_suite_raises(refine_calls, log_gamma_args):
@@ -557,10 +579,11 @@ def test_memo_ends_when_the_suite_raises(refine_calls, log_gamma_args):
     grid = {**_MEMO_GRID, "zzz": [{"n": 2}]}
     with pytest.raises(DomainError, match="unknown identity"):
         run_suite(grid)
-    _assert_not_memoized(refine_calls, log_gamma_args)
+    _assert_memo_ended(refine_calls, log_gamma_args)
 
 
-def test_fraction_table_is_shared_within_a_run_only(monkeypatch, log_gamma_args):
+def test_fraction_table_is_kept_for_the_process(monkeypatch, fraction_tables,
+                                                log_gamma_args):
     memos = []
     table = identities._log_gamma_fractions
 
@@ -577,16 +600,96 @@ def test_fraction_table_is_shared_within_a_run_only(monkeypatch, log_gamma_args)
     suite = run_suite(grid)
     assert suite.n_fail == 0
     assert _fraction_counts(log_gamma_args, 9) == [1] * 8
-    # the run's memo holds the one table, as an array of doubles
-    assert memos[0] is memos[-1]
-    (stored,) = memos[0].values()
+    # the process's store holds the one table, as an array of doubles, and
+    # the run's memo holds nothing
+    assert len(memos) == 3 and memos[0] is memos[-1] and memos[0] == {}
+    assert list(fraction_tables) == [9]
+    stored = fraction_tables[9]
     assert isinstance(stored, array) and stored.typecode == "d"
     assert list(stored) == [log_gamma(i / 9) for i in range(1, 9)]
-    log_gamma_args.clear()
+    # a second run and calls outside a run read it
+    assert run_suite(grid) == suite
     for case in grid["factorial-root"]:
         check_factorial_root(case["m"], case["n"])
     check_gamma_fraction_product(9)
-    assert _fraction_counts(log_gamma_args, 9) == [3] * 8
+    assert _fraction_counts(log_gamma_args, 9) == [1] * 8
+    assert list(fraction_tables) == [9] and fraction_tables[9] is stored
+
+
+def test_fraction_table_past_the_cap_lasts_one_run(fraction_tables, log_gamma_args):
+    n = identities.FRACTION_TABLE_MAX_N + 1
+    grid = {
+        "factorial-root": [{"m": 0.5, "n": n, "mode": "closed"},
+                           {"m": 7.3, "n": n, "mode": "closed"}],
+        "gamma-fraction-product": [{"n": n}],
+        "gamma-square-product": [{"n": n}],
+    }
+    # built once per run for its four checks, and never kept after it
+    assert run_suite(grid).n_fail == 0
+    assert _fraction_counts(log_gamma_args, n) == [1] * (n - 1)
+    assert fraction_tables == {} and quadrature.suite_memo.get() is None
+    run_suite(grid)
+    assert _fraction_counts(log_gamma_args, n) == [2] * (n - 1)
+    # outside a run, built afresh by every call
+    check_gamma_fraction_product(n)
+    check_gamma_fraction_product(n)
+    assert _fraction_counts(log_gamma_args, n) == [4] * (n - 1)
+    assert fraction_tables == {}
+
+
+def _fresh_fraction_table(n):
+    return array("d", log_gamma_terms(i / n for i in range(1, n)))
+
+
+def _closed_form_wide_grid():
+    """The shape of the benchmark's closed-form-wide grid: its six
+    identities, n = 2..120 and ten seeded log-uniform x and m."""
+    rng = random.Random(121)
+    return identities.build_grid(
+        ["duplication", "factorial-root", "gamma-fraction-product",
+         "gamma-square-product", "gauss-multiplication", "sine-product"],
+        {"n": list(range(2, 121)),
+         "x": [math.exp(rng.uniform(math.log(0.01), math.log(100.0))) for _ in range(10)],
+         "m": [math.exp(rng.uniform(math.log(0.05), math.log(50.0))) for _ in range(10)],
+         "mode": ["closed"]})
+
+
+def test_stored_fraction_tables_stay_intact():
+    # Callers only read the shared tables: after the default suite and a
+    # closed-form-wide grid, every stored table (these and any an earlier
+    # test left) is still the fresh evaluation, bit for bit.
+    assert run_suite().n_fail == 0
+    assert run_suite(_closed_form_wide_grid()).n_fail == 0
+    assert set(range(2, 121)) <= set(identities._fraction_tables)
+    for n, table in identities._fraction_tables.items():
+        assert table.tobytes() == _fresh_fraction_table(n).tobytes(), n
+
+
+def test_fraction_tables_built_by_racing_threads_are_identical(fraction_tables):
+    ns = range(2, 200)
+    want = {n: _fresh_fraction_table(n).tobytes() for n in ns}
+    results, errors = [], []
+
+    def work():
+        try:
+            results.append({n: identities._log_gamma_fractions(n).tobytes() for n in ns})
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert results == [want] * len(threads)
+    assert {n: table.tobytes() for n, table in fraction_tables.items()} == want
 
 
 def test_run_suite_config_echo():
@@ -622,6 +725,11 @@ def test_closed_factorial_root_computes_log_gamma_m_over_n_once(log_gamma_args, 
     check_factorial_root(7.3, n)
     # log gamma(m), log gamma(m/n) once, then gamma(i/n) and gamma((i+m)/n)
     assert len(log_gamma_args) == 2 * (n - 1) + 2
+    assert log_gamma_args.count(7.3 / n) == (2 if n == 1 else 1)
+    # a second check reads the stored gamma(i/n) table
+    log_gamma_args.clear()
+    check_factorial_root(7.3, n)
+    assert len(log_gamma_args) == (n - 1) + 2
     assert log_gamma_args.count(7.3 / n) == (2 if n == 1 else 1)
 
 
