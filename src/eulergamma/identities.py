@@ -304,6 +304,36 @@ def check_sine_product(n: int, tolerance: float | None = None) -> IdentityReport
     return _log_report("sine-product", {"n": n}, lhs_terms, rhs_terms, tolerance)
 
 
+# pi as the unevaluated sum _PI_HI + _PI_LO, good to about 2^-107.
+_PI_HI = math.pi
+_PI_LO = 1.2246467991473532e-16
+_VELTKAMP = 134217729.0  # 2^27 + 1
+
+
+def _split(a):
+    """Veltkamp's split: a = hi + lo exactly, each half with at most 26
+    significant bits.  Past about 1e299 the split overflows to nan."""
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's TwoProduct);
+    e is taken as 0 where the split overflows."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p, e if math.isfinite(e) else 0.0
+
+
+def _sin_dd(hi, lo):
+    """sin(hi + lo) for |lo| <= ulp(hi): libm reduces hi exactly, and lo
+    enters to first order."""
+    return math.sin(hi) + lo * math.cos(hi)
+
+
 def check_sine_multiple_angle(n: int, phi: float,
                               tolerance: float | None = None) -> IdentityReport:
     """sin(n phi) = 2^(n-1) * product over k in 0..n-1 of sin(phi + k pi/n).
@@ -312,11 +342,30 @@ def check_sine_multiple_angle(n: int, phi: float,
     seen in older statements is the same thing because
     sin((n-k) pi/n + phi) = sin(k pi/n - phi).  Factors may be negative, so
     the sign is tracked separately from the log-space magnitude.
+
+    Every sine argument is carried as a double-double, so rounding the
+    argument does not cost the digits sin loses near its zeros.  Each side
+    has its own arithmetic: n phi by TwoProduct; phi + k pi/n by TwoSum
+    onto k (pi/n), with pi/n from pi = _PI_HI + _PI_LO.
     """
     n = integer(n, "n", 1, MAX_N)
     phi = finite(phi, "phi")
-    lhs = math.sin(n * phi)
-    factors = [math.sin(phi + k * math.pi / n) for k in range(n)]
+    lhs = _sin_dd(*_two_product(float(n), phi))
+    # pi/n = step + tail.  k < 2^27 splits as (k, 0), so k step = a + a_err
+    # is TwoProduct with the split of step taken once.
+    step = _PI_HI / n
+    r, r_err = _two_product(step, float(n))
+    tail = ((_PI_HI - r) - r_err + _PI_LO) / n
+    step_hi, step_lo = _split(step)
+    sin, cos = math.sin, math.cos
+    factors = []
+    for k in range(n):
+        a = k * step
+        a_err = (k * step_hi - a) + k * step_lo
+        s = phi + a  # TwoSum(phi, a), inline
+        bb = s - phi
+        lo = (phi - (s - bb)) + (a - bb) + a_err + k * tail
+        factors.append(sin(s) + lo * cos(s))
     if any(f == 0.0 for f in factors):
         rhs = 0.0
     else:

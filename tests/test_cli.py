@@ -375,8 +375,8 @@ def test_rows_swap_their_run_as_the_benchmark_tracer_does(monkeypatch, tmp_path)
     assert tracer.unmeasured == set()
     counts = tracer.counts()
     assert counts["quadrature.calls"] == 172
-    assert counts["backend.level_calls"] == 811
-    assert counts["backend.nodes"] == 28738
+    assert counts["backend.level_calls"] == 762
+    assert counts["backend.nodes"] == 23936
     assert counts["identities.cases"] == 640  # one check: span per case
 
     calls = []
@@ -394,27 +394,41 @@ def test_rows_swap_their_run_as_the_benchmark_tracer_does(monkeypatch, tmp_path)
     assert calls == ["factorial-root"]
 
 
-def _traced_closed_form_wide_pass(tmp_path, name):
-    """One traced pass of the benchmark's closed-form-wide workload, seed 7,
-    in a child process, as ``run.py --trace 1`` makes it."""
+def _traced_pass(tmp_path, workload, name):
+    """One traced pass of a benchmark workload, seed 7, in a child process,
+    as ``run.py --trace 1`` makes it."""
     passchild = Path(__file__).resolve().parents[1] / "benchmarks" / "perfbench" / "passchild.py"
     out = tmp_path / f"{name}.json"
     result = subprocess.run(
-        [sys.executable, str(passchild), "trace", "closed-form-wide", "7", str(tmp_path), str(out)],
+        [sys.executable, str(passchild), "trace", workload, "7", str(tmp_path), str(out)],
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     return json.loads(out.read_text(encoding="utf-8"))
 
 
 def test_traced_closed_form_wide_pass_runs_clean(tmp_path):
-    first = _traced_closed_form_wide_pass(tmp_path, "first")
-    second = _traced_closed_form_wide_pass(tmp_path, "second")
+    first = _traced_pass(tmp_path, "closed-form-wide", "first")
+    second = _traced_pass(tmp_path, "closed-form-wide", "second")
     for record in (first, second):
         assert record["units"] == 6
         assert record["failed"] == 0
         assert record["unmeasured"] == []
     assert first["counts"] == second["counts"]
     assert first["counts"]["quadrature.calls"] == 0
+
+
+def test_traced_integrals_unique_pass_runs_clean(tmp_path):
+    # The tracer wraps quadrature._refine and counts one quadrature per
+    # level_sum(..., odd_only=False) call; every unit is gated against mpmath.
+    first = _traced_pass(tmp_path, "integrals-unique", "first")
+    second = _traced_pass(tmp_path, "integrals-unique", "second")
+    for record in (first, second):
+        assert record["units"] == 100
+        assert record["failed"] == 0
+        assert record["unmeasured"] == []
+    assert first["counts"] == second["counts"]
+    assert first["counts"]["quadrature.calls"] == 1000
+    assert first["counts"]["quadrature.unconverged"] == 0
 
 
 @pytest.mark.parametrize("identity_id", sorted(identities.IDENTITIES))
