@@ -28,7 +28,7 @@ from .gamma import (
     log_gamma_integral,
 )
 from .identities import IDENTITIES, MAX_N, MODES, build_grid, run_suite
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, MAX_REFINEMENTS, QuadratureConfig
 from .reporting import params_string, render_report, render_suite
 
 EXIT_OK = 0
@@ -61,7 +61,8 @@ def _add_config_flags(sub):
     group = sub.add_argument_group("quadrature options")
     group.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol, metavar="TOL")
     group.add_argument("--max-refinements", type=int, default=DEFAULT_CONFIG.max_refinements,
-                       metavar="N")
+                       metavar="N", help="step halvings allowed past the coarsest level, "
+                                         f"1..{MAX_REFINEMENTS}; each doubles the nodes")
 
 
 def _config_from(args):

@@ -60,8 +60,8 @@ import itertools
 import math
 import sys
 from array import array
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping, NamedTuple
 
 from .beta import euler_symbol, euler_symbol_closed
 from .errors import DomainError, finite, integer, positive
@@ -132,8 +132,7 @@ def _resolved(tolerance, identity_id, params):
     return tolerance
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of checking one identity at one parameter point.
 
     ``error`` is set only on the report of a check that raised: the
@@ -151,8 +150,7 @@ class IdentityReport:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     """All reports of one suite run, in deterministic order."""
 
     reports: tuple
@@ -283,7 +281,7 @@ def check_duplication(x: float, tolerance: float | None = None) -> IdentityRepor
     """
     tolerance = _resolved(tolerance, "duplication", {})
     inner = check_gauss_multiplication(x, 2, tolerance=tolerance)
-    return replace(inner, identity_id="duplication", params={"x": float(x)})
+    return inner._replace(identity_id="duplication", params={"x": float(x)})
 
 
 def _sine_indices(n):
@@ -548,6 +546,10 @@ class IdentitySpec:
     tolerance, or a mapping from mode to it.  ``work_axis`` is the axis the
     check's work grows with, if any.  ``run(params, tolerance, config)``
     checks one case.
+
+    This is the package's one dataclass: the benchmark's tracer swaps each
+    row's ``run`` through ``dataclasses.replace``.  The report and config
+    types are NamedTuples or slots classes, which generate no code at import.
     """
 
     identity_id: str

@@ -11,21 +11,27 @@ its caller measured.
 is pure Python, and returns exactly that call's bytes plus a newline.  One
 rule, ``_json_value``, writes every value as that encoder would: finite
 floats by ``float.__repr__``, ints by ``int.__repr__`` (subclasses by their
-base repr), strings by json's C ``encode_basestring_ascii``, and bool and
-None as literals.  Non-finite sides (lhs, rhs, residuals) become null, as
-only crashed checks produce them.  Anything else, a container a crashed
-check echoes from a caller's grid or a non-finite parameter or tolerance, is
-handed to ``json.dumps`` itself, re-indented to its depth; that call renders
-it, or raises json's own ValueError or TypeError.  The default suite renders
-in about 8 ms against 14-18 ms for the encoder (2-vCPU Linux container,
-Python 3.11).
+base repr), bool and None as literals, and a dict whose keys are all
+strings one entry per line, in its own order, each value by the same rule.
+That dict rule writes both a report's ``params`` (sorted by name) and the
+``config`` echo, grid counts included.  A string that is plain printable
+ASCII without ``"`` or ``\\`` is written between quotes as it is; any other
+goes through json's own escaper, ``encode_basestring_ascii``.  Non-finite
+sides (lhs, rhs, residuals) become null, as only crashed checks produce
+them.  Anything else, a list or tuple a crashed check echoes from a caller's
+grid, a dict with other keys or indented ``_DICT_MAX_INDENT`` deep, or a
+non-finite parameter or tolerance, is handed to ``json.dumps`` itself,
+re-indented to its depth; that call renders it, or raises json's own
+ValueError or TypeError (a dict that contains itself ends there too).  The
+default suite renders in about 8 ms against 14-18 ms for the encoder
+(2-vCPU Linux container, Python 3.11).
+
+``json`` is imported only when such a string or value turns up, and ``csv``
+and ``io`` only by ``render_csv``, so ``suite --format json`` and the table
+load neither module, and ``suite --format csv`` loads no ``json``.
 """
 
-import csv
-import io
-import json
 import math
-from json.encoder import encode_basestring_ascii as _json_string
 
 from .identities import IdentityReport, SuiteReport
 
@@ -41,9 +47,44 @@ def params_string(params) -> str:
     return ";".join(f"{k}={_fmt_value(v)}" for k, v in sorted(params.items()))
 
 
-# Indentation of the lines that hold a report's fields and its params.
+# Indentation of the lines that hold a report's fields.
 _FIELD = " " * 6
-_PARAM = " " * 8
+# A dict on a line indented this far goes to json.dumps, so nesting stops
+# there; json also refuses a dict that contains itself, which would
+# otherwise recurse without end.
+_DICT_MAX_INDENT = 24
+
+
+def _json_string(value):
+    """``value`` as json's ``encode_basestring_ascii`` writes it."""
+    if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+        return '"' + value + '"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(value)
+
+
+def _json_dict(mapping, keys, indent):
+    """``mapping``, its entries in the order of ``keys``, as the encoder
+    writes a dict on a line indented by ``indent``."""
+    if len(indent) >= _DICT_MAX_INDENT or not all(isinstance(k, str) for k in keys):
+        # json's own rules for int, float, bool and None keys, and its
+        # refusal of a dict that contains itself
+        return _json_dumps({k: mapping[k] for k in keys}, indent)
+    if not keys:
+        return "{}"
+    inner = indent + "  "
+    entries = ",\n".join([f"{inner}{_json_string(k)}: {_json_value(mapping[k], inner)}"
+                          for k in keys])
+    return f"{{\n{entries}\n{indent}}}"
+
+
+def _json_dumps(value, indent):
+    """json.dumps itself, shifted to a line indented by ``indent``: it writes
+    the value or raises its own error."""
+    import json
+
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + indent)
 
 
 def _json_value(value, indent):
@@ -62,9 +103,10 @@ def _json_value(value, indent):
         return "false"
     elif isinstance(value, int):
         return int.__repr__(value)
-    # Containers, and the non-finite floats strict JSON refuses: the encoder
-    # writes the value (or raises its own error), shifted to this depth.
-    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + indent)
+    elif isinstance(value, dict):
+        return _json_dict(value, list(value), indent)
+    # Other containers, and the non-finite floats strict JSON refuses.
+    return _json_dumps(value, indent)
 
 
 def _json_side(value):
@@ -76,17 +118,7 @@ def _json_side(value):
 
 
 def _json_params(params):
-    keys = sorted(params)
-    if not all(isinstance(k, str) for k in keys):
-        # json's own rules for int, float, bool and None keys
-        return _json_value({k: params[k] for k in keys}, _FIELD)
-    if not keys:
-        return "{}"
-    entries = ",\n".join(
-        f"{_PARAM}{_json_string(k)}: {_json_value(params[k], _PARAM)}"
-        for k in keys
-    )
-    return f"{{\n{entries}\n{_FIELD}}}"
+    return _json_dict(params, sorted(params), _FIELD)
 
 
 def _json_report(r: IdentityReport) -> str:
@@ -103,7 +135,7 @@ def _json_report(r: IdentityReport) -> str:
 
 
 def render_json(suite: SuiteReport) -> str:
-    config = _json_value({k: suite.config_echo[k] for k in suite.config_echo}, "  ")
+    config = _json_dict(suite.config_echo, list(suite.config_echo), "  ")
     reports = ",\n".join([_json_report(r) for r in suite.reports])
     if reports:
         reports = f"[\n{reports}\n  ]"
@@ -125,6 +157,9 @@ CSV_HEADER = ("identity_id", "params", "lhs", "rhs", "abs_residual",
 
 
 def render_csv(suite: SuiteReport) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)

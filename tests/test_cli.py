@@ -492,6 +492,62 @@ def test_suite_bad_flags_exit_2():
     assert rejected.stderr == "error: rel_tol must be positive and finite\n"
 
 
+@pytest.mark.parametrize("args", [
+    ("eval", "symbol", "2.0", "0.01", "4", "--engine", "integral"),
+    ("suite", "--identities", "symbol-bridge"),
+])
+def test_max_refinements_past_the_cap_exits_2_at_once(args):
+    # Each halving doubles the nodes, so 30 would run for hours; the config
+    # refuses the budget before any integral starts.
+    for budget in ("21", "30"):
+        result = run_cli(*args, "--max-refinements", budget, timeout=60)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: max_refinements must be an integer in 1..20\n"
+
+
+def test_suite_config_built_from_flags_shares_integrals(refine_calls, tmp_path):
+    # The CLI builds its own config from --rel-tol; the run still integrates
+    # each of the default suite's 172 distinct integrals once.
+    out = tmp_path / "r.json"
+    assert main(["suite", "--rel-tol", "1e-11", "--format", "json", "--out", str(out)]) == 0
+    assert len(refine_calls) == 172
+    assert len(set(refine_calls)) == 172
+    assert json.loads(out.read_text())["config"]["rel_tol"] == 1e-11
+
+
+def _modules_loaded(*args):
+    """Names of the modules a fresh ``python -X importtime ARGS`` imports,
+    beyond those the interpreter's start already holds."""
+    result = subprocess.run([sys.executable, "-X", "importtime", *args],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()
+            if line.startswith("import time:") and "self [us]" not in line}
+
+
+def _csv_and_json(modules):
+    return {m for m in modules if m in ("csv", "_csv", "json") or m.startswith("json.")}
+
+
+def test_json_and_table_paths_import_neither_csv_nor_json(tmp_path):
+    for args in (("-m", "eulergamma", "suite", "--format", "json",
+                  "--out", str(tmp_path / "r.json")),
+                 ("-m", "eulergamma", "suite", "--identities", "reflection")):
+        loaded = _modules_loaded(*args)
+        assert {"eulergamma.cli", "eulergamma.reporting"} <= loaded
+        assert _csv_and_json(loaded) == set()
+    loaded = _modules_loaded("-c", "import eulergamma")
+    assert "eulergamma.identities" in loaded
+    assert _csv_and_json(loaded) == set()
+
+
+def test_csv_path_imports_no_json(tmp_path):
+    loaded = _modules_loaded("-m", "eulergamma", "suite", "--format", "csv",
+                             "--out", str(tmp_path / "r.csv"))
+    assert _csv_and_json(loaded) == {"csv", "_csv"}
+
+
 def test_suite_out_file_matches_stdout(tmp_path):
     out = tmp_path / "report.json"
     to_file = run_cli("suite", "--identities", "sine-product", "--format", "json",

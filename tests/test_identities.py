@@ -1,6 +1,5 @@
 """Identity check and suite tests."""
 
-import dataclasses
 import math
 import random
 import sys
@@ -287,7 +286,7 @@ def test_log_integral_product_compares_tiny_sides_in_log_space(monkeypatch):
 
     def scaled(s, config):
         estimate = integral(s, config)
-        return dataclasses.replace(estimate, value=estimate.value * (1.0 + 1e-6))
+        return estimate._replace(value=estimate.value * (1.0 + 1e-6))
 
     monkeypatch.setattr(identities, "gamma_log_integral", scaled)
     report = check_log_integral_product(200)

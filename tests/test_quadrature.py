@@ -6,7 +6,6 @@ everything downstream asserts against the frozen constant, not against the
 engine under test.
 """
 
-import dataclasses
 import math
 import sys
 import threading
@@ -20,6 +19,7 @@ from eulergamma import (
     BACKEND,
     DEFAULT_CONFIG,
     DomainError,
+    IntegralEstimate,
     NonFiniteIntegrandError,
     QuadratureConfig,
     euler_symbol,
@@ -136,6 +136,31 @@ def test_config_validation():
         QuadratureConfig(rel_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_refinements=0)
+    # Bools, and budgets that are not ints, are refused too.
+    for kwargs in ({"abs_tol": True}, {"rel_tol": True}, {"max_refinements": True},
+                   {"max_refinements": False}, {"max_refinements": 3.0},
+                   {"max_refinements": "3"}):
+        with pytest.raises(ValueError):
+            QuadratureConfig(**kwargs)
+
+
+def test_config_stores_the_floats_it_validates():
+    cfg = QuadratureConfig(abs_tol="1e-10", rel_tol=1, max_refinements=3)
+    assert (cfg.abs_tol, cfg.rel_tol, cfg.max_refinements) == (1e-10, 1.0, 3)
+    assert type(cfg.abs_tol) is float and type(cfg.rel_tol) is float
+    # A tolerance given as text is a number by the first integral.
+    est = euler_symbol(3.0, 2.0, 5, QuadratureConfig(rel_tol="1e-9"))
+    assert est.converged
+    assert est == euler_symbol(3.0, 2.0, 5, QuadratureConfig(rel_tol=1e-9))
+
+
+def test_max_refinements_is_capped():
+    # Each halving doubles the nodes; the README states the worst case.
+    assert quadrature.MAX_REFINEMENTS == 20
+    assert QuadratureConfig(max_refinements=20).max_refinements == 20
+    for budget in (21, 30, 10**6):
+        with pytest.raises(ValueError, match=r"max_refinements must be an integer in 1\.\.20"):
+            QuadratureConfig(max_refinements=budget)
 
 
 def test_evaluation_count_positive_and_reported():
@@ -350,8 +375,8 @@ def test_public_surface_is_pinned():
         "integrate_finite", "log_gamma", "run_suite", "__version__",
     ]
     assert all(hasattr(eulergamma, name) for name in eulergamma.__all__)
-    assert [field.name for field in dataclasses.fields(QuadratureConfig)] == [
-        "abs_tol", "rel_tol", "max_refinements"]
+    assert QuadratureConfig.__slots__ == ("abs_tol", "rel_tol", "max_refinements")
+    assert IntegralEstimate._fields == ("value", "error_estimate", "evaluations", "converged")
 
 
 def test_family_value_rejects_generic_tag():

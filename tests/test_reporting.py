@@ -140,6 +140,34 @@ def test_render_json_edge_cases_match_encoder():
     assert outcome(render_json, cases[4])[0] is ValueError
 
 
+def _nested(depth):
+    value = {"leaf": [1, {"k": 2.5}], 3: "int key"}
+    for i in range(depth):
+        value = {f"level{i}": value, "x": None}
+    return value
+
+
+def test_render_json_strings_and_nested_dicts_match_encoder():
+    # Plain printable ASCII is quoted as it is; a quote, a backslash, DEL, a
+    # control character or non-ASCII goes through json's escaper.  Dicts
+    # nest by the dict rule down to _DICT_MAX_INDENT, then json.dumps goes on.
+    looped = {"x": 1.0}
+    looped["self"] = looped
+    strings = ['a"b', "back\\slash", "del\x7f", "tab\t", "~ !#[]{}", "", "é"]
+    report = IdentityReport("sine-product", {s: s for s in strings} | {"deep": _nested(12)},
+                            1.0, 1.0, 0.0, 0.0, 1e-10, True)
+    cases = [
+        SuiteReport((report,), 1, 0, {"grid": _nested(12), "rel_tol": 1e-11}),
+        SuiteReport((), 0, 0, {"max_refinements": 12, "grid": {"a": 1, "b\"": 2}}),
+        SuiteReport((report._replace(params={"loop": looped}),), 1, 0, {}),
+        SuiteReport((), 0, 0, {"loop": looped}),
+    ]
+    for suite in cases:
+        assert outcome(render_json, suite) == outcome(reference_json, suite)
+    assert outcome(render_json, cases[2]) == (ValueError, "Circular reference detected")
+    assert outcome(render_json, cases[3]) == (ValueError, "Circular reference detected")
+
+
 def test_render_json_matches_encoder_on_default_suite():
     suite = run_suite()
     assert render_json(suite) == reference_json(suite)
