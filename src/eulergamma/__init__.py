@@ -3,6 +3,12 @@
 Closed-form evaluation (Lanczos) and integral evaluation (tanh-sinh
 quadrature) of the gamma family, plus checks that certify the classical
 product identities relating them.
+
+The engines are imported with the package.  The identity layer
+(``IDENTITIES``, the reports, the ``check_*`` functions, ``default_grid``,
+``default_tolerance`` and ``run_suite``) is imported on first use of one of
+its names, so a program that only evaluates never loads it, nor the
+``dataclasses`` module it needs.
 """
 
 from .beta import (
@@ -18,26 +24,6 @@ from .gamma import (
     gamma_log_integral,
     gamma_reference,
     log_gamma,
-)
-from .identities import (
-    IDENTITIES,
-    IdentityReport,
-    SuiteReport,
-    check_algebraic_interpolation,
-    check_duplication,
-    check_factorial_root,
-    check_gamma_fraction_product,
-    check_gamma_square_product,
-    check_gauss_multiplication,
-    check_log_integral_product,
-    check_reflection,
-    check_sine_multiple_angle,
-    check_sine_product,
-    check_symbol_bridge,
-    check_symbol_symmetry,
-    default_grid,
-    default_tolerance,
-    run_suite,
 )
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -88,3 +74,18 @@ __all__ = [
     "run_suite",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # Every public name not bound above belongs to the identity layer.  It is
+    # bound here on first use, so this runs once per name.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import identities
+
+    value = globals()[name] = getattr(identities, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -11,33 +11,39 @@ Examples:
 Exit codes: 0 success / all checks passed; 1 failed check, unconverged
 quadrature or non-finite integrand; 2 usage error, domain error or a result
 past the double-precision range; 3 I/O error.
+
+``eval`` needs only the engines.  The identity layer and the renderers are
+imported by the verify and suite handlers, and by the code that adds those
+two commands' flags, which ``main`` skips when its first argument names
+another command; so ``eval`` loads neither.
 """
 
 import argparse
 import math
 import sys
-import time
 
 from .beta import beta_closed, beta_integral, euler_symbol, euler_symbol_closed
-from .errors import DomainError, NonFiniteIntegrandError, nonnegative, positive
+from .errors import (
+    NOT_FINITE,
+    DomainError,
+    NonFiniteIntegrandError,
+    nonnegative,
+    positive,
+)
 from .gamma import (
+    MAX_N,
     gamma_integral,
     gamma_log_integral,
     gamma_reference,
     log_gamma,
     log_gamma_integral,
 )
-from .identities import IDENTITIES, MAX_N, MODES, build_grid, run_suite
 from .quadrature import DEFAULT_CONFIG, MAX_REFINEMENTS, QuadratureConfig
-from .reporting import params_string, render_report, render_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-_NOT_FINITE = "result not finite in double precision"
-
 
 # One row per eval function: its arity, its reference route (called with the
 # values) and its integral route (called with the values and the quadrature
@@ -51,10 +57,14 @@ _EVAL = {
                           gamma_log_integral),
 }
 
-# Every parameter axis of the identity table, in order of first use; each is
-# a --<axis> flag of verify and suite, its text validated by the row's
-# converter.
-_AXES = tuple(dict.fromkeys(axis for spec in IDENTITIES.values() for axis in spec.axes))
+
+def _axes():
+    """Every parameter axis of the identity table, in order of first use; each
+    is a --<axis> flag of verify and suite, its text validated by the row's
+    converter."""
+    from .identities import IDENTITIES
+
+    return tuple(dict.fromkeys(axis for spec in IDENTITIES.values() for axis in spec.axes))
 
 
 def _add_config_flags(sub):
@@ -78,23 +88,19 @@ def _tolerance(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="eulergamma",
-        description="Evaluate gamma/beta functions and verify classical gamma identities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate one function at given arguments")
+def _fill_eval(p_eval):
     p_eval.add_argument("function", choices=sorted(_EVAL))
     p_eval.add_argument("values", nargs="+", type=float, metavar="VALUE")
     p_eval.add_argument("--engine", choices=("reference", "integral"), default="reference")
     _add_config_flags(p_eval)
     p_eval.set_defaults(handler=_cmd_eval)
 
-    p_verify = sub.add_parser("verify", help="run one identity check")
+
+def _fill_verify(p_verify):
+    from .identities import MODES
+
     p_verify.add_argument("identity", metavar="IDENTITY")
-    for axis in _AXES:
+    for axis in _axes():
         p_verify.add_argument(f"--{axis}", default=None,
                               choices=MODES if axis == "mode" else None)
     p_verify.add_argument("--tol", type=_tolerance, default=None,
@@ -102,10 +108,11 @@ def _build_parser():
     _add_config_flags(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
-    p_suite = sub.add_parser("suite", help="run identity checks over parameter grids")
+
+def _fill_suite(p_suite):
     p_suite.add_argument("--identities", default=None, metavar="ID,ID,...",
                          help="restrict to a comma-separated subset")
-    for axis in _AXES:
+    for axis in _axes():
         p_suite.add_argument(f"--{axis}", default=None, metavar="LIST",
                              help=f"override the {axis} axis: comma list and/or "
                                   "lo..hi integer ranges")
@@ -117,6 +124,27 @@ def _build_parser():
     _add_config_flags(p_suite)
     p_suite.set_defaults(handler=_cmd_suite)
 
+
+# Each command: its help line and the function that adds its arguments.
+_COMMANDS = {
+    "eval": ("evaluate one function at given arguments", _fill_eval),
+    "verify": ("run one identity check", _fill_verify),
+    "suite": ("run identity checks over parameter grids", _fill_suite),
+}
+
+
+def _build_parser(command=None):
+    """The parser; every command is listed, but when ``command`` names one,
+    only that command gets its arguments, since no other can be parsed."""
+    parser = argparse.ArgumentParser(
+        prog="eulergamma",
+        description="Evaluate gamma/beta functions and verify classical gamma identities.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, fill) in _COMMANDS.items():
+        sub_parser = sub.add_parser(name, help=help_text)
+        if command not in _COMMANDS or command == name:
+            fill(sub_parser)
     return parser
 
 
@@ -131,7 +159,7 @@ def _cmd_eval(args, parser):
         estimate = integral(*args.values, config)
         value = estimate.value
     if not math.isfinite(value):
-        raise DomainError(_NOT_FINITE)
+        raise DomainError(NOT_FINITE)
     print(format(value, ".15g"))
     if estimate is not None and not estimate.converged:
         print(
@@ -144,13 +172,18 @@ def _cmd_eval(args, parser):
 
 
 def _cmd_verify(args, parser):
+    import time
+
+    from .identities import IDENTITIES, MODES
+    from .reporting import render_report
+
     identity_id = args.identity
     if identity_id not in IDENTITIES:
         parser.error(
             f"unknown identity {identity_id!r} (known: {', '.join(sorted(IDENTITIES))})"
         )
     spec = IDENTITIES[identity_id]
-    for axis in _AXES:
+    for axis in _axes():
         if axis not in spec.axes and getattr(args, axis) is not None:
             parser.error(f"identity '{identity_id}' does not take --{axis}")
     params = {}
@@ -205,11 +238,15 @@ def _parse_tolerances(entries, parser):
 
 
 def _cmd_suite(args, parser):
+    # Imported per call: a tracer may have replaced these since the last one.
+    from .identities import build_grid, run_suite
+    from .reporting import params_string, render_suite
+
     identities = None
     if args.identities is not None:
         identities = [name.strip() for name in args.identities.split(",")]
     axis_values = {}
-    for axis in _AXES:
+    for axis in _axes():
         raw = getattr(args, axis)
         if raw is not None:
             axis_values[axis] = _parse_axis_values(axis, raw, parser)
@@ -231,7 +268,9 @@ def _cmd_suite(args, parser):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
@@ -244,7 +283,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OverflowError:
         # gamma_reference and other closed forms raise it, as math.gamma does
-        print(f"error: {_NOT_FINITE}", file=sys.stderr)
+        print(f"error: {NOT_FINITE}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,9 @@ that raise them."""
 
 import math
 
+# The message of a result past the double-precision range.
+NOT_FINITE = "result not finite in double precision"
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
 from .beta import euler_symbol, euler_symbol_closed
-from .errors import DomainError, finite, integer, positive
+from .errors import NOT_FINITE, DomainError, finite, integer, positive
 from .gamma import (
     MAX_N,
     factorial_interp,
@@ -196,9 +196,16 @@ def _report(identity_id, params, lhs, rhs, tolerance, aux_ok=True, log_scale=Non
 def _log_report(identity_id, params, lhs_terms, rhs_terms, tolerance, aux_ok=True):
     """Report on sides given as lists of log terms: each side is their fsum,
     and the summed magnitude of all the terms, their rounding scale, is the
-    ``log_scale``."""
-    return _report(identity_id, params, math.fsum(lhs_terms), math.fsum(rhs_terms),
-                   tolerance, aux_ok,
+    ``log_scale``.  A side whose log overflows, as log gamma(x) does past
+    about 1e305, raises DomainError: the identity is not false there, it is
+    past what a double can hold."""
+    try:
+        lhs, rhs = math.fsum(lhs_terms), math.fsum(rhs_terms)
+    except OverflowError:  # fsum's partial sums overflowed
+        raise DomainError(NOT_FINITE) from None
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise DomainError(NOT_FINITE)
+    return _report(identity_id, params, lhs, rhs, tolerance, aux_ok,
                    log_scale=sum(map(abs, lhs_terms)) + sum(map(abs, rhs_terms)))
 
 
@@ -306,30 +313,36 @@ def check_sine_product(n: int, tolerance: float | None = None) -> IdentityReport
 _PI_HI = math.pi
 _PI_LO = 1.2246467991473532e-16
 _VELTKAMP = 134217729.0  # 2^27 + 1
+# The largest |phi| of sine-multiple-angle, a round figure below
+# sys.float_info.max / _VELTKAMP (1.339e300), where splitting phi overflows.
+_PHI_MAX = 1.3e300
 
 
 def _split(a):
     """Veltkamp's split: a = hi + lo exactly, each half with at most 26
-    significant bits.  Past about 1e299 the split overflows to nan."""
+    significant bits.  Past |a| = 1.339e300 the split overflows to nan."""
     c = _VELTKAMP * a
     hi = c - (c - a)
     return hi, a - hi
 
 
 def _two_product(a, b):
-    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's TwoProduct);
-    e is taken as 0 where the split overflows."""
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's TwoProduct),
+    for a and b that ``_split`` can split."""
     p = a * b
     a_hi, a_lo = _split(a)
     b_hi, b_lo = _split(b)
     e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return p, e if math.isfinite(e) else 0.0
+    return p, e
 
 
 def _sin_dd(hi, lo):
-    """sin(hi + lo) for |lo| <= ulp(hi): libm reduces hi exactly, and lo
-    enters to first order."""
-    return math.sin(hi) + lo * math.cos(hi)
+    """sin(hi + lo) by the addition formula.  libm reduces each argument
+    exactly, so lo need not be small: past |hi| of about 3e9, lo, an ulp of
+    hi, is too large for the first-order sin(hi) + lo cos(hi).  For
+    |lo| < 1e-8, cos(lo) rounds to 1 and sin(lo) to lo, so the two agree to
+    the bit."""
+    return math.sin(hi) * math.cos(lo) + math.cos(hi) * math.sin(lo)
 
 
 def check_sine_multiple_angle(n: int, phi: float,
@@ -344,10 +357,13 @@ def check_sine_multiple_angle(n: int, phi: float,
     Every sine argument is carried as a double-double, so rounding the
     argument does not cost the digits sin loses near its zeros.  Each side
     has its own arithmetic: n phi by TwoProduct; phi + k pi/n by TwoSum
-    onto k (pi/n), with pi/n from pi = _PI_HI + _PI_LO.
+    onto k (pi/n), with pi/n from pi = _PI_HI + _PI_LO.  Past |phi| =
+    1.3e300 the TwoProduct split overflows, so phi is refused there.
     """
     n = integer(n, "n", 1, MAX_N)
     phi = finite(phi, "phi")
+    if abs(phi) > _PHI_MAX:
+        raise DomainError("|phi| must be at most 1.3e300")
     lhs = _sin_dd(*_two_product(float(n), phi))
     # pi/n = step + tail.  k < 2^27 splits as (k, 0), so k step = a + a_err
     # is TwoProduct with the split of step taken once.
@@ -363,7 +379,7 @@ def check_sine_multiple_angle(n: int, phi: float,
         s = phi + a  # TwoSum(phi, a), inline
         bb = s - phi
         lo = (phi - (s - bb)) + (a - bb) + a_err + k * tail
-        factors.append(sin(s) + lo * cos(s))
+        factors.append(sin(s) * cos(lo) + cos(s) * sin(lo))  # _sin_dd(s, lo), inline
     if any(f == 0.0 for f in factors):
         rhs = 0.0
     else:

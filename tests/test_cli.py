@@ -28,6 +28,7 @@ from eulergamma import (
     gamma_reference,
     identities,
     log_gamma,
+    reporting,
 )
 from eulergamma.cli import main
 from eulergamma.gamma import log_gamma_integral
@@ -170,12 +171,49 @@ def test_eval_gamma_integral_reaches_the_double_ceiling():
     ("verify", "factorial-root", "--m", "200", "--n", "1"),
     ("eval", "gamma", "172", "--engine", "integral"),
     ("eval", "gamma", "800", "--engine", "integral"),
+    # log gamma(x) overflows, or fsum's partial sums do
+    ("verify", "gauss-multiplication", "--n", "2", "--x", "1e308"),
+    ("verify", "duplication", "--x", "1e306"),
+    ("verify", "duplication", "--x", "3e305"),
 ])
 def test_result_past_double_range_exits_2(args):
     result = run_cli(*args)
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == "error: result not finite in double precision\n"
+
+
+def test_log_space_check_just_inside_double_range_passes():
+    for args in (("duplication", "--x", "2.5e305"),
+                 ("gauss-multiplication", "--n", "2", "--x", "2.5e305")):
+        result = run_cli("verify", *args)
+        assert result.returncode == 0
+        assert "result:        PASS" in result.stdout
+
+
+def test_suite_names_a_case_past_double_range_as_an_error():
+    result = run_cli("suite", "--identities", "duplication", "--x", "2,1e306",
+                     "--format", "csv")
+    assert result.returncode == 1
+    assert result.stderr == ("error: duplication x=1e+306: "
+                             "DomainError: result not finite in double precision\n")
+    assert result.stdout.splitlines()[1:] == [
+        "duplication,x=2.0,-0.12078223763524587,-0.1207822376352452,"
+        "6.661338147750939e-16,5.515163717919953e-15,1e-10,true",
+        "duplication,x=1e+306,nan,nan,inf,inf,1e-10,false",
+    ]
+
+
+def test_verify_sine_multiple_angle_at_large_phi():
+    # sin(3e200) = -0.8637...; the first-order sine of a double-double
+    # argument put the product side at -0.388.
+    result = run_cli("verify", "sine-multiple-angle", "--n", "3", "--phi", "1e200")
+    assert result.returncode == 0
+    assert "result:        PASS" in result.stdout
+    refused = run_cli("verify", "sine-multiple-angle", "--n", "3", "--phi", "1.31e300")
+    assert refused.returncode == 2
+    assert refused.stdout == ""
+    assert refused.stderr == "error: |phi| must be at most 1.3e300\n"
 
 
 def test_verify_non_finite_integer_axis_exits_2():
@@ -341,8 +379,7 @@ def _traced_names():
     names = [(backend, "level_sum"), (quadrature, "_refine"),
              (identities, "log_gamma"), (beta, "log_gamma"), (cli, "log_gamma"),
              (beta, "beta_closed"), (cli, "beta_closed"),
-             (identities, "run_suite"), (cli, "run_suite"),
-             (identities, "build_grid"), (cli, "build_grid"),
+             (identities, "run_suite"), (identities, "build_grid"),
              (reporting, "render_json"), (reporting, "render_csv"),
              (reporting, "render_table")]
     values = {(target.__name__, name): getattr(target, name) for target, name in names}
@@ -378,6 +415,8 @@ def test_rows_swap_their_run_as_the_benchmark_tracer_does(monkeypatch, tmp_path)
     assert counts["backend.level_calls"] == 762
     assert counts["backend.nodes"] == 23936
     assert counts["identities.cases"] == 640  # one check: span per case
+    assert counts["spans"]["run_suite"] == 1
+    assert counts["spans"]["build_grid"] == 1
 
     calls = []
     for identity_id, spec in list(identities.IDENTITIES.items()):
@@ -438,7 +477,7 @@ def test_verify_flags_from_the_table_give_the_suite_report(identity_id, monkeypa
     for axis, value in case.items():
         argv += [f"--{axis}", str(value)]
     shown = []
-    monkeypatch.setattr(cli, "render_report",
+    monkeypatch.setattr(reporting, "render_report",
                         lambda report, seconds: shown.append(report) or "")
     assert main(argv) == 0
     (expected,) = run_suite({identity_id: [case]}).reports
@@ -535,10 +574,10 @@ def test_json_and_table_paths_import_neither_csv_nor_json(tmp_path):
                   "--out", str(tmp_path / "r.json")),
                  ("-m", "eulergamma", "suite", "--identities", "reflection")):
         loaded = _modules_loaded(*args)
-        assert {"eulergamma.cli", "eulergamma.reporting"} <= loaded
+        assert {"eulergamma.cli", "eulergamma.identities", "eulergamma.reporting"} <= loaded
         assert _csv_and_json(loaded) == set()
     loaded = _modules_loaded("-c", "import eulergamma")
-    assert "eulergamma.identities" in loaded
+    assert "eulergamma.identities" not in loaded
     assert _csv_and_json(loaded) == set()
 
 
@@ -546,6 +585,68 @@ def test_csv_path_imports_no_json(tmp_path):
     loaded = _modules_loaded("-m", "eulergamma", "suite", "--format", "csv",
                              "--out", str(tmp_path / "r.csv"))
     assert _csv_and_json(loaded) == {"csv", "_csv"}
+
+
+@pytest.mark.parametrize("args", [
+    ("-c", "import eulergamma"),
+    ("-m", "eulergamma", "eval", "gamma", "0.5"),
+    ("-m", "eulergamma", "eval", "symbol", "3", "2", "5", "--engine", "integral"),
+])
+def test_engine_paths_load_no_identity_layer(args):
+    layer = {"eulergamma.identities", "eulergamma.reporting", "dataclasses", "inspect"}
+    loaded = _modules_loaded(*args)
+    assert {"eulergamma.beta", "eulergamma.gamma", "eulergamma.quadrature"} <= loaded
+    assert loaded & layer == set()
+    assert _csv_and_json(loaded) == set()
+
+
+def test_identity_names_load_on_first_use():
+    script = (
+        "import sys, eulergamma\n"
+        "assert 'eulergamma.identities' not in sys.modules\n"
+        "assert 'run_suite' not in vars(eulergamma)\n"
+        "assert set(eulergamma.__all__) <= set(dir(eulergamma))\n"
+        "run_suite = eulergamma.run_suite\n"
+        "from eulergamma import identities\n"
+        "assert run_suite is identities.run_suite is vars(eulergamma)['run_suite']\n"
+        "assert 'check_reflection' not in vars(eulergamma)\n"
+        "namespace = {}\n"
+        "exec('from eulergamma import *', namespace)\n"
+        "assert set(namespace) - {'__builtins__'} == set(eulergamma.__all__)\n"
+        "assert 'eulergamma.reporting' not in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_every_public_name_is_its_home_modules_object():
+    from eulergamma import beta, errors, gamma, quadrature
+
+    homes = (beta, errors, gamma, identities, quadrature)
+    for name in eulergamma.__all__:
+        if name in ("BACKEND", "__version__"):
+            continue
+        owners = [module for module in homes if name in vars(module)]
+        assert owners, name
+        assert all(getattr(eulergamma, name) is vars(module)[name] for module in owners), name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        eulergamma.no_such_name
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["eval", "-h"], ["verify", "-h"], ["suite", "-h"], [], ["zeta", "2"],
+    ["verify", "reflection", "--x"], ["--", "eval", "gamma"],
+])
+def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
+    # main fills in only the command its first argument names; what it
+    # prints, and its exit code, are those of the parser with every command.
+    with pytest.raises(SystemExit) as reference:
+        cli._build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as shown:
+        main(argv)
+    assert (shown.value.code, capsys.readouterr()) == (reference.value.code, expected)
+    assert expected.out or expected.err
 
 
 def test_suite_out_file_matches_stdout(tmp_path):

@@ -194,8 +194,53 @@ def test_two_product_and_split_are_exact():
         p, e = identities._two_product(a, b)
         with mpmath.workdps(60):
             assert mpmath.mpf(p) + mpmath.mpf(e) == mpmath.mpf(a) * mpmath.mpf(b)
-    # Past the split's range the error term is dropped, not nan.
+    # Up to the largest phi of sine-multiple-angle the split stays exact.
     assert identities._two_product(1e300, 1.0) == (1e300, 0.0)
+    hi, lo = identities._split(1.3e300)
+    assert hi + lo == 1.3e300
+
+
+def _large_phi_sweep():
+    """Seed 17: 1,500 draws, n in {1, 2, 3, 5, 7, 11, 30, 59} and |phi|
+    log-uniform in [1e9, 1e200], both signs."""
+    rng = random.Random(17)
+    return [(rng.choice((1, 2, 3, 5, 7, 11, 30, 59)),
+             rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(math.log(1e9), math.log(1e200))))
+            for _ in range(1500)]
+
+
+def test_sine_multiple_angle_holds_at_large_phi():
+    # Past |phi| of about 3e9 the low word of a sine argument is an ulp of a
+    # large number, no longer small: sin(hi) + lo cos(hi) failed 1,301 of
+    # these true cases.  Both sides must match a 40-digit sin(n phi), to
+    # 1e-12 relative, or absolute where it is within NEAR_ZERO of a zero.
+    with mpmath.workdps(40):
+        for n, phi in _large_phi_sweep():
+            report = check_sine_multiple_angle(n, phi)
+            assert report.passed, (n, phi)
+            exact = mpmath.sin(n * mpmath.mpf(phi))
+            bound = 1e-12 * (abs(exact) if abs(exact) > identities.NEAR_ZERO else 1.0)
+            for side in (report.lhs, report.rhs):
+                assert abs(side - exact) <= bound, (n, phi, side)
+
+
+def test_sine_multiple_angle_refuses_phi_past_the_split():
+    assert check_sine_multiple_angle(3, 1.3e300).passed
+    assert check_sine_multiple_angle(3, -1.3e300).passed
+    for phi in (1.31e300, -1.5e300, 1e308):
+        with pytest.raises(DomainError, match=r"\|phi\| must be at most 1.3e300"):
+            check_sine_multiple_angle(3, phi)
+
+
+@pytest.mark.parametrize("check", [lambda: check_gauss_multiplication(1e308, 2),
+                                   lambda: check_gauss_multiplication(1e307, 3),
+                                   lambda: check_duplication(1e306),
+                                   lambda: check_duplication(3e305)])
+def test_log_space_check_past_double_range_is_a_domain_error(check):
+    # log gamma(x) is inf here, or fsum's partial sums overflow: the sides
+    # are not representable, which is not a failed identity.
+    with pytest.raises(DomainError, match="^result not finite in double precision$"):
+        check()
 
 
 def test_gamma_square_product_small_cases():
