@@ -16,13 +16,14 @@ Conventions shared by all checks:
 * Products of gamma values and powers of n are accumulated in log space with
   ``math.fsum`` (exactly rounded, hence independent of term order); direct
   products would overflow binary64 once n*x grows past ~170.
-* The six product identities (gauss-multiplication, duplication,
-  gamma-fraction-product, gamma-square-product, sine-product,
-  log-integral-product) report lhs/rhs as the natural logs of the two sides
-  and their residuals are log-space residuals.  Their sides shrink or grow
-  geometrically in n, so a linear comparison would meet the near-zero rule
-  below and pass on any sides small enough.  All other checks report linear
-  values.
+* All but sine-multiple-angle report logs: lhs/rhs are the natural logs of
+  the two sides and the residuals are log-space residuals.  Their sides are
+  products of positive gamma, beta and S(p, q; n) values, which shrink or
+  grow geometrically in n, so a linear comparison would meet the near-zero
+  rule below and pass on any sides small enough: with the integral doubled,
+  symbol-bridge at S(200, 200; 2), both sides about 1e-61, read
+  rel_residual 0.5 and passed.  sine-multiple-angle, whose sides change
+  sign, reports linear values.
 * The log gamma terms of the gamma products, and of closed-mode factorial-root
   and ``derivation_chain_values``, are evaluated in batches by
   ``gamma.log_gamma_terms``: the arguments are positive by construction, so
@@ -34,16 +35,17 @@ Conventions shared by all checks:
   ``run_suite`` and kept until the run ends, at most 80 MB per run under the
   grid caps below (n summed over the cases <= MAX_GRID_N); outside a run it
   is computed afresh.
-* n-th roots are computed as exp(log/n); every radicand on the supported
-  domain is a product of positive reals, so there is no branch to pick.
+* The log of an n-th root is the fsum of the radicand's log terms divided by
+  n once; every radicand on the supported domain is a product of positive
+  reals, so there is no branch to pick.
+* A quadrature value that underflowed to 0 has no finite log: its check
+  raises DomainError rather than report -inf.
 * rel_residual = |lhs - rhs| / max(|lhs|, |rhs|, 1e-300) and abs_residual =
-  |lhs - rhs| are both reported.  A linear check passes when rel_residual <=
-  tolerance, except that sides both within 1e-6 of zero are compared
-  absolutely (relative error is meaningless at a zero of the identity).  A
-  log-space check passes when abs_residual <= tolerance: a difference of
-  logs is already the relative error of the two linear products, so it
-  needs no scaling by |log|, which would loosen the rule where the log is
-  large and blow it up where the log nears 0.  Rounding alone, though, puts
+  |lhs - rhs| are both reported.  A log-space check passes when
+  abs_residual <= tolerance: a difference of logs is already the relative
+  error of the two linear products, so it needs no scaling by |log|, which
+  would loosen the rule where the log is large and blow it up where the log
+  nears 0.  Rounding alone, though, puts
   a few ulps of each log term into abs_residual, more than 1e-10 once the
   logs pass about 10^6 (log gamma(1e6) = 1.28e7, whose ulp is 1.9e-9).  So
   a log-space check also passes when abs_residual is within 8 eps S, S the
@@ -52,6 +54,9 @@ Conventions shared by all checks:
   relative one, and it is never looser than it.  (Over 4,000 sampled
   checks, n up to 10^5 and x up to 10^300, abs_residual stayed within
   1.1 eps S wherever S > 1000, and within 6.8 eps S overall.)
+  sine-multiple-angle passes when rel_residual <= tolerance, except that
+  sides both within 1e-6 of zero are compared absolutely (relative error is
+  meaningless at a zero of the identity).
 * Checks that integrate also require every quadrature to have converged;
   a nonconverged estimate fails the report even if the residual looks small.
 """
@@ -63,16 +68,9 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
-from .beta import euler_symbol, euler_symbol_closed
+from .beta import euler_symbol, log_beta
 from .errors import NOT_FINITE, DomainError, finite, integer, positive
-from .gamma import (
-    MAX_N,
-    factorial_interp,
-    gamma_reference,
-    gamma_log_integral,
-    log_gamma,
-    log_gamma_terms,
-)
+from .gamma import MAX_N, factorial_interp, gamma_log_integral, log_gamma, log_gamma_terms
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _integrate_family, suite_memo
 from . import backend
 
@@ -98,7 +96,8 @@ _LOG_ROUNDING = 8.0 * sys.float_info.epsilon
 MAX_GRID_N = 10_000_000
 MAX_GRID_CASES = 100_000
 
-# Sides this close to zero switch the pass rule to absolute residual.
+# sine-multiple-angle's sides this close to zero switch its pass rule to
+# the absolute residual.
 NEAR_ZERO = 1e-6
 _TINY = 1e-300
 
@@ -159,17 +158,15 @@ class SuiteReport(NamedTuple):
     config_echo: Mapping[str, object]
 
 
-def _rel(lhs, rhs):
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _TINY)
-
-
 def _report(identity_id, params, lhs, rhs, tolerance, aux_ok=True, log_scale=None):
     """Assemble a report; ``aux_ok`` folds in side conditions (quadrature
-    convergence, secondary-form agreement) that must hold for a pass.
-    ``log_scale``, given when the sides are logs, is the summed magnitude of
-    their terms; such sides pass on the absolute residual, or on the
-    relative one where the absolute residual is within rounding of them.
-    A ``tolerance`` of None is the identity's default."""
+    convergence) that must hold for a pass.  ``log_scale``, given when the
+    sides are logs, is the summed magnitude of their terms; such sides pass
+    on the absolute residual, or on the relative one where the absolute
+    residual is within rounding of them.  Linear sides, sine-multiple-angle's
+    alone, pass on the relative residual, or on the absolute one where both
+    are within NEAR_ZERO of zero.  A ``tolerance`` of None is the identity's
+    default."""
     tolerance = _resolved(tolerance, identity_id, params)
     abs_residual = abs(lhs - rhs)
     rel_residual = abs_residual / max(abs(lhs), abs(rhs), _TINY)
@@ -180,7 +177,9 @@ def _report(identity_id, params, lhs, rhs, tolerance, aux_ok=True, log_scale=Non
         passed = abs_residual <= tolerance
     else:
         passed = rel_residual <= tolerance
-    passed = bool(passed and aux_ok and math.isfinite(lhs) and math.isfinite(rhs))
+    # A side that is nan or infinite makes a nan or inf residual, which
+    # fails every comparison above.
+    passed = bool(passed and aux_ok)
     return IdentityReport(
         identity_id=identity_id,
         params=params,
@@ -193,19 +192,32 @@ def _report(identity_id, params, lhs, rhs, tolerance, aux_ok=True, log_scale=Non
     )
 
 
-def _log_report(identity_id, params, lhs_terms, rhs_terms, tolerance, aux_ok=True):
-    """Report on sides given as lists of log terms: each side is their fsum,
-    and the summed magnitude of all the terms, their rounding scale, is the
-    ``log_scale``.  A side whose log overflows, as log gamma(x) does past
-    about 1e305, raises DomainError: the identity is not false there, it is
-    past what a double can hold."""
+def _fsum(terms):
+    """``math.fsum`` of log terms.  A sum that overflows, as one holding
+    log gamma(x) does past about x = 1e305, raises DomainError: the identity
+    is not false there, it is past what a double can hold."""
     try:
-        lhs, rhs = math.fsum(lhs_terms), math.fsum(rhs_terms)
-    except OverflowError:  # fsum's partial sums overflowed
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # partial sums overflowed, or inf - inf
         raise DomainError(NOT_FINITE) from None
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+    if not math.isfinite(total):
         raise DomainError(NOT_FINITE)
-    return _report(identity_id, params, lhs, rhs, tolerance, aux_ok,
+    return total
+
+
+def _log_value(estimate):
+    """The log of a quadrature value; DomainError where the value
+    underflowed to 0, whose log is not finite."""
+    if estimate.value <= 0.0:
+        raise DomainError("an integral underflowed to 0 in double precision")
+    return math.log(estimate.value)
+
+
+def _log_report(identity_id, params, lhs_terms, rhs_terms, tolerance, aux_ok=True):
+    """Report on sides given as lists of log terms: each side is their
+    ``_fsum``, and the summed magnitude of all the terms, their rounding
+    scale, is the ``log_scale``."""
+    return _report(identity_id, params, _fsum(lhs_terms), _fsum(rhs_terms), tolerance, aux_ok,
                    log_scale=sum(map(abs, lhs_terms)) + sum(map(abs, rhs_terms)))
 
 
@@ -244,24 +256,23 @@ def _log_gamma_fractions(n):
 def check_reflection(x: float, tolerance: float | None = None) -> IdentityReport:
     """gamma(x) * gamma(1-x) = pi / sin(pi x), for x in (0, 1).
 
-    The report carries the gamma form.  The equivalent factorial form
-    x! * (-x)! = pi x / sin(pi x) is cross-checked against the same
-    tolerance; a pass certifies both.
+    Compared in log space; lhs/rhs are the logs of the two sides.
     """
     x = float(x)
     if not (math.isfinite(x) and 0.0 < x < 1.0):
         raise DomainError("x must lie in (0,1)")
-    tolerance = _resolved(tolerance, "reflection", {})
-    # sin(pi x) = sin(pi (1 - x)).  Near x = 1, math.pi * x misses pi x by
-    # up to a few 1e-16, a large error beside sin's small value there; the
-    # smaller of x and 1 - x (exact for x >= 0.5) keeps that error relative.
-    sine = math.sin(math.pi * min(x, 1.0 - x))
-    lhs = gamma_reference(x) * gamma_reference(1.0 - x)
-    rhs = math.pi / sine
-    fact_lhs = factorial_interp(x) * factorial_interp(-x)
-    fact_rhs = math.pi * x / sine
-    fact_ok = _rel(fact_lhs, fact_rhs) <= tolerance
-    return _report("reflection", {"x": x}, lhs, rhs, tolerance, aux_ok=fact_ok)
+    # sin(pi x) = sin(pi t) with t the smaller of x and 1 - x (exact for
+    # x >= 0.5).  Near x = 1, math.pi * x misses pi x by up to a few 1e-16, a
+    # large error beside sin's small value there.  Below t = 1e-9, sin(pi t)
+    # is pi t to 2e-18 relative, and pi t loses bits once it is subnormal,
+    # so log sin(pi t) is taken as log pi + log t.
+    t = min(x, 1.0 - x)
+    if t < 1e-9:
+        rhs_terms = [-math.log(t)]
+    else:
+        rhs_terms = [_LN_PI, -math.log(math.sin(math.pi * t))]
+    return _log_report("reflection", {"x": x}, log_gamma_terms((x, 1.0 - x)), rhs_terms,
+                       tolerance)
 
 
 def check_gauss_multiplication(x: float, n: int,
@@ -423,7 +434,7 @@ def check_log_integral_product(n: int, config: QuadratureConfig = DEFAULT_CONFIG
     """
     n = integer(n, "n", 2, MAX_N)
     estimates = [gamma_log_integral(k / n, config) for k in range(1, n)]
-    lhs_terms = [math.log(e.value) for e in estimates]
+    lhs_terms = [_log_value(e) for e in estimates]
     rhs_terms = [log_gamma(float(n)), -(n - 1) * math.log(n), 0.5 * (n - 1) * _LN_2,
                  0.5 * (n - 1) * _LN_PI, -0.5 * math.log(n)]
     return _log_report("log-integral-product", {"n": n}, lhs_terms, rhs_terms, tolerance,
@@ -453,7 +464,7 @@ def _factorial_root_log_inner(m, n, mode, config):
         for i in range(1, n):
             estimate = euler_symbol(float(i), m, n, config)
             converged = converged and estimate.converged
-            terms.append(math.log(estimate.value))
+            terms.append(_log_value(estimate))
     return terms, converged
 
 
@@ -466,16 +477,19 @@ def check_factorial_root(m: float, n: int, mode: str = "closed",
     symbols S(i, m; n); gamma(m) interpolates the (m-1)! that a natural m
     would contribute, and the formula holds for real m > 0.  In closed mode
     the symbols come from the Beta closed form, in quadrature mode from
-    direct integration.
+    direct integration.  Compared in log space; lhs/rhs are the logs of the
+    two sides, and the log of the n-th root is the fsum of the radicand's
+    log terms divided by n once.
     """
     m = positive(m, "m")
     n = integer(n, "n", 1, MAX_N)
     mode = _mode_axis(mode)
-    lhs = factorial_interp(m / n)
+    # m / n underflows to 0 for a subnormal m
+    lam = positive(m / n, "m / n")
     terms, converged = _factorial_root_log_inner(m, n, mode, config)
-    rhs = (m / n) * math.exp(math.fsum(terms) / n)
     params = {"m": m, "n": n, "mode": mode}
-    return _report("factorial-root", params, lhs, rhs, tolerance, converged)
+    return _log_report("factorial-root", params, [log_gamma(lam + 1.0)],
+                       [math.log(lam), _fsum(terms) / n], tolerance, converged)
 
 
 def check_algebraic_interpolation(p: int, q: int,
@@ -486,44 +500,48 @@ def check_algebraic_interpolation(p: int, q: int,
 
     with k running 1..q-1; natural p, q.  The left side is one quadrature and
     the right side chains q-1 more, so this is the loosest check in the set.
+    Compared in log space; lhs/rhs are the logs of the two sides.
     """
     p = integer(p, "p", 1)
     q = integer(q, "q", 1, MAX_N)
     s = p / q
     lhs_estimate = gamma_log_integral(s, config)
     converged = lhs_estimate.converged
-    lhs = lhs_estimate.value
     terms = [log_gamma(p + 1.0)]
     terms += [math.log(j * s + 1.0) for j in range(2, q + 1)]
     for k in range(1, q):
         estimate = _integrate_family(backend.ALGEBRAIC, float(k), s, 0.0, config)
         converged = converged and estimate.converged
-        terms.append(math.log(estimate.value))
-    rhs = math.exp(math.fsum(terms) / q)
-    return _report("algebraic-interpolation", {"p": p, "q": q}, lhs, rhs, tolerance,
-                   converged)
+        terms.append(_log_value(estimate))
+    return _log_report("algebraic-interpolation", {"p": p, "q": q}, [_log_value(lhs_estimate)],
+                       [_fsum(terms) / q], tolerance, converged)
 
 
 def check_symbol_symmetry(p: float, q: float, n: int,
                           config: QuadratureConfig = DEFAULT_CONFIG,
                           tolerance: float | None = None) -> IdentityReport:
-    """S(p, q; n) = S(q, p; n), both sides by direct quadrature."""
+    """S(p, q; n) = S(q, p; n), both sides by direct quadrature.
+
+    Compared in log space; lhs/rhs are the logs of the two sides.
+    """
     a = euler_symbol(p, q, n, config)
     b = euler_symbol(q, p, n, config)
     params = {"n": integer(n, "n", 1), "p": float(p), "q": float(q)}
-    return _report("symbol-symmetry", params, a.value, b.value, tolerance,
-                   a.converged and b.converged)
+    return _log_report("symbol-symmetry", params, [_log_value(a)], [_log_value(b)], tolerance,
+                       a.converged and b.converged)
 
 
 def check_symbol_bridge(p: float, q: float, n: int,
                         config: QuadratureConfig = DEFAULT_CONFIG,
                         tolerance: float | None = None) -> IdentityReport:
-    """S(p, q; n) by quadrature = B(p/n, q/n)/n in closed form."""
+    """S(p, q; n) by quadrature = B(p/n, q/n)/n in closed form.
+
+    Compared in log space; lhs/rhs are the logs of the two sides.
+    """
     estimate = euler_symbol(p, q, n, config)
-    rhs = euler_symbol_closed(p, q, n)
-    params = {"n": integer(n, "n", 1), "p": float(p), "q": float(q)}
-    return _report("symbol-bridge", params, estimate.value, rhs, tolerance,
-                   estimate.converged)
+    p, q, n = float(p), float(q), integer(n, "n", 1)
+    return _log_report("symbol-bridge", {"n": n, "p": p, "q": q}, [_log_value(estimate)],
+                       [log_beta(p / n, q / n), -math.log(n)], tolerance, estimate.converged)
 
 
 def derivation_chain_values(m: float, n: int) -> tuple:

@@ -168,7 +168,7 @@ def test_eval_gamma_integral_reaches_the_double_ceiling():
 @pytest.mark.parametrize("args", [
     ("eval", "gamma", "172"),
     ("eval", "gamma", "1e-320"),
-    ("verify", "factorial-root", "--m", "200", "--n", "1"),
+    ("verify", "factorial-root", "--m", "1e307", "--n", "2"),
     ("eval", "gamma", "172", "--engine", "integral"),
     ("eval", "gamma", "800", "--engine", "integral"),
     # log gamma(x) overflows, or fsum's partial sums do
@@ -303,8 +303,28 @@ def test_verify_gauss_acceptance_member():
 def test_verify_reflection_half_shows_pi():
     result = run_cli("verify", "reflection", "--x", "0.5")
     assert result.returncode == 0
-    assert "lhs:           3.14159265358979" in result.stdout
-    assert "rhs:           3.14159265358979" in result.stdout
+    # the sides are logs: log pi
+    assert "lhs:           1.1447298858494\n" in result.stdout
+    assert "rhs:           1.1447298858494\n" in result.stdout
+
+
+def test_verify_factorial_root_past_the_double_range_of_its_factorial(capsys):
+    # 200! overflows; its log, 863.23198719240547 by mpmath, does not
+    assert main(["verify", "factorial-root", "--m", "2000", "--n", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "lhs:           863.2319871924" in out
+    assert "rhs:           863.2319871924" in out
+    assert "result:        PASS" in out
+
+
+def test_an_integral_that_underflows_exits_2_with_its_name(capsys):
+    error = "an integral underflowed to 0 in double precision"
+    assert main(["verify", "symbol-bridge", "--p", "1e300", "--q", "1", "--n", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert main(["suite", "--identities", "symbol-bridge", "--p", "1e300", "--q", "1",
+                 "--n", "2", "--format", "csv"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: symbol-bridge n=2;p=1e+300;q=1.0: DomainError: {error}\n")
 
 
 def test_verify_shows_the_wall_time_of_its_check(capsys):

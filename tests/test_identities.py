@@ -41,17 +41,17 @@ HALF_SQRT_PI = 0.8862269254527580
 
 
 def test_reflection_at_half_yields_pi():
-    report = check_reflection(0.5)
+    report = check_reflection(0.5)  # the sides are logs
     assert report.passed
-    assert abs(report.lhs - math.pi) <= 1e-13
-    assert abs(report.rhs - math.pi) <= 1e-13
+    assert abs(report.lhs - math.log(math.pi)) <= 1e-14
+    assert abs(report.rhs - math.log(math.pi)) <= 1e-14
 
 
 def test_reflection_at_third():
     report = check_reflection(1.0 / 3.0)
     exact = 2.0 * math.pi / math.sqrt(3.0)
     assert report.passed
-    assert abs(report.lhs - exact) / exact <= 1e-13
+    assert abs(report.lhs - math.log(exact)) <= 1e-13
 
 
 def test_reflection_near_edge():
@@ -67,10 +67,34 @@ def test_reflection_near_one_agrees_with_mpmath(x):
     # off by 6.2e-12 relative there, and by 6.3e-10 at 0.9999999.
     report = check_reflection(x)
     with mpmath.workdps(30):
-        exact = float(mpmath.pi / mpmath.sinpi(mpmath.mpf(x)))
+        exact = float(mpmath.log(mpmath.pi / mpmath.sinpi(mpmath.mpf(x))))
     assert report.passed
-    assert report.rel_residual <= 1e-14
-    assert abs(report.rhs - exact) <= 1e-14 * exact
+    assert report.abs_residual <= 1e-14
+    assert abs(report.rhs - exact) <= 1e-14
+
+
+def _reflection_sweep():
+    """Seed 23: 3,000 x log-uniform in [1e-322, 0.5], each with 1 - x
+    where that is below 1."""
+    rng = random.Random(23)
+    xs = []
+    for _ in range(3000):
+        x = math.exp(rng.uniform(math.log(1e-322), math.log(0.5)))
+        xs += [x, 1.0 - x] if 1.0 - x < 1.0 else [x]
+    return xs
+
+
+def test_reflection_holds_over_all_of_the_unit_interval():
+    # Linear sides overflowed below x of about 5.6e-309 (inf = inf, a nan
+    # residual, FAIL), and pi x loses bits once it is subnormal: 125 of
+    # these true cases failed.  Both log sides must match 40-digit mpmath.
+    with mpmath.workdps(40):
+        for x in _reflection_sweep():
+            report = check_reflection(x)
+            assert report.passed, x
+            exact = mpmath.log(mpmath.pi / mpmath.sinpi(mpmath.mpf(x)))
+            assert abs(report.lhs - exact) <= 1e-13, x
+            assert abs(report.rhs - exact) <= 1e-13, x
 
 
 def test_reflection_domain_message():
@@ -213,13 +237,13 @@ def test_sine_multiple_angle_holds_at_large_phi():
     # Past |phi| of about 3e9 the low word of a sine argument is an ulp of a
     # large number, no longer small: sin(hi) + lo cos(hi) failed 1,301 of
     # these true cases.  Both sides must match a 40-digit sin(n phi), to
-    # 1e-12 relative, or absolute where it is within NEAR_ZERO of a zero.
+    # 1e-12 relative, or absolute where it is within 1e-6 of a zero.
     with mpmath.workdps(40):
         for n, phi in _large_phi_sweep():
             report = check_sine_multiple_angle(n, phi)
             assert report.passed, (n, phi)
             exact = mpmath.sin(n * mpmath.mpf(phi))
-            bound = 1e-12 * (abs(exact) if abs(exact) > identities.NEAR_ZERO else 1.0)
+            bound = 1e-12 * (abs(exact) if abs(exact) > 1e-6 else 1.0)
             for side in (report.lhs, report.rhs):
                 assert abs(side - exact) <= bound, (n, phi, side)
 
@@ -304,6 +328,12 @@ def test_gauss_multiplication_rejects_an_underflowing_term():
         check_duplication(5e-324)
 
 
+def test_factorial_root_rejects_an_underflowing_m_over_n():
+    # m / n rounds to 0 for a subnormal m; the message named x
+    with pytest.raises(DomainError, match="m / n must be positive"):
+        check_factorial_root(5e-324, 3)
+
+
 def test_log_integral_product_small_case():
     report = check_log_integral_product(2)  # the sides are logs
     assert report.passed
@@ -344,30 +374,42 @@ def test_log_integral_product_compares_tiny_sides_in_log_space(monkeypatch):
 def test_product_sides_past_the_near_zero_rule_are_finite_logs(check, n):
     report = check(n)
     assert report.passed
-    assert math.isfinite(report.lhs) and report.lhs < math.log(identities.NEAR_ZERO)
-    assert math.isfinite(report.rhs) and report.rhs < math.log(identities.NEAR_ZERO)
+    assert math.isfinite(report.lhs) and report.lhs < math.log(1e-6)
+    assert math.isfinite(report.rhs) and report.rhs < math.log(1e-6)
 
 
 def test_factorial_root_trivial_and_small():
-    report = check_factorial_root(1.0, 1)
+    report = check_factorial_root(1.0, 1)  # the sides are logs
     assert report.passed
-    assert abs(report.lhs - 1.0) <= 1e-14
+    assert abs(report.lhs) <= 1e-14
     report = check_factorial_root(1.0, 2)
-    assert abs(report.lhs - HALF_SQRT_PI) / HALF_SQRT_PI <= 1e-12
-    assert report.rel_residual <= 1e-12
+    assert abs(report.lhs - math.log(HALF_SQRT_PI)) <= 1e-12
+    assert report.abs_residual <= 1e-12
+
+
+@pytest.mark.parametrize("m, n", [(200.0, 1), (2000.0, 10), (1e5, 7), (3.3e7, 120)])
+def test_factorial_root_past_the_double_range_of_its_factorial(m, n):
+    # (m/n)! overflows past m/n of about 170.6, where the linear sides
+    # exited 2; the log sides are log gamma(m/n + 1).
+    report = check_factorial_root(m, n)
+    with mpmath.workdps(40):
+        exact = mpmath.loggamma(mpmath.mpf(m) / n + 1)
+    assert report.passed
+    for side in (report.lhs, report.rhs):
+        assert abs(side - exact) <= 1e-14 * exact, side
 
 
 def test_factorial_root_real_m_closed():
     report = check_factorial_root(7.3, 5)
     assert report.passed
-    assert report.rel_residual <= 1e-10
+    assert report.abs_residual <= 1e-10
     assert report.params["mode"] == "closed"
 
 
 def test_factorial_root_quadrature_mode():
     report = check_factorial_root(2.0, 3, mode="quadrature")
     assert report.passed
-    assert report.rel_residual <= 1e-7
+    assert report.abs_residual <= 1e-7
     assert report.tolerance == 1e-7
 
 
@@ -377,13 +419,13 @@ def test_factorial_root_mode_validation():
 
 
 def test_algebraic_interpolation_trivial_and_derived():
-    report = check_algebraic_interpolation(1, 1)
+    report = check_algebraic_interpolation(1, 1)  # the sides are logs
     assert report.passed
-    assert abs(report.lhs - 1.0) <= 1e-12
+    assert abs(report.lhs) <= 1e-12
     report = check_algebraic_interpolation(1, 2)
-    assert abs(report.lhs - HALF_SQRT_PI) / HALF_SQRT_PI <= 1e-8
-    assert report.rel_residual <= 1e-6
-    assert check_algebraic_interpolation(3, 4).rel_residual <= 1e-6
+    assert abs(report.lhs - math.log(HALF_SQRT_PI)) <= 1e-8
+    assert report.abs_residual <= 1e-6
+    assert check_algebraic_interpolation(3, 4).abs_residual <= 1e-6
 
 
 def test_symbol_symmetry_and_bridge_spot():
@@ -393,7 +435,35 @@ def test_symbol_symmetry_and_bridge_spot():
     assert report.passed
     report = check_symbol_bridge(3.0, 2.0, 5)
     assert report.passed
-    assert report.rel_residual <= 1e-7
+    assert report.abs_residual <= 1e-7
+
+
+def test_symbol_bridge_fails_a_doubled_integral_of_tiny_sides(monkeypatch):
+    # Both sides of S(200, 200; 2) are about 1.1e-61.  Compared linearly,
+    # they fell to the near-zero rule, and a doubled integral passed with
+    # rel_residual 0.5; in log space it is off by log 2.
+    assert check_symbol_bridge(200.0, 200.0, 2).passed
+    symbol = identities.euler_symbol
+
+    def doubled(p, q, n, config):
+        estimate = symbol(p, q, n, config)
+        return estimate._replace(value=2.0 * estimate.value)
+
+    monkeypatch.setattr(identities, "euler_symbol", doubled)
+    report = check_symbol_bridge(200.0, 200.0, 2)
+    assert not report.passed
+    assert abs(report.abs_residual - math.log(2.0)) <= 1e-12
+
+
+def test_an_integral_that_underflows_is_a_named_domain_error():
+    # S(1e300, 1; 2) is about 1.3e-150, but its quadrature underflows to 0,
+    # whose log was a bare "math domain error".
+    message = "an integral underflowed to 0 in double precision"
+    for check in (check_symbol_bridge, check_symbol_symmetry):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            check(1e300, 1.0, 2)
+    (report,) = run_suite({"symbol-bridge": [{"p": 1e300, "q": 1.0, "n": 2}]}).reports
+    assert not report.passed and report.error == f"DomainError: {message}"
 
 
 def test_symbol_symmetry_sides_are_distinct_integrals():
@@ -563,13 +633,13 @@ def test_default_suite_integrates_each_distinct_integral_once(refine_calls):
 
 def test_default_suite_evaluates_each_fraction_table_once(log_gamma_args):
     run_suite()
-    # 3,155 when every check evaluated its own log gamma(i/n) table
-    assert len(log_gamma_args) == 2491
+    # 3,319 when every check evaluated its own log gamma(i/n) table
+    assert len(log_gamma_args) == 2655
     # A second run reads the tables the first one stored: 1,225 fewer, the
     # 1 + 2 + ... + 49 terms of n = 2..50.
     log_gamma_args.clear()
     run_suite()
-    assert len(log_gamma_args) == 1266
+    assert len(log_gamma_args) == 1430
 
 
 def test_distinct_n_sweep_keeps_8_bytes_per_table_term(fraction_tables):
@@ -810,13 +880,14 @@ def test_integer_parameters_validated():
 @pytest.mark.parametrize("n", [1, 2, 9, 120])
 def test_closed_factorial_root_computes_log_gamma_m_over_n_once(log_gamma_args, n):
     check_factorial_root(7.3, n)
-    # log gamma(m), log gamma(m/n) once, then gamma(i/n) and gamma((i+m)/n)
-    assert len(log_gamma_args) == 2 * (n - 1) + 2
+    # log gamma(m), log gamma(m/n) once, then gamma(i/n) and gamma((i+m)/n),
+    # and gamma(m/n + 1) for the left side
+    assert len(log_gamma_args) == 2 * (n - 1) + 3
     assert log_gamma_args.count(7.3 / n) == (2 if n == 1 else 1)
     # a second check reads the stored gamma(i/n) table
     log_gamma_args.clear()
     check_factorial_root(7.3, n)
-    assert len(log_gamma_args) == (n - 1) + 2
+    assert len(log_gamma_args) == (n - 1) + 3
     assert log_gamma_args.count(7.3 / n) == (2 if n == 1 else 1)
 
 
