@@ -22,54 +22,48 @@ x = b - dist and skip nodes that round onto an endpoint.
 
 Stored tables
 -------------
-Three tables keep, for the life of the process, what a level needs before any
-integrand is evaluated:
+Every table is a pure function of its key, kept for the life of the process,
+and published only once complete, so sharing one process-wide (and two
+threads racing to build the same one) never changes a result.  A level
+needs them before any integrand is evaluated:
 
-* ``_node_tables``, keyed on (h, odd_only): each node's (dm, ch, ez2,
-  (1 + ez2)^2), the factors of its distance and weight on (-1, 1);
-* ``_row_tables``, keyed on (h, odd_only): each node's
-  (w, log(dist), log1p(-dist)) on (0, 1), its weight with what the families
-  read of its distance;
-* ``_symbol_tables``, keyed on (h, odd_only, p2): the rows, each extended
-  by the two exponent columns of ``EULER_SYMBOL``,
-  log(-expm1(p2 * log1p(-dist))) and log(-expm1(p2 * log(dist))): the log
-  of 1 - x^p2 at the node near 1 and at the node near 0.  They depend on
-  the exponent n = p2 but not on p or q, so every S(p, q; n) with the same
-  n reads one table.
+* ``_node_tables``, keyed on (h, odd_only) with h >= ``TABLE_MIN_H``: each
+  node's (dm, ch, ez2, (1 + ez2)^2), the factors of its distance and weight
+  on (-1, 1);
+* ``_row_tables``, keyed on (h, odd_only) with h >= ``TABLE_MIN_H``: each
+  node's (w, log(dist), log1p(-dist)) on (0, 1), its weight with what the
+  families read of its distance;
+* ``_symbol_tables``, keyed on (h, odd_only, p2) with h >= ``TABLE_MIN_H``
+  and p2 in ``TABLE_EXPONENTS``, the integers 1..``TABLE_MAX_EXPONENTS``
+  (16): the rows, each extended by the two exponent columns of
+  ``EULER_SYMBOL``, log(-expm1(p2 * log1p(-dist))) and
+  log(-expm1(p2 * log(dist))): the log of 1 - x^p2 at the node near 1 and
+  at the node near 0.  They depend on the exponent n = p2 but not on p or
+  q, so every S(p, q; n) with the same n reads one table.
 
-Only levels with h >= ``TABLE_MIN_H`` are stored; finer levels stream from
-the same expressions.  With the default ``max_refinements`` of 12 that is
-every level a quadrature visits, at most 24,985 nodes.  All levels of node
-geometry hold 4.2 MiB and all levels of rows 3.4 MiB (tracemalloc).
-Exponent columns are stored for at most ``TABLE_MAX_EXPONENTS`` (16)
-distinct exponents in ``_symbol_exponents``, the first ones asked for;
-later exponents stream their columns, so a sweep over n cannot grow the
-store without bound.  All levels of one exponent hold 3.2 MiB
-(tracemalloc), 52 MiB for 16.  In practice far less is stored: the default
-suite keeps 97 nodes of rows and 485 rows of columns for its five
-exponents.  A table depends only on its key and is published only once
-complete, so sharing one process-wide (and two threads racing to build the
-same one) never changes a result.
+A level with h < ``TABLE_MIN_H``, or an exponent outside
+``TABLE_EXPONENTS``, streams from the same expressions instead, so the
+store is bounded whatever is asked of it.  With the default
+``max_refinements`` of 12 every level a quadrature visits is stored, at most
+24,985 nodes.  All levels of node geometry hold 4.2 MiB, all levels of rows
+3.4 MiB, and all levels of one exponent 3.2 MiB, 52 MiB for all 16
+(tracemalloc).  In practice far less is stored: the default suite keeps 97
+nodes of rows and 485 rows of columns for its five exponents.
 
 Finiteness
 ----------
-The family loops test nothing per node; ``level_sum`` tests the centre node
-and then the level's total, once each.  That gives the outcome a test at
-every node would give.  In pure Python ``exp`` and ``**`` raise
-OverflowError rather than return inf, and ``level_sum`` turns that into
-NonFiniteIntegrandError.  Every other family value is >= 0 or NaN, and every
-weight is >= 0, so the total is not finite exactly when some node value is
-NaN, or when finite terms overflowed the sum (or a weight that underflowed
-to 0 met a pair of values whose sum overflowed, 0 * inf).  Only then is the
-level scanned again with ``family_value``: a node value that is not finite
-raises NonFiniteIntegrandError; otherwise the infinite (or NaN) total is
-returned, as a test at every node would return it.  The generic-callable
-loop keeps its test at every node, since a user's function must not be
-called twice.
+A family level returns a finite total or raises NonFiniteIntegrandError.
+The family loops test nothing per node: in pure Python ``exp`` and ``**``
+raise OverflowError rather than return inf, which ``level_sum`` maps to
+NonFiniteIntegrandError, and it tests the level's total, centre node
+included, once after the loop.  A node value that is NaN or infinite makes
+that total NaN or infinite (every weight is >= 0 and every other value is
+>= 0), and so does a sum of finite terms that overflows; either raises.
+The generic-callable loop tests every node instead, since a user's function
+must not be called twice, and returns the total as summed.
 """
 
 import math
-import threading
 # Bare names save an attribute lookup per call in the per-node loops.
 from math import exp, expm1, isfinite, log, log1p
 
@@ -80,11 +74,10 @@ HALF_PI = 1.5707963267948966
 
 TABLE_MIN_H = 2.0 ** -12
 TABLE_MAX_EXPONENTS = 16
+TABLE_EXPONENTS = frozenset(range(1, TABLE_MAX_EXPONENTS + 1))
 _node_tables = {}
 _row_tables = {}
 _symbol_tables = {}
-_symbol_exponents = set()
-_symbol_lock = threading.Lock()
 
 # Integrand family tags.
 GENERIC = 0
@@ -179,19 +172,12 @@ def _symbol_columns(rows, p2):
 
 def _symbol_rows(rows, h, odd_only, p2):
     """The level's ``rows`` with the EULER_SYMBOL columns of exponent p2: a
-    stored table, or a stream below TABLE_MIN_H or past TABLE_MAX_EXPONENTS."""
-    if h < TABLE_MIN_H:
+    stored table, or a stream below TABLE_MIN_H or outside TABLE_EXPONENTS."""
+    if h < TABLE_MIN_H or p2 not in TABLE_EXPONENTS:
         return _symbol_columns(rows, p2)
-    key = (h, odd_only, p2)
-    table = _symbol_tables.get(key)
+    table = _symbol_tables.get((h, odd_only, p2))
     if table is None:
-        with _symbol_lock:
-            if len(_symbol_exponents) < TABLE_MAX_EXPONENTS:
-                _symbol_exponents.add(p2)
-            stored = p2 in _symbol_exponents
-        if not stored:
-            return _symbol_columns(rows, p2)
-        table = _symbol_tables[key] = tuple(_symbol_columns(rows, p2))
+        table = _symbol_tables[h, odd_only, p2] = tuple(_symbol_columns(rows, p2))
     return table
 
 
@@ -239,25 +225,15 @@ _FAMILY_SUMS = {
 }
 
 
-def _has_non_finite_node(h, odd_only, family, p0, p1, p2):
-    """Whether ``family_value`` is NaN or infinite at a node t != 0 of this level."""
-    for dm, _, _, _ in _nodes(h, odd_only):
-        dist = 0.5 * dm
-        if not (isfinite(family_value(family, p0, p1, p2, dist, True))
-                and isfinite(family_value(family, p0, p1, p2, dist, False))):
-            return True
-    return False
-
-
 def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
     """Sum weighted integrand values at the tanh-sinh nodes of spacing ``h``.
 
     With ``odd_only`` set, only odd multiples of ``h`` are visited; this is
     how a refinement level reuses the coarser level's nodes.  Returns the
     weighted sum (to be scaled by ``h`` by the caller) and the number of
-    integrand evaluations.  A built-in integrand that is not finite, or
-    overflows, at a node raises NonFiniteIntegrandError; one asked for over
-    an interval other than (0, 1) raises ValueError.
+    integrand evaluations.  A built-in family's total is finite, or the
+    level raises NonFiniteIntegrandError (see the module docstring); a family
+    asked for over an interval other than (0, 1) raises ValueError.
     """
     halfspan = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -273,16 +249,13 @@ def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
         try:
             if not odd_only:
                 # Center node t = 0: weight (pi/2)*halfspan, halfspan from either end.
-                v = family_value(family, p0, p1, p2, halfspan, False)
-                if not math.isfinite(v):
-                    raise NonFiniteIntegrandError("integrand not finite")
-                total += halfspan * HALF_PI * v
+                total += halfspan * HALF_PI * family_value(family, p0, p1, p2, halfspan, False)
                 n += 1
             total = family_sum(h, odd_only, total, p0, p1, p2)
-            if not isfinite(total) and _has_non_finite_node(h, odd_only, family, p0, p1, p2):
-                raise NonFiniteIntegrandError("integrand not finite")
         except OverflowError:
             raise NonFiniteIntegrandError("integrand not finite") from None
+        if not isfinite(total):
+            raise NonFiniteIntegrandError("integrand not finite")
         return total, n + 2 * _node_count(h, odd_only)
 
     if not odd_only:

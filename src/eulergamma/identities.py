@@ -28,13 +28,11 @@ Conventions shared by all checks:
   and ``derivation_chain_values``, are evaluated in batches by
   ``gamma.log_gamma_terms``: the arguments are positive by construction, so
   the per-call check is skipped, and each term is the float ``log_gamma``
-  gives.  The table log gamma(i/n), i = 1..n-1, depends on n alone.  For
-  n <= FRACTION_TABLE_MAX_N (1024) it is computed once per process and
-  shared by every check that needs it, in or outside a run: 8 bytes per
-  term, at most 4.2 MB.  A larger n's table is computed once per
-  ``run_suite`` and kept until the run ends, at most 80 MB per run under the
-  grid caps below (n summed over the cases <= MAX_GRID_N); outside a run it
-  is computed afresh.
+  gives.  The table log gamma(i/n), i = 1..n-1, is kept in
+  ``_fraction_tables``, keyed on n <= FRACTION_TABLE_MAX_N (1024), for the
+  life of the process and shared by every check that needs it, in or
+  outside a run: 8 bytes per term, at most 4.2 MB.  A larger n's table is
+  computed by each call that needs it and kept by none.
 * The log of an n-th root is the fsum of the radicand's log terms divided by
   n once; every radicand on the supported domain is a product of positive
   reals, so there is no branch to pick.
@@ -54,9 +52,9 @@ Conventions shared by all checks:
   relative one, and it is never looser than it.  (Over 4,000 sampled
   checks, n up to 10^5 and x up to 10^300, abs_residual stayed within
   1.1 eps S wherever S > 1000, and within 6.8 eps S overall.)
-  sine-multiple-angle passes when rel_residual <= tolerance, except that
-  sides both within 1e-6 of zero are compared absolutely (relative error is
-  meaningless at a zero of the identity).
+  sine-multiple-angle passes when rel_residual <= tolerance, near its zeros
+  too: every sine argument is a double-double, so each side is relatively
+  accurate however close it comes to zero.
 * Checks that integrate also require every quadrature to have converged;
   a nonconverged estimate fails the report even if the residual looks small.
 """
@@ -96,9 +94,6 @@ _LOG_ROUNDING = 8.0 * sys.float_info.epsilon
 MAX_GRID_N = 10_000_000
 MAX_GRID_CASES = 100_000
 
-# sine-multiple-angle's sides this close to zero switch its pass rule to
-# the absolute residual.
-NEAR_ZERO = 1e-6
 _TINY = 1e-300
 
 # The values of factorial-root's ``mode`` axis; the first is the default.
@@ -164,17 +159,14 @@ def _report(identity_id, params, lhs, rhs, tolerance, aux_ok=True, log_scale=Non
     sides are logs, is the summed magnitude of their terms; such sides pass
     on the absolute residual, or on the relative one where the absolute
     residual is within rounding of them.  Linear sides, sine-multiple-angle's
-    alone, pass on the relative residual, or on the absolute one where both
-    are within NEAR_ZERO of zero.  A ``tolerance`` of None is the identity's
-    default."""
+    alone, pass on the relative residual.  A ``tolerance`` of None is the
+    identity's default."""
     tolerance = _resolved(tolerance, identity_id, params)
     abs_residual = abs(lhs - rhs)
     rel_residual = abs_residual / max(abs(lhs), abs(rhs), _TINY)
     if log_scale is not None:
         passed = abs_residual <= tolerance or (
             abs_residual <= _LOG_ROUNDING * log_scale and rel_residual <= tolerance)
-    elif max(abs(lhs), abs(rhs)) <= NEAR_ZERO:
-        passed = abs_residual <= tolerance
     else:
         passed = rel_residual <= tolerance
     # A side that is nan or infinite makes a nan or inf residual, which
@@ -221,11 +213,10 @@ def _log_report(identity_id, params, lhs_terms, rhs_terms, tolerance, aux_ok=Tru
                    log_scale=sum(map(abs, lhs_terms)) + sum(map(abs, rhs_terms)))
 
 
-# Tables of log gamma(i/n) with n <= FRACTION_TABLE_MAX_N, kept for the
-# life of the process: 8 bytes per term, 4.2 MB if every such n is met.  A
-# fixed bound on n rather than an eviction rule: run_suite visits
-# factorial-root cases by m, then n, so a wide sweep meets each n once per m,
-# and an evicted table would be rebuilt for every m.
+# The store of log gamma(i/n) tables (see the module docstring).  A fixed
+# bound on n rather than an eviction rule: run_suite visits factorial-root
+# cases by m, then n, so a wide sweep meets each n once per m, and an
+# evicted table would be rebuilt for every m.
 FRACTION_TABLE_MAX_N = 1024
 _fraction_tables = {}
 
@@ -234,22 +225,15 @@ def _log_gamma_fractions(n):
     """log gamma(1/n), log gamma(2/n), ..., log gamma((n-1)/n), as an
     ``array('d')`` (8 bytes per term; callers only read it).
 
-    The table depends on n alone.  For n <= FRACTION_TABLE_MAX_N it is
-    computed once per process and kept in ``_fraction_tables``.  A larger n's
-    table is computed once per suite run and kept in the run's
-    ``suite_memo`` dict, under a 2-tuple key that no 7-tuple quadrature key
-    can equal; outside a run it is computed afresh.  A table is stored only
-    once complete, so two threads racing to build one get equal tables.
+    Read from ``_fraction_tables`` when n <= FRACTION_TABLE_MAX_N, computed
+    afresh otherwise.  A table is stored only once complete, so two threads
+    racing to build one get equal tables.
     """
-    if n <= FRACTION_TABLE_MAX_N:
-        store, key = _fraction_tables, n
-    else:
-        store, key = suite_memo.get(), ("log_gamma_fractions", n)
-        if store is None:
-            store = {}
-    table = store.get(key)
+    table = _fraction_tables.get(n)
     if table is None:
-        table = store[key] = array("d", log_gamma_terms(i / n for i in range(1, n)))
+        table = array("d", log_gamma_terms(i / n for i in range(1, n)))
+        if n <= FRACTION_TABLE_MAX_N:
+            _fraction_tables[n] = table
     return table
 
 
@@ -382,7 +366,6 @@ def check_sine_multiple_angle(n: int, phi: float,
     r, r_err = _two_product(step, float(n))
     tail = ((_PI_HI - r) - r_err + _PI_LO) / n
     step_hi, step_lo = _split(step)
-    sin, cos = math.sin, math.cos
     factors = []
     for k in range(n):
         a = k * step
@@ -390,7 +373,7 @@ def check_sine_multiple_angle(n: int, phi: float,
         s = phi + a  # TwoSum(phi, a), inline
         bb = s - phi
         lo = (phi - (s - bb)) + (a - bb) + a_err + k * tail
-        factors.append(sin(s) * cos(lo) + cos(s) * sin(lo))  # _sin_dd(s, lo), inline
+        factors.append(_sin_dd(s, lo))
     if any(f == 0.0 for f in factors):
         rhs = 0.0
     else:
@@ -727,13 +710,14 @@ def run_suite(grid: dict | None = None,
     than aborting the suite.
 
     Within one run, equal family integrals (the same integrand, parameters
-    and config) are computed once and shared by every check that
-    needs them, so S(p, q; n) serves both symbol-symmetry and symbol-bridge.
-    Nothing in that memo is kept between runs, and calls outside a run never
-    share an integral.  Each n's table of log gamma(i/n), read by the
-    closed-form product and factorial-root checks with that n, is kept for
-    the process when n <= FRACTION_TABLE_MAX_N (at most 4.2 MB), and in the
-    run's memo otherwise.
+    and config) are computed once and shared by every check that needs
+    them, so S(p, q; n) serves both symbol-symmetry and symbol-bridge.  The
+    run's memo, ``quadrature.suite_memo``, is keyed on (family, p0, p1, p2,
+    config), holds family integrals and nothing else, and ends with the run;
+    calls outside a run never share an integral.  The stores that outlive a
+    run, the log gamma(i/n) tables (see the module docstring) and
+    ``backend``'s node tables, keep what a rule on their key admits, whatever
+    the run asks for.
     """
     if grid is None:
         grid = default_grid()

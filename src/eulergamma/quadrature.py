@@ -25,6 +25,10 @@ against the bar rel_tol * |I_j| (for callables, at least abs_tol):
   reported.  Where it fires it saves the level the change test would
   compute; it never adds one.
 
+A bar of 0 is met by neither test: a family value of 0, as when every node
+of S(1.7e308, 1; 2) underflows, is not known to be the integral, and is
+reported unconverged.
+
 Either estimate is raised to at least the rounding floor
 ROUNDING_K * eps * (1 + e) * |I_j|, with e the sum of the |powers| the
 integrand raises x, 1 - x, 1 - x^n or -log x to (0 for a callable): the
@@ -148,9 +152,9 @@ class IntegralEstimate(NamedTuple):
     test stopped the refinement, the extrapolated error; either is at least
     the rounding floor (see the module docstring).  ``converged`` is True
     exactly when ``value`` is finite and ``error_estimate`` met the
-    configured tolerance; a False value still carries the best estimate
-    found.  Refinement stops at the first level whose value is not finite,
-    and reports an ``error_estimate`` of inf.
+    configured tolerance, a bar of 0 being met by none; a False value still
+    carries the best estimate found.  Refinement stops at the first level
+    whose value is not finite, and reports an ``error_estimate`` of inf.
     """
 
     value: float
@@ -221,10 +225,10 @@ def _refine(a, b, config, family, p0, p1, p2, f):
         if bar < floor:
             bar = floor
         error = change if change > least else least
-        if error <= bar:
+        if error <= bar and bar > 0.0:
             converged = True
             break
-        if d2 < size:
+        if d2 < size and bar > 0.0:
             extrapolated = _extrapolated(d2, d1, change, size)
             if extrapolated < least:
                 extrapolated = least

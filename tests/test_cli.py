@@ -319,12 +319,23 @@ def test_verify_factorial_root_past_the_double_range_of_its_factorial(capsys):
 
 def test_an_integral_that_underflows_exits_2_with_its_name(capsys):
     error = "an integral underflowed to 0 in double precision"
-    assert main(["verify", "symbol-bridge", "--p", "1e300", "--q", "1", "--n", "2"]) == 2
+    assert main(["verify", "symbol-bridge", "--p", "1.7e308", "--q", "1", "--n", "2"]) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
-    assert main(["suite", "--identities", "symbol-bridge", "--p", "1e300", "--q", "1",
+    assert main(["suite", "--identities", "symbol-bridge", "--p", "1.7e308", "--q", "1",
                  "--n", "2", "--format", "csv"]) == 1
     assert capsys.readouterr().err == (
-        f"error: symbol-bridge n=2;p=1e+300;q=1.0: DomainError: {error}\n")
+        f"error: symbol-bridge n=2;p=1.7e+308;q=1.0: DomainError: {error}\n")
+
+
+def test_an_integral_that_underflows_at_most_nodes_is_not_converged(capsys):
+    # S(1e300, 1; 2) = 1.2533e-150; most of its nodes underflow to 0.  It
+    # printed 0 and exited 0, a value of 0 meeting a bar of 0.
+    assert main(["eval", "symbol", "1e300", "1", "2", "--engine", "integral"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "1.24141813296134e-150\n"
+    assert err.startswith("warning: quadrature did not converge")
+    assert main(["verify", "symbol-bridge", "--p", "1e300", "--q", "1", "--n", "2"]) == 1
+    assert "result:        FAIL" in capsys.readouterr().out
 
 
 def test_verify_shows_the_wall_time_of_its_check(capsys):

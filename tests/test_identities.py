@@ -171,12 +171,54 @@ def test_sine_multiple_angle_generic():
     assert report.rel_residual <= 1e-12
 
 
-def test_sine_multiple_angle_zero_crossing_uses_absolute_rule():
-    # phi = pi/2 with n = 2 puts sin(n phi) at a zero; both sides are tiny
-    # and the absolute-residual rule applies.
+def test_sine_multiple_angle_zero_crossing_passes_on_the_relative_rule():
+    # phi = pi/2 with n = 2 puts sin(n phi) next to a zero: both sides are
+    # sin(2 fl(pi/2)) = 1.2e-16, each relatively accurate, and they pass on
+    # the relative residual like any other sides.
     report = check_sine_multiple_angle(2, math.pi / 2.0)
-    assert max(abs(report.lhs), abs(report.rhs)) <= 1e-6
+    assert max(abs(report.lhs), abs(report.rhs)) <= 1e-15
+    assert report.rel_residual <= report.tolerance
     assert report.passed
+    # At a true zero both sides are 0, and 0 / 1e-300 passes.
+    report = check_sine_multiple_angle(3, 0.0)
+    assert report.lhs == report.rhs == 0.0 and report.passed
+
+
+def test_sine_multiple_angle_near_zero_fails_a_perturbed_sine(monkeypatch):
+    # Every sine off by 1 + 1e-9 puts the product side (two factors) off by
+    # 1e-9 relative from sin(n phi) (one).  Near a zero that is a difference
+    # of 1.2e-25, which an absolute rule for sides near zero passed.
+    sin = math.sin
+    monkeypatch.setattr(math, "sin", lambda x: sin(x) * (1.0 + 1e-9))
+    report = check_sine_multiple_angle(2, math.pi / 2.0)
+    assert report.rel_residual > report.tolerance
+    assert not report.passed
+
+
+def _sine_multiple_angle_near_zero_sweep():
+    """Seed 29: 3,000 draws at phi = j pi/n + delta, n in 1..40, j in
+    0..2n-1 and |delta| log-uniform in [1e-300, 1e-6], both signs."""
+    rng = random.Random(29)
+    cases = []
+    for _ in range(3000):
+        n = rng.randint(1, 40)
+        j = rng.randrange(2 * n)
+        delta = rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(math.log(1e-300),
+                                                               math.log(1e-6)))
+        cases.append((n, j * math.pi / n + delta))
+    return cases
+
+
+def test_sine_multiple_angle_near_zero_matches_mpmath():
+    # Each side is relatively accurate however close it comes to a zero
+    # (worst 4.1e-13 here), so the relative rule passes every true case.
+    with mpmath.workdps(40):
+        for n, phi in _sine_multiple_angle_near_zero_sweep():
+            report = check_sine_multiple_angle(n, phi)
+            assert report.passed, (n, phi)
+            exact = mpmath.sin(n * mpmath.mpf(phi))
+            for side in (report.lhs, report.rhs):
+                assert abs(side - exact) <= 1e-12 * abs(exact), (n, phi, side)
 
 
 def _sine_multiple_angle_sweep():
@@ -343,7 +385,7 @@ def test_log_integral_product_small_case():
 
 
 def test_sine_product_compares_tiny_sides_in_log_space(monkeypatch):
-    # At n = 30 both sides are about 5.6e-8, inside NEAR_ZERO.  Sines each
+    # At n = 30 both sides are about 5.6e-8, within 1e-6 of zero.  Sines each
     # off by 1 + 1e-9 put the product off by 2.9e-8 relative, which a linear
     # comparison on the absolute rule (|difference| 1.6e-15) would pass.
     sin = math.sin
@@ -354,7 +396,7 @@ def test_sine_product_compares_tiny_sides_in_log_space(monkeypatch):
 
 
 def test_log_integral_product_compares_tiny_sides_in_log_space(monkeypatch):
-    # From n = 171 both sides are inside NEAR_ZERO.  At n = 200, integrals
+    # From n = 171 both sides are within 1e-6 of zero.  At n = 200, integrals
     # each off by 1 + 1e-6 put the product off by 2e-4 relative, which a
     # linear comparison on the absolute rule would pass.
     integral = identities.gamma_log_integral
@@ -456,13 +498,13 @@ def test_symbol_bridge_fails_a_doubled_integral_of_tiny_sides(monkeypatch):
 
 
 def test_an_integral_that_underflows_is_a_named_domain_error():
-    # S(1e300, 1; 2) is about 1.3e-150, but its quadrature underflows to 0,
-    # whose log was a bare "math domain error".
+    # S(1.7e308, 1; 2) is about 9.6e-155, but its integrand underflows to 0
+    # at every node, and the log of that 0 was a bare "math domain error".
     message = "an integral underflowed to 0 in double precision"
     for check in (check_symbol_bridge, check_symbol_symmetry):
         with pytest.raises(DomainError, match=f"^{message}$"):
-            check(1e300, 1.0, 2)
-    (report,) = run_suite({"symbol-bridge": [{"p": 1e300, "q": 1.0, "n": 2}]}).reports
+            check(1.7e308, 1.0, 2)
+    (report,) = run_suite({"symbol-bridge": [{"p": 1.7e308, "q": 1.0, "n": 2}]}).reports
     assert not report.passed and report.error == f"DomainError: {message}"
 
 
@@ -773,25 +815,41 @@ def test_fraction_table_is_kept_for_the_process(monkeypatch, fraction_tables,
     assert list(fraction_tables) == [9] and fraction_tables[9] is stored
 
 
-def test_fraction_table_past_the_cap_lasts_one_run(fraction_tables, log_gamma_args):
-    n = identities.FRACTION_TABLE_MAX_N + 1
-    grid = {
+def _past_the_cap_grid(n):
+    return {
         "factorial-root": [{"m": 0.5, "n": n, "mode": "closed"},
                            {"m": 7.3, "n": n, "mode": "closed"}],
         "gamma-fraction-product": [{"n": n}],
         "gamma-square-product": [{"n": n}],
     }
-    # built once per run for its four checks, and never kept after it
-    assert run_suite(grid).n_fail == 0
-    assert _fraction_counts(log_gamma_args, n) == [1] * (n - 1)
-    assert fraction_tables == {} and quadrature.suite_memo.get() is None
-    run_suite(grid)
-    assert _fraction_counts(log_gamma_args, n) == [2] * (n - 1)
-    # outside a run, built afresh by every call
-    check_gamma_fraction_product(n)
-    check_gamma_fraction_product(n)
+
+
+def test_fraction_table_past_the_cap_is_never_kept(fraction_tables, log_gamma_args):
+    n = identities.FRACTION_TABLE_MAX_N + 1
+    # built by each of the four checks, in a run or outside one, and never kept
+    assert run_suite(_past_the_cap_grid(n)).n_fail == 0
     assert _fraction_counts(log_gamma_args, n) == [4] * (n - 1)
     assert fraction_tables == {}
+    check_gamma_fraction_product(n)
+    check_gamma_fraction_product(n)
+    assert _fraction_counts(log_gamma_args, n) == [6] * (n - 1)
+    assert fraction_tables == {}
+
+
+def test_run_memo_holds_only_family_integrals(monkeypatch, fraction_tables):
+    memos = []
+    table = identities._log_gamma_fractions
+
+    def recording(n):
+        memos.append(quadrature.suite_memo.get())
+        return table(n)
+
+    monkeypatch.setattr(identities, "_log_gamma_fractions", recording)
+    grid = {**_past_the_cap_grid(identities.FRACTION_TABLE_MAX_N + 1),
+            "symbol-bridge": [{"p": 1.0, "q": 2.0, "n": 3}]}
+    assert run_suite(grid).n_fail == 0
+    assert len(memos) == 4 and all(memo is memos[0] for memo in memos)
+    assert list(memos[0]) == [(backend.EULER_SYMBOL, 1.0, 2.0, 3.0, quadrature.DEFAULT_CONFIG)]
 
 
 def _fresh_fraction_table(n):

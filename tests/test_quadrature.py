@@ -7,8 +7,10 @@ engine under test.
 """
 
 import math
+import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,10 @@ from eulergamma import (
     IntegralEstimate,
     NonFiniteIntegrandError,
     QuadratureConfig,
+    beta_integral,
     euler_symbol,
     gamma_integral,
+    gamma_log_integral,
     integrate_finite,
 )
 from eulergamma import backend as kern
@@ -389,7 +393,6 @@ def test_node_tables_built_by_racing_threads_give_identical_sums(monkeypatch):
     monkeypatch.setattr(kern, "_node_tables", {})
     monkeypatch.setattr(kern, "_row_tables", {})
     monkeypatch.setattr(kern, "_symbol_tables", {})
-    monkeypatch.setattr(kern, "_symbol_exponents", set())
     family, p0, p1, p2, a, b = (kern.EULER_SYMBOL, 3.0, 2.0, 5.0, 0.0, 1.0)
     want = [_inline_level_sum(a, b, h, odd, family, p0, p1, p2, None)
             for h, odd in _levels(8)]
@@ -415,48 +418,106 @@ def test_node_tables_built_by_racing_threads_give_identical_sums(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert results == [want] * len(threads)
-    assert kern._symbol_exponents == {p2}
-    assert {key[:2] for key in kern._symbol_tables} == set(_levels(8))
+    assert set(kern._symbol_tables) == {(h, odd, p2) for h, odd in _levels(8)}
 
 
 def test_exponent_columns_stay_within_their_cap(monkeypatch):
     monkeypatch.setattr(kern, "_symbol_tables", {})
-    monkeypatch.setattr(kern, "_symbol_exponents", set())
     cap = kern.TABLE_MAX_EXPONENTS
-    # S(n, n; n) integrates x^(n-1): a few levels for every n.
-    estimates = {n: euler_symbol(float(n), float(n), n) for n in range(1, 201)}
-    stored = set(range(1, cap + 1))
-    assert kern._symbol_exponents == stored
-    assert {p2 for *_, p2 in kern._symbol_tables} == stored
+    # S(n, n; n) integrates x^(n-1): a few levels for every n.  Asked for
+    # from n = 200 down, the store still keeps n = 1..16 and no other: which
+    # exponents it keeps is a rule on the key, not the order of the calls.
+    estimates = {n: euler_symbol(float(n), float(n), n) for n in range(200, 0, -1)}
+    assert kern.TABLE_EXPONENTS == frozenset(range(1, cap + 1))
+    assert {p2 for *_, p2 in kern._symbol_tables} == set(range(1, cap + 1))
     for n in (1, cap, cap + 1, 200):
         assert estimates[n].converged
         assert abs(estimates[n].value - 1.0 / n) <= 1e-12 / n
-    # An exponent past the cap streams its columns, to the same floats.
-    monkeypatch.setattr(kern, "_symbol_exponents", set())
+    # An exponent past the cap streams its columns, to the floats a stored
+    # table gives.
+    monkeypatch.setattr(kern, "TABLE_EXPONENTS", frozenset({200}))
     assert euler_symbol(200.0, 200.0, 200) == estimates[200]
-    assert 200.0 in kern._symbol_exponents
+    assert {p2 for *_, p2 in kern._symbol_tables} == set(range(1, cap + 1)) | {200}
 
 
 def test_non_finite_node_raises_once_the_level_total_is_not_finite(monkeypatch):
     with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
         kern.level_sum(0.0, 1.0, 0.5, True, kern.BETA, math.nan, 1.5, 0.0, None)
-    # A NaN row makes the total NaN; the rescan then decides by family_value.
+    # A NaN row makes the total NaN, which raises without a second pass over
+    # the nodes: family_value serves the centre node alone.
     rows = list(kern._rows(0.5, True))
     rows[1] = (rows[1][0], math.nan, rows[1][2])
     monkeypatch.setattr(kern, "_row_tables", {(0.5, True): tuple(rows)})
-    args = (0.0, 1.0, 0.5, True, kern.BETA, 1.5, 2.5, 0.0, None)
-    assert math.isnan(kern.level_sum(*args)[0])
-    monkeypatch.setattr(kern, "family_value", lambda *args: math.nan)
+    monkeypatch.setattr(kern, "family_value", lambda *args: pytest.fail("rescanned"))
     with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
-        kern.level_sum(*args)
+        kern.level_sum(0.0, 1.0, 0.5, True, kern.BETA, 1.5, 2.5, 0.0, None)
+    # A centre node that is not finite is caught by the same test.
+    monkeypatch.setattr(kern, "family_value", lambda *args: math.inf)
+    with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
+        kern.level_sum(0.0, 1.0, 1.0, False, kern.BETA, 1.5, 2.5, 0.0, None)
 
 
-def test_finite_node_values_whose_sum_overflows_return_inf():
+def test_finite_node_values_whose_sum_overflows_raise():
     # At h = 1 every x^-3.0425 (1-x)^-3.0425 is finite, 1.06e308 at the
-    # outermost nodes; the sum of that pair is not.
-    total, n = kern.level_sum(0, 1, 1.0, True, kern.BETA, -2.0425, -2.0425, 0, None)
-    assert total == math.inf
-    assert n == 6
+    # outermost nodes; the sum of that pair is not, and a family level
+    # returns no total that is not finite.
+    with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
+        kern.level_sum(0, 1, 1.0, True, kern.BETA, -2.0425, -2.0425, 0, None)
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _extreme_family_calls():
+    """Seed 14: 25 valid calls per family, every parameter log-uniform over
+    [1e-300, 1e300] (ALGEBRAIC's k in 1..8), plus the edges named below."""
+    rng = random.Random(14)
+    config = QuadratureConfig()
+    calls = [lambda: gamma_log_integral(108.4), lambda: gamma_log_integral(108.45),
+             lambda: euler_symbol(1e300, 1.0, 2), lambda: euler_symbol(1.0, 1.0, 10 ** 300),
+             lambda: beta_integral(1e-300, 1e300)]
+    for _ in range(25):
+        x, y, p, q, s, t = (_log_uniform(rng, 1e-300, 1e300) for _ in range(6))
+        n = int(_log_uniform(rng, 1.0, 1e300))
+        k = float(rng.randint(1, 8))
+        calls += [lambda x=x, y=y: beta_integral(x, y),
+                  lambda p=p, q=q, n=n: euler_symbol(p, q, n),
+                  lambda s=s: gamma_log_integral(s),
+                  lambda k=k, t=t: quadrature._integrate_family(kern.ALGEBRAIC, k, t, 0.0, config)]
+    return calls
+
+
+def test_extreme_parameters_give_a_finite_estimate_or_raise():
+    # Every level of a built-in family returns a finite total or raises
+    # NonFiniteIntegrandError, so no call returns a value that is not finite.
+    outcomes = Counter()
+    for call in _extreme_family_calls():
+        try:
+            estimate = call()
+        except NonFiniteIntegrandError:
+            outcomes["raised"] += 1
+            continue
+        assert math.isfinite(estimate.value), estimate
+        assert math.isfinite(estimate.error_estimate) or not estimate.converged, estimate
+        outcomes["converged" if estimate.converged else "unconverged"] += 1
+    # the sweep meets all three outcomes
+    assert min(outcomes.values()) > 0 and len(outcomes) == 3
+
+
+def test_an_integral_of_zero_value_does_not_converge():
+    # S(1e300, 1; 2) = 1.2533e-150 underflows at every node of the first
+    # levels, and S(1.7e308, 1; 2) at every node of all of them.  A value of
+    # 0 met its bar of 0 (the first was reported converged at 0), which is
+    # no evidence that the integral is 0.
+    estimate = euler_symbol(1e300, 1.0, 2)
+    assert not estimate.converged
+    assert abs(estimate.value - 1.24141813296134e-150) <= 1e-163
+    estimate = euler_symbol(1.7e308, 1.0, 2)
+    assert estimate.value == 0.0 and not estimate.converged
+    # A callable's bar is at least abs_tol, so an integral of 0 converges.
+    estimate = integrate_finite(math.cos, 0.0, math.pi)
+    assert estimate.converged and abs(estimate.value) <= 1e-12
 
 
 # --------------------------------------------------------------- suite memo
