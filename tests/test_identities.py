@@ -187,12 +187,34 @@ def test_sine_multiple_angle_zero_crossing_passes_on_the_relative_rule():
 def test_sine_multiple_angle_near_zero_fails_a_perturbed_sine(monkeypatch):
     # Every sine off by 1 + 1e-9 puts the product side (two factors) off by
     # 1e-9 relative from sin(n phi) (one).  Near a zero that is a difference
-    # of 1.2e-25, which an absolute rule for sides near zero passed.
+    # of 1.2e-25, which an absolute rule for sides within 1e-6 of zero
+    # passed; the rounding allowance here is 2.5e-30.
     sin = math.sin
     monkeypatch.setattr(math, "sin", lambda x: sin(x) * (1.0 + 1e-9))
     report = check_sine_multiple_angle(2, math.pi / 2.0)
     assert report.rel_residual > report.tolerance
+    assert report.abs_residual > 1e-26
     assert not report.passed
+
+
+def _sine_rounding_unit(n, phi):
+    """n eps r, r = eps max(|phi|, pi) capped at 1: the absolute error of a
+    side next to a zero is a few of these, and the pass rule allows 8."""
+    eps = sys.float_info.epsilon
+    return n * eps * min(eps * max(abs(phi), math.pi), 1.0)
+
+
+def _assert_sides_match_mpmath(cases, rel):
+    """Every case passes, and both sides match a 60-digit sin(n phi) to
+    ``rel`` relative plus two rounding units."""
+    with mpmath.workdps(60):
+        for n, phi in cases:
+            report = check_sine_multiple_angle(n, phi)
+            assert report.passed, (n, phi)
+            exact = mpmath.sin(n * mpmath.mpf(phi))
+            bound = rel * abs(exact) + 2 * _sine_rounding_unit(n, phi)
+            for side in (report.lhs, report.rhs):
+                assert abs(side - exact) <= bound, (n, phi, side)
 
 
 def _sine_multiple_angle_near_zero_sweep():
@@ -210,15 +232,54 @@ def _sine_multiple_angle_near_zero_sweep():
 
 
 def test_sine_multiple_angle_near_zero_matches_mpmath():
-    # Each side is relatively accurate however close it comes to a zero
-    # (worst 4.1e-13 here), so the relative rule passes every true case.
-    with mpmath.workdps(40):
-        for n, phi in _sine_multiple_angle_near_zero_sweep():
-            report = check_sine_multiple_angle(n, phi)
-            assert report.passed, (n, phi)
-            exact = mpmath.sin(n * mpmath.mpf(phi))
-            for side in (report.lhs, report.rhs):
-                assert abs(side - exact) <= 1e-12 * abs(exact), (n, phi, side)
+    # Most of these deltas are below an ulp of j pi/n, so phi is fl(j pi/n)
+    # or j = 0's tiny phi; the sides stay within 4.1e-13 relative.
+    _assert_sides_match_mpmath(_sine_multiple_angle_near_zero_sweep(), 1e-12)
+
+
+def _large_n_near_zero_sweep():
+    """Seed 31: n in 50,000..MAX_N and j in 1..3, at phi = fl(j pi/n) or
+    that plus a delta log-uniform between an ulp of it and 1e-6; and
+    fl(pi/83434), whose sin(n phi) is 1.5e-22."""
+    rng = random.Random(31)
+    cases = [(83434, math.pi / 83434)]
+    for i in range(20):
+        n = rng.randint(50_000, identities.MAX_N)
+        phi = rng.randint(1, 3) * math.pi / n
+        if i % 2:
+            phi += rng.choice((-1.0, 1.0)) * math.exp(
+                rng.uniform(math.log(math.ulp(phi)), math.log(1e-6)))
+        cases.append((n, phi))
+    return cases
+
+
+def test_sine_multiple_angle_passes_next_to_zeros_at_large_n():
+    # The factor next to zero has an argument next to pi, off by about
+    # eps^2 pi, and rhs carries that times n.  At fl(pi/83434) rel_residual
+    # is 9.6e-10; the relative rule alone failed 10 of 600 draws like these.
+    _assert_sides_match_mpmath(_large_n_near_zero_sweep(), 1e-11)
+
+
+def _double_next_to_a_zero(n, e):
+    """The double q 2^e, q < 2^53, with n q 2^e / pi nearest an integer
+    among the continued-fraction convergents of n 2^e / pi."""
+    x = n * mpmath.ldexp(1, e) / mpmath.pi
+    q0, q1 = 0, 1
+    while x != mpmath.floor(x) and q1 < 2 ** 53:
+        x = 1 / (x - mpmath.floor(x))
+        q0, q1 = q1, int(mpmath.floor(x)) * q1 + q0
+    return math.ldexp(float(q0 if q1 >= 2 ** 53 else q1), e)
+
+
+def test_sine_multiple_angle_passes_next_to_zeros_of_any_size():
+    # Seed 37: 300 doubles phi = q 2^e, q < 2^53, e in -50..50, with sin(n phi)
+    # far below the rounding of phi + k pi/n.  The relative rule alone
+    # failed 235 of them; every side is within 1.8 rounding units.
+    rng = random.Random(37)
+    with mpmath.workdps(60):
+        cases = [(n, rng.choice((-1.0, 1.0)) * _double_next_to_a_zero(n, rng.randint(-50, 50)))
+                 for n in (rng.randint(1, 60) for _ in range(300))]
+    _assert_sides_match_mpmath(cases, 0.0)
 
 
 def _sine_multiple_angle_sweep():
