@@ -3,8 +3,12 @@
 ``level_sum`` evaluates one refinement level of the quadrature.  It reads
 what depends only on the level and the ``EULER_SYMBOL`` exponent from
 per-process tables (see below) and dispatches on the integrand family once
-per level, to a loop written for that family.  The built-in families are
-defined on (0, 1) alone; arbitrary callables take any finite interval.
+per level, to a loop written for that family.  That loop is the one
+definition of the family's integrand; ``_FAMILIES`` keeps it beside the sum
+e of the |powers| the integrand raises x, 1 - x, 1 - x^n or -log x to, which
+``quadrature`` reads through ``family_powers`` for its rounding floor.  The
+built-in families are defined on (0, 1) alone; arbitrary callables take any
+finite interval.
 
 Node geometry
 -------------
@@ -29,10 +33,16 @@ needs them before any integrand is evaluated:
 
 * ``_node_tables``, keyed on (h, odd_only) with h >= ``TABLE_MIN_H``: each
   node's (dm, ch, ez2, (1 + ez2)^2), the factors of its distance and weight
-  on (-1, 1);
+  on (-1, 1).  Only arbitrary callables read it; the families' rows are
+  computed from the same geometry without storing it;
 * ``_row_tables``, keyed on (h, odd_only) with h >= ``TABLE_MIN_H``: each
   node's (w, log(dist), log1p(-dist)) on (0, 1), its weight with what the
-  families read of its distance;
+  families read of its distance.  An even level (``odd_only`` false) starts
+  with the centre row ``CENTRE_ROW``, (pi/8, log 1/2, log1p(-1/2)): in
+  binary64 log1p(-1/2) == log 1/2, so a family's two values there are the
+  same v, and (pi/8) * (v + v) is the same double as the centre's
+  (pi/4) * v while v + v does not overflow (v is at most 4 for every
+  input the engines accept);
 * ``_symbol_tables``, keyed on (h, odd_only, p2) with h >= ``TABLE_MIN_H``
   and p2 in ``TABLE_EXPONENTS``, the integers 1..``TABLE_MAX_EXPONENTS``
   (16): the rows, each extended by the two exponent columns of
@@ -47,18 +57,20 @@ store is bounded whatever is asked of it.  With the default
 ``max_refinements`` of 12 every level a quadrature visits is stored, at most
 24,985 nodes.  All levels of node geometry hold 4.2 MiB, all levels of rows
 3.4 MiB, and all levels of one exponent 3.2 MiB, 52 MiB for all 16
-(tracemalloc).  In practice far less is stored: the default suite keeps 97
-nodes of rows and 485 rows of columns for its five exponents.
+(tracemalloc).  In practice far less is stored: the default suite keeps 98
+rows (97 nodes and the centre) and 490 rows of columns for its five
+exponents, and no node geometry.
 
 Finiteness
 ----------
 A family level returns a finite total or raises NonFiniteIntegrandError.
 The family loops test nothing per node: in pure Python ``exp`` and ``**``
 raise OverflowError rather than return inf, which ``level_sum`` maps to
-NonFiniteIntegrandError, and it tests the level's total, centre node
-included, once after the loop.  A node value that is NaN or infinite makes
-that total NaN or infinite (every weight is >= 0 and every other value is
->= 0), and so does a sum of finite terms that overflows; either raises.
+NonFiniteIntegrandError, and it tests the level's total once after the
+loop; the centre node is a row like any other, summed by the same loop.  A
+node value that is NaN or infinite makes that total NaN or infinite (every
+weight is >= 0 and every other value is >= 0), and so does a sum of finite
+terms that overflows; either raises.
 The generic-callable loop tests every node instead, since a user's function
 must not be called twice, and returns the total as summed.
 """
@@ -86,33 +98,9 @@ BETA = 3            # x^(p0-1) (1-x)^(p1-1)    on (0, 1)
 EULER_SYMBOL = 4    # x^(p0-1) (1-x^p2)^(p1/p2 - 1)   on (0, 1)
 ALGEBRAIC = 5       # (x^p0 (1-x))^p1          on (0, 1)
 
-
-def family_value(family, p0, p1, p2, dist, near_upper):
-    """Evaluate one built-in integrand at a node.
-
-    ``dist`` is the exact distance to the nearest endpoint; ``near_upper``
-    says which endpoint that is.
-    """
-    if family == NEG_LOG_POW:
-        if near_upper:
-            ln = -math.log1p(-dist)
-        else:
-            ln = -math.log(dist)
-        return ln ** p0
-    if near_upper:
-        ln_x = math.log1p(-dist)
-        ln_1mx = math.log(dist)
-    else:
-        ln_x = math.log(dist)
-        ln_1mx = math.log1p(-dist)
-    if family == BETA:
-        return math.exp((p0 - 1.0) * ln_x + (p1 - 1.0) * ln_1mx)
-    if family == EULER_SYMBOL:
-        ln_1mxn = math.log(-math.expm1(p2 * ln_x))
-        return math.exp((p0 - 1.0) * ln_x + (p1 / p2 - 1.0) * ln_1mxn)
-    if family == ALGEBRAIC:
-        return math.exp(p1 * (p0 * ln_x + ln_1mx))
-    raise ValueError(f"unknown integrand family {family}")
+# The centre node t = 0 of (0, 1), x = 1/2, at half its weight (pi/4): a
+# family loop adds its value there twice, once from each end.
+CENTRE_ROW = (0.25 * HALF_PI, log(0.5), log1p(-0.5))
 
 
 def _node_geometry(h, odd_only):
@@ -147,9 +135,12 @@ def _node_count(h, odd_only):
     return len(range(1, int(T_MAX / h) + 1, 2 if odd_only else 1))
 
 
-def _unit_rows(geometry):
-    """(w, log(dist), log1p(-dist)) per node on (0, 1), for the built-in families."""
-    for dm, ch, ez2, opez2sq in geometry:
+def _unit_rows(h, odd_only):
+    """(w, log(dist), log1p(-dist)) per node on (0, 1), for the built-in
+    families, after ``CENTRE_ROW`` on an even level."""
+    if not odd_only:
+        yield CENTRE_ROW
+    for dm, ch, ez2, opez2sq in _node_geometry(h, odd_only):
         dist = 0.5 * dm
         yield 0.5 * HALF_PI * ch * 4.0 * ez2 / opez2sq, log(dist), log1p(-dist)
 
@@ -157,10 +148,10 @@ def _unit_rows(geometry):
 def _rows(h, odd_only):
     """The rows of one level: a stored table, or a stream below TABLE_MIN_H."""
     if h < TABLE_MIN_H:
-        return _unit_rows(_node_geometry(h, odd_only))
+        return _unit_rows(h, odd_only)
     table = _row_tables.get((h, odd_only))
     if table is None:
-        table = _row_tables[h, odd_only] = tuple(_unit_rows(_nodes(h, odd_only)))
+        table = _row_tables[h, odd_only] = tuple(_unit_rows(h, odd_only))
     return table
 
 
@@ -181,18 +172,19 @@ def _symbol_rows(rows, h, odd_only, p2):
     return table
 
 
-# One loop per family.  Each reads the rows of its level, adds its terms onto
-# ``total`` in node order, and forms the value near 1 and the one near 0
-# exactly as ``family_value`` does.  None tests finiteness:
-# ``level_sum`` tests the total once.
+# One loop per family, the only definition of its integrand.  Each reads the
+# rows of its level and sums w * (value near 1 + value near 0) in node
+# order.  None tests finiteness: ``level_sum`` tests the total once.
 
-def _neg_log_pow_sum(h, odd_only, total, p0, p1, p2):
+def _neg_log_pow_sum(h, odd_only, p0, p1, p2):
+    total = 0.0
     for w, ln_dist, ln_1md in _rows(h, odd_only):
         total += w * ((-ln_1md) ** p0 + (-ln_dist) ** p0)
     return total
 
 
-def _beta_sum(h, odd_only, total, p0, p1, p2):
+def _beta_sum(h, odd_only, p0, p1, p2):
+    total = 0.0
     c0 = p0 - 1.0
     c1 = p1 - 1.0
     for w, ln_dist, ln_1md in _rows(h, odd_only):
@@ -200,29 +192,47 @@ def _beta_sum(h, odd_only, total, p0, p1, p2):
     return total
 
 
-def _euler_symbol_sum(h, odd_only, total, p0, p1, p2):
-    # c1, then the exponent columns: an invalid exponent raises the error
-    # that computing each node in turn meets first.
-    rows = _rows(h, odd_only)
+def _euler_symbol_sum(h, odd_only, p0, p1, p2):
+    total = 0.0
     c0 = p0 - 1.0
+    # c1 before the exponent columns: an invalid exponent such as 0 meets
+    # p1 / p2 first, on every level, since the centre is a row of the loop.
     c1 = p1 / p2 - 1.0
-    for w, ln_dist, ln_1md, ln_1mxn_p, ln_1mxn_m in _symbol_rows(rows, h, odd_only, p2):
+    rows = _symbol_rows(_rows(h, odd_only), h, odd_only, p2)
+    for w, ln_dist, ln_1md, ln_1mxn_p, ln_1mxn_m in rows:
         total += w * (exp(c0 * ln_1md + c1 * ln_1mxn_p) + exp(c0 * ln_dist + c1 * ln_1mxn_m))
     return total
 
 
-def _algebraic_sum(h, odd_only, total, p0, p1, p2):
+def _algebraic_sum(h, odd_only, p0, p1, p2):
+    total = 0.0
     for w, ln_dist, ln_1md in _rows(h, odd_only):
         total += w * (exp(p1 * (p0 * ln_1md + ln_dist)) + exp(p1 * (p0 * ln_dist + ln_1md)))
     return total
 
 
-_FAMILY_SUMS = {
-    NEG_LOG_POW: _neg_log_pow_sum,
-    BETA: _beta_sum,
-    EULER_SYMBOL: _euler_symbol_sum,
-    ALGEBRAIC: _algebraic_sum,
+# Each family's loop, and the sum e of the |powers| its integrand raises x,
+# 1 - x, 1 - x^n or -log x to.
+_FAMILIES = {
+    NEG_LOG_POW: (_neg_log_pow_sum, lambda p0, p1, p2: p0),
+    BETA: (_beta_sum, lambda p0, p1, p2: abs(p0 - 1.0) + abs(p1 - 1.0)),
+    EULER_SYMBOL: (_euler_symbol_sum, lambda p0, p1, p2: abs(p0 - 1.0) + abs(p1 / p2 - 1.0)),
+    ALGEBRAIC: (_algebraic_sum, lambda p0, p1, p2: p1 * (p0 + 1.0)),
 }
+
+
+def _family(family):
+    """The (loop, powers) row of a built-in family; ValueError for any other tag."""
+    row = _FAMILIES.get(family)
+    if row is None:
+        raise ValueError(f"unknown integrand family {family}")
+    return row
+
+
+def family_powers(family, p0, p1, p2):
+    """The sum e of the |powers| a built-in family's integrand raises x,
+    1 - x, 1 - x^n or -log x to."""
+    return _family(family)[1](p0, p1, p2)
 
 
 def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
@@ -231,33 +241,27 @@ def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
     With ``odd_only`` set, only odd multiples of ``h`` are visited; this is
     how a refinement level reuses the coarser level's nodes.  Returns the
     weighted sum (to be scaled by ``h`` by the caller) and the number of
-    integrand evaluations.  A built-in family's total is finite, or the
+    distinct nodes evaluated.  A built-in family's total is finite, or the
     level raises NonFiniteIntegrandError (see the module docstring); a family
     asked for over an interval other than (0, 1) raises ValueError.
     """
-    halfspan = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    total = 0.0
-    n = 0
-
     if family != GENERIC:
-        family_sum = _FAMILY_SUMS.get(family)
-        if family_sum is None:
-            raise ValueError(f"unknown integrand family {family}")
+        family_sum = _family(family)[0]
         if (a, b) != (0.0, 1.0):
             raise ValueError(f"integrand family {family} is defined on (0, 1) only")
         try:
-            if not odd_only:
-                # Center node t = 0: weight (pi/2)*halfspan, halfspan from either end.
-                total += halfspan * HALF_PI * family_value(family, p0, p1, p2, halfspan, False)
-                n += 1
-            total = family_sum(h, odd_only, total, p0, p1, p2)
+            total = family_sum(h, odd_only, p0, p1, p2)
         except OverflowError:
             raise NonFiniteIntegrandError("integrand not finite") from None
         if not isfinite(total):
             raise NonFiniteIntegrandError("integrand not finite")
-        return total, n + 2 * _node_count(h, odd_only)
+        # The centre row is one node, though its loop adds it from both ends.
+        return total, (not odd_only) + 2 * _node_count(h, odd_only)
 
+    halfspan = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    total = 0.0
+    n = 0
     if not odd_only:
         fx = float(f(mid))
         if not math.isfinite(fx):

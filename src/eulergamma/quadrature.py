@@ -31,8 +31,9 @@ reported unconverged.
 
 Either estimate is raised to at least the rounding floor
 ROUNDING_K * eps * (1 + e) * |I_j|, with e the sum of the |powers| the
-integrand raises x, 1 - x, 1 - x^n or -log x to (0 for a callable): the
-error rounding alone leaves in a value.  So no converged estimate is 0.
+integrand raises x, 1 - x, 1 - x^n or -log x to, which ``backend`` keeps
+beside each family's node loop (0 for a callable): the error rounding alone
+leaves in a value.  So no converged estimate is 0.
 
 C = 1000, the exponent 1.5 and K = 16 were set against a seeded 30-digit
 mpmath sweep (``tests/test_error_estimates.py``): no true error exceeds its
@@ -148,6 +149,10 @@ DEFAULT_CONFIG = QuadratureConfig()
 class IntegralEstimate(NamedTuple):
     """Result of one adaptive integration.
 
+    ``evaluations`` counts the distinct nodes the integrand was evaluated
+    at, over every level: the centre node once, though a family's loop
+    adds its value there from both ends.
+
     ``error_estimate`` is the last level's change or, where the extrapolated
     test stopped the refinement, the extrapolated error; either is at least
     the rounding floor (see the module docstring).  ``converged`` is True
@@ -170,19 +175,10 @@ def _error_floor(family, config):
 
 
 def _rounding_floor(family, p0, p1, p2):
-    """ROUNDING_K * eps * (1 + e), with e the sum of the |powers| the
-    integrand raises x, 1 - x, 1 - x^n or -log x to (0 for a callable):
-    the relative error a value can carry from rounding alone."""
-    if family == backend.NEG_LOG_POW:
-        powers = p0
-    elif family == backend.BETA:
-        powers = abs(p0 - 1.0) + abs(p1 - 1.0)
-    elif family == backend.EULER_SYMBOL:
-        powers = abs(p0 - 1.0) + abs(p1 / p2 - 1.0)
-    elif family == backend.ALGEBRAIC:
-        powers = p1 * (p0 + 1.0)
-    else:
-        powers = 0.0
+    """ROUNDING_K * eps * (1 + e), with e from ``backend.family_powers``
+    (0 for a callable): the relative error a value can carry from rounding
+    alone.  An unknown family tag raises ValueError, as ``level_sum`` does."""
+    powers = 0.0 if family == backend.GENERIC else backend.family_powers(family, p0, p1, p2)
     return ROUNDING_K * EPSILON * (1.0 + powers)
 
 

@@ -395,12 +395,23 @@ def test_verify_beyond_default_grid():
     assert run_cli("verify", "sine-product", "--n", "40").returncode == 0
 
 
-def _perfbench_tracing():
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+PERFBENCH = Path(__file__).resolve().parents[1] / "benchmarks" / "perfbench"
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_default_grid_holds_the_cases_the_benchmark_gate_counts(monkeypatch):
+    # suite-default fails every unit whose JSON does not hold exactly
+    # SUITE_CASES passing reports; a change to the default grid needs a
+    # change to the benchmark first.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports refjobs
+    workloads = _perfbench_module("workloads")
+    assert sum(map(len, identities.default_grid().values())) == workloads.SUITE_CASES
 
 
 def _traced_names():
@@ -423,7 +434,7 @@ def test_rows_swap_their_run_as_the_benchmark_tracer_does(monkeypatch, tmp_path)
     # The benchmark's tracer replaces each row by dataclasses.replace(spec,
     # run=...) in IDENTITIES itself; run_suite and verify must call the
     # replacement, so they look the row up when they run.
-    tracing = _perfbench_tracing()
+    tracing = _perfbench_module("tracing")
     assert sorted(identities.IDENTITIES) == sorted(tracing.IDENTITY_IDS)
     assert len(tracing.IDENTITY_IDS) == 12
     # The benchmark's provenance record reads this name.

@@ -209,9 +209,39 @@ def test_interval_additivity(c):
 # ---------------------------------------------------------------- node tables
 
 
+def family_value(family, p0, p1, p2, dist, near_upper):
+    """Evaluate one built-in integrand at a node.
+
+    ``dist`` is the exact distance to the nearest endpoint; ``near_upper``
+    says which endpoint that is.
+    """
+    if family == kern.NEG_LOG_POW:
+        if near_upper:
+            ln = -math.log1p(-dist)
+        else:
+            ln = -math.log(dist)
+        return ln ** p0
+    if near_upper:
+        ln_x = math.log1p(-dist)
+        ln_1mx = math.log(dist)
+    else:
+        ln_x = math.log(dist)
+        ln_1mx = math.log1p(-dist)
+    if family == kern.BETA:
+        return math.exp((p0 - 1.0) * ln_x + (p1 - 1.0) * ln_1mx)
+    if family == kern.EULER_SYMBOL:
+        ln_1mxn = math.log(-math.expm1(p2 * ln_x))
+        return math.exp((p0 - 1.0) * ln_x + (p1 / p2 - 1.0) * ln_1mxn)
+    if family == kern.ALGEBRAIC:
+        return math.exp(p1 * (p0 * ln_x + ln_1mx))
+    raise ValueError(f"unknown integrand family {family}")
+
+
 def _inline_level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
     """The node loop with its geometry computed inline at every node, the
-    reference that the table-reading loop must match bit for bit."""
+    reference that the table-reading loop must match bit for bit.  Each
+    family's integrand is written out node by node in ``family_value``, and
+    the centre node as halfspan * (pi/2) * f(1/2)."""
     halfspan = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     kmax = int(kern.T_MAX / h)
@@ -221,7 +251,7 @@ def _inline_level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
         if family == kern.GENERIC:
             fx = float(f(mid))
         else:
-            fx = kern.family_value(family, p0, p1, p2, halfspan, False)
+            fx = family_value(family, p0, p1, p2, halfspan, False)
         total += halfspan * kern.HALF_PI * fx
         n += 1
     step = 2 if odd_only else 1
@@ -246,8 +276,8 @@ def _inline_level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
                 total += w * float(f(xm))
                 n += 1
         else:
-            vp = kern.family_value(family, p0, p1, p2, dist, True)
-            vm = kern.family_value(family, p0, p1, p2, dist, False)
+            vp = family_value(family, p0, p1, p2, dist, True)
+            vm = family_value(family, p0, p1, p2, dist, False)
             total += w * (vp + vm)
             n += 2
         k += step
@@ -270,6 +300,8 @@ FAMILY_CASES = [
     (kern.EULER_SYMBOL, 3.0, 2.0, 5.0),
     (kern.EULER_SYMBOL, 0.7, 5.4, 9.0),
     (kern.ALGEBRAIC, 2.0, 3.0, 0.0),
+    (kern.ALGEBRAIC, 1.0, 0.25, 0.0),      # algebraic-interpolation: s below 1
+    (kern.ALGEBRAIC, 3.0, 4.0 / 3.0, 0.0),  # and not an integer
     (kern.EULER_SYMBOL, 4.5, 0.8, 5.0),  # reads the columns of n = 5
     (kern.EULER_SYMBOL, 2.0, 1.5, 2.5),
     (kern.EULER_SYMBOL, 0.5, 7.0, 3.0),  # q > n: vanishes at x = 1
@@ -317,7 +349,6 @@ def test_levels_finer_than_table_limit_are_streamed_not_stored():
     for family, p0 in [(kern.BETA, 1.5), (kern.NEG_LOG_POW, 2.5), (kern.EULER_SYMBOL, 2.5)]:
         args = (0.0, 1.0, h, False, family, p0, 1.5, 3.0, None)
         kern.level_sum(0.0, 1.0, 0.5, True, family, p0, 1.5, 3.0, None)
-        assert (0.5, True) in kern._node_tables
         assert (0.5, True) in kern._row_tables
         tables = (kern._node_tables, kern._row_tables, kern._symbol_tables)
         stored = [set(table) for table in tables]
@@ -340,6 +371,23 @@ def test_tables_hold_only_the_documented_intervals(monkeypatch):
     for h, odd_only in keys:
         assert h >= kern.TABLE_MIN_H
         assert odd_only == (h < 1.0)
+
+
+def test_default_suite_stores_rows_that_start_at_the_centre(monkeypatch):
+    # The families read no stored node geometry: only integrate_finite
+    # fills _node_tables.  An even level's rows start with the centre node.
+    for name in ("_node_tables", "_row_tables", "_symbol_tables"):
+        monkeypatch.setattr(kern, name, {})
+    run_suite(default_grid())
+    assert kern._node_tables == {}
+    assert (1.0, False) in kern._row_tables
+    assert kern.CENTRE_ROW == (math.pi / 8, math.log(0.5), math.log(0.5))
+    for h, odd_only in kern._row_tables:
+        rows = kern._row_tables[h, odd_only]
+        assert len(rows) == (not odd_only) + kern._node_count(h, odd_only)
+        assert (rows[0] == kern.CENTRE_ROW) == (not odd_only)
+    for (h, odd_only, p2), rows in kern._symbol_tables.items():
+        assert rows[0][:3] == kern._row_tables[h, odd_only][0]
 
 
 def test_families_off_the_unit_interval_raise():
@@ -383,10 +431,41 @@ def test_public_surface_is_pinned():
     assert IntegralEstimate._fields == ("value", "error_estimate", "evaluations", "converged")
 
 
-def test_family_value_rejects_generic_tag():
-    # A generic callable has no built-in value; only ``level_sum`` calls it.
-    with pytest.raises(ValueError, match="unknown integrand family 0"):
-        kern.family_value(kern.GENERIC, 0.0, 0.0, 0.0, 0.5, False)
+def test_unknown_family_tag_raises_from_level_sum_and_rounding_floor():
+    # One backend table holds each family's loop and its powers; a tag
+    # missing from it raises the same error from both readers.
+    for tag in (1, 6, -1):
+        message = rf"unknown integrand family {tag}$"
+        with pytest.raises(ValueError, match=message):
+            kern.level_sum(0.0, 1.0, 1.0, False, tag, 1.5, 2.5, 3.0, None)
+        with pytest.raises(ValueError, match=message):
+            quadrature._rounding_floor(tag, 1.5, 2.5, 3.0)
+        with pytest.raises(ValueError, match=message):
+            quadrature._refine(0.0, 1.0, DEFAULT_CONFIG, tag, 1.5, 2.5, 3.0, None)
+    # A generic callable has no powers of its own: the table has no row
+    # for it, and the rounding floor takes e = 0 before asking.
+    with pytest.raises(ValueError, match="unknown integrand family 0$"):
+        kern.family_powers(kern.GENERIC, 0.0, 0.0, 0.0)
+
+
+def _documented_powers(family, p0, p1, p2):
+    """e of the rounding floor, as the quadrature module docstring defines
+    it: the |powers| the integrand raises x, 1 - x, 1 - x^n or -log x to."""
+    if family == kern.NEG_LOG_POW:
+        return p0
+    if family == kern.BETA:
+        return abs(p0 - 1.0) + abs(p1 - 1.0)
+    if family == kern.EULER_SYMBOL:
+        return abs(p0 - 1.0) + abs(p1 / p2 - 1.0)
+    assert family == kern.ALGEBRAIC
+    return p1 * (p0 + 1.0)
+
+
+@pytest.mark.parametrize("case", FAMILY_CASES)
+def test_rounding_floor_reads_each_family_powers(case):
+    want = 16.0 * sys.float_info.epsilon * (1.0 + _documented_powers(*case))
+    assert quadrature._rounding_floor(*case) == want
+    assert quadrature._rounding_floor(kern.GENERIC, *case[1:]) == 16.0 * sys.float_info.epsilon
 
 
 def test_node_tables_built_by_racing_threads_give_identical_sums(monkeypatch):
@@ -443,16 +522,17 @@ def test_exponent_columns_stay_within_their_cap(monkeypatch):
 def test_non_finite_node_raises_once_the_level_total_is_not_finite(monkeypatch):
     with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
         kern.level_sum(0.0, 1.0, 0.5, True, kern.BETA, math.nan, 1.5, 0.0, None)
-    # A NaN row makes the total NaN, which raises without a second pass over
-    # the nodes: family_value serves the centre node alone.
+    # A NaN row makes the total NaN, which raises once the loop is done.
     rows = list(kern._rows(0.5, True))
     rows[1] = (rows[1][0], math.nan, rows[1][2])
-    monkeypatch.setattr(kern, "_row_tables", {(0.5, True): tuple(rows)})
-    monkeypatch.setattr(kern, "family_value", lambda *args: pytest.fail("rescanned"))
+    centre = list(kern._rows(1.0, False))
+    assert centre[0] == kern.CENTRE_ROW
+    centre[0] = (centre[0][0], math.nan, math.nan)
+    monkeypatch.setattr(kern, "_row_tables", {(0.5, True): tuple(rows),
+                                              (1.0, False): tuple(centre)})
     with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
         kern.level_sum(0.0, 1.0, 0.5, True, kern.BETA, 1.5, 2.5, 0.0, None)
     # A centre node that is not finite is caught by the same test.
-    monkeypatch.setattr(kern, "family_value", lambda *args: math.inf)
     with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
         kern.level_sum(0.0, 1.0, 1.0, False, kern.BETA, 1.5, 2.5, 0.0, None)
 
