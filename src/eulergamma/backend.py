@@ -31,35 +31,35 @@ and published only once complete, so sharing one process-wide (and two
 threads racing to build the same one) never changes a result.  A level
 needs them before any integrand is evaluated:
 
-* ``_node_tables``, keyed on (h, odd_only) with h >= ``TABLE_MIN_H``: each
-  node's (dm, ch, ez2, (1 + ez2)^2), the factors of its distance and weight
-  on (-1, 1).  Only arbitrary callables read it; the families' rows are
-  computed from the same geometry without storing it;
-* ``_row_tables``, keyed on (h, odd_only) with h >= ``TABLE_MIN_H``: each
-  node's (w, log(dist), log1p(-dist)) on (0, 1), its weight with what the
-  families read of its distance.  An even level (``odd_only`` false) starts
-  with the centre row ``CENTRE_ROW``, (pi/8, log 1/2, log1p(-1/2)): in
-  binary64 log1p(-1/2) == log 1/2, so a family's two values there are the
-  same v, and (pi/8) * (v + v) is the same double as the centre's
-  (pi/4) * v while v + v does not overflow (v is at most 4 for every
-  input the engines accept);
-* ``_symbol_tables``, keyed on (h, odd_only, p2) with h >= ``TABLE_MIN_H``
-  and p2 in ``TABLE_EXPONENTS``, the integers 1..``TABLE_MAX_EXPONENTS``
-  (16): the rows, each extended by the two exponent columns of
-  ``EULER_SYMBOL``, log(-expm1(p2 * log1p(-dist))) and
-  log(-expm1(p2 * log(dist))): the log of 1 - x^p2 at the node near 1 and
-  at the node near 0.  They depend on the exponent n = p2 but not on p or
-  q, so every S(p, q; n) with the same n reads one table.
+* ``_node_tables``, keyed on (h, odd_only): each node's (dm, ch, ez2,
+  (1 + ez2)^2), the factors of its distance and weight on (-1, 1).  Only
+  arbitrary callables read it; the families' rows are computed from the same
+  geometry without storing it;
+* ``_row_tables``, keyed on (h, odd_only): each node's (w, log(dist),
+  log1p(-dist)) on (0, 1), its weight with what the families read of its
+  distance.  An even level (``odd_only`` false) starts with the centre row
+  ``CENTRE_ROW``, (pi/8, log 1/2, log1p(-1/2)): in binary64 log1p(-1/2) ==
+  log 1/2, so a family's two values there are the same v, and
+  (pi/8) * (v + v) is the same double as the centre's (pi/4) * v while
+  v + v does not overflow (v is at most 4 for every input the engines
+  accept);
+* ``_symbol_tables``, keyed on (h, odd_only, p2) with p2 in
+  ``TABLE_EXPONENTS``, the integers 1..``TABLE_MAX_EXPONENTS`` (16): the
+  rows, each extended by the two exponent columns of ``EULER_SYMBOL``,
+  log(-expm1(p2 * log1p(-dist))) and log(-expm1(p2 * log(dist))): the log of
+  1 - x^p2 at the node near 1 and at the node near 0.  They depend on the
+  exponent n = p2 but not on p or q, so every S(p, q; n) with the same n
+  reads one table.  An exponent outside ``TABLE_EXPONENTS`` streams its
+  columns from the same expressions instead.
 
-A level with h < ``TABLE_MIN_H``, or an exponent outside
-``TABLE_EXPONENTS``, streams from the same expressions instead, so the
-store is bounded whatever is asked of it.  With the default
-``max_refinements`` of 12 every level a quadrature visits is stored, at most
-24,985 nodes.  All levels of node geometry hold 4.2 MiB, all levels of rows
-3.4 MiB, and all levels of one exponent 3.2 MiB, 52 MiB for all 16
-(tracemalloc).  In practice far less is stored: the default suite keeps 98
-rows (97 nodes and the centre) and 490 rows of columns for its five
-exponents, and no node geometry.
+The levels a quadrature can visit are h = 2^-j for j in
+0..``quadrature.MAX_REFINEMENTS`` (12), which hold 24,985 nodes on each side
+of the centre between them, and no level is stored but one it visits.  So the
+store is bounded whatever is asked of the engines: all levels of node
+geometry hold 4.2 MiB, all levels of rows 3.4 MiB, and all levels of one
+exponent 3.2 MiB, 52 MiB for all 16 (tracemalloc).  In practice far less is
+stored: the default suite keeps 98 rows (97 nodes and the centre) and 490
+rows of columns for its five exponents, and no node geometry.
 
 Finiteness
 ----------
@@ -84,7 +84,6 @@ from .errors import NonFiniteIntegrandError
 T_MAX = 6.1
 HALF_PI = 1.5707963267948966
 
-TABLE_MIN_H = 2.0 ** -12
 TABLE_MAX_EXPONENTS = 16
 TABLE_EXPONENTS = frozenset(range(1, TABLE_MAX_EXPONENTS + 1))
 _node_tables = {}
@@ -122,9 +121,7 @@ def _node_geometry(h, odd_only):
 
 
 def _nodes(h, odd_only):
-    """The node geometry of one level: a stored table, or a stream below TABLE_MIN_H."""
-    if h < TABLE_MIN_H:
-        return _node_geometry(h, odd_only)
+    """The node geometry of one level, a stored table."""
     table = _node_tables.get((h, odd_only))
     if table is None:
         table = _node_tables[h, odd_only] = tuple(_node_geometry(h, odd_only))
@@ -146,9 +143,7 @@ def _unit_rows(h, odd_only):
 
 
 def _rows(h, odd_only):
-    """The rows of one level: a stored table, or a stream below TABLE_MIN_H."""
-    if h < TABLE_MIN_H:
-        return _unit_rows(h, odd_only)
+    """The rows of one level, a stored table."""
     table = _row_tables.get((h, odd_only))
     if table is None:
         table = _row_tables[h, odd_only] = tuple(_unit_rows(h, odd_only))
@@ -163,8 +158,8 @@ def _symbol_columns(rows, p2):
 
 def _symbol_rows(rows, h, odd_only, p2):
     """The level's ``rows`` with the EULER_SYMBOL columns of exponent p2: a
-    stored table, or a stream below TABLE_MIN_H or outside TABLE_EXPONENTS."""
-    if h < TABLE_MIN_H or p2 not in TABLE_EXPONENTS:
+    stored table, or a stream for an exponent outside TABLE_EXPONENTS."""
+    if p2 not in TABLE_EXPONENTS:
         return _symbol_columns(rows, p2)
     table = _symbol_tables.get((h, odd_only, p2))
     if table is None:

@@ -580,11 +580,11 @@ def test_suite_bad_flags_exit_2():
 def test_max_refinements_past_the_cap_exits_2_at_once(args):
     # Each halving doubles the nodes, so 30 would run for hours; the config
     # refuses the budget before any integral starts.
-    for budget in ("21", "30"):
+    for budget in ("13", "21", "30"):
         result = run_cli(*args, "--max-refinements", budget, timeout=60)
         assert result.returncode == 2
         assert result.stdout == ""
-        assert result.stderr == "error: max_refinements must be an integer in 1..20\n"
+        assert result.stderr == "error: max_refinements must be an integer in 1..12\n"
 
 
 def test_suite_config_built_from_flags_shares_integrals(refine_calls, tmp_path):

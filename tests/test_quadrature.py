@@ -124,6 +124,23 @@ def test_infinite_integrand_raises():
         integrate_finite(lambda x: 1.0 if x < 0.5 else math.inf, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad, above", [(math.inf, True), (math.nan, False)])
+def test_callable_raises_at_its_first_non_finite_node(bad, above):
+    # A callable is tested at every node, near b and near a alike, and is
+    # called no more once one value is not finite.
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return bad if (x > 0.5 if above else x < 0.5) else 1.0
+
+    with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
+        integrate_finite(f, 0, 1)
+    *fine, last = seen
+    assert (last > 0.5) if above else (last < 0.5)
+    assert all((x <= 0.5) if above else (x >= 0.5) for x in fine)
+
+
 def test_bounds_validation():
     with pytest.raises(DomainError):
         integrate_finite(lambda x: x, 1.0, 1.0)
@@ -159,11 +176,13 @@ def test_config_stores_the_floats_it_validates():
 
 
 def test_max_refinements_is_capped():
-    # Each halving doubles the nodes; the README states the worst case.
-    assert quadrature.MAX_REFINEMENTS == 20
-    assert QuadratureConfig(max_refinements=20).max_refinements == 20
-    for budget in (21, 30, 10**6):
-        with pytest.raises(ValueError, match=r"max_refinements must be an integer in 1\.\.20"):
+    # Each halving doubles the nodes; the README states the worst case.  The
+    # cap is the default, so every level a quadrature visits is stored.
+    assert quadrature.MAX_REFINEMENTS == 12
+    assert QuadratureConfig(max_refinements=12).max_refinements == 12
+    assert DEFAULT_CONFIG.max_refinements == quadrature.MAX_REFINEMENTS
+    for budget in (13, 21, 30, 10**6):
+        with pytest.raises(ValueError, match=r"max_refinements must be an integer in 1\.\.12$"):
             QuadratureConfig(max_refinements=budget)
 
 
@@ -328,34 +347,12 @@ def test_level_sum_bitwise_equals_inline_geometry(case):
     _assert_levels_equal_inline_geometry(case)
 
 
-@pytest.mark.parametrize("case", FAMILY_CASES)
-def test_streamed_level_sum_bitwise_equals_inline_geometry(case, monkeypatch):
-    # Every level streams, as those finer than the real TABLE_MIN_H do.
-    monkeypatch.setattr(kern, "TABLE_MIN_H", 2.0)
-    _assert_levels_equal_inline_geometry(case)
-
-
 def test_level_sum_bitwise_equals_inline_geometry_generic_callable():
     f = lambda x: math.cos(3.0 * x) / (1.0 + x * x)
     for h, odd_only in _levels(6):
         got = kern.level_sum(-1.0, 2.0, h, odd_only, kern.GENERIC, 0.0, 0.0, 0.0, f)
         want = _inline_level_sum(-1.0, 2.0, h, odd_only, kern.GENERIC, 0.0, 0.0, 0.0, f)
         assert got == want, h
-
-
-def test_levels_finer_than_table_limit_are_streamed_not_stored():
-    h = 2.0 ** -13  # one level past the default depth: about 50k nodes
-    assert h < kern.TABLE_MIN_H
-    for family, p0 in [(kern.BETA, 1.5), (kern.NEG_LOG_POW, 2.5), (kern.EULER_SYMBOL, 2.5)]:
-        args = (0.0, 1.0, h, False, family, p0, 1.5, 3.0, None)
-        kern.level_sum(0.0, 1.0, 0.5, True, family, p0, 1.5, 3.0, None)
-        assert (0.5, True) in kern._row_tables
-        tables = (kern._node_tables, kern._row_tables, kern._symbol_tables)
-        stored = [set(table) for table in tables]
-        got = kern.level_sum(*args)
-        assert [set(table) for table in tables] == stored
-        assert got == _inline_level_sum(*args)
-        assert got[1] == 2 * int(kern.T_MAX / h) + 1
 
 
 def test_tables_hold_only_the_documented_intervals(monkeypatch):
@@ -366,11 +363,14 @@ def test_tables_hold_only_the_documented_intervals(monkeypatch):
     run_suite(default_grid())
     for i in range(60):
         gamma_integral(0.01 * 15000.0 ** (i / 59))
+    # One integral that never converges visits every level the cap allows.
+    assert not euler_symbol(1.5, 2.5, 1000).converged
     keys = set(kern._row_tables)
     assert (1.0, False) in keys
     for h, odd_only in keys:
-        assert h >= kern.TABLE_MIN_H
+        assert h >= 2.0 ** -quadrature.MAX_REFINEMENTS
         assert odd_only == (h < 1.0)
+    assert min(h for h, _ in keys) == 2.0 ** -12
 
 
 def test_default_suite_stores_rows_that_start_at_the_centre(monkeypatch):
