@@ -25,12 +25,7 @@ from .gamma import (
     gamma_reference,
     log_gamma,
 )
-from .quadrature import (
-    DEFAULT_CONFIG,
-    IntegralEstimate,
-    QuadratureConfig,
-    integrate_finite,
-)
+from .quadrature import IntegralEstimate, integrate_finite
 
 __version__ = "0.1.0"
 
@@ -39,13 +34,11 @@ BACKEND = "python"
 
 __all__ = [
     "BACKEND",
-    "DEFAULT_CONFIG",
     "DomainError",
     "IDENTITIES",
     "IdentityReport",
     "IntegralEstimate",
     "NonFiniteIntegrandError",
-    "QuadratureConfig",
     "SuiteReport",
     "beta_closed",
     "beta_integral",

@@ -23,12 +23,7 @@ import math
 from . import backend
 from .errors import integer, positive
 from .gamma import _LANCZOS_G, _lanczos_sum, log_gamma
-from .quadrature import (
-    DEFAULT_CONFIG,
-    IntegralEstimate,
-    QuadratureConfig,
-    _integrate_family,
-)
+from .quadrature import IntegralEstimate, _integrate_family
 
 
 def log_beta(x: float, y: float) -> float:
@@ -54,21 +49,19 @@ def beta_closed(x: float, y: float) -> float:
     return math.exp(log_beta(x, y))
 
 
-def beta_integral(x: float, y: float,
-                  config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralEstimate:
+def beta_integral(x: float, y: float) -> IntegralEstimate:
     """B(x, y) as the integral of t^(x-1) (1-t)^(y-1) over (0, 1)."""
     x = positive(x, "x")
     y = positive(y, "y")
-    return _integrate_family(backend.BETA, x, y, 0.0, config)
+    return _integrate_family(backend.BETA, x, y, 0.0)
 
 
-def euler_symbol(p: float, q: float, n: int,
-                 config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralEstimate:
+def euler_symbol(p: float, q: float, n: int) -> IntegralEstimate:
     """S(p, q; n) by direct quadrature of its defining integral."""
     p = positive(p, "p")
     q = positive(q, "q")
     n = integer(n, "n", 1)
-    return _integrate_family(backend.EULER_SYMBOL, p, q, float(n), config)
+    return _integrate_family(backend.EULER_SYMBOL, p, q, float(n))
 
 
 def euler_symbol_closed(p: float, q: float, n: int) -> float:

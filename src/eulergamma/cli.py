@@ -38,16 +38,15 @@ from .gamma import (
     log_gamma,
     log_gamma_integral,
 )
-from .quadrature import DEFAULT_CONFIG, MAX_REFINEMENTS, QuadratureConfig
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# One row per eval function: its arity, its reference route (called with the
-# values) and its integral route (called with the values and the quadrature
-# config, returning an IntegralEstimate).
+# One row per eval function: its arity, its reference route and its integral
+# route, each called with the values; the integral route returns an
+# IntegralEstimate.
 _EVAL = {
     "gamma": (1, gamma_reference, gamma_integral),
     "lgamma": (1, log_gamma, log_gamma_integral),
@@ -67,19 +66,6 @@ def _axes():
     return tuple(dict.fromkeys(axis for spec in IDENTITIES.values() for axis in spec.axes))
 
 
-def _add_config_flags(sub):
-    group = sub.add_argument_group("quadrature options")
-    group.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol, metavar="TOL")
-    group.add_argument("--max-refinements", type=int, default=DEFAULT_CONFIG.max_refinements,
-                       metavar="N", help="step halvings allowed past the coarsest level, "
-                                         f"1..{MAX_REFINEMENTS}; each doubles the nodes")
-
-
-def _config_from(args):
-    # QuadratureConfig validates; ValueError maps to a usage error in main().
-    return QuadratureConfig(rel_tol=args.rel_tol, max_refinements=args.max_refinements)
-
-
 def _tolerance(text):
     """argparse type for a pass tolerance: a positive finite number."""
     try:
@@ -92,7 +78,6 @@ def _fill_eval(p_eval):
     p_eval.add_argument("function", choices=sorted(_EVAL))
     p_eval.add_argument("values", nargs="+", type=float, metavar="VALUE")
     p_eval.add_argument("--engine", choices=("reference", "integral"), default="reference")
-    _add_config_flags(p_eval)
     p_eval.set_defaults(handler=_cmd_eval)
 
 
@@ -105,7 +90,6 @@ def _fill_verify(p_verify):
                               choices=MODES if axis == "mode" else None)
     p_verify.add_argument("--tol", type=_tolerance, default=None,
                           help="override the identity's default tolerance")
-    _add_config_flags(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
 
@@ -121,7 +105,6 @@ def _fill_suite(p_suite):
                          help="per-identity tolerance override, repeatable")
     p_suite.add_argument("--out", default=None, metavar="PATH",
                          help="write the report to PATH instead of standard output")
-    _add_config_flags(p_suite)
     p_suite.set_defaults(handler=_cmd_suite)
 
 
@@ -152,11 +135,10 @@ def _cmd_eval(args, parser):
     arity, reference, integral = _EVAL[args.function]
     if len(args.values) != arity:
         parser.error(f"{args.function} takes {arity} value(s), got {len(args.values)}")
-    config = _config_from(args)
     if args.engine == "reference":
         estimate, value = None, reference(*args.values)
     else:
-        estimate = integral(*args.values, config)
+        estimate = integral(*args.values)
         value = estimate.value
     if not math.isfinite(value):
         raise DomainError(NOT_FINITE)
@@ -194,9 +176,8 @@ def _cmd_verify(args, parser):
                 parser.error(f"identity '{identity_id}' requires --{axis}")
             raw = MODES[0]
         params[axis] = convert(raw, axis)
-    config = _config_from(args)
     start = time.perf_counter()
-    report = spec.run(params, args.tol, config)
+    report = spec.run(params, args.tol)
     sys.stdout.write(render_report(report, time.perf_counter() - start))
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -251,9 +232,8 @@ def _cmd_suite(args, parser):
         if raw is not None:
             axis_values[axis] = _parse_axis_values(axis, raw, parser)
     tolerances = _parse_tolerances(args.tol, parser)
-    config = _config_from(args)
     grid = build_grid(identities, axis_values)
-    suite = run_suite(grid, config, tolerances)
+    suite = run_suite(grid, tolerances)
     text = render_suite(suite, args.format)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -278,7 +258,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:
-        # DomainError and config validation both land here
+        # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError:

@@ -31,13 +31,8 @@ recurrence's factors, so it stays finite wherever log gamma does.
 import math
 
 from .errors import DomainError, nonnegative, positive
-from .quadrature import (
-    DEFAULT_CONFIG,
-    IntegralEstimate,
-    QuadratureConfig,
-    _integrate_family,
-)
-from . import backend
+from .quadrature import IntegralEstimate, _integrate_family
+from . import backend, quadrature
 
 # Lanczos g = 7; the nine coefficients live in ``_lanczos_sum``.
 _LANCZOS_G = 7.0
@@ -148,8 +143,7 @@ def _recurrence(x):
     return x - steps, 1.0, (x - k for k in range(1, steps + 1))
 
 
-def gamma_integral(x: float,
-                   config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralEstimate:
+def gamma_integral(x: float) -> IntegralEstimate:
     """Gamma(x) as Euler's integral of (-log u)^(x-1) over (0, 1).
 
     The integral is taken for x in [1, 100] only, and the recurrence lifts
@@ -170,11 +164,10 @@ def gamma_integral(x: float,
         factor *= f
     if not math.isfinite(factor):
         return IntegralEstimate(math.inf, math.inf, 0, False)
-    return _scaled(gamma_log_integral(y - 1.0, config), factor, config)
+    return _scaled(gamma_log_integral(y - 1.0), factor)
 
 
-def log_gamma_integral(x: float,
-                       config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralEstimate:
+def log_gamma_integral(x: float) -> IntegralEstimate:
     """log(Gamma(x)) as the log of Euler's integral at the lifted argument
     plus the ``math.fsum`` of the logs of the recurrence's factors.
 
@@ -184,15 +177,14 @@ def log_gamma_integral(x: float,
     """
     x = positive(x, "x")
     y, divisor, factors = _recurrence(x)
-    estimate = gamma_log_integral(y - 1.0, config)
+    estimate = gamma_log_integral(y - 1.0)
     terms = [math.log(estimate.value), -math.log(divisor)]
     terms += map(math.log, factors)
     return IntegralEstimate(math.fsum(terms), estimate.error_estimate / estimate.value,
                             estimate.evaluations, estimate.converged)
 
 
-def gamma_log_integral(s: float,
-                       config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralEstimate:
+def gamma_log_integral(s: float) -> IntegralEstimate:
     """Integral of (-log x)^s over (0, 1), which equals Gamma(s + 1).
 
     Requires s >= 0.  Node values are formed in linear space, so s large
@@ -201,7 +193,7 @@ def gamma_log_integral(s: float,
     the right tool there.
     """
     s = nonnegative(s, "s")
-    return _integrate_family(backend.NEG_LOG_POW, s, 0.0, 0.0, config)
+    return _integrate_family(backend.NEG_LOG_POW, s, 0.0, 0.0)
 
 
 def factorial_interp(lam: float) -> float:
@@ -215,13 +207,14 @@ def factorial_interp(lam: float) -> float:
     return gamma_reference(lam + 1.0)
 
 
-def _scaled(estimate, factor, config):
+def _scaled(estimate, factor):
     """Rescale a family estimate (value and error) and re-derive the
-    converged flag, on the relative rule alone.  A value that is not finite
-    has error inf, as in ``quadrature._refine``."""
+    converged flag, on the relative rule alone: against
+    ``quadrature.REL_TOL``, read at call time as ``quadrature._refine``
+    reads it.  A value that is not finite has error inf, as there."""
     value = estimate.value * factor
     if not math.isfinite(value):
         return IntegralEstimate(value, math.inf, estimate.evaluations, False)
     error = estimate.error_estimate * abs(factor)
-    converged = estimate.converged and error <= config.rel_tol * abs(value)
+    converged = estimate.converged and error <= quadrature.REL_TOL * abs(value)
     return IntegralEstimate(value, error, estimate.evaluations, converged)

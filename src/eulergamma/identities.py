@@ -3,8 +3,8 @@
 Every check evaluates both sides of one identity independently, measures the
 residual, and returns an IdentityReport; run_suite drives all checks over
 parameter grids and aggregates.  A report is a value of the identity, its
-parameters, the tolerance and the quadrature config alone: equal inputs give
-equal reports, and nothing in one is timed.
+parameters and the tolerance alone: equal inputs give equal reports, and
+nothing in one is timed.
 
 ``IDENTITIES`` holds one ``IdentitySpec`` row per identity: its axes, default
 grid, default tolerance, work axis and ``run``.  ``default_tolerance``,
@@ -38,6 +38,10 @@ Conventions shared by all checks:
   reals, so there is no branch to pick.
 * A quadrature value that underflowed to 0 has no finite log: its check
   raises DomainError rather than report -inf.
+* A quotient x/n below the smallest normal double is rounded to fewer bits
+  than x has, so the log of gauss-multiplication's smallest term and of
+  factorial-root's m/n is taken there as log x - log n
+  (``_log_quotient``).  One that underflows to 0 is refused.
 * rel_residual = |lhs - rhs| / max(|lhs|, |rhs|, 1e-300) and abs_residual =
   |lhs - rhs| are both reported.  A log-space check passes when
   abs_residual <= tolerance: a difference of logs is already the relative
@@ -76,7 +80,7 @@ from typing import Callable, Mapping, NamedTuple
 from .beta import euler_symbol, log_beta
 from .errors import NOT_FINITE, DomainError, finite, integer, positive
 from .gamma import MAX_N, factorial_interp, gamma_log_integral, log_gamma, log_gamma_terms
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _integrate_family, suite_memo
+from .quadrature import _integrate_family, suite_memo
 from . import backend
 
 _LN_2 = math.log(2.0)
@@ -254,6 +258,26 @@ def _log_gamma_fractions(n):
     return table
 
 
+def _log_quotient(a, n):
+    """log(a / n).  A subnormal quotient keeps fewer bits than a, and its log
+    is off by up to its rounding, so there it is log a - log n; a normal
+    quotient is logged as it is."""
+    quotient = a / n
+    if quotient < sys.float_info.min:
+        return math.log(a) - math.log(n)
+    return math.log(quotient)
+
+
+def _log_gamma_quotient(a, n):
+    """log gamma(a / n), the float ``log_gamma_terms`` gives.  Below the
+    smallest normal double, gamma(q) = gamma(q + 1) / q with q + 1 rounding
+    to 1, so the term is log gamma(1) - ``_log_quotient(a, n)``."""
+    quotient = a / n
+    if quotient < sys.float_info.min:
+        return log_gamma_terms((1.0,))[0] - _log_quotient(a, n)
+    return log_gamma_terms((quotient,))[0]
+
+
 def check_reflection(x: float, tolerance: float | None = None) -> IdentityReport:
     """gamma(x) * gamma(1-x) = pi / sin(pi x), for x in (0, 1).
 
@@ -287,7 +311,7 @@ def check_gauss_multiplication(x: float, n: int,
     n = integer(n, "n", 1, MAX_N)
     # the smallest term, x/n, can underflow to 0 for a subnormal x
     positive(x / n, "x / n")
-    lhs_terms = log_gamma_terms((x + k) / n for k in range(n))
+    lhs_terms = [_log_gamma_quotient(x, n)] + log_gamma_terms((x + k) / n for k in range(1, n))
     rhs_terms = [0.5 * (n - 1) * _LN_2PI, (0.5 - x) * math.log(n), log_gamma(x)]
     return _log_report("gauss-multiplication", {"n": n, "x": x}, lhs_terms, rhs_terms, tolerance)
 
@@ -428,8 +452,7 @@ def check_gamma_fraction_product(n: int, tolerance: float | None = None) -> Iden
     return _log_report("gamma-fraction-product", {"n": n}, lhs_terms, rhs_terms, tolerance)
 
 
-def check_log_integral_product(n: int, config: QuadratureConfig = DEFAULT_CONFIG,
-                               tolerance: float | None = None) -> IdentityReport:
+def check_log_integral_product(n: int, tolerance: float | None = None) -> IdentityReport:
     """product over k in 1..n-1 of integral_0^1 (-log x)^(k/n) dx
     = ((n-1)!/n^(n-1)) sqrt(2^(n-1) pi^(n-1) / n), for n >= 2.
 
@@ -437,7 +460,7 @@ def check_log_integral_product(n: int, config: QuadratureConfig = DEFAULT_CONFIG
     lhs/rhs are the logs of the two sides.
     """
     n = integer(n, "n", 2, MAX_N)
-    estimates = [gamma_log_integral(k / n, config) for k in range(1, n)]
+    estimates = [gamma_log_integral(k / n) for k in range(1, n)]
     lhs_terms = [_log_value(e) for e in estimates]
     rhs_terms = [log_gamma(float(n)), -(n - 1) * math.log(n), 0.5 * (n - 1) * _LN_2,
                  0.5 * (n - 1) * _LN_PI, -0.5 * math.log(n)]
@@ -445,7 +468,7 @@ def check_log_integral_product(n: int, config: QuadratureConfig = DEFAULT_CONFIG
                        all(e.converged for e in estimates))
 
 
-def _factorial_root_log_inner(m, n, mode, config):
+def _factorial_root_log_inner(m, n, mode):
     """Log of the radicand n^(n-m) gamma(m) S(1,m;n) S(2,m;n) ... S(n-1,m;n).
 
     Returns (log terms, all quadratures converged).  In closed mode each
@@ -461,19 +484,18 @@ def _factorial_root_log_inner(m, n, mode, config):
     converged = True
     if mode == "closed":
         terms += _log_gamma_fractions(n)
-        terms += [log_gamma(m / n)] * (n - 1)
+        terms += [_log_gamma_quotient(m, n)] * (n - 1)
         terms += [-term for term in log_gamma_terms((i + m) / n for i in range(1, n))]
         terms += [-log_n] * (n - 1)
     else:
         for i in range(1, n):
-            estimate = euler_symbol(float(i), m, n, config)
+            estimate = euler_symbol(float(i), m, n)
             converged = converged and estimate.converged
             terms.append(_log_value(estimate))
     return terms, converged
 
 
 def check_factorial_root(m: float, n: int, mode: str = "closed",
-                         config: QuadratureConfig = DEFAULT_CONFIG,
                          tolerance: float | None = None) -> IdentityReport:
     """(m/n)! = (m/n) (n^(n-m) gamma(m) S(1,m;n) ... S(n-1,m;n))^(1/n).
 
@@ -490,14 +512,13 @@ def check_factorial_root(m: float, n: int, mode: str = "closed",
     mode = _mode_axis(mode)
     # m / n underflows to 0 for a subnormal m
     lam = positive(m / n, "m / n")
-    terms, converged = _factorial_root_log_inner(m, n, mode, config)
+    terms, converged = _factorial_root_log_inner(m, n, mode)
     params = {"m": m, "n": n, "mode": mode}
     return _log_report("factorial-root", params, [log_gamma(lam + 1.0)],
-                       [math.log(lam), _fsum(terms) / n], tolerance, converged)
+                       [_log_quotient(m, n), _fsum(terms) / n], tolerance, converged)
 
 
 def check_algebraic_interpolation(p: int, q: int,
-                                  config: QuadratureConfig = DEFAULT_CONFIG,
                                   tolerance: float | None = None) -> IdentityReport:
     """integral_0^1 (-log x)^(p/q) dx
     = (p! (2p/q+1)(3p/q+1)...(qp/q+1))^(1/q) * (prod_k integral_0^1 (x^k - x^(k+1))^(p/q) dx)^(1/q)
@@ -509,12 +530,12 @@ def check_algebraic_interpolation(p: int, q: int,
     p = integer(p, "p", 1)
     q = integer(q, "q", 1, MAX_N)
     s = p / q
-    lhs_estimate = gamma_log_integral(s, config)
+    lhs_estimate = gamma_log_integral(s)
     converged = lhs_estimate.converged
     terms = [log_gamma(p + 1.0)]
     terms += [math.log(j * s + 1.0) for j in range(2, q + 1)]
     for k in range(1, q):
-        estimate = _integrate_family(backend.ALGEBRAIC, float(k), s, 0.0, config)
+        estimate = _integrate_family(backend.ALGEBRAIC, float(k), s, 0.0)
         converged = converged and estimate.converged
         terms.append(_log_value(estimate))
     return _log_report("algebraic-interpolation", {"p": p, "q": q}, [_log_value(lhs_estimate)],
@@ -522,27 +543,25 @@ def check_algebraic_interpolation(p: int, q: int,
 
 
 def check_symbol_symmetry(p: float, q: float, n: int,
-                          config: QuadratureConfig = DEFAULT_CONFIG,
                           tolerance: float | None = None) -> IdentityReport:
     """S(p, q; n) = S(q, p; n), both sides by direct quadrature.
 
     Compared in log space; lhs/rhs are the logs of the two sides.
     """
-    a = euler_symbol(p, q, n, config)
-    b = euler_symbol(q, p, n, config)
+    a = euler_symbol(p, q, n)
+    b = euler_symbol(q, p, n)
     params = {"n": integer(n, "n", 1), "p": float(p), "q": float(q)}
     return _log_report("symbol-symmetry", params, [_log_value(a)], [_log_value(b)], tolerance,
                        a.converged and b.converged)
 
 
 def check_symbol_bridge(p: float, q: float, n: int,
-                        config: QuadratureConfig = DEFAULT_CONFIG,
                         tolerance: float | None = None) -> IdentityReport:
     """S(p, q; n) by quadrature = B(p/n, q/n)/n in closed form.
 
     Compared in log space; lhs/rhs are the logs of the two sides.
     """
-    estimate = euler_symbol(p, q, n, config)
+    estimate = euler_symbol(p, q, n)
     p, q, n = float(p), float(q), integer(n, "n", 1)
     return _log_report("symbol-bridge", {"n": n, "p": p, "q": q}, [_log_value(estimate)],
                        [log_beta(p / n, q / n), -math.log(n)], tolerance, estimate.converged)
@@ -565,7 +584,7 @@ def derivation_chain_values(m: float, n: int) -> tuple:
     m = positive(m, "m")
     n = integer(n, "n", 1, MAX_N)
     direct = factorial_interp(m / n)
-    terms, _ = _factorial_root_log_inner(m, n, "closed", DEFAULT_CONFIG)
+    terms, _ = _factorial_root_log_inner(m, n, "closed")
     root_form = (m / n) * math.exp(math.fsum(terms) / n)
     product_terms = [math.log(m / n), log_gamma(m), (1.0 - m) * math.log(n)]
     product_terms += _log_gamma_fractions(n)
@@ -582,12 +601,12 @@ class IdentitySpec:
     ``converter(value, name)``.  ``grid`` is the default grid: blocks of axis
     value lists, each expanded by product.  ``tolerance`` is the default pass
     tolerance, or a mapping from mode to it.  ``work_axis`` is the axis the
-    check's work grows with, if any.  ``run(params, tolerance, config)``
-    checks one case.
+    check's work grows with, if any.  ``run(params, tolerance)`` checks one
+    case.
 
     This is the package's one dataclass: the benchmark's tracer swaps each
-    row's ``run`` through ``dataclasses.replace``.  The report and config
-    types are NamedTuples or slots classes, which generate no code at import.
+    row's ``run`` through ``dataclasses.replace``.  The report types are
+    NamedTuples, which generate no code at import.
     """
 
     identity_id: str
@@ -598,12 +617,9 @@ class IdentitySpec:
     run: Callable
 
 
-def _row(check, identity_id, axes, grid, tolerance, work_axis=None, integrates=False):
-    """The IdentitySpec whose run calls ``check(**params, tolerance=...)``;
-    a check that integrates also gets the quadrature config."""
-    def run(params, tolerance, config):
-        if integrates:
-            return check(**params, config=config, tolerance=tolerance)
+def _row(check, identity_id, axes, grid, tolerance, work_axis=None):
+    """The IdentitySpec whose run calls ``check(**params, tolerance=...)``."""
+    def run(params, tolerance):
         return check(**params, tolerance=tolerance)
     return IdentitySpec(identity_id, axes, tuple(grid), tolerance, work_axis, run)
 
@@ -633,21 +649,19 @@ IDENTITIES = {spec.identity_id: spec for spec in (
     _row(check_gamma_fraction_product, "gamma-fraction-product", {"n": integer},
          [{"n": list(range(2, 51))}], 1e-10, "n"),
     _row(check_log_integral_product, "log-integral-product", {"n": integer},
-         [{"n": list(range(2, 9))}], 1e-7, "n", integrates=True),
+         [{"n": list(range(2, 9))}], 1e-7, "n"),
     _row(check_factorial_root, "factorial-root",
          {"m": finite, "n": integer, "mode": _mode_axis},
          [{"m": [float(m) for m in range(1, 11)] + [0.5, 7.3, 19.9],
            "n": list(range(1, 9)), "mode": ["closed"]},
           {"m": [float(m) for m in range(1, 6)], "n": list(range(2, 6)),
            "mode": ["quadrature"]}],
-         {"closed": 1e-10, "quadrature": 1e-7}, "n", integrates=True),
+         {"closed": 1e-10, "quadrature": 1e-7}, "n"),
     _row(check_algebraic_interpolation, "algebraic-interpolation",
          {"p": integer, "q": integer}, [{"p": [1, 2, 3, 4], "q": [1, 2, 3, 4]}],
-         1e-6, "q", integrates=True),
-    _row(check_symbol_symmetry, "symbol-symmetry", _SYMBOL_AXES, _SYMBOL_GRID, 1e-7, "n",
-         integrates=True),
-    _row(check_symbol_bridge, "symbol-bridge", _SYMBOL_AXES, _SYMBOL_GRID, 1e-7, "n",
-         integrates=True),
+         1e-6, "q"),
+    _row(check_symbol_symmetry, "symbol-symmetry", _SYMBOL_AXES, _SYMBOL_GRID, 1e-7, "n"),
+    _row(check_symbol_bridge, "symbol-bridge", _SYMBOL_AXES, _SYMBOL_GRID, 1e-7, "n"),
 )}
 
 
@@ -721,7 +735,6 @@ def default_grid() -> dict:
 
 
 def run_suite(grid: dict | None = None,
-              config: QuadratureConfig = DEFAULT_CONFIG,
               tolerances: Mapping[str, float] | None = None) -> SuiteReport:
     """Run every check in ``grid`` (default: the full built-in grid).
 
@@ -730,11 +743,11 @@ def run_suite(grid: dict | None = None,
     failed report with NaN sides, and the exception in its ``error``, rather
     than aborting the suite.
 
-    Within one run, equal family integrals (the same integrand, parameters
-    and config) are computed once and shared by every check that needs
+    Within one run, equal family integrals (the same integrand and
+    parameters) are computed once and shared by every check that needs
     them, so S(p, q; n) serves both symbol-symmetry and symbol-bridge.  The
-    run's memo, ``quadrature.suite_memo``, is keyed on (family, p0, p1, p2,
-    config), holds family integrals and nothing else, and ends with the run;
+    run's memo, ``quadrature.suite_memo``, is keyed on (family, p0, p1, p2),
+    holds family integrals and nothing else, and ends with the run;
     calls outside a run never share an integral.  The stores that outlive a
     run, the log gamma(i/n) tables (see the module docstring) and
     ``backend``'s node tables, keep what a rule on their key admits, whatever
@@ -756,7 +769,7 @@ def run_suite(grid: dict | None = None,
             tol = tolerances.get(identity_id)
             for params in sorted(grid[identity_id], key=params_key):
                 try:
-                    report = spec.run(params, tol, config)
+                    report = spec.run(params, tol)
                 except Exception as exc:
                     report = IdentityReport(
                         identity_id=identity_id,
@@ -773,11 +786,5 @@ def run_suite(grid: dict | None = None,
     finally:
         suite_memo.reset(memo_token)
     n_pass = sum(1 for r in reports if r.passed)
-    # abs_tol is not echoed: only arbitrary callables read it, and no check
-    # integrates one.
-    config_echo = {
-        "rel_tol": config.rel_tol,
-        "max_refinements": config.max_refinements,
-        "grid": {identity_id: len(grid[identity_id]) for identity_id in sorted(grid)},
-    }
+    config_echo = {"grid": {identity_id: len(grid[identity_id]) for identity_id in sorted(grid)}}
     return SuiteReport(tuple(reports), n_pass, len(reports) - n_pass, config_echo)

@@ -12,7 +12,7 @@ Nodes beyond |t| = 6.1 carry weights below the double-precision underflow
 threshold and are never visited.
 
 Refinement stops at the first level j that passes one of two tests, each
-against the bar rel_tol * |I_j| (for callables, at least abs_tol):
+against the bar REL_TOL * |I_j| (for callables, at least ABS_TOL):
 
 * the change test: d_j = |I_j - I_{j-1}| meets the bar, and is reported as
   the error estimate;
@@ -25,9 +25,10 @@ against the bar rel_tol * |I_j| (for callables, at least abs_tol):
   reported.  Where it fires it saves the level the change test would
   compute; it never adds one.
 
-A bar of 0 is met by neither test: a family value of 0, as when every node
-of S(1.7e308, 1; 2) underflows, is not known to be the integral, and is
-reported unconverged.
+A quadrature that passes neither test within MAX_REFINEMENTS halvings is
+reported unconverged.  A bar of 0 is met by neither test: a family value of
+0, as when every node of S(1.7e308, 1; 2) underflows, is not known to be
+the integral, and is reported unconverged.
 
 Either estimate is raised to at least the rounding floor
 ROUNDING_K * eps * (1 + e) * |I_j|, with e the sum of the |powers| the
@@ -61,7 +62,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import backend
-from .errors import DomainError, finite, positive
+from .errors import DomainError, finite
 
 # Family integrals already computed in the current suite run, keyed on every
 # input of ``_integrate_family``.  ``identities.run_suite`` sets a fresh dict
@@ -75,79 +76,24 @@ ROUNDING_K = 16.0
 EPSILON = sys.float_info.epsilon
 
 
-# The most step halvings a QuadratureConfig allows, and the default.  Each
-# halving doubles the nodes, so an integral that does not converge evaluates
-# at most 49,971, and every level a quadrature visits has h >= 2^-12, which
-# ``backend`` stores.  Past 12 the new nodes fall where h = 2^-12 already
-# resolves the integrand, and the error left is the truncation at
-# ``backend.T_MAX``, which no halving mends: in a seeded sweep of family
-# integrals, halvings 13 to 20 certified none that 12 had left unconverged,
-# and certified some wrong ones (see the README).
+# The bar's relative tolerance, and its absolute floor for arbitrary
+# callables only, so that an integral of 0 (cos over (0, pi)) converges.
+# The built-in families are positive and take no floor, which would accept
+# any integral smaller than it, however wrong.  The constants above and the
+# tolerances of ``identities`` were fitted at REL_TOL and MAX_REFINEMENTS;
+# no caller sets another.
+REL_TOL = 1e-11
+ABS_TOL = 1e-12
+
+# The most step halvings past the coarsest level.  Each halving doubles the
+# nodes, so an integral that does not converge evaluates at most 49,971, and
+# every level a quadrature visits has h >= 2^-12, which ``backend`` stores.
+# Past 12 the new nodes fall where h = 2^-12 already resolves the integrand,
+# and the error left is the truncation at ``backend.T_MAX``, which no halving
+# mends: in a seeded sweep of family integrals, halvings 13 to 20 certified
+# none that 12 had left unconverged, and certified some wrong ones (see the
+# README).
 MAX_REFINEMENTS = 12
-
-
-class QuadratureConfig:
-    """Tolerances and budget for the adaptive refinement.
-
-    abs_tol, rel_tol
-        Refinement stops once the level-to-level change, or the extrapolated
-        error, is at or below ``rel_tol * |value|`` (see the module
-        docstring).  For arbitrary callables the bar is
-        ``max(abs_tol, rel_tol * |value|)``, so an integral of zero (say
-        cos over (0, pi)) still converges.  The built-in integrand families
-        are positive and ignore ``abs_tol``: a floor would accept any
-        integral smaller than it, however wrong.  A ``rel_tol`` below the
-        rounding floor, ROUNDING_K * eps * (1 + e), cannot be met.
-    max_refinements
-        Number of step halvings allowed past the coarsest level, an int in
-        1..MAX_REFINEMENTS.
-
-    A config is an immutable value: it stores the floats and the int it
-    validated (a bool is refused), compares and hashes by its three fields,
-    and refuses assignment.  The suite memo keys on it.
-    """
-
-    __slots__ = ("abs_tol", "rel_tol", "max_refinements")
-
-    def __init__(self, abs_tol=1e-12, rel_tol=1e-11, max_refinements=MAX_REFINEMENTS):
-        if isinstance(abs_tol, bool) or isinstance(rel_tol, bool):
-            raise DomainError("abs_tol and rel_tol must be numbers, not bools")
-        if (isinstance(max_refinements, bool) or not isinstance(max_refinements, int)
-                or not 1 <= max_refinements <= MAX_REFINEMENTS):
-            raise ValueError(
-                f"max_refinements must be an integer in 1..{MAX_REFINEMENTS}")
-        store = object.__setattr__
-        store(self, "abs_tol", positive(abs_tol, "abs_tol"))
-        store(self, "rel_tol", positive(rel_tol, "rel_tol"))
-        store(self, "max_refinements", int(max_refinements))
-
-    def _key(self):
-        return (self.abs_tol, self.rel_tol, self.max_refinements)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"QuadratureConfig(abs_tol={self.abs_tol!r}, rel_tol={self.rel_tol!r}, "
-                f"max_refinements={self.max_refinements!r})")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, which validates again
-        return (QuadratureConfig, self._key())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"QuadratureConfig is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"QuadratureConfig is immutable: cannot delete {name!r}")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 
 class IntegralEstimate(NamedTuple):
@@ -160,8 +106,8 @@ class IntegralEstimate(NamedTuple):
     ``error_estimate`` is the last level's change or, where the extrapolated
     test stopped the refinement, the extrapolated error; either is at least
     the rounding floor (see the module docstring).  ``converged`` is True
-    exactly when ``value`` is finite and ``error_estimate`` met the
-    configured tolerance, a bar of 0 being met by none; a False value still
+    exactly when ``value`` is finite and ``error_estimate`` met the bar of
+    the module docstring, a bar of 0 being met by none; a False value still
     carries the best estimate found.  Refinement stops at the first level
     whose value is not finite, and reports an ``error_estimate`` of inf.
     """
@@ -170,12 +116,6 @@ class IntegralEstimate(NamedTuple):
     error_estimate: float
     evaluations: int
     converged: bool
-
-
-def _error_floor(family, config):
-    """Error that always passes: abs_tol for arbitrary callables, none for
-    the positive built-in families."""
-    return config.abs_tol if family == backend.GENERIC else 0.0
 
 
 def _rounding_floor(family, p0, p1, p2):
@@ -198,11 +138,10 @@ def _extrapolated(d2, d1, d0, size):
     return math.inf
 
 
-def _refine(a, b, config, family, p0, p1, p2, f):
+def _refine(a, b, family, p0, p1, p2, f):
     """Run the level-doubling loop over (a, b); returns an IntegralEstimate."""
-    floor = _error_floor(family, config)
+    floor = ABS_TOL if family == backend.GENERIC else 0.0
     rounding = _rounding_floor(family, p0, p1, p2)
-    rel_tol = config.rel_tol
     h = 1.0
     s, n = backend.level_sum(a, b, h, False, family, p0, p1, p2, f)
     value = h * s
@@ -210,7 +149,7 @@ def _refine(a, b, config, family, p0, p1, p2, f):
     error = math.inf
     converged = False
     d2 = d1 = math.inf  # the two level changes before this one
-    for _ in range(config.max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         if not math.isfinite(value):
             break  # every later change would be inf - inf = nan
         h *= 0.5
@@ -221,7 +160,7 @@ def _refine(a, b, config, family, p0, p1, p2, f):
         value = new_value
         size = abs(value)
         least = rounding * size
-        bar = rel_tol * size
+        bar = REL_TOL * size
         if bar < floor:
             bar = floor
         error = change if change > least else least
@@ -243,8 +182,7 @@ def _refine(a, b, config, family, p0, p1, p2, f):
     return IntegralEstimate(value, error, evaluations, converged)
 
 
-def integrate_finite(f: Callable[[float], float], a: float, b: float,
-                     config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralEstimate:
+def integrate_finite(f: Callable[[float], float], a: float, b: float) -> IntegralEstimate:
     """Integrate ``f`` over the finite interval (a, b).
 
     ``f`` must be finite at every interior node; integrable endpoint
@@ -255,10 +193,10 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
     a, b = finite(a, "a"), finite(b, "b")
     if not a < b:
         raise DomainError("integration bounds must satisfy a < b")
-    return _refine(a, b, config, backend.GENERIC, 0.0, 0.0, 0.0, f)
+    return _refine(a, b, backend.GENERIC, 0.0, 0.0, 0.0, f)
 
 
-def _integrate_family(family, p0, p1, p2, config):
+def _integrate_family(family, p0, p1, p2):
     """Driver for the built-in integrand families, over (0, 1).
 
     Inside a suite run an equal call returns the estimate already computed;
@@ -266,9 +204,9 @@ def _integrate_family(family, p0, p1, p2, config):
     """
     memo = suite_memo.get()
     if memo is None:
-        return _refine(0.0, 1.0, config, family, p0, p1, p2, None)
-    key = (family, p0, p1, p2, config)
+        return _refine(0.0, 1.0, family, p0, p1, p2, None)
+    key = (family, p0, p1, p2)
     estimate = memo.get(key)
     if estimate is None:
-        estimate = memo[key] = _refine(0.0, 1.0, config, family, p0, p1, p2, None)
+        estimate = memo[key] = _refine(0.0, 1.0, family, p0, p1, p2, None)
     return estimate

@@ -16,7 +16,6 @@ import pytest
 
 import eulergamma
 from eulergamma import (
-    DEFAULT_CONFIG,
     beta_closed,
     beta_integral,
     check_reflection,
@@ -462,9 +461,9 @@ def test_rows_swap_their_run_as_the_benchmark_tracer_does(monkeypatch, tmp_path)
 
     calls = []
     for identity_id, spec in list(identities.IDENTITIES.items()):
-        def traced(params, tolerance, config, identity_id=identity_id, run=spec.run):
+        def traced(params, tolerance, identity_id=identity_id, run=spec.run):
             calls.append(identity_id)
-            return run(params, tolerance, config)
+            return run(params, tolerance)
         monkeypatch.setitem(identities.IDENTITIES, identity_id,
                             dataclasses.replace(spec, run=traced))
     grid = {identity_id: cases[:1] for identity_id, cases in identities.default_grid().items()}
@@ -568,33 +567,18 @@ def test_suite_bad_flags_exit_2():
     assert run_cli("suite", "--identities", "sine-product", "--n", "abc").returncode == 2
     assert run_cli("suite", "--tol", "gauss-multiplication").returncode == 2
     assert run_cli("suite", "--format", "xml").returncode == 2
-    rejected = run_cli("suite", "--rel-tol", "-1")
-    assert rejected.returncode == 2
-    assert rejected.stderr == "error: rel_tol must be positive and finite\n"
 
 
-@pytest.mark.parametrize("args", [
-    ("eval", "symbol", "2.0", "0.01", "4", "--engine", "integral"),
-    ("suite", "--identities", "symbol-bridge"),
-])
-def test_max_refinements_past_the_cap_exits_2_at_once(args):
-    # Each halving doubles the nodes, so 30 would run for hours; the config
-    # refuses the budget before any integral starts.
-    for budget in ("13", "21", "30"):
-        result = run_cli(*args, "--max-refinements", budget, timeout=60)
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert result.stderr == "error: max_refinements must be an integer in 1..12\n"
-
-
-def test_suite_config_built_from_flags_shares_integrals(refine_calls, tmp_path):
-    # The CLI builds its own config from --rel-tol; the run still integrates
-    # each of the default suite's 172 distinct integrals once.
+def test_suite_command_shares_integrals(refine_calls, tmp_path):
+    # The suite command integrates each of the default suite's 172 distinct
+    # integrals once, and echoes the grid alone.
     out = tmp_path / "r.json"
-    assert main(["suite", "--rel-tol", "1e-11", "--format", "json", "--out", str(out)]) == 0
+    assert main(["suite", "--format", "json", "--out", str(out)]) == 0
     assert len(refine_calls) == 172
     assert len(set(refine_calls)) == 172
-    assert json.loads(out.read_text())["config"]["rel_tol"] == 1e-11
+    config = json.loads(out.read_text())["config"]
+    assert list(config) == ["grid"]
+    assert sum(config["grid"].values()) == 640
 
 
 def _modules_loaded(*args):
@@ -734,19 +718,33 @@ def test_suite_restricted_axes_apply_to_matching_identities_only():
     assert len(reflection) == 20  # untouched default axis
 
 
-@pytest.mark.parametrize("argv", [["eval", "gamma", "1"], ["verify", "reflection"], ["suite"]])
-def test_quadrature_flag_defaults_are_the_default_config(argv):
-    args = cli._build_parser().parse_args(argv)
-    assert cli._config_from(args) == DEFAULT_CONFIG
+def _table_axes():
+    return [f"--{axis}" for axis in
+            dict.fromkeys(axis for spec in identities.IDENTITIES.values() for axis in spec.axes)]
 
 
-@pytest.mark.parametrize("command", [["eval", "gamma", "1"], ["suite"]])
+@pytest.mark.parametrize("command", [["eval", "gamma", "1"], ["suite"],
+                                     ["verify", "reflection", "--x", "0.25"]])
 def test_truncation_threshold_is_no_flag(command, capsys):
-    # No command integrates over a semi-infinite interval.
-    with pytest.raises(SystemExit) as exit_info:
-        main([*command, "--truncation-threshold", "1e-9"])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: --truncation-threshold" in capsys.readouterr().err
+    # Each command takes exactly these options; a new flag is an edit here.
+    # Every quadrature runs at one tolerance and budget, so no command takes
+    # either; nor a truncation threshold, since no command integrates over a
+    # semi-infinite interval.
+    name = command[0]
+    expected = {"eval": ["--engine"],
+                "verify": [*_table_axes(), "--tol"],
+                "suite": ["--identities", *_table_axes(), "--format", "--tol", "--out"]}
+    parser = cli._build_parser(name)
+    (commands,) = [action for action in parser._actions if action.dest == "command"]
+    options = [option for action in commands.choices[name]._actions
+               for option in action.option_strings]
+    assert options == ["-h", "--help", *expected[name]]
+    for flag, value in [("--truncation-threshold", "1e-9"), ("--rel-tol", "1e-9"),
+                        ("--max-refinements", "12")]:
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_main_is_callable_in_process(capsys):

@@ -19,7 +19,6 @@ import mpmath
 import pytest
 
 from eulergamma import (
-    DEFAULT_CONFIG,
     beta_integral,
     euler_symbol,
     gamma_integral,
@@ -60,7 +59,7 @@ def _sweep():
         k, s = rng.randint(1, 8), _log_uniform(rng, 0.05, 8.0)
         cases.append((f"(u^{k} (1 - u))^{s!r}",
                       lambda k=k, s=s: quadrature._integrate_family(
-                          backend.ALGEBRAIC, float(k), s, 0.0, DEFAULT_CONFIG),
+                          backend.ALGEBRAIC, float(k), s, 0.0),
                       lambda k=k, s=s: mpmath.beta(k * mp(s) + 1, mp(s) + 1),
                       (0.0, 1.0, backend.ALGEBRAIC, float(k), s, 0.0, None)))
         b = rng.uniform(0.1, 3.0)
@@ -70,18 +69,18 @@ def _sweep():
     return cases
 
 
-def _evaluations_by_change_alone(a, b, family, p0, p1, p2, f, config=DEFAULT_CONFIG):
+def _evaluations_by_change_alone(a, b, family, p0, p1, p2, f):
     """Evaluations of a refinement that stops once |I_j - I_(j-1)| meets
     the bar, and on nothing else."""
-    floor = config.abs_tol if family == backend.GENERIC else 0.0
+    floor = quadrature.ABS_TOL if family == backend.GENERIC else 0.0
     h = 1.0
     value, evaluations = backend.level_sum(a, b, h, False, family, p0, p1, p2, f)
-    for _ in range(config.max_refinements):
+    for _ in range(quadrature.MAX_REFINEMENTS):
         h *= 0.5
         s, n = backend.level_sum(a, b, h, True, family, p0, p1, p2, f)
         new_value = 0.5 * value + h * s
         evaluations += n
-        met = abs(new_value - value) <= max(floor, config.rel_tol * abs(new_value))
+        met = abs(new_value - value) <= max(floor, quadrature.REL_TOL * abs(new_value))
         value = new_value
         if met:
             break
@@ -120,9 +119,9 @@ def test_default_suite_integrals_take_no_more_evaluations(refine_calls):
     calls = list(refine_calls)
     assert len(calls) == 172
     fewer = 0
-    for a, b, config, family, p0, p1, p2, f in calls:
-        est = quadrature._refine(a, b, config, family, p0, p1, p2, f)
-        plain = _evaluations_by_change_alone(a, b, family, p0, p1, p2, f, config)
+    for args in calls:
+        est = quadrature._refine(*args)
+        plain = _evaluations_by_change_alone(*args)
         assert est.evaluations <= plain
         fewer += est.evaluations < plain
     assert fewer > 0
@@ -157,9 +156,10 @@ def test_extrapolated_stop_waits_for_three_changes(monkeypatch):
     seen = []
     monkeypatch.setattr(quadrature, "_extrapolated",
                         lambda d2, d1, d0, size: seen.append((d2, d1, d0)) or math.inf)
-    est = gamma_log_integral(0.5, quadrature.QuadratureConfig(rel_tol=1e-300))
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-300)
+    est = gamma_log_integral(0.5)
     assert not est.converged
-    assert len(seen) == quadrature.DEFAULT_CONFIG.max_refinements - 2
+    assert len(seen) == quadrature.MAX_REFINEMENTS - 2
     assert all(math.isfinite(d) for triple in seen for d in triple)
 
 
@@ -169,7 +169,7 @@ def test_extrapolated_stop_saves_a_level_and_reports_its_estimate():
     est = euler_symbol(2.0, 2.0, 3)
     assert est.converged
     assert est.evaluations == 97  # levels 0 to 3; the change alone takes 195
-    assert est.error_estimate <= quadrature.DEFAULT_CONFIG.rel_tol * est.value
+    assert est.error_estimate <= quadrature.REL_TOL * est.value
     assert est.error_estimate > 10 * quadrature._rounding_floor(
         backend.EULER_SYMBOL, 2.0, 2.0, 3.0) * est.value
 

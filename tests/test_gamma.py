@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from eulergamma import (
     DomainError,
     IntegralEstimate,
-    QuadratureConfig,
     factorial_interp,
     gamma_integral,
     gamma_log_integral,
@@ -200,13 +199,6 @@ def test_recurrence_property(x):
 def test_log_convexity_midpoint(a, b):
     mid = log_gamma((a + b) / 2.0)
     assert mid <= (log_gamma(a) + log_gamma(b)) / 2.0 + 1e-12
-
-
-def test_custom_config_is_respected():
-    cfg = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-6, max_refinements=4)
-    est = gamma_integral(2.5, cfg)
-    assert est.converged
-    assert abs(est.value - gamma_reference(2.5)) / gamma_reference(2.5) <= 1e-6
 
 
 # The loop form of the Lanczos sum and the recursive lift below 0.5, kept as

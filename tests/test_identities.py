@@ -437,6 +437,41 @@ def test_factorial_root_rejects_an_underflowing_m_over_n():
         check_factorial_root(5e-324, 3)
 
 
+def test_subnormal_quotients_pass():
+    # A subnormal x/n keeps fewer bits than x, so log gamma(x/n) ~ -log(x/n)
+    # was taken at another point than the other side's exact x: about half
+    # of these draws failed each check, by up to 0.6 in abs_residual.  Where
+    # x/n underflows to 0 the check is refused, and nowhere else.
+    rng = random.Random(5)
+    checks = {"gauss-multiplication": lambda x, n: check_gauss_multiplication(x, n),
+              "duplication": lambda x, n: check_duplication(x),
+              "factorial-root": lambda x, n: check_factorial_root(x, n)}
+    refused = Counter()
+    for _ in range(3000):
+        x = math.ldexp(rng.uniform(1.0, 2.0), -rng.randint(1023, 1074))
+        n = rng.randint(2, 12)
+        for identity_id, check in checks.items():
+            divisor = 2 if identity_id == "duplication" else n
+            if x / divisor == 0.0:
+                with pytest.raises(DomainError, match="/ n must be positive"):
+                    check(x, n)
+                refused[identity_id] += 1
+                continue
+            report = check(x, n)
+            assert report.passed, report
+            assert report.abs_residual <= 2e-13, report
+    assert 0 < refused["duplication"] < refused["gauss-multiplication"]
+
+
+def test_normal_quotients_keep_their_logs():
+    # Above the smallest normal double the quotient is logged as it is.
+    tiny = sys.float_info.min
+    for a, n in [(3 * tiny, 3), (7.3, 9), (1e-300, 7), (2.5, 2)]:
+        assert identities._log_quotient(a, n) == math.log(a / n)
+        assert identities._log_gamma_quotient(a, n) == log_gamma(a / n)
+    assert identities._log_quotient(1e-320, 3) == math.log(1e-320) - math.log(3)
+
+
 def test_log_integral_product_small_case():
     report = check_log_integral_product(2)  # the sides are logs
     assert report.passed
@@ -462,8 +497,8 @@ def test_log_integral_product_compares_tiny_sides_in_log_space(monkeypatch):
     # linear comparison on the absolute rule would pass.
     integral = identities.gamma_log_integral
 
-    def scaled(s, config):
-        estimate = integral(s, config)
+    def scaled(s):
+        estimate = integral(s)
         return estimate._replace(value=estimate.value * (1.0 + 1e-6))
 
     monkeypatch.setattr(identities, "gamma_log_integral", scaled)
@@ -548,8 +583,8 @@ def test_symbol_bridge_fails_a_doubled_integral_of_tiny_sides(monkeypatch):
     assert check_symbol_bridge(200.0, 200.0, 2).passed
     symbol = identities.euler_symbol
 
-    def doubled(p, q, n, config):
-        estimate = symbol(p, q, n, config)
+    def doubled(p, q, n):
+        estimate = symbol(p, q, n)
         return estimate._replace(value=2.0 * estimate.value)
 
     monkeypatch.setattr(identities, "euler_symbol", doubled)
@@ -582,8 +617,7 @@ def test_symbol_symmetry_sides_are_distinct_integrals():
             keys = set(quadrature.suite_memo.get())
         finally:
             quadrature.suite_memo.reset(token)
-        assert keys == {(backend.EULER_SYMBOL, p, q, n, quadrature.DEFAULT_CONFIG),
-                        (backend.EULER_SYMBOL, q, p, n, quadrature.DEFAULT_CONFIG)}
+        assert keys == {(backend.EULER_SYMBOL, p, q, n), (backend.EULER_SYMBOL, q, p, n)}
 
 
 def test_derivation_chain_spot():
@@ -768,7 +802,7 @@ def test_suite_reports_equal_checks_run_outside_a_suite():
     suite = run_suite()
     assert quadrature.suite_memo.get() is None
     for report in suite.reports:
-        direct = IDENTITIES[report.identity_id].run(report.params, None, quadrature.DEFAULT_CONFIG)
+        direct = IDENTITIES[report.identity_id].run(report.params, None)
         assert direct == report
 
 
@@ -910,7 +944,7 @@ def test_run_memo_holds_only_family_integrals(monkeypatch, fraction_tables):
             "symbol-bridge": [{"p": 1.0, "q": 2.0, "n": 3}]}
     assert run_suite(grid).n_fail == 0
     assert len(memos) == 4 and all(memo is memos[0] for memo in memos)
-    assert list(memos[0]) == [(backend.EULER_SYMBOL, 1.0, 2.0, 3.0, quadrature.DEFAULT_CONFIG)]
+    assert list(memos[0]) == [(backend.EULER_SYMBOL, 1.0, 2.0, 3.0)]
 
 
 def _fresh_fraction_table(n):
@@ -970,8 +1004,9 @@ def test_fraction_tables_built_by_racing_threads_are_identical(fraction_tables):
 
 def test_run_suite_config_echo():
     suite = run_suite({"sine-product": [{"n": 4}]})
-    assert suite.config_echo == {"rel_tol": 1e-11, "max_refinements": 12,
-                                 "grid": {"sine-product": 1}}
+    # Every quadrature runs at the one tolerance and budget; only the grid
+    # is echoed.
+    assert suite.config_echo == {"grid": {"sine-product": 1}}
 
 
 def test_integer_parameters_validated():

@@ -19,11 +19,9 @@ from hypothesis import strategies as st
 import eulergamma
 from eulergamma import (
     BACKEND,
-    DEFAULT_CONFIG,
     DomainError,
     IntegralEstimate,
     NonFiniteIntegrandError,
-    QuadratureConfig,
     beta_integral,
     euler_symbol,
     gamma_integral,
@@ -100,18 +98,23 @@ def test_error_estimate_bounds_true_error():
 
 
 def test_converged_implies_tolerance_met():
-    cfg = QuadratureConfig()
     for f, a, b in [(lambda x: x * x, 0.0, 3.0), (math.sin, 0.0, 2.0)]:
-        est = integrate_finite(f, a, b, cfg)
+        est = integrate_finite(f, a, b)
         assert est.converged
-        assert est.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(est.value))
+        assert est.error_estimate <= max(quadrature.ABS_TOL, quadrature.REL_TOL * abs(est.value))
 
 
-def test_non_convergence_is_reported_not_raised():
-    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30, max_refinements=2)
-    est = integrate_finite(lambda x: x ** -0.9, 0.0, 1.0, cfg)
+def test_non_convergence_is_reported_not_raised(monkeypatch):
+    # _refine reads the bar and the budget at call time.
+    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-30)
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-30)
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 2)
+    est = integrate_finite(lambda x: x ** -0.9, 0.0, 1.0)
     assert not est.converged
     assert est.error_estimate > 1e-30
+    assert est.evaluations == sum(
+        kern.level_sum(0.0, 1.0, 0.5 ** j, j > 0, kern.GENERIC, 0.0, 0.0, 0.0, lambda x: 1.0)[1]
+        for j in range(3))
 
 
 def test_nan_integrand_raises():
@@ -150,40 +153,14 @@ def test_bounds_validation():
         integrate_finite(lambda x: x, 0.0, math.inf)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_refinements=0)
-    # Bools, and budgets that are not ints, are refused too.
-    for kwargs in ({"abs_tol": True}, {"rel_tol": True}, {"max_refinements": True},
-                   {"max_refinements": False}, {"max_refinements": 3.0},
-                   {"max_refinements": "3"}):
-        with pytest.raises(ValueError):
-            QuadratureConfig(**kwargs)
-
-
-def test_config_stores_the_floats_it_validates():
-    cfg = QuadratureConfig(abs_tol="1e-10", rel_tol=1, max_refinements=3)
-    assert (cfg.abs_tol, cfg.rel_tol, cfg.max_refinements) == (1e-10, 1.0, 3)
-    assert type(cfg.abs_tol) is float and type(cfg.rel_tol) is float
-    # A tolerance given as text is a number by the first integral.
-    est = euler_symbol(3.0, 2.0, 5, QuadratureConfig(rel_tol="1e-9"))
-    assert est.converged
-    assert est == euler_symbol(3.0, 2.0, 5, QuadratureConfig(rel_tol=1e-9))
-
-
 def test_max_refinements_is_capped():
-    # Each halving doubles the nodes; the README states the worst case.  The
-    # cap is the default, so every level a quadrature visits is stored.
+    # Each halving doubles the nodes; the README states the worst case, an
+    # integral that never converges, and every level it visits is stored.
     assert quadrature.MAX_REFINEMENTS == 12
-    assert QuadratureConfig(max_refinements=12).max_refinements == 12
-    assert DEFAULT_CONFIG.max_refinements == quadrature.MAX_REFINEMENTS
-    for budget in (13, 21, 30, 10**6):
-        with pytest.raises(ValueError, match=r"max_refinements must be an integer in 1\.\.12$"):
-            QuadratureConfig(max_refinements=budget)
+    assert (quadrature.REL_TOL, quadrature.ABS_TOL) == (1e-11, 1e-12)
+    estimate = euler_symbol(1.5, 2.5, 1000)
+    assert not estimate.converged
+    assert estimate.evaluations == 49971
 
 
 def test_evaluation_count_positive_and_reported():
@@ -414,8 +391,8 @@ def test_active_backend_is_reported():
 def test_public_surface_is_pinned():
     # Adding or removing a public name is an edit here, in plain sight.
     assert eulergamma.__all__ == [
-        "BACKEND", "DEFAULT_CONFIG", "DomainError", "IDENTITIES", "IdentityReport",
-        "IntegralEstimate", "NonFiniteIntegrandError", "QuadratureConfig", "SuiteReport",
+        "BACKEND", "DomainError", "IDENTITIES", "IdentityReport",
+        "IntegralEstimate", "NonFiniteIntegrandError", "SuiteReport",
         "beta_closed", "beta_integral",
         "check_algebraic_interpolation", "check_duplication", "check_factorial_root",
         "check_gamma_fraction_product", "check_gamma_square_product",
@@ -427,7 +404,6 @@ def test_public_surface_is_pinned():
         "integrate_finite", "log_gamma", "run_suite", "__version__",
     ]
     assert all(hasattr(eulergamma, name) for name in eulergamma.__all__)
-    assert QuadratureConfig.__slots__ == ("abs_tol", "rel_tol", "max_refinements")
     assert IntegralEstimate._fields == ("value", "error_estimate", "evaluations", "converged")
 
 
@@ -441,7 +417,7 @@ def test_unknown_family_tag_raises_from_level_sum_and_rounding_floor():
         with pytest.raises(ValueError, match=message):
             quadrature._rounding_floor(tag, 1.5, 2.5, 3.0)
         with pytest.raises(ValueError, match=message):
-            quadrature._refine(0.0, 1.0, DEFAULT_CONFIG, tag, 1.5, 2.5, 3.0, None)
+            quadrature._refine(0.0, 1.0, tag, 1.5, 2.5, 3.0, None)
     # A generic callable has no powers of its own: the table has no row
     # for it, and the rounding floor takes e = 0 before asking.
     with pytest.raises(ValueError, match="unknown integrand family 0$"):
@@ -553,7 +529,6 @@ def _extreme_family_calls():
     """Seed 14: 25 valid calls per family, every parameter log-uniform over
     [1e-300, 1e300] (ALGEBRAIC's k in 1..8), plus the edges named below."""
     rng = random.Random(14)
-    config = QuadratureConfig()
     calls = [lambda: gamma_log_integral(108.4), lambda: gamma_log_integral(108.45),
              lambda: euler_symbol(1e300, 1.0, 2), lambda: euler_symbol(1.0, 1.0, 10 ** 300),
              lambda: beta_integral(1e-300, 1e300)]
@@ -564,7 +539,7 @@ def _extreme_family_calls():
         calls += [lambda x=x, y=y: beta_integral(x, y),
                   lambda p=p, q=q, n=n: euler_symbol(p, q, n),
                   lambda s=s: gamma_log_integral(s),
-                  lambda k=k, t=t: quadrature._integrate_family(kern.ALGEBRAIC, k, t, 0.0, config)]
+                  lambda k=k, t=t: quadrature._integrate_family(kern.ALGEBRAIC, k, t, 0.0)]
     return calls
 
 
@@ -595,7 +570,7 @@ def test_an_integral_of_zero_value_does_not_converge():
     assert abs(estimate.value - 1.24141813296134e-150) <= 1e-163
     estimate = euler_symbol(1.7e308, 1.0, 2)
     assert estimate.value == 0.0 and not estimate.converged
-    # A callable's bar is at least abs_tol, so an integral of 0 converges.
+    # A callable's bar is at least ABS_TOL, so an integral of 0 converges.
     estimate = integrate_finite(math.cos, 0.0, math.pi)
     assert estimate.converged and abs(estimate.value) <= 1e-12
 
@@ -617,9 +592,16 @@ def test_memo_shares_equal_integrals_and_separates_distinct_ones(refine_calls):
         first = euler_symbol(3.0, 2.0, 5)
         assert euler_symbol(3.0, 2.0, 5) is first
         assert len(refine_calls) == 1
+        # keys that differ in the order of p and q, in n alone, or in the
+        # family alone (B(3, 2) is S(3, 2; 1))
         euler_symbol(2.0, 3.0, 5)
-        euler_symbol(3.0, 2.0, 5, QuadratureConfig(rel_tol=1e-10))
-        assert len(refine_calls) == 3
+        euler_symbol(3.0, 2.0, 6)
+        assert beta_integral(3.0, 2.0) is not euler_symbol(3.0, 2.0, 1)
+        assert len(refine_calls) == 5
+        assert set(quadrature.suite_memo.get()) == {
+            (kern.EULER_SYMBOL, 3.0, 2.0, 5.0), (kern.EULER_SYMBOL, 2.0, 3.0, 5.0),
+            (kern.EULER_SYMBOL, 3.0, 2.0, 6.0), (kern.BETA, 3.0, 2.0, 0.0),
+            (kern.EULER_SYMBOL, 3.0, 2.0, 1.0)}
     finally:
         quadrature.suite_memo.reset(token)
 
@@ -649,7 +631,7 @@ def test_memo_does_not_remember_exceptions(monkeypatch):
     try:
         for _ in range(2):
             with pytest.raises(NonFiniteIntegrandError):
-                euler_symbol(3.0, 2.0, 5, DEFAULT_CONFIG)
+                euler_symbol(3.0, 2.0, 5)
         assert len(attempts) == 2
         assert quadrature.suite_memo.get() == {}
     finally:
@@ -658,7 +640,7 @@ def test_memo_does_not_remember_exceptions(monkeypatch):
 
 def test_refinement_does_not_converge_on_an_infinite_value(monkeypatch):
     # A finite coarsest level followed by an overflowing one: the change is
-    # inf, which the stop rule inf <= rel_tol * inf would accept.
+    # inf, which the stop rule inf <= REL_TOL * inf would accept.
     def level_sum(a, b, h, odd_only, *rest):
         return (math.inf if odd_only else 1.0), 1
 
