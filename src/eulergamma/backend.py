@@ -10,6 +10,11 @@ e of the |powers| the integrand raises x, 1 - x, 1 - x^n or -log x to, which
 built-in families are defined on (0, 1) alone; arbitrary callables take any
 finite interval.
 
+A family level does its bookkeeping once: one lookup of the family's row in
+``_FAMILIES``, one fetch of the level's stored rows, which it hands to the
+family's loop, and a node count read off the rows it summed (two nodes a
+row, but one for the centre row), never counted from the level again.
+
 Node geometry
 -------------
 The substitution x(t) = mid + halfspan * tanh((pi/2) * sinh(t)) maps the real
@@ -128,10 +133,6 @@ def _nodes(h, odd_only):
     return table
 
 
-def _node_count(h, odd_only):
-    return len(range(1, int(T_MAX / h) + 1, 2 if odd_only else 1))
-
-
 def _unit_rows(h, odd_only):
     """(w, log(dist), log1p(-dist)) per node on (0, 1), for the built-in
     families, after ``CENTRE_ROW`` on an even level."""
@@ -168,40 +169,40 @@ def _symbol_rows(rows, h, odd_only, p2):
 
 
 # One loop per family, the only definition of its integrand.  Each reads the
-# rows of its level and sums w * (value near 1 + value near 0) in node
-# order.  None tests finiteness: ``level_sum`` tests the total once.
+# rows ``level_sum`` fetched for its level and sums w * (value near 1 + value
+# near 0) in node order.  None tests finiteness: ``level_sum`` tests the
+# total once.
 
-def _neg_log_pow_sum(h, odd_only, p0, p1, p2):
+def _neg_log_pow_sum(rows, h, odd_only, p0, p1, p2):
     total = 0.0
-    for w, ln_dist, ln_1md in _rows(h, odd_only):
+    for w, ln_dist, ln_1md in rows:
         total += w * ((-ln_1md) ** p0 + (-ln_dist) ** p0)
     return total
 
 
-def _beta_sum(h, odd_only, p0, p1, p2):
+def _beta_sum(rows, h, odd_only, p0, p1, p2):
     total = 0.0
     c0 = p0 - 1.0
     c1 = p1 - 1.0
-    for w, ln_dist, ln_1md in _rows(h, odd_only):
+    for w, ln_dist, ln_1md in rows:
         total += w * (exp(c0 * ln_1md + c1 * ln_dist) + exp(c0 * ln_dist + c1 * ln_1md))
     return total
 
 
-def _euler_symbol_sum(h, odd_only, p0, p1, p2):
+def _euler_symbol_sum(rows, h, odd_only, p0, p1, p2):
     total = 0.0
     c0 = p0 - 1.0
     # c1 before the exponent columns: an invalid exponent such as 0 meets
     # p1 / p2 first, on every level, since the centre is a row of the loop.
     c1 = p1 / p2 - 1.0
-    rows = _symbol_rows(_rows(h, odd_only), h, odd_only, p2)
-    for w, ln_dist, ln_1md, ln_1mxn_p, ln_1mxn_m in rows:
+    for w, ln_dist, ln_1md, ln_1mxn_p, ln_1mxn_m in _symbol_rows(rows, h, odd_only, p2):
         total += w * (exp(c0 * ln_1md + c1 * ln_1mxn_p) + exp(c0 * ln_dist + c1 * ln_1mxn_m))
     return total
 
 
-def _algebraic_sum(h, odd_only, p0, p1, p2):
+def _algebraic_sum(rows, h, odd_only, p0, p1, p2):
     total = 0.0
-    for w, ln_dist, ln_1md in _rows(h, odd_only):
+    for w, ln_dist, ln_1md in rows:
         total += w * (exp(p1 * (p0 * ln_1md + ln_dist)) + exp(p1 * (p0 * ln_dist + ln_1md)))
     return total
 
@@ -241,43 +242,48 @@ def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
     asked for over an interval other than (0, 1) raises ValueError.
     """
     if family != GENERIC:
-        family_sum = _family(family)[0]
-        if (a, b) != (0.0, 1.0):
+        # A tag missing from the table raises through ``_family``.
+        family_sum = (_FAMILIES.get(family) or _family(family))[0]
+        if a != 0.0 or b != 1.0:
             raise ValueError(f"integrand family {family} is defined on (0, 1) only")
+        rows = _rows(h, odd_only)
         try:
-            total = family_sum(h, odd_only, p0, p1, p2)
+            total = family_sum(rows, h, odd_only, p0, p1, p2)
         except OverflowError:
             raise NonFiniteIntegrandError("integrand not finite") from None
         if not isfinite(total):
             raise NonFiniteIntegrandError("integrand not finite")
-        # The centre row is one node, though its loop adds it from both ends.
-        return total, (not odd_only) + 2 * _node_count(h, odd_only)
+        # Two values per row, but the centre row is one node.
+        return total, 2 * len(rows) - (not odd_only)
 
     halfspan = 0.5 * (b - a)
     mid = 0.5 * (a + b)
+    # The first product of every weight's left-to-right chain: taken once,
+    # each weight is still the same double.
+    scale = halfspan * HALF_PI
     total = 0.0
     n = 0
     if not odd_only:
         fx = float(f(mid))
-        if not math.isfinite(fx):
+        if not isfinite(fx):
             raise NonFiniteIntegrandError("integrand not finite")
-        total += halfspan * HALF_PI * fx
+        total += scale * fx
         n += 1
 
     for dm, ch, ez2, opez2sq in _nodes(h, odd_only):
-        w = halfspan * HALF_PI * ch * 4.0 * ez2 / opez2sq
+        w = scale * ch * 4.0 * ez2 / opez2sq
         dist = halfspan * dm
         xp = b - dist
         if xp != b:
             fx = float(f(xp))
-            if not math.isfinite(fx):
+            if not isfinite(fx):
                 raise NonFiniteIntegrandError("integrand not finite")
             total += w * fx
             n += 1
         xm = a + dist
         if xm != a:
             fx = float(f(xm))
-            if not math.isfinite(fx):
+            if not isfinite(fx):
                 raise NonFiniteIntegrandError("integrand not finite")
             total += w * fx
             n += 1

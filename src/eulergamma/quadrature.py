@@ -139,28 +139,35 @@ def _extrapolated(d2, d1, d0, size):
 
 
 def _refine(a, b, family, p0, p1, p2, f):
-    """Run the level-doubling loop over (a, b); returns an IntegralEstimate."""
+    """Run the level-doubling loop over (a, b); returns an IntegralEstimate.
+
+    ``backend.level_sum``, ``math.isfinite`` and ``REL_TOL`` are bound once
+    per quadrature, as locals, rather than looked up on every level.  They
+    are bound when the call starts, not at import, so a tracer or a test
+    that replaces one of them beforehand still takes effect.
+    """
+    level_sum = backend.level_sum
+    isfinite = math.isfinite
+    rel_tol = REL_TOL
     floor = ABS_TOL if family == backend.GENERIC else 0.0
     rounding = _rounding_floor(family, p0, p1, p2)
     h = 1.0
-    s, n = backend.level_sum(a, b, h, False, family, p0, p1, p2, f)
-    value = h * s
-    evaluations = n
+    value, evaluations = level_sum(a, b, h, False, family, p0, p1, p2, f)
     error = math.inf
     converged = False
     d2 = d1 = math.inf  # the two level changes before this one
     for _ in range(MAX_REFINEMENTS):
-        if not math.isfinite(value):
+        if not isfinite(value):
             break  # every later change would be inf - inf = nan
         h *= 0.5
-        s, n = backend.level_sum(a, b, h, True, family, p0, p1, p2, f)
+        s, n = level_sum(a, b, h, True, family, p0, p1, p2, f)
         new_value = 0.5 * value + h * s
         evaluations += n
         change = abs(new_value - value)
         value = new_value
         size = abs(value)
         least = rounding * size
-        bar = REL_TOL * size
+        bar = rel_tol * size
         if bar < floor:
             bar = floor
         error = change if change > least else least
@@ -176,7 +183,7 @@ def _refine(a, b, family, p0, p1, p2, f):
                 converged = True
                 break
         d2, d1 = d1, change
-    if not math.isfinite(value):
+    if not isfinite(value):
         # An infinite value meets the stop rule vacuously (inf <= inf).
         return IntegralEstimate(value, math.inf, evaluations, False)
     return IntegralEstimate(value, error, evaluations, converged)

@@ -361,10 +361,104 @@ def test_default_suite_stores_rows_that_start_at_the_centre(monkeypatch):
     assert kern.CENTRE_ROW == (math.pi / 8, math.log(0.5), math.log(0.5))
     for h, odd_only in kern._row_tables:
         rows = kern._row_tables[h, odd_only]
-        assert len(rows) == (not odd_only) + kern._node_count(h, odd_only)
+        assert len(rows) == (not odd_only) + _node_count(h, odd_only)
         assert (rows[0] == kern.CENTRE_ROW) == (not odd_only)
     for (h, odd_only, p2), rows in kern._symbol_tables.items():
         assert rows[0][:3] == kern._row_tables[h, odd_only][0]
+
+
+def _node_count(h, odd_only):
+    """The nodes t = k h with 0 < t <= T_MAX on one side of the centre,
+    counted from the level alone, apart from any stored row."""
+    return len(range(1, int(kern.T_MAX / h) + 1, 2 if odd_only else 1))
+
+
+@pytest.mark.parametrize("family, p0, p1, p2", [
+    (kern.NEG_LOG_POW, 2.5, 0.0, 0.0),
+    (kern.BETA, 1.5, 2.5, 0.0),
+    (kern.EULER_SYMBOL, 3.0, 2.0, 5.0),
+    (kern.ALGEBRAIC, 2.0, 3.0, 0.0),
+])
+def test_level_sum_counts_the_nodes_of_every_level_a_quadrature_visits(family, p0, p1, p2):
+    # level_sum reads its count off the rows it summed: 1 + 2k on an even
+    # level (the centre and k nodes on each side), 2k on an odd one.
+    for j in range(quadrature.MAX_REFINEMENTS + 1):
+        h = 2.0 ** -j
+        for odd_only in (False, True):
+            k = _node_count(h, odd_only)
+            _, n = kern.level_sum(0.0, 1.0, h, odd_only, family, p0, p1, p2, None)
+            assert n == (2 * k if odd_only else 1 + 2 * k), (j, odd_only)
+
+
+def test_level_sum_keeps_its_error_order(monkeypatch):
+    # An unknown tag is named before the interval is checked.
+    with pytest.raises(ValueError, match=r"unknown integrand family 7$"):
+        kern.level_sum(0.1, 0.7, 1.0, False, 7, 1.5, 2.5, 0.0, None)
+    # An exponent of 0 meets p1 / p2 before any exponent column is read.
+    read = []
+    monkeypatch.setattr(kern, "_symbol_rows", lambda *args: read.append(args) or ())
+    with pytest.raises(ZeroDivisionError):
+        kern.level_sum(0.0, 1.0, 1.0, False, kern.EULER_SYMBOL, 1.0, 1.0, 0.0, None)
+    assert read == []
+    # A NaN bound is not (0, 1).
+    for a, b in ((math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match=r"defined on \(0, 1\) only"):
+            kern.level_sum(a, b, 1.0, False, kern.BETA, 1.5, 2.5, 0.0, None)
+    # A callable's infinite value raises at that node: nothing is asked of
+    # it after the node that returned inf.
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.inf if len(seen) == 3 else 1.0
+
+    with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
+        kern.level_sum(0.0, 1.0, 1.0, False, kern.GENERIC, 0.0, 0.0, 0.0, f)
+    assert len(seen) == 3
+
+
+def _calls(thunk):
+    """Python-level calls made by thunk(), in all, and inside each
+    ``backend.level_sum`` call, with the number of those calls."""
+    code = kern.level_sum.__code__
+    depth = 0
+    calls = inside = levels = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, calls, inside, levels
+        if event == "call":
+            calls += 1
+            if frame.f_code is code:
+                levels += 1
+                depth += 1
+            if depth:
+                inside += 1
+        elif event == "return" and frame.f_code is code:
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return calls, inside, levels
+
+
+@pytest.mark.parametrize("thunk, per_level, per_quadrature", [
+    # level_sum, _rows and the family loop
+    (lambda: beta_integral(1.5, 2.5), 3, 11),
+    # and _symbol_rows, for the stored exponent columns of n = 5
+    (lambda: euler_symbol(3.0, 2.0, 5), 4, 14),
+])
+def test_per_level_work_is_pinned(thunk, per_level, per_quadrature):
+    # A count of calls, not a timing, so it does not swing with the host.
+    # A helper added to each level moves per_level; one added to each
+    # quadrature moves per_quadrature.
+    thunk()  # fill the tables the levels read
+    calls, inside, levels = _calls(thunk)
+    assert levels > 0
+    assert inside == per_level * levels
+    assert calls - inside == per_quadrature
 
 
 def test_families_off_the_unit_interval_raise():
