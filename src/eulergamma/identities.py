@@ -77,11 +77,10 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
-from .beta import euler_symbol, log_beta
+from .beta import beta_integral, euler_symbol, log_beta
 from .errors import NOT_FINITE, DomainError, finite, integer, positive
 from .gamma import MAX_N, factorial_interp, gamma_log_integral, log_gamma, log_gamma_terms
-from .quadrature import _integrate_family, suite_memo
-from . import backend
+from .quadrature import suite_memo
 
 _LN_2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
@@ -523,9 +522,12 @@ def check_algebraic_interpolation(p: int, q: int,
     """integral_0^1 (-log x)^(p/q) dx
     = (p! (2p/q+1)(3p/q+1)...(qp/q+1))^(1/q) * (prod_k integral_0^1 (x^k - x^(k+1))^(p/q) dx)^(1/q)
 
-    with k running 1..q-1; natural p, q.  The left side is one quadrature and
-    the right side chains q-1 more, so this is the loosest check in the set.
-    Compared in log space; lhs/rhs are the logs of the two sides.
+    with k running 1..q-1; natural p, q.  With s = p/q the k-th integral is
+    integral_0^1 x^(ks) (1 - x)^s dx, so the right side takes a chained
+    product of Beta integrals B(ks + 1, s + 1).  The left side is one
+    quadrature and the right side chains q-1 more, so this is the loosest
+    check in the set.  Compared in log space; lhs/rhs are the logs of the
+    two sides.
     """
     p = integer(p, "p", 1)
     q = integer(q, "q", 1, MAX_N)
@@ -535,7 +537,7 @@ def check_algebraic_interpolation(p: int, q: int,
     terms = [log_gamma(p + 1.0)]
     terms += [math.log(j * s + 1.0) for j in range(2, q + 1)]
     for k in range(1, q):
-        estimate = _integrate_family(backend.ALGEBRAIC, float(k), s, 0.0)
+        estimate = beta_integral(k * s + 1.0, s + 1.0)
         converged = converged and estimate.converged
         terms.append(_log_value(estimate))
     return _log_report("algebraic-interpolation", {"p": p, "q": q}, [_log_value(lhs_estimate)],

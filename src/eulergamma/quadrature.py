@@ -38,8 +38,9 @@ leaves in a value.  So no converged estimate is 0.
 
 C = 1000, the exponent 1.5 and K = 16 were set against a seeded 30-digit
 mpmath sweep (``tests/test_error_estimates.py``): no true error exceeds its
-estimate while every endpoint exponent (x and y for beta, p and q/n for
-Euler's symbol) is at least 0.05.  C = 100 under-reported S(2.26, 2.64; 10)
+estimate while every endpoint exponent (x and y for beta, ks + 1 and s + 1
+for the algebraic interpolation's B(ks + 1, s + 1), p and q/n for Euler's
+symbol) is at least 0.05.  C = 100 under-reported S(2.26, 2.64; 10)
 3.7 times, its level changes dropping faster than the error that was left;
 K = 4 under-reported cos over (0, b) for b near 3, where the integrand's
 two signs cancel.  Below an endpoint exponent of 0.05 the nodes stop at

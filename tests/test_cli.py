@@ -1,6 +1,7 @@
 """End-to-end CLI tests (subprocess) plus in-process exit-code checks."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -579,6 +580,23 @@ def test_suite_command_shares_integrals(refine_calls, tmp_path):
     config = json.loads(out.read_text())["config"]
     assert list(config) == ["grid"]
     assert sum(config["grid"].values()) == 640
+
+
+# The sha256 of each default `suite` output, byte for byte.  A change that
+# means to move an output updates its pin here and says why in CHANGES.md.
+DEFAULT_SUITE_SHA256 = {
+    "json": "78bff447191338399344536d48dd44db2dc125831422e17fcb63c9331a697f34",
+    "csv": "3ec5f16b6633a39d065ec2cab6663019b74dd9cb913ffd42d10ec11711ac2770",
+    "table": "5c3bd73de3d3981ac545a2ef2b5d11829b4e715acd099ee020bd1c2bb2385f9c",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(DEFAULT_SUITE_SHA256))
+def test_default_suite_outputs_are_pinned(fmt):
+    result = subprocess.run([sys.executable, "-m", "eulergamma", "suite", "--format", fmt],
+                            capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == DEFAULT_SUITE_SHA256[fmt]
 
 
 def _modules_loaded(*args):

@@ -57,11 +57,11 @@ def _sweep():
                       lambda s=s: mpmath.gamma(mp(s) + 1),
                       (0.0, 1.0, backend.NEG_LOG_POW, s, 0.0, 0.0, None)))
         k, s = rng.randint(1, 8), _log_uniform(rng, 0.05, 8.0)
-        cases.append((f"(u^{k} (1 - u))^{s!r}",
-                      lambda k=k, s=s: quadrature._integrate_family(
-                          backend.ALGEBRAIC, float(k), s, 0.0),
+        # algebraic interpolation's (u^k - u^(k+1))^s, a Beta integral
+        x, y = k * s + 1.0, s + 1.0
+        cases.append((f"(u^{k} (1 - u))^{s!r}", lambda x=x, y=y: beta_integral(x, y),
                       lambda k=k, s=s: mpmath.beta(k * mp(s) + 1, mp(s) + 1),
-                      (0.0, 1.0, backend.ALGEBRAIC, float(k), s, 0.0, None)))
+                      (0.0, 1.0, backend.BETA, x, y, 0.0, None)))
         b = rng.uniform(0.1, 3.0)
         cases.append((f"cos on (0, {b!r})", lambda b=b: integrate_finite(math.cos, 0.0, b),
                       lambda b=b: mpmath.sin(b),

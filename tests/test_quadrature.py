@@ -228,8 +228,6 @@ def family_value(family, p0, p1, p2, dist, near_upper):
     if family == kern.EULER_SYMBOL:
         ln_1mxn = math.log(-math.expm1(p2 * ln_x))
         return math.exp((p0 - 1.0) * ln_x + (p1 / p2 - 1.0) * ln_1mxn)
-    if family == kern.ALGEBRAIC:
-        return math.exp(p1 * (p0 * ln_x + ln_1mx))
     raise ValueError(f"unknown integrand family {family}")
 
 
@@ -295,9 +293,9 @@ FAMILY_CASES = [
     (kern.EULER_SYMBOL, 1.0, 1.0, 2.0),
     (kern.EULER_SYMBOL, 3.0, 2.0, 5.0),
     (kern.EULER_SYMBOL, 0.7, 5.4, 9.0),
-    (kern.ALGEBRAIC, 2.0, 3.0, 0.0),
-    (kern.ALGEBRAIC, 1.0, 0.25, 0.0),      # algebraic-interpolation: s below 1
-    (kern.ALGEBRAIC, 3.0, 4.0 / 3.0, 0.0),  # and not an integer
+    (kern.BETA, 7.0, 4.0, 0.0),          # algebraic-interpolation's B(ks + 1, s + 1):
+    (kern.BETA, 1.25, 1.25, 0.0),        # s below 1
+    (kern.BETA, 5.0, 7.0 / 3.0, 0.0),    # and not an integer
     (kern.EULER_SYMBOL, 4.5, 0.8, 5.0),  # reads the columns of n = 5
     (kern.EULER_SYMBOL, 2.0, 1.5, 2.5),
     (kern.EULER_SYMBOL, 0.5, 7.0, 3.0),  # q > n: vanishes at x = 1
@@ -377,7 +375,6 @@ def _node_count(h, odd_only):
     (kern.NEG_LOG_POW, 2.5, 0.0, 0.0),
     (kern.BETA, 1.5, 2.5, 0.0),
     (kern.EULER_SYMBOL, 3.0, 2.0, 5.0),
-    (kern.ALGEBRAIC, 2.0, 3.0, 0.0),
 ])
 def test_level_sum_counts_the_nodes_of_every_level_a_quadrature_visits(family, p0, p1, p2):
     # level_sum reads its count off the rows it summed: 1 + 2k on an even
@@ -525,10 +522,8 @@ def _documented_powers(family, p0, p1, p2):
         return p0
     if family == kern.BETA:
         return abs(p0 - 1.0) + abs(p1 - 1.0)
-    if family == kern.EULER_SYMBOL:
-        return abs(p0 - 1.0) + abs(p1 / p2 - 1.0)
-    assert family == kern.ALGEBRAIC
-    return p1 * (p0 + 1.0)
+    assert family == kern.EULER_SYMBOL
+    return abs(p0 - 1.0) + abs(p1 / p2 - 1.0)
 
 
 @pytest.mark.parametrize("case", FAMILY_CASES)
@@ -621,7 +616,8 @@ def _log_uniform(rng, lo, hi):
 
 def _extreme_family_calls():
     """Seed 14: 25 valid calls per family, every parameter log-uniform over
-    [1e-300, 1e300] (ALGEBRAIC's k in 1..8), plus the edges named below."""
+    [1e-300, 1e300] (algebraic interpolation's Beta integrals
+    B(kt + 1, t + 1) with k in 1..8), plus the edges named below."""
     rng = random.Random(14)
     calls = [lambda: gamma_log_integral(108.4), lambda: gamma_log_integral(108.45),
              lambda: euler_symbol(1e300, 1.0, 2), lambda: euler_symbol(1.0, 1.0, 10 ** 300),
@@ -633,7 +629,7 @@ def _extreme_family_calls():
         calls += [lambda x=x, y=y: beta_integral(x, y),
                   lambda p=p, q=q, n=n: euler_symbol(p, q, n),
                   lambda s=s: gamma_log_integral(s),
-                  lambda k=k, t=t: quadrature._integrate_family(kern.ALGEBRAIC, k, t, 0.0)]
+                  lambda k=k, t=t: beta_integral(k * t + 1.0, t + 1.0)]
     return calls
 
 
