@@ -1,8 +1,9 @@
-"""render_json against the encoder it replaces.
+"""render_json against json's own encoder.
 
-The oracle is the expression render_json used before it wrote reports by
-template: the document as dicts, through ``json.dumps(indent=2)``.  Every
-SuiteReport must render to the same bytes, or raise the same exception.
+The oracle is the document as dicts through the compact
+``json.dumps(document, allow_nan=False)``.  Every SuiteReport must render to
+text that parses to the oracle's document, with one line per report, or
+raise the oracle's exception.
 """
 
 import json
@@ -39,14 +40,31 @@ def reference_json(suite):
         ],
         "summary": {"pass": suite.n_pass, "fail": suite.n_fail},
     }
-    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    return json.dumps(document, allow_nan=False)
 
 
 def outcome(render, suite):
+    """The parse of ``render(suite)``, every object as its list of pairs, or
+    the type and message of the exception it raised."""
     try:
-        return render(suite)
+        text = render(suite)
     except (TypeError, ValueError) as exc:
         return type(exc), str(exc)
+    return json.loads(text, object_pairs_hook=list)
+
+
+def assert_matches_encoder(suite):
+    """render_json(suite) parses to the oracle's document with each report on
+    a line of its own, or raises the oracle's exception; returns its outcome."""
+    expected = outcome(reference_json, suite)
+    assert outcome(render_json, suite) == expected
+    if isinstance(expected, list):
+        reports = dict(expected)["reports"]
+        lines = render_json(suite).splitlines()
+        assert len(lines) == len(reports) + (6 if reports else 5)
+        assert [json.loads(line.rstrip(","), object_pairs_hook=list)
+                for line in lines[3:3 + len(reports)]] == reports
+    return expected
 
 
 class ReprFloat(float):
@@ -117,7 +135,7 @@ suites = st.builds(
 @given(suites)
 @settings(max_examples=200, deadline=None)
 def test_render_json_matches_encoder_on_generated_suites(suite):
-    assert outcome(render_json, suite) == outcome(reference_json, suite)
+    assert_matches_encoder(suite)
 
 
 def test_render_json_edge_cases_match_encoder():
@@ -134,10 +152,9 @@ def test_render_json_edge_cases_match_encoder():
         SuiteReport((IdentityReport("x", {"x": 0.5}, 1.0, 1.0, 0.0, 0.0, math.inf,
                                     True, 0.0),), 1, 0, {}),
     ]
-    for suite in cases:
-        assert outcome(render_json, suite) == outcome(reference_json, suite)
-    assert outcome(render_json, cases[3])[0] is ValueError
-    assert outcome(render_json, cases[4])[0] is ValueError
+    outcomes = [assert_matches_encoder(suite) for suite in cases]
+    assert outcomes[3][0] is ValueError
+    assert outcomes[4][0] is ValueError
 
 
 def _nested(depth):
@@ -149,8 +166,7 @@ def _nested(depth):
 
 def test_render_json_strings_and_nested_dicts_match_encoder():
     # Plain printable ASCII is quoted as it is; a quote, a backslash, DEL, a
-    # control character or non-ASCII goes through json's escaper.  Dicts
-    # nest by the dict rule down to _DICT_MAX_INDENT, then json.dumps goes on.
+    # control character or non-ASCII goes through json's escaper.
     looped = {"x": 1.0}
     looped["self"] = looped
     strings = ['a"b', "back\\slash", "del\x7f", "tab\t", "~ !#[]{}", "", "é"]
@@ -161,16 +177,19 @@ def test_render_json_strings_and_nested_dicts_match_encoder():
         SuiteReport((), 0, 0, {"max_refinements": 12, "grid": {"a": 1, "b\"": 2}}),
         SuiteReport((report._replace(params={"loop": looped}),), 1, 0, {}),
         SuiteReport((), 0, 0, {"loop": looped}),
+        # Two bad values: the first in document order raises.
+        SuiteReport((report._replace(params={"loop": looped}),), 1, 0, {"x": math.nan}),
+        SuiteReport((report._replace(params={"loop": looped}),), math.nan, 0, {}),
     ]
-    for suite in cases:
-        assert outcome(render_json, suite) == outcome(reference_json, suite)
-    assert outcome(render_json, cases[2]) == (ValueError, "Circular reference detected")
-    assert outcome(render_json, cases[3]) == (ValueError, "Circular reference detected")
+    outcomes = [assert_matches_encoder(suite) for suite in cases]
+    assert outcomes[2] == (ValueError, "Circular reference detected")
+    assert outcomes[3] == (ValueError, "Circular reference detected")
+    assert outcomes[4] == (ValueError, "Out of range float values are not JSON compliant")
+    assert outcomes[5] == (ValueError, "Circular reference detected")
 
 
 def test_render_json_matches_encoder_on_default_suite():
-    suite = run_suite()
-    assert render_json(suite) == reference_json(suite)
+    assert isinstance(assert_matches_encoder(run_suite()), list)
 
 
 def test_render_json_matches_encoder_on_wide_closed_form_grid():
@@ -182,7 +201,7 @@ def test_render_json_matches_encoder_on_wide_closed_form_grid():
     )
     suite = run_suite(grid)
     assert max(r.params.get("n", 0) for r in suite.reports) == 120
-    assert render_json(suite) == reference_json(suite)
+    assert isinstance(assert_matches_encoder(suite), list)
 
 
 def test_render_suite_reaches_render_json_through_the_module(monkeypatch):
