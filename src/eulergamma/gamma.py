@@ -74,8 +74,8 @@ def _lanczos_sum(y):
 def gamma_reference(x: float) -> float:
     """Gamma(x) for x > 0 via the Lanczos approximation.
 
-    Overflows (OverflowError, as with ``math.gamma``) once x exceeds about
-    171.62.
+    Overflows (OverflowError, as with ``math.gamma``) wherever the result is
+    not finite: x above about 171.62, or below about 5.6e-309.
     """
     x = positive(x, "x")
     divisor = 1.0
@@ -86,8 +86,12 @@ def gamma_reference(x: float) -> float:
     a = _lanczos_sum(x - 1.0)
     pow_exponent = (x - 0.5) * math.log(t)
     if pow_exponent > _POW_EXPONENT_LIMIT:
-        return _SQRT_2PI * a * math.exp(pow_exponent - t) / divisor
-    return _SQRT_2PI * t ** (x - 0.5) * math.exp(-t) * a / divisor
+        value = _SQRT_2PI * a * math.exp(pow_exponent - t) / divisor
+    else:
+        value = _SQRT_2PI * t ** (x - 0.5) * math.exp(-t) * a / divisor
+    if not math.isfinite(value):
+        raise OverflowError("math range error")
+    return value
 
 
 def log_gamma(x: float) -> float:

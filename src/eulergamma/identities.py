@@ -25,10 +25,13 @@ Conventions shared by all checks:
   rel_residual 0.5 and passed.  sine-multiple-angle, whose sides change
   sign, reports linear values.
 * The log gamma terms of the gamma products, and of closed-mode factorial-root
-  and ``derivation_chain_values``, are evaluated in batches by
-  ``gamma.log_gamma_terms``: the arguments are positive by construction, so
-  the per-call check is skipped, and each term is the float ``log_gamma``
-  gives.  The table log gamma(i/n), i = 1..n-1, is kept in
+  and ``derivation_chain_values``, are evaluated one batch per side: each
+  side passes all its log gamma arguments to ``gamma.log_gamma_terms`` as
+  one list, and only the log gamma(i/n) table, a subnormal quotient's term
+  (``_log_gamma_quotient``) and gauss-multiplication's right-hand
+  ``log_gamma(x)`` are taken apart from it.  The arguments are positive by
+  construction, so the per-call check is skipped, and each term is the
+  float ``log_gamma`` gives.  The table log gamma(i/n), i = 1..n-1, is kept in
   ``_fraction_tables``, keyed on n <= FRACTION_TABLE_MAX_N (1024), for the
   life of the process and shared by every check that needs it, in or
   outside a run: 8 bytes per term, at most 4.2 MB.  A larger n's table is
@@ -72,6 +75,7 @@ Conventions shared by all checks:
 
 import itertools
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -187,16 +191,8 @@ def _report(identity_id, params, lhs, rhs, tolerance, aux_ok=True, log_scale=Non
     # A side that is nan or infinite makes a nan or inf residual, which
     # fails every comparison above.
     passed = bool(passed and aux_ok)
-    return IdentityReport(
-        identity_id=identity_id,
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        abs_residual=abs_residual,
-        rel_residual=rel_residual,
-        tolerance=tolerance,
-        passed=passed,
-    )
+    return IdentityReport(identity_id, params, lhs, rhs, abs_residual, rel_residual, tolerance,
+                          passed)
 
 
 def _fsum(terms):
@@ -309,8 +305,10 @@ def check_gauss_multiplication(x: float, n: int,
     x = positive(x, "x")
     n = integer(n, "n", 1, MAX_N)
     # the smallest term, x/n, can underflow to 0 for a subnormal x
-    positive(x / n, "x / n")
-    lhs_terms = [_log_gamma_quotient(x, n)] + log_gamma_terms((x + k) / n for k in range(1, n))
+    quotient = positive(x / n, "x / n")
+    lhs_terms = log_gamma_terms([(x + k) / n for k in range(n)])
+    if quotient < sys.float_info.min:
+        lhs_terms[0] = _log_gamma_quotient(x, n)
     rhs_terms = [0.5 * (n - 1) * _LN_2PI, (0.5 - x) * math.log(n), log_gamma(x)]
     return _log_report("gauss-multiplication", {"n": n, "x": x}, lhs_terms, rhs_terms, tolerance)
 
@@ -470,27 +468,35 @@ def check_log_integral_product(n: int, tolerance: float | None = None) -> Identi
 def _factorial_root_log_inner(m, n, mode):
     """Log of the radicand n^(n-m) gamma(m) S(1,m;n) S(2,m;n) ... S(n-1,m;n).
 
-    Returns (log terms, all quadratures converged).  In closed mode each
-    symbol contributes log gamma(i/n) + log gamma(m/n) - log gamma((i+m)/n)
-    - log n, through B(i/n, m/n)/n.  The terms are appended grouped by kind
-    rather than symbol by symbol, and log gamma(m/n) and log n, which do not
-    depend on i, are computed once and appended n-1 times: the list holds the
-    same floats the per-symbol evaluation would, so ``math.fsum`` of it is
-    unchanged.  In quadrature mode each symbol is integrated directly.
+    Returns (log terms, all quadratures converged); the terms are an
+    iterable to be summed once.  In closed mode each symbol contributes
+    log gamma(i/n) + log gamma(m/n) - log gamma((i+m)/n) - log n, through
+    B(i/n, m/n)/n.  log gamma(m), log gamma(m/n) and every
+    log gamma((i+m)/n) are one ``log_gamma_terms`` batch, the (i + m)/n
+    for i = 0 giving m/n (a subnormal m/n keeps ``_log_gamma_quotient``).
+    The terms are grouped by kind rather than symbol by symbol, and
+    log gamma(m/n) and log n, which do not depend on i, are repeated n-1
+    times by ``itertools.repeat``: the terms are the floats the per-symbol
+    evaluation gives, so their ``math.fsum`` is unchanged.  In quadrature
+    mode each symbol is integrated directly.
     """
     log_n = math.log(n)
+    if mode == "closed":
+        batch = log_gamma_terms([m] + [(i + m) / n for i in range(n)])
+        log_gamma_quotient = batch[1]
+        if m / n < sys.float_info.min:
+            log_gamma_quotient = _log_gamma_quotient(m, n)
+        return itertools.chain(
+            ((n - m) * log_n, batch[0]), _log_gamma_fractions(n),
+            itertools.repeat(log_gamma_quotient, n - 1),
+            map(operator.neg, itertools.islice(batch, 2, None)),
+            itertools.repeat(-log_n, n - 1)), True
     terms = [(n - m) * log_n, log_gamma(m)]
     converged = True
-    if mode == "closed":
-        terms += _log_gamma_fractions(n)
-        terms += [_log_gamma_quotient(m, n)] * (n - 1)
-        terms += [-term for term in log_gamma_terms((i + m) / n for i in range(1, n))]
-        terms += [-log_n] * (n - 1)
-    else:
-        for i in range(1, n):
-            estimate = euler_symbol(float(i), m, n)
-            converged = converged and estimate.converged
-            terms.append(_log_value(estimate))
+    for i in range(1, n):
+        estimate = euler_symbol(float(i), m, n)
+        converged = converged and estimate.converged
+        terms.append(_log_value(estimate))
     return terms, converged
 
 
@@ -585,12 +591,13 @@ def derivation_chain_values(m: float, n: int) -> tuple:
     """
     m = positive(m, "m")
     n = integer(n, "n", 1, MAX_N)
-    direct = factorial_interp(m / n)
+    # m / n underflows to 0 for a subnormal m, as in check_factorial_root
+    direct = factorial_interp(positive(m / n, "m / n"))
     terms, _ = _factorial_root_log_inner(m, n, "closed")
     root_form = (m / n) * math.exp(math.fsum(terms) / n)
-    product_terms = [math.log(m / n), log_gamma(m), (1.0 - m) * math.log(n)]
-    product_terms += _log_gamma_fractions(n)
-    product_terms += [-term for term in log_gamma_terms((m + k) / n for k in range(1, n))]
+    product_terms = itertools.chain(
+        (math.log(m / n), log_gamma(m), (1.0 - m) * math.log(n)), _log_gamma_fractions(n),
+        map(operator.neg, log_gamma_terms([(m + k) / n for k in range(1, n)])))
     product_form = math.exp(math.fsum(product_terms))
     return direct, root_form, product_form
 

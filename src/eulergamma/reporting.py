@@ -32,7 +32,7 @@ def _fmt_value(value):
 
 def params_string(params) -> str:
     """Canonical `name=value` list, ';'-joined, sorted by name."""
-    return ";".join(f"{k}={_fmt_value(v)}" for k, v in sorted(params.items()))
+    return ";".join([f"{k}={_fmt_value(v)}" for k, v in sorted(params.items())])
 
 
 def _side(value):

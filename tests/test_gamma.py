@@ -6,6 +6,7 @@ reference engine's accuracy gate; the engines themselves never see mpmath.
 
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -72,10 +73,17 @@ def test_reference_domain():
 
 
 def test_reference_overflow_behaves_like_stdlib():
-    # finite just below the binary64 ceiling, OverflowError past it
+    # finite just below the binary64 ceiling, OverflowError past it, also
+    # where the last product or the exponent overflows to inf rather than
+    # raising (171.7, 1e306) and below the range (1e-320)
     assert math.isfinite(gamma_reference(171.5))
+    for x in (172.0, 171.7, 1e306, sys.float_info.max, 1e-320):
+        with pytest.raises(OverflowError):
+            math.gamma(x)
+        with pytest.raises(OverflowError):
+            gamma_reference(x)
     with pytest.raises(OverflowError):
-        gamma_reference(172.0)
+        factorial_interp(170.7)
 
 
 def test_log_gamma_matches_reference():
@@ -242,10 +250,13 @@ def _loop_gamma(x):
 
 
 def _outcome(f, x):
+    """The result's hex, or "OverflowError" where f raises it or returns a
+    non-finite value, which the loop form does past the double range."""
     try:
-        return f(x).hex()
+        value = f(x)
     except OverflowError:
         return "OverflowError"
+    return value.hex() if math.isfinite(value) else "OverflowError"
 
 
 def _sweep_arguments():

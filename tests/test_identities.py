@@ -1,5 +1,6 @@
 """Identity check and suite tests."""
 
+import hashlib
 import math
 import random
 import sys
@@ -36,6 +37,7 @@ from eulergamma import (
 from eulergamma import backend, identities, quadrature
 from eulergamma.gamma import log_gamma_terms
 from eulergamma.identities import derivation_chain_values
+from eulergamma.reporting import render_csv
 
 HALF_SQRT_PI = 0.8862269254527580
 
@@ -435,6 +437,8 @@ def test_factorial_root_rejects_an_underflowing_m_over_n():
     # m / n rounds to 0 for a subnormal m; the message named x
     with pytest.raises(DomainError, match="m / n must be positive"):
         check_factorial_root(5e-324, 3)
+    with pytest.raises(DomainError, match="m / n must be positive"):
+        derivation_chain_values(5e-324, 3)
 
 
 def test_subnormal_quotients_pass():
@@ -549,6 +553,34 @@ def test_factorial_root_quadrature_mode():
     assert report.passed
     assert report.abs_residual <= 1e-7
     assert report.tolerance == 1e-7
+
+
+def _per_symbol_radicand_terms(m, n):
+    """The closed radicand's log terms symbol by symbol: (n - m) log n and
+    log gamma(m), then for each S(i, m; n) = B(i/n, m/n)/n its
+    log gamma(i/n) + log gamma(m/n) - log gamma((i+m)/n) - log n."""
+    log_n = math.log(n)
+    log_gamma_quotient = identities._log_gamma_quotient(m, n)
+    terms = [(n - m) * log_n, log_gamma(m)]
+    for i in range(1, n):
+        terms += [log_gamma(i / n), log_gamma_quotient, -log_gamma((i + m) / n), -log_n]
+    return terms
+
+
+def test_closed_radicand_grouped_by_kind_is_the_per_symbol_fsum():
+    # The closed radicand groups its terms by kind and repeats the two that
+    # do not depend on i; its fsum is the per-symbol fsum, bit for bit, also
+    # past the stored tables (n = 1025) and for a subnormal m/n.
+    rng = random.Random(31)
+    cases = [(math.exp(rng.uniform(math.log(0.05), math.log(50.0))), rng.randint(1, 120))
+             for _ in range(3000)]
+    cases += [(7.3, identities.FRACTION_TABLE_MAX_N + 1), (1e-320, 3)]
+    assert 1e-320 / 3 < sys.float_info.min
+    for m, n in cases:
+        terms, converged = identities._factorial_root_log_inner(m, n, "closed")
+        assert converged
+        want = math.fsum(_per_symbol_radicand_terms(m, n))
+        assert math.fsum(terms).hex() == want.hex(), (m, n)
 
 
 def test_factorial_root_mode_validation():
@@ -962,6 +994,16 @@ def _closed_form_wide_grid():
          "x": [math.exp(rng.uniform(math.log(0.01), math.log(100.0))) for _ in range(10)],
          "m": [math.exp(rng.uniform(math.log(0.05), math.log(50.0))) for _ in range(10)],
          "mode": ["closed"]})
+
+
+def test_closed_form_wide_output_is_pinned():
+    # The default grid stops at n = 12 for gauss-multiplication and n = 8 for
+    # factorial-root; this pins every byte of the CSV out to n = 120.
+    suite = run_suite(_closed_form_wide_grid())
+    text = render_csv(suite).encode()
+    assert (len(suite.reports), suite.n_fail, len(text)) == (2747, 0, 361_312)
+    assert hashlib.sha256(text).hexdigest() == (
+        "6eef35fa59921af4e992fd7305f4fce624cc9b8f1325262ffa9e971f36789ae2")
 
 
 def test_stored_fraction_tables_stay_intact():
