@@ -5,16 +5,24 @@ Examples:
     eulergamma eval symbol 1 1 2 --engine integral
     eulergamma verify gauss-multiplication --n 5 --x 3.7
     eulergamma verify reflection --x 0.25
+    eulergamma verify factorial-root -h
     eulergamma suite --format json --out report.json
     eulergamma suite --identities sine-product --n 2..40
 
+argparse checks the whole command line.  ``verify`` takes the identity's
+name, then that identity's flags, which a parser built from its
+``IDENTITIES`` row reads: one required ``--<axis>`` per axis, but ``--mode``,
+which defaults to ``closed``, and ``--tol``; ``verify IDENTITY -h`` lists
+them.  ``suite``'s lists are split and its ranges expanded by argparse
+``type`` functions.
+
 Exit codes: 0 success / all checks passed; 1 failed check, unconverged
-quadrature or non-finite integrand; 2 usage error, domain error or a result
-past the double-precision range; 3 I/O error.
+quadrature or non-finite integrand; 2 usage error (argparse's message),
+domain error or a result past the double-precision range; 3 I/O error.
 
 ``eval`` needs only the engines.  The identity layer and the renderers are
 imported by the verify and suite handlers, and by the code that adds those
-two commands' flags, which ``main`` skips when its first argument names
+two commands' arguments, which ``main`` skips when its first argument names
 another command; so ``eval`` loads neither.
 """
 
@@ -59,19 +67,60 @@ _EVAL = {
 
 def _axes():
     """Every parameter axis of the identity table, in order of first use; each
-    is a --<axis> flag of verify and suite, its text validated by the row's
+    is a --<axis> flag of suite, its values validated by each row's
     converter."""
     from .identities import IDENTITIES
 
     return tuple(dict.fromkeys(axis for spec in IDENTITIES.values() for axis in spec.axes))
 
 
-def _tolerance(text):
+def _tolerance(text, name="tolerance"):
     """argparse type for a pass tolerance: a positive finite number."""
     try:
-        return positive(text, "tolerance")
+        return positive(text, name)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _tolerances(text):
+    """argparse type for suite's --tol: ID=TOL[,ID=TOL...] as (ID, TOL) pairs."""
+    pairs = []
+    for piece in text.split(","):
+        name, sep, value = piece.partition("=")
+        if not sep:
+            raise argparse.ArgumentTypeError(f"expects ID=VALUE, got {piece!r}")
+        name = name.strip()
+        pairs.append((name, _tolerance(value, f"tolerance for {name}")))
+    return pairs
+
+
+def _names(text):
+    """argparse type for suite's --identities: a comma-separated name list."""
+    return [name.strip() for name in text.split(",")]
+
+
+def _axis_values(text):
+    """argparse type for a suite --<axis> list: `1,2.5,7` / `2..12` / mixes
+    of both; single values stay text, for the identity's converter to
+    validate."""
+    values = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if ".." not in chunk:
+            values.append(chunk)
+            continue
+        lo_text, _, hi_text = chunk.partition("..")
+        try:
+            lo, hi = int(lo_text), int(hi_text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"ranges need integer endpoints, got {chunk!r}") from None
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"empty range {chunk!r}")
+        if hi - lo >= MAX_N:
+            raise argparse.ArgumentTypeError(f"range {chunk!r} is longer than {MAX_N} values")
+        values.extend(float(v) for v in range(lo, hi + 1))
+    return values
 
 
 def _fill_eval(p_eval):
@@ -82,27 +131,43 @@ def _fill_eval(p_eval):
 
 
 def _fill_verify(p_verify):
-    from .identities import MODES
+    from .identities import IDENTITIES
 
-    p_verify.add_argument("identity", metavar="IDENTITY")
-    for axis in _axes():
-        p_verify.add_argument(f"--{axis}", default=None,
-                              choices=MODES if axis == "mode" else None)
-    p_verify.add_argument("--tol", type=_tolerance, default=None,
-                          help="override the identity's default tolerance")
+    p_verify.add_argument("identity", metavar="IDENTITY", choices=IDENTITIES,
+                          help=f"one of: {', '.join(IDENTITIES)}")
+    p_verify.add_argument("flags", nargs=argparse.REMAINDER,
+                          help="the identity's flags; 'verify IDENTITY -h' lists them")
     p_verify.set_defaults(handler=_cmd_verify)
 
 
+def _row_parser(identity_id):
+    """verify's parser for one identity's flags: a required --<axis> per axis
+    of its row, but --mode, which defaults to the first of MODES, and --tol.
+    No flag may be abbreviated, so another row's --p is not read as --phi."""
+    from .identities import IDENTITIES, MODES
+
+    parser = argparse.ArgumentParser(prog=f"eulergamma verify {identity_id}",
+                                     allow_abbrev=False)
+    for axis in IDENTITIES[identity_id].axes:
+        if axis == "mode":
+            parser.add_argument("--mode", choices=MODES, default=MODES[0])
+        else:
+            parser.add_argument(f"--{axis}", required=True)
+    parser.add_argument("--tol", type=_tolerance, help="override the identity's default tolerance")
+    return parser
+
+
 def _fill_suite(p_suite):
-    p_suite.add_argument("--identities", default=None, metavar="ID,ID,...",
+    p_suite.add_argument("--identities", type=_names, default=None, metavar="ID,ID,...",
                          help="restrict to a comma-separated subset")
     for axis in _axes():
-        p_suite.add_argument(f"--{axis}", default=None, metavar="LIST",
+        p_suite.add_argument(f"--{axis}", type=_axis_values, default=argparse.SUPPRESS,
+                             metavar="LIST",
                              help=f"override the {axis} axis: comma list and/or "
                                   "lo..hi integer ranges")
     p_suite.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_suite.add_argument("--tol", action="append", default=[], metavar="ID=TOL",
-                         help="per-identity tolerance override, repeatable")
+    p_suite.add_argument("--tol", type=_tolerances, action="extend", default=[],
+                         metavar="ID=TOL", help="per-identity tolerance override, repeatable")
     p_suite.add_argument("--out", default=None, metavar="PATH",
                          help="write the report to PATH instead of standard output")
     p_suite.set_defaults(handler=_cmd_suite)
@@ -156,66 +221,16 @@ def _cmd_eval(args, parser):
 def _cmd_verify(args, parser):
     import time
 
-    from .identities import IDENTITIES, MODES
+    from .identities import IDENTITIES
     from .reporting import render_report
 
-    identity_id = args.identity
-    if identity_id not in IDENTITIES:
-        parser.error(
-            f"unknown identity {identity_id!r} (known: {', '.join(sorted(IDENTITIES))})"
-        )
-    spec = IDENTITIES[identity_id]
-    for axis in _axes():
-        if axis not in spec.axes and getattr(args, axis) is not None:
-            parser.error(f"identity '{identity_id}' does not take --{axis}")
-    params = {}
-    for axis, convert in spec.axes.items():
-        raw = getattr(args, axis)
-        if raw is None:
-            if axis != "mode":
-                parser.error(f"identity '{identity_id}' requires --{axis}")
-            raw = MODES[0]
-        params[axis] = convert(raw, axis)
+    flags = _row_parser(args.identity).parse_args(args.flags)
+    spec = IDENTITIES[args.identity]
+    params = {axis: convert(getattr(flags, axis), axis) for axis, convert in spec.axes.items()}
     start = time.perf_counter()
-    report = spec.run(params, args.tol)
+    report = spec.run(params, flags.tol)
     sys.stdout.write(render_report(report, time.perf_counter() - start))
     return EXIT_OK if report.passed else EXIT_FAIL
-
-
-def _parse_axis_values(axis, text, parser):
-    """Split `1,2.5,7` / `2..12` / mixes of both into a value list; single
-    values stay text, for the identity's converter to validate."""
-    values = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if ".." in chunk:
-            lo_text, _, hi_text = chunk.partition("..")
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError:
-                parser.error(f"--{axis}: ranges need integer endpoints, got {chunk!r}")
-            if hi < lo:
-                parser.error(f"--{axis}: empty range {chunk!r}")
-            if hi - lo >= MAX_N:
-                parser.error(f"--{axis}: range {chunk!r} is longer than {MAX_N} values")
-            values.extend(float(v) for v in range(lo, hi + 1))
-        else:
-            values.append(chunk)
-    return values
-
-
-def _parse_tolerances(entries, parser):
-    tolerances = {}
-    for entry in entries:
-        for piece in entry.split(","):
-            name, sep, text = piece.partition("=")
-            if not sep:
-                parser.error(f"--tol expects ID=VALUE, got {piece!r}")
-            try:
-                tolerances[name.strip()] = _tolerance(text)
-            except argparse.ArgumentTypeError as exc:
-                parser.error(f"--tol {name}: {exc}")
-    return tolerances
 
 
 def _cmd_suite(args, parser):
@@ -223,17 +238,8 @@ def _cmd_suite(args, parser):
     from .identities import build_grid, run_suite
     from .reporting import params_string, render_suite
 
-    identities = None
-    if args.identities is not None:
-        identities = [name.strip() for name in args.identities.split(",")]
-    axis_values = {}
-    for axis in _axes():
-        raw = getattr(args, axis)
-        if raw is not None:
-            axis_values[axis] = _parse_axis_values(axis, raw, parser)
-    tolerances = _parse_tolerances(args.tol, parser)
-    grid = build_grid(identities, axis_values)
-    suite = run_suite(grid, tolerances)
+    axis_values = {axis: getattr(args, axis) for axis in _axes() if hasattr(args, axis)}
+    suite = run_suite(build_grid(args.identities, axis_values), dict(args.tol))
     text = render_suite(suite, args.format)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:

@@ -15,9 +15,21 @@ class NonFiniteIntegrandError(ValueError):
     """The integrand returned NaN or infinity at an interior node."""
 
 
+def number(value, name="parameter"):
+    """``value`` as a float; DomainError where ``float()`` refuses it, for an
+    integer past the double range or text that is no number.  Every
+    validator here converts through it."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must be finite") from None
+    except ValueError:
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
+
+
 def positive(value, name):
     """``value`` as a float; DomainError unless it is positive and finite."""
-    value = float(value)
+    value = number(value, name)
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be positive and finite")
     return value
@@ -25,7 +37,7 @@ def positive(value, name):
 
 def nonnegative(value, name):
     """``value`` as a float; DomainError unless it is nonnegative and finite."""
-    value = float(value)
+    value = number(value, name)
     if not (math.isfinite(value) and value >= 0.0):
         raise DomainError(f"{name} must be nonnegative and finite")
     return value
@@ -33,12 +45,7 @@ def nonnegative(value, name):
 
 def finite(value, name="parameter"):
     """``value`` as a float; DomainError unless it is finite."""
-    try:
-        value = float(value)
-    except OverflowError:
-        raise DomainError(f"{name} must be finite") from None
-    except ValueError:
-        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    value = number(value, name)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite")
     return value

@@ -30,7 +30,7 @@ recurrence's factors, so it stays finite wherever log gamma does.
 
 import math
 
-from .errors import DomainError, nonnegative, positive
+from .errors import DomainError, nonnegative, number, positive
 from .quadrature import IntegralEstimate, _integrate_family
 from . import backend
 
@@ -210,7 +210,7 @@ def factorial_interp(lam: float) -> float:
 
     Requires lam > -1.
     """
-    lam = float(lam)
+    lam = number(lam, "lam")
     if not (math.isfinite(lam) and lam > -1.0):
         raise DomainError("lam must exceed -1")
     return gamma_reference(lam + 1.0)

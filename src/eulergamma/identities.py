@@ -82,7 +82,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
 from .beta import beta_integral, euler_symbol, log_beta
-from .errors import NOT_FINITE, DomainError, finite, integer, positive
+from .errors import NOT_FINITE, DomainError, finite, integer, number, positive
 from .gamma import MAX_N, factorial_interp, gamma_log_integral, log_gamma, log_gamma_terms
 from .quadrature import suite_memo
 
@@ -278,7 +278,7 @@ def check_reflection(x: float, tolerance: float | None = None) -> IdentityReport
 
     Compared in log space; lhs/rhs are the logs of the two sides.
     """
-    x = float(x)
+    x = number(x, "x")
     if not (math.isfinite(x) and 0.0 < x < 1.0):
         raise DomainError("x must lie in (0,1)")
     # sin(pi x) = sin(pi t) with t the smaller of x and 1 - x (exact for
@@ -593,10 +593,13 @@ def derivation_chain_values(m: float, n: int) -> tuple:
     n = integer(n, "n", 1, MAX_N)
     # m / n underflows to 0 for a subnormal m, as in check_factorial_root
     direct = factorial_interp(positive(m / n, "m / n"))
+    # log(m/n) is added inside each exp: for a tiny m/n the root alone,
+    # exp(fsum / n), overflows although its product with m/n is about 1
+    log_quotient = _log_quotient(m, n)
     terms, _ = _factorial_root_log_inner(m, n, "closed")
-    root_form = (m / n) * math.exp(math.fsum(terms) / n)
+    root_form = math.exp(log_quotient + math.fsum(terms) / n)
     product_terms = itertools.chain(
-        (math.log(m / n), log_gamma(m), (1.0 - m) * math.log(n)), _log_gamma_fractions(n),
+        (log_quotient, log_gamma(m), (1.0 - m) * math.log(n)), _log_gamma_fractions(n),
         map(operator.neg, log_gamma_terms([(m + k) / n for k in range(1, n)])))
     product_form = math.exp(math.fsum(product_terms))
     return direct, root_form, product_form

@@ -236,7 +236,7 @@ def test_axis_range_past_the_cap_exits_2():
                      timeout=60)
     assert result.returncode == 2
     assert result.stdout == ""
-    assert "error: --n: range '2..100002' is longer than 100000 values" in result.stderr
+    assert "error: argument --n: range '2..100002' is longer than 100000 values" in result.stderr
 
 
 @pytest.mark.parametrize("axes", [("sine-product", "--n", "1..100000"),
@@ -359,7 +359,7 @@ def test_verify_reflection_out_of_domain_exits_2():
 def test_verify_unknown_identity_exits_2():
     result = run_cli("verify", "does-not-exist", "--x", "0.5")
     assert result.returncode == 2
-    assert "unknown identity" in result.stderr
+    assert "invalid choice: 'does-not-exist'" in result.stderr
 
 
 def test_verify_missing_param_exits_2():
@@ -371,7 +371,46 @@ def test_verify_missing_param_exits_2():
 def test_verify_extraneous_param_exits_2():
     result = run_cli("verify", "reflection", "--x", "0.5", "--n", "3")
     assert result.returncode == 2
-    assert "does not take" in result.stderr
+    assert "unrecognized arguments: --n 3" in result.stderr
+
+
+@pytest.mark.parametrize("identity_id", sorted(identities.IDENTITIES))
+def test_verify_takes_exactly_its_rows_flags(identity_id, capsys, monkeypatch):
+    axes = identities.IDENTITIES[identity_id].axes
+    case = identities.build_grid([identity_id])[identity_id][0]
+    case.pop("mode", None)  # left to its default
+
+    def flags(omit=None):
+        return [item for axis, value in case.items() if axis != omit
+                for item in (f"--{axis}", str(value))]
+
+    def usage_error(*argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", *argv])
+        assert exit_info.value.code == 2
+        return capsys.readouterr().err
+
+    shown = []
+    monkeypatch.setattr(reporting, "render_report",
+                        lambda report, seconds: shown.append(report) or "")
+    assert main(["verify", identity_id, *flags()]) == 0
+    if "mode" in axes:
+        assert shown[0].params["mode"] == "closed"
+    for axis in case:
+        assert (f"the following arguments are required: --{axis}"
+                in usage_error(identity_id, *flags(omit=axis)))
+    others = {axis for spec in identities.IDENTITIES.values() for axis in spec.axes} - set(axes)
+    for other in sorted(others):
+        assert (f"unrecognized arguments: --{other} 1"
+                in usage_error(identity_id, *flags(), f"--{other}", "1"))
+    assert f"invalid choice: '{identity_id}-x'" in usage_error(f"{identity_id}-x", *flags())
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", identity_id, "-h"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: eulergamma verify {identity_id} [-h]")
+    listed = [line.split()[0].rstrip(",") for line in out.split("options:\n")[1].splitlines()]
+    assert listed == ["-h", *(f"--{axis}" for axis in axes), "--tol"]
 
 
 def test_verify_factorial_root_modes():
@@ -686,16 +725,19 @@ def test_every_public_name_is_its_home_modules_object():
     ["-h"], ["eval", "-h"], ["verify", "-h"], ["suite", "-h"], [], ["zeta", "2"],
     ["verify", "reflection", "--x"], ["--", "eval", "gamma"],
 ])
-def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
+def test_help_and_usage_errors_match_the_full_parser(argv, capsys, monkeypatch):
     # main fills in only the command its first argument names; what it
-    # prints, and its exit code, are those of the parser with every command.
-    with pytest.raises(SystemExit) as reference:
-        cli._build_parser().parse_args(argv)
-    expected = capsys.readouterr()
+    # prints, and its exit code, are those of main with every command filled.
+    # verify's flags are parsed by its row's parser, in its handler.
     with pytest.raises(SystemExit) as shown:
         main(argv)
-    assert (shown.value.code, capsys.readouterr()) == (reference.value.code, expected)
-    assert expected.out or expected.err
+    printed = capsys.readouterr()
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
+    with pytest.raises(SystemExit) as reference:
+        main(argv)
+    assert (shown.value.code, printed) == (reference.value.code, capsys.readouterr())
+    assert printed.out or printed.err
 
 
 def test_suite_out_file_matches_stdout(tmp_path):
@@ -746,6 +788,10 @@ def _table_axes():
             dict.fromkeys(axis for spec in identities.IDENTITIES.values() for axis in spec.axes)]
 
 
+def _options(parser):
+    return [option for action in parser._actions for option in action.option_strings]
+
+
 @pytest.mark.parametrize("command", [["eval", "gamma", "1"], ["suite"],
                                      ["verify", "reflection", "--x", "0.25"]])
 def test_truncation_threshold_is_no_flag(command, capsys):
@@ -755,13 +801,16 @@ def test_truncation_threshold_is_no_flag(command, capsys):
     # semi-infinite interval.
     name = command[0]
     expected = {"eval": ["--engine"],
-                "verify": [*_table_axes(), "--tol"],
+                "verify": [],
                 "suite": ["--identities", *_table_axes(), "--format", "--tol", "--out"]}
     parser = cli._build_parser(name)
     (commands,) = [action for action in parser._actions if action.dest == "command"]
-    options = [option for action in commands.choices[name]._actions
-               for option in action.option_strings]
-    assert options == ["-h", "--help", *expected[name]]
+    assert _options(commands.choices[name]) == ["-h", "--help", *expected[name]]
+    if name == "verify":
+        # each identity's flags follow its name, parsed by its row's parser
+        for identity_id, spec in identities.IDENTITIES.items():
+            assert _options(cli._row_parser(identity_id)) == [
+                "-h", "--help", *(f"--{axis}" for axis in spec.axes), "--tol"]
     for flag, value in [("--truncation-threshold", "1e-9"), ("--rel-tol", "1e-9"),
                         ("--max-refinements", "12")]:
         with pytest.raises(SystemExit) as exit_info:

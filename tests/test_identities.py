@@ -16,6 +16,8 @@ import pytest
 from eulergamma import (
     IDENTITIES,
     DomainError,
+    beta_closed,
+    beta_integral,
     check_algebraic_interpolation,
     check_duplication,
     check_factorial_root,
@@ -31,11 +33,17 @@ from eulergamma import (
     default_grid,
     default_tolerance,
     euler_symbol,
+    euler_symbol_closed,
+    factorial_interp,
+    gamma_integral,
+    gamma_log_integral,
+    gamma_reference,
     log_gamma,
     run_suite,
 )
 from eulergamma import backend, identities, quadrature
-from eulergamma.gamma import log_gamma_terms
+from eulergamma.beta import log_beta
+from eulergamma.gamma import log_gamma_integral, log_gamma_terms
 from eulergamma.identities import derivation_chain_values
 from eulergamma.reporting import render_csv
 
@@ -104,6 +112,41 @@ def test_reflection_domain_message():
         check_reflection(1.5)
     with pytest.raises(DomainError):
         check_reflection(0.0)
+
+
+# Each public engine and check, with valid arguments by name.
+ENGINES_AND_CHECKS = [
+    (gamma_reference, {"x": 2.5}), (log_gamma, {"x": 2.5}), (gamma_integral, {"x": 2.5}),
+    (log_gamma_integral, {"x": 2.5}), (gamma_log_integral, {"s": 1.5}),
+    (factorial_interp, {"lam": 1.5}), (log_beta, {"x": 1.5, "y": 2.5}),
+    (beta_closed, {"x": 1.5, "y": 2.5}), (beta_integral, {"x": 1.5, "y": 2.5}),
+    (euler_symbol, {"p": 1.0, "q": 2.0, "n": 3}),
+    (euler_symbol_closed, {"p": 1.0, "q": 2.0, "n": 3}),
+    (check_reflection, {"x": 0.25}), (check_gauss_multiplication, {"x": 2.5, "n": 3}),
+    (check_duplication, {"x": 2.5}), (check_sine_product, {"n": 3}),
+    (check_sine_multiple_angle, {"n": 3, "phi": 0.3}),
+    (check_gamma_square_product, {"n": 3}), (check_gamma_fraction_product, {"n": 3}),
+    (check_log_integral_product, {"n": 3}),
+    (check_factorial_root, {"m": 2.0, "n": 3, "mode": "closed"}),
+    (check_algebraic_interpolation, {"p": 1, "q": 2}),
+    (check_symbol_symmetry, {"p": 1.0, "q": 2.0, "n": 3}),
+    (check_symbol_bridge, {"p": 1.0, "q": 2.0, "n": 3}),
+    (derivation_chain_values, {"m": 2.0, "n": 3}),
+]
+
+
+@pytest.mark.parametrize("bad", [10 ** 400, -10 ** 400, "abc"], ids=["1e400", "-1e400", "abc"])
+def test_every_engine_and_check_refuses_what_float_refuses(bad):
+    # float() refuses both, 10**400 with OverflowError and "abc" with
+    # ValueError; each is a DomainError naming the argument.
+    for f, args in ENGINES_AND_CHECKS:
+        f(**args)
+        for name in args:
+            message = ("mode must be" if name == "mode" else
+                       f"{name} must be a number, got 'abc'" if bad == "abc" else
+                       f"{name} must be finite")
+            with pytest.raises(DomainError, match=message):
+                f(**dict(args, **{name: bad}))
 
 
 def test_gauss_multiplication_degenerate_n1():
@@ -661,6 +704,17 @@ def test_derivation_chain_spot():
         assert abs(root_form - product_form) / scale <= 1e-12
 
 
+@pytest.mark.parametrize("m", [1e-300, 3e-308, 1e-308, 1e-310, 1e-320, 3e-322])
+def test_derivation_chain_values_hold_for_a_tiny_m(m):
+    # (m/n) times the root's exp overflowed from m = 1e-308 down, and the
+    # product route logged a rounded subnormal m/n.  Each route's sum of
+    # logs of about 700 in size leaves it off by up to an ulp of 700.
+    with mpmath.workdps(40):
+        exact = mpmath.gamma(mpmath.mpf(m) / 3 + 1)
+        for value in derivation_chain_values(m, 3):
+            assert abs(mpmath.mpf(value) / exact - 1) <= 2e-13
+
+
 def test_log_space_accumulation_is_permutation_invariant():
     rng = random.Random(20260813)
     x, n = 19.3, 12
@@ -1091,9 +1145,9 @@ def test_derivation_chain_values_are_pinned():
     pinned = {
         (1.0, 2): ("0x1.c5bf891b4ef70p-1", "0x1.c5bf891b4ef66p-1", "0x1.c5bf891b4ef66p-1"),
         (5.0, 7): ("0x1.d2a614791d369p-1", "0x1.d2a614791d374p-1", "0x1.d2a614791d373p-1"),
-        (0.5, 3): ("0x1.dafe074b9da91p-1", "0x1.dafe074b9da92p-1", "0x1.dafe074b9da95p-1"),
+        (0.5, 3): ("0x1.dafe074b9da91p-1", "0x1.dafe074b9da93p-1", "0x1.dafe074b9da95p-1"),
         (7.3, 40): ("0x1.d89420b65968bp-1", "0x1.d89420b659694p-1", "0x1.d89420b6596cbp-1"),
-        (19.9, 120): ("0x1.db1fbe7046be4p-1", "0x1.db1fbe7046bdfp-1", "0x1.db1fbe7046c43p-1"),
+        (19.9, 120): ("0x1.db1fbe7046be4p-1", "0x1.db1fbe7046be0p-1", "0x1.db1fbe7046c43p-1"),
     }
     for (m, n), expected in pinned.items():
         assert tuple(v.hex() for v in derivation_chain_values(m, n)) == expected

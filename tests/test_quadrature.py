@@ -442,10 +442,11 @@ def _calls(thunk):
 
 
 @pytest.mark.parametrize("thunk, per_level, per_quadrature", [
-    # level_sum, _rows and the family loop
-    (lambda: beta_integral(1.5, 2.5), 3, 11),
+    # level_sum, _rows and the family loop; each validated argument costs
+    # its validator and errors.number
+    (lambda: beta_integral(1.5, 2.5), 3, 13),
     # and _symbol_rows, for the stored exponent columns of n = 5
-    (lambda: euler_symbol(3.0, 2.0, 5), 4, 14),
+    (lambda: euler_symbol(3.0, 2.0, 5), 4, 17),
 ])
 def test_per_level_work_is_pinned(thunk, per_level, per_quadrature):
     # A count of calls, not a timing, so it does not swing with the host.
