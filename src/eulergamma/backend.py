@@ -17,8 +17,29 @@ algebraic interpolation's (x^k - x^(k+1))^s is B(ks + 1, s + 1).
 
 A family level does its bookkeeping once: one lookup of the family's row in
 ``_FAMILIES``, one fetch of the level's stored rows, which it hands to the
-family's loop, and a node count read off the rows it summed (two nodes a
-row, but one for the centre row), never counted from the level again.
+family's loop, and a node count read off the rows the loop visited (two
+nodes a row, but one for the centre row), never counted from the level
+again.
+
+Stopping a level
+----------------
+A family loop ends its level at the first row whose term leaves a nonzero
+total unchanged (``total + term == total``), counting that row, and still
+returns the whole level's total to the bit: rows run from the centre out,
+and each family's terms rise to one peak and then fall doubly
+exponentially.  Before the peak the k-th term is at least 1/k of the sum so
+far, so it changes the total; past the first term that does not, every term
+is smaller and changes nothing either.  A total of 0 (every node so far
+underflowed) never stops a level.  The default suite evaluates 15,568 nodes
+of the 23,936 its levels hold.
+
+This holds for (-log x)^s at every s, for Beta at every p and q, and for
+Euler's symbol while n <= ``gamma.MAX_N``, which ``euler_symbol`` enforces.
+For larger n, 1 - x^n falls to about n * dist within 1/n of x = 1, so the
+near-1 values level off at about pi cosh(t) / n and grow again with
+cosh(t); once that plateau falls below the total's last bit, a later term
+can rise above it (in seeded level sums, from n near 7e14).  The
+generic-callable loop visits every node: a callable may change sign.
 
 Node geometry
 -------------
@@ -80,7 +101,11 @@ NonFiniteIntegrandError, and it tests the level's total once after the
 loop; the centre node is a row like any other, summed by the same loop.  A
 node value that is NaN or infinite makes that total NaN or infinite (every
 weight is >= 0 and every other value is >= 0), and so does a sum of finite
-terms that overflows; either raises.
+terms that overflows; either raises.  The stop hides neither: a total that
+is NaN or infinite stays so.  A node past the row where a level stops is
+never evaluated, so its overflow raises nothing: (-log x)^s overflows at
+the outermost nodes from s = 108.44, but a level reaches such a node only
+from about s = 110.02, at t = 6 of the coarsest level.
 The generic-callable loop tests every node instead, since a user's function
 must not be called twice, and returns the total as summed.
 """
@@ -88,6 +113,7 @@ must not be called twice, and returns the total as summed.
 import math
 # Bare names save an attribute lookup per call in the per-node loops.
 from math import exp, expm1, isfinite, log, log1p
+from operator import length_hint
 
 from .errors import NonFiniteIntegrandError
 
@@ -162,35 +188,51 @@ def _symbol_columns(rows, p2):
 
 
 def _symbol_rows(rows, h, odd_only, p2):
-    """The level's ``rows`` with the EULER_SYMBOL columns of exponent p2: a
-    stored table, or a stream for an exponent outside TABLE_EXPONENTS."""
+    """The level's ``rows`` with the EULER_SYMBOL columns of exponent p2, as
+    (columns, source): ``columns`` iterates a stored table, or a stream for
+    an exponent outside TABLE_EXPONENTS, and ``source`` is the iterator over
+    a stored tuple as long as ``rows`` that it draws one row from per row
+    it yields."""
     if p2 not in TABLE_EXPONENTS:
-        return _symbol_columns(rows, p2)
+        source = iter(rows)
+        return _symbol_columns(source, p2), source
     table = _symbol_tables.get((h, odd_only, p2))
     if table is None:
         table = _symbol_tables[h, odd_only, p2] = tuple(_symbol_columns(rows, p2))
-    return table
+    source = iter(table)
+    return source, source
 
 
 # One loop per family, the only definition of its integrand.  Each reads the
 # rows ``level_sum`` fetched for its level and sums w * (value near 1 + value
-# near 0) in node order.  None tests finiteness: ``level_sum`` tests the
-# total once.
+# near 0) in node order, up to the first row whose term leaves a nonzero
+# total unchanged (see the module docstring).  It returns the total and the
+# rows it visited, the stopping row included, read off what its iterator
+# over a stored tuple has left.  None tests finiteness: ``level_sum`` tests
+# the total once.
 
 def _neg_log_pow_sum(rows, h, odd_only, p0, p1, p2):
     total = 0.0
-    for w, ln_dist, ln_1md in rows:
-        total += w * ((-ln_1md) ** p0 + (-ln_dist) ** p0)
-    return total
+    source = iter(rows)
+    for w, ln_dist, ln_1md in source:
+        new = total + w * ((-ln_1md) ** p0 + (-ln_dist) ** p0)
+        if new == total and total:
+            break
+        total = new
+    return total, len(rows) - length_hint(source)
 
 
 def _beta_sum(rows, h, odd_only, p0, p1, p2):
     total = 0.0
     c0 = p0 - 1.0
     c1 = p1 - 1.0
-    for w, ln_dist, ln_1md in rows:
-        total += w * (exp(c0 * ln_1md + c1 * ln_dist) + exp(c0 * ln_dist + c1 * ln_1md))
-    return total
+    source = iter(rows)
+    for w, ln_dist, ln_1md in source:
+        new = total + w * (exp(c0 * ln_1md + c1 * ln_dist) + exp(c0 * ln_dist + c1 * ln_1md))
+        if new == total and total:
+            break
+        total = new
+    return total, len(rows) - length_hint(source)
 
 
 def _euler_symbol_sum(rows, h, odd_only, p0, p1, p2):
@@ -199,9 +241,13 @@ def _euler_symbol_sum(rows, h, odd_only, p0, p1, p2):
     # c1 before the exponent columns: an invalid exponent such as 0 meets
     # p1 / p2 first, on every level, since the centre is a row of the loop.
     c1 = p1 / p2 - 1.0
-    for w, ln_dist, ln_1md, ln_1mxn_p, ln_1mxn_m in _symbol_rows(rows, h, odd_only, p2):
-        total += w * (exp(c0 * ln_1md + c1 * ln_1mxn_p) + exp(c0 * ln_dist + c1 * ln_1mxn_m))
-    return total
+    columns, source = _symbol_rows(rows, h, odd_only, p2)
+    for w, ln_dist, ln_1md, ln_1mxn_p, ln_1mxn_m in columns:
+        new = total + w * (exp(c0 * ln_1md + c1 * ln_1mxn_p) + exp(c0 * ln_dist + c1 * ln_1mxn_m))
+        if new == total and total:
+            break
+        total = new
+    return total, len(rows) - length_hint(source)
 
 
 # Each family's loop, and the sum e of the |powers| its integrand raises x,
@@ -236,9 +282,10 @@ def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
     With ``odd_only`` set, only odd multiples of ``h`` are visited; this is
     how a refinement level reuses the coarser level's nodes.  Returns the
     weighted sum (to be scaled by ``h`` by the caller) and the number of
-    distinct nodes evaluated.  A built-in family's total is finite, or the
-    level raises NonFiniteIntegrandError (see the module docstring); a family
-    asked for over an interval other than (0, 1) raises ValueError.
+    distinct nodes evaluated, up to the row where a built-in family's loop
+    stops.  A built-in family's total is finite, or the level raises
+    NonFiniteIntegrandError; a family asked for over an interval other than
+    (0, 1) raises ValueError (see the module docstring for both).
     """
     if family != GENERIC:
         # A tag missing from the table raises through ``_family``.
@@ -247,13 +294,13 @@ def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
             raise ValueError(f"integrand family {family} is defined on (0, 1) only")
         rows = _rows(h, odd_only)
         try:
-            total = family_sum(rows, h, odd_only, p0, p1, p2)
+            total, visited = family_sum(rows, h, odd_only, p0, p1, p2)
         except OverflowError:
             raise NonFiniteIntegrandError("integrand not finite") from None
         if not isfinite(total):
             raise NonFiniteIntegrandError("integrand not finite")
         # Two values per row, but the centre row is one node.
-        return total, 2 * len(rows) - (not odd_only)
+        return total, 2 * visited - (not odd_only)
 
     halfspan = 0.5 * (b - a)
     mid = 0.5 * (a + b)

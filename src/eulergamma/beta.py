@@ -22,7 +22,7 @@ import math
 
 from . import backend
 from .errors import integer, positive
-from .gamma import _LANCZOS_G, _lanczos_sum, log_gamma
+from .gamma import _LANCZOS_G, MAX_N, _lanczos_sum, log_gamma
 from .quadrature import IntegralEstimate, _integrate_family
 
 
@@ -57,10 +57,15 @@ def beta_integral(x: float, y: float) -> IntegralEstimate:
 
 
 def euler_symbol(p: float, q: float, n: int) -> IntegralEstimate:
-    """S(p, q; n) by direct quadrature of its defining integral."""
+    """S(p, q; n) by direct quadrature of its defining integral.
+
+    n is capped at MAX_N (DomainError past it): the family loop stops where
+    a term no longer changes its total, which is exact only while 1 - x^n
+    does not dip near x = 1 - 1/n (see ``backend``).
+    """
     p = positive(p, "p")
     q = positive(q, "q")
-    n = integer(n, "n", 1)
+    n = integer(n, "n", 1, MAX_N)
     return _integrate_family(backend.EULER_SYMBOL, p, q, float(n))
 
 

@@ -13,7 +13,9 @@ argparse checks the whole command line.  ``verify`` takes the identity's
 name, then that identity's flags, which a parser built from its
 ``IDENTITIES`` row reads: one required ``--<axis>`` per axis, but ``--mode``,
 which defaults to ``closed``, and ``--tol``; ``verify IDENTITY -h`` lists
-them.  ``suite``'s lists are split and its ranges expanded by argparse
+them.  A flag written before the identity's name is refused with a message
+saying IDENTITY comes first, since argparse would read the flag's value as
+the name.  ``suite``'s lists are split and its ranges expanded by argparse
 ``type`` functions.
 
 Exit codes: 0 success / all checks passed; 1 failed check, unconverged
@@ -257,6 +259,11 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser(argv[0] if argv else None)
+    if argv[:1] == ["verify"] and len(argv) > 1 and argv[1].startswith("-") \
+            and argv[1] not in ("-h", "--help", "--"):
+        # argparse would set the flag aside and read its value as IDENTITY.
+        parser.error(f"verify: IDENTITY comes before its flags, as in "
+                     f"'eulergamma verify reflection --x 0.25'; got {argv[1]!r} first")
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)

@@ -42,8 +42,8 @@ _LN_SQRT_2PI = 0.5 * math.log(math.tau)
 
 # Largest argument the log-space integral engine lifts by the recurrence,
 # one log term per unit of x; ``identities`` caps its n and q at the same
-# value.  The cap turns a mistyped x such as 1e300 into a DomainError
-# instead of a loop that never ends.
+# value, and ``beta.euler_symbol`` its n.  The cap turns a mistyped x such
+# as 1e300 into a DomainError instead of a loop that never ends.
 MAX_N = 100_000
 
 # Above this, t**(x - 0.5) overflows on its own even though gamma(x) is still
@@ -134,7 +134,8 @@ def _recurrence(x):
     Returns (y, divisor, factors) with gamma(x) = gamma(y) * product of
     ``factors`` / divisor.  Below 1, gamma(x) = gamma(x + 1) / x; above 100,
     gamma(x) = (x - 1) gamma(x - 1), applied until x <= 100, since
-    (-log u)^(x-1) overflows at the outermost nodes from about x = 109.44.
+    (-log u)^(x-1) overflows at a node the levels visit from about
+    x = 111.02.
     ``factors`` yields x - 1, x - 2, ..., y lazily, in the order the
     recurrence applies them, so a caller reads only as many as it needs;
     below MAX_N each subtraction is exact.
@@ -197,9 +198,9 @@ def gamma_log_integral(s: float) -> IntegralEstimate:
     """Integral of (-log x)^s over (0, 1), which equals Gamma(s + 1).
 
     Requires s >= 0.  Node values are formed in linear space, so s large
-    enough to push (-log x)^s past the double-precision ceiling (s from
-    about 108.44) raises NonFiniteIntegrandError; the closed-form engine is
-    the right tool there.
+    enough to push (-log x)^s past the double-precision ceiling at a node
+    the levels visit (s from about 110.02) raises NonFiniteIntegrandError;
+    the closed-form engine is the right tool there.
     """
     s = nonnegative(s, "s")
     return _integrate_family(backend.NEG_LOG_POW, s, 0.0, 0.0)

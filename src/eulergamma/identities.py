@@ -98,10 +98,11 @@ _LOG_ROUNDING = 8.0 * sys.float_info.epsilon
 _SINE_ROUNDING = 8.0 * sys.float_info.epsilon
 
 # ``MAX_N`` (from ``gamma``) is the largest n the product checks accept, and
-# largest q of algebraic-interpolation.  Their work grows linearly in n (or
-# q); the cap turns a mistyped n such as 1e30 into a DomainError instead of a
-# loop that never ends, and sits far above any grid in use (the widest
-# benchmark grid stops at n = 120).
+# largest q of algebraic-interpolation; the symbol checks meet the same cap
+# on n in ``euler_symbol``.  Their work grows linearly in n (or q); the cap
+# turns a mistyped n such as 1e30 into a DomainError instead of a loop that
+# never ends, and sits far above any grid in use (the widest benchmark grid
+# stops at n = 120).
 
 # Bounds on a whole grid, checked before it is expanded.  Most checks do
 # work in proportion to one axis, the row's ``work_axis`` (n for the product

@@ -9,7 +9,8 @@ step h and reuses every node already evaluated: the level-j estimate is
     I_j = I_{j-1} / 2 + h_j * sum over odd k of w(k h_j) f(x(k h_j)),
 
 Nodes beyond |t| = 6.1 carry weights below the double-precision underflow
-threshold and are never visited.
+threshold and are never visited; a built-in family's level stops sooner,
+at the first node whose term leaves its sum unchanged (see ``backend``).
 
 Refinement stops at the first level j that passes one of two tests, each
 against the bar REL_TOL * |I_j| (for callables, at least ABS_TOL):
@@ -87,7 +88,8 @@ REL_TOL = 1e-11
 ABS_TOL = 1e-12
 
 # The most step halvings past the coarsest level.  Each halving doubles the
-# nodes, so an integral that does not converge evaluates at most 49,971, and
+# nodes, so an integral that does not converge evaluates at most 49,971
+# (fewer where its levels stop before T_MAX), and
 # every level a quadrature visits has h >= 2^-12, which ``backend`` stores.
 # Past 12 the new nodes fall where h = 2^-12 already resolves the integrand,
 # and the error left is the truncation at ``backend.T_MAX``, which no halving
@@ -102,7 +104,9 @@ class IntegralEstimate(NamedTuple):
 
     ``evaluations`` counts the distinct nodes the integrand was evaluated
     at, over every level: the centre node once, though a family's loop
-    adds its value there from both ends.
+    adds its value there from both ends.  A family's level stops at the
+    first node pair that cannot change its sum (see ``backend``), so this
+    can be fewer than the nodes of the levels visited.
 
     ``error_estimate`` is the last level's change or, where the extrapolated
     test stopped the refinement, the extrapolated error; either is at least

@@ -16,6 +16,7 @@ from eulergamma import (
     euler_symbol_closed,
 )
 from eulergamma.beta import log_beta
+from eulergamma.gamma import MAX_N
 
 PI_OVER_8 = 0.39269908169872414
 HALF_PI = 1.5707963267948966
@@ -153,6 +154,20 @@ def test_symbol_domain():
         euler_symbol(1.0, 1.0, 2.5)
     with pytest.raises(DomainError):
         euler_symbol_closed(1.0, 1.0, -3)
+
+
+def test_euler_symbol_caps_n():
+    # Past MAX_N the near-1 terms of a level can level off below the last
+    # bit of its total and then grow again, so a level could stop before
+    # terms that change it (in seeded level sums, from n near 7e14).  The
+    # cap is the product checks'; it also refuses S(1, 1; 10^300), whose
+    # value is 2 and which came out as 1.0, converged.
+    for n in (MAX_N + 1, 10 ** 15, 10 ** 300):
+        with pytest.raises(DomainError, match=r"^n must be <= 100000$"):
+            euler_symbol(1.0, 1.0, n)
+    estimate = euler_symbol(2.0, 1e4, MAX_N)
+    assert estimate.converged
+    assert abs(estimate.value - euler_symbol_closed(2.0, 1e4, MAX_N)) <= 1e-14 * estimate.value
 
 
 @pytest.mark.parametrize("x, y", [(20.0, 20.0), (20.0, 40.0), (40.0, 40.0)])

@@ -13,6 +13,7 @@ import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import eulergamma
@@ -142,6 +143,20 @@ def test_eval_non_integer_symbol_exponent_exits_2():
     assert "integer" in result.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "symbol", "1", "1", "1e300", "--engine", "integral"),
+    ("verify", "symbol-bridge", "--p", "1", "--q", "1", "--n", "100001"),
+    ("verify", "symbol-symmetry", "--p", "1", "--q", "2", "--n", "1e16"),
+])
+def test_symbol_exponent_past_the_cap_exits_2(argv, capsys):
+    # Euler's symbol by quadrature takes n up to MAX_N, as the product checks
+    # do; S(1, 1; 10^300) = 2 used to come out as 1.0.
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be <= 100000\n"
+
+
 def test_eval_non_finite_symbol_exponent_exits_2():
     result = run_cli("eval", "symbol", "1", "1", "inf")
     assert result.returncode == 2
@@ -149,13 +164,25 @@ def test_eval_non_finite_symbol_exponent_exits_2():
     assert "Traceback" not in result.stderr
 
 
-# (-log x)^s passes the double range at the outermost nodes from s = 108.44.
-@pytest.mark.parametrize("args", [("loggamma_integral", "150"), ("loggamma_integral", "108.5")])
+# (-log x)^s passes the double range at a node the family loop visits from
+# s = 110.02: the node t = 6 of the coarsest level.
+@pytest.mark.parametrize("args", [("loggamma_integral", "150")])
 def test_eval_overflowing_integrand_exits_1(args):
     result = run_cli("eval", *args, "--engine", "integral")
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == "error: integrand not finite\n"
+
+
+def test_eval_loggamma_integral_past_the_outermost_node_overflow():
+    # (-log x)^108.5 overflows at the outermost nodes of every level but the
+    # coarsest, yet each level stops before them, where its terms no longer
+    # change its total: the integral is Gamma(109.5).
+    result = run_cli("eval", "loggamma_integral", "108.5", "--engine", "integral")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    exact = mpmath.gamma(mpmath.mpf("109.5"))
+    assert abs(mpmath.mpf(result.stdout) - exact) <= 1e-14 * exact
 
 
 def test_eval_gamma_integral_reaches_the_double_ceiling():
@@ -362,6 +389,17 @@ def test_verify_unknown_identity_exits_2():
     assert "invalid choice: 'does-not-exist'" in result.stderr
 
 
+@pytest.mark.parametrize("argv", [("--x", "0.3", "reflection"),
+                                  ("--tol", "1e-3", "reflection", "--x", "0.3")])
+def test_verify_flag_before_the_identity_exits_2_saying_so(argv):
+    result = run_cli("verify", *argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "IDENTITY comes before its flags" in result.stderr
+    assert f"got '{argv[0]}' first" in result.stderr
+    assert "invalid choice" not in result.stderr
+
+
 def test_verify_missing_param_exits_2():
     result = run_cli("verify", "gauss-multiplication", "--n", "5")
     assert result.returncode == 2
@@ -494,7 +532,9 @@ def test_rows_swap_their_run_as_the_benchmark_tracer_does(monkeypatch, tmp_path)
     counts = tracer.counts()
     assert counts["quadrature.calls"] == 172
     assert counts["backend.level_calls"] == 762
-    assert counts["backend.nodes"] == 23936
+    # 23,936 nodes before each family level stopped at its first term that
+    # leaves the total unchanged
+    assert counts["backend.nodes"] == 15568
     assert counts["identities.cases"] == 640  # one check: span per case
     assert counts["spans"]["run_suite"] == 1
     assert counts["spans"]["build_grid"] == 1

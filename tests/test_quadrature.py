@@ -30,6 +30,7 @@ from eulergamma import (
 )
 from eulergamma import backend as kern
 from eulergamma import quadrature
+from eulergamma.gamma import MAX_N
 from eulergamma.identities import default_grid, run_suite
 
 # integral_0^1 sqrt(x - x^2) dx, the area under one parabola-like arch.
@@ -235,12 +236,17 @@ def _inline_level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
     """The node loop with its geometry computed inline at every node, the
     reference that the table-reading loop must match bit for bit.  Each
     family's integrand is written out node by node in ``family_value``, and
-    the centre node as halfspan * (pi/2) * f(1/2)."""
+    the centre node as halfspan * (pi/2) * f(1/2).
+
+    The total is the whole level's: every node out to T_MAX is summed.  A
+    family's count stops at the first row whose term leaves a nonzero total
+    unchanged, that row included, where the family loops stop."""
     halfspan = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     kmax = int(kern.T_MAX / h)
     total = 0.0
     n = 0
+    stopped = False
     if not odd_only:
         if family == kern.GENERIC:
             fx = float(f(mid))
@@ -272,8 +278,11 @@ def _inline_level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
         else:
             vp = family_value(family, p0, p1, p2, dist, True)
             vm = family_value(family, p0, p1, p2, dist, False)
-            total += w * (vp + vm)
-            n += 2
+            term = w * (vp + vm)
+            if not stopped:
+                n += 2
+                stopped = total + term == total != 0.0
+            total += term
         k += step
     return total, n
 
@@ -284,7 +293,7 @@ FAMILY_CASES = [
     (kern.NEG_LOG_POW, 0.0, 0.0, 0.0),
     (kern.NEG_LOG_POW, 60.25, 0.0, 0.0),
     (kern.NEG_LOG_POW, 99.0, 0.0, 0.0),   # gamma_integral(100)
-    (kern.NEG_LOG_POW, 108.0, 0.0, 0.0),  # near the overflow at 108.44
+    (kern.NEG_LOG_POW, 108.0, 0.0, 0.0),  # the whole level overflows from 108.44
     (kern.NEG_LOG_POW, 2.5, 0.0, 0.0),
     (kern.NEG_LOG_POW, 0.5, 0.0, 0.0),
     (kern.BETA, 0.5, 0.5, 0.0),
@@ -377,14 +386,53 @@ def _node_count(h, odd_only):
     (kern.EULER_SYMBOL, 3.0, 2.0, 5.0),
 ])
 def test_level_sum_counts_the_nodes_of_every_level_a_quadrature_visits(family, p0, p1, p2):
-    # level_sum reads its count off the rows it summed: 1 + 2k on an even
-    # level (the centre and k nodes on each side), 2k on an odd one.
+    # level_sum reads its count off the rows it visited: 1 + 2k on an even
+    # level (the centre and k nodes on each side), 2k on an odd one, with k
+    # the rows the loop visited, the row where it stops included.
     for j in range(quadrature.MAX_REFINEMENTS + 1):
         h = 2.0 ** -j
         for odd_only in (False, True):
             k = _node_count(h, odd_only)
-            _, n = kern.level_sum(0.0, 1.0, h, odd_only, family, p0, p1, p2, None)
-            assert n == (2 * k if odd_only else 1 + 2 * k), (j, odd_only)
+            every = 2 * k if odd_only else 1 + 2 * k
+            total, n = kern.level_sum(0.0, 1.0, h, odd_only, family, p0, p1, p2, None)
+            assert (total, n) == _inline_level_sum(0.0, 1.0, h, odd_only, family, p0, p1, p2,
+                                                   None), (j, odd_only)
+            assert n % 2 == (not odd_only) and 0 < n <= every
+            if odd_only == (j > 0):
+                # a level the quadrature visits: these three stop before T_MAX
+                assert n < every, (j, odd_only)
+
+
+def _level_sum_draws():
+    """Seed 34: (family, p0, p1, p2, level) over each family's domain, ends
+    included: Beta's p and q log-uniform in [1e-6, 1e4], (-log x)^s with s
+    in [0, 108.4] (the whole level overflows from 108.44), and Euler's
+    symbol with p and q as Beta's and n in {1, 2, 16, 17, 1e3, 1e5}, each
+    at a level 0..MAX_REFINEMENTS as a quadrature visits it."""
+    rng = random.Random(34)
+    draws = [(kern.BETA, p, q, 0.0) for p in (1e-6, 1e4) for q in (1e-6, 1e4)]
+    draws += [(kern.NEG_LOG_POW, s, 0.0, 0.0) for s in (0.0, 108.4)]
+    draws += [(kern.EULER_SYMBOL, p, q, n) for p, q in ((1e-6, 1e-6), (1e4, 1e4), (1e-6, 1e4))
+              for n in (1.0, 1e5)]
+    for _ in range(40):
+        p, q = _log_uniform(rng, 1e-6, 1e4), _log_uniform(rng, 1e-6, 1e4)
+        draws += [(kern.BETA, p, q, 0.0), (kern.NEG_LOG_POW, rng.uniform(0.0, 108.4), 0.0, 0.0),
+                  (kern.EULER_SYMBOL, p, q, rng.choice((1.0, 2.0, 16.0, 17.0, 1e3, 1e5)))]
+    return [draw + (rng.randint(0, quadrature.MAX_REFINEMENTS),) for draw in draws]
+
+
+def test_level_sums_stop_where_the_whole_level_total_no_longer_changes():
+    # A family loop stops at the first term that leaves its nonzero total
+    # unchanged; past it every term is smaller, so the total is the whole
+    # level's to the bit, and the count is the nodes up to that row.
+    stopped_early = 0
+    for family, p0, p1, p2, j in _level_sum_draws():
+        h, odd_only = 2.0 ** -j, j > 0
+        got = kern.level_sum(0.0, 1.0, h, odd_only, family, p0, p1, p2, None)
+        want = _inline_level_sum(0.0, 1.0, h, odd_only, family, p0, p1, p2, None)
+        assert got == want, (family, p0, p1, p2, j)
+        stopped_early += got[1] < 2 * _node_count(h, odd_only) + (not odd_only)
+    assert stopped_early > 0
 
 
 def test_level_sum_keeps_its_error_order(monkeypatch):
@@ -617,15 +665,17 @@ def _log_uniform(rng, lo, hi):
 
 def _extreme_family_calls():
     """Seed 14: 25 valid calls per family, every parameter log-uniform over
-    [1e-300, 1e300] (algebraic interpolation's Beta integrals
-    B(kt + 1, t + 1) with k in 1..8), plus the edges named below."""
+    [1e-300, 1e300] but Euler's symbol's n, over [1, MAX_N] (algebraic
+    interpolation's Beta integrals B(kt + 1, t + 1) with k in 1..8), plus
+    the edges named below."""
     rng = random.Random(14)
     calls = [lambda: gamma_log_integral(108.4), lambda: gamma_log_integral(108.45),
-             lambda: euler_symbol(1e300, 1.0, 2), lambda: euler_symbol(1.0, 1.0, 10 ** 300),
+             lambda: gamma_log_integral(110.0), lambda: gamma_log_integral(110.02),
+             lambda: euler_symbol(1e300, 1.0, 2), lambda: euler_symbol(1.0, 1.0, MAX_N),
              lambda: beta_integral(1e-300, 1e300)]
     for _ in range(25):
         x, y, p, q, s, t = (_log_uniform(rng, 1e-300, 1e300) for _ in range(6))
-        n = int(_log_uniform(rng, 1.0, 1e300))
+        n = int(_log_uniform(rng, 1.0, MAX_N))
         k = float(rng.randint(1, 8))
         calls += [lambda x=x, y=y: beta_integral(x, y),
                   lambda p=p, q=q, n=n: euler_symbol(p, q, n),
