@@ -74,4 +74,5 @@ def euler_symbol_closed(p: float, q: float, n: int) -> float:
     p = positive(p, "p")
     q = positive(q, "q")
     n = integer(n, "n", 1)
-    return beta_closed(p / n, q / n) / n
+    # p / n or q / n underflows to 0 for a subnormal p or q
+    return beta_closed(positive(p / n, "p / n"), positive(q / n, "q / n")) / n

@@ -104,7 +104,8 @@ def _names(text):
 def _axis_values(text):
     """argparse type for a suite --<axis> list: `1,2.5,7` / `2..12` / mixes
     of both; single values stay text, for the identity's converter to
-    validate."""
+    validate.  A range that would take the list past MAX_N values, the case
+    cap of a grid, is refused before it is expanded."""
     values = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -121,6 +122,8 @@ def _axis_values(text):
             raise argparse.ArgumentTypeError(f"empty range {chunk!r}")
         if hi - lo >= MAX_N:
             raise argparse.ArgumentTypeError(f"range {chunk!r} is longer than {MAX_N} values")
+        if len(values) + hi - lo >= MAX_N:
+            raise argparse.ArgumentTypeError(f"range {chunk!r} takes the list past {MAX_N} values")
         values.extend(float(v) for v in range(lo, hi + 1))
     return values
 

@@ -9,7 +9,11 @@ nothing in one is timed.
 ``IDENTITIES`` holds one ``IdentitySpec`` row per identity: its axes, default
 grid, default tolerance, work axis and ``run``.  ``default_tolerance``,
 ``build_grid``, ``run_suite`` and the command line's ``--<axis>`` flags all
-read the rows; adding an identity is one check function plus one row.
+read the rows.  Adding an identity takes one check function, one row and
+the function's name in ``eulergamma.__all__``, which the package's lazy
+``__getattr__`` reads; the benchmark's tracer lists the ids in its own
+``IDENTITY_IDS``, which a test pins at these twelve, so that list changes
+too until it is read from the rows.
 
 Conventions shared by all checks:
 
@@ -209,12 +213,18 @@ def _fsum(terms):
     return total
 
 
-def _log_value(estimate):
-    """The log of a quadrature value; DomainError where the value
-    underflowed to 0, whose log is not finite."""
-    if estimate.value <= 0.0:
-        raise DomainError("an integral underflowed to 0 in double precision")
-    return math.log(estimate.value)
+def _log_values(estimates):
+    """(the logs of the quadrature values, whether every quadrature
+    converged), taking ``estimates`` one at a time as they are produced.  A
+    value that underflowed to 0, whose log is not finite, raises DomainError
+    before any later estimate is computed."""
+    logs, converged = [], True
+    for estimate in estimates:
+        if estimate.value <= 0.0:
+            raise DomainError("an integral underflowed to 0 in double precision")
+        logs.append(math.log(estimate.value))
+        converged = converged and estimate.converged
+    return logs, converged
 
 
 def _log_report(identity_id, params, lhs_terms, rhs_terms, tolerance, aux_ok=True):
@@ -325,11 +335,12 @@ def check_duplication(x: float, tolerance: float | None = None) -> IdentityRepor
     return inner._replace(identity_id="duplication", params={"x": float(x)})
 
 
-def _sine_indices(n):
-    """min(i, n - i) for i in 1..n-1: sin(i pi/n) = sin((n - i) pi/n), and the
-    smaller multiple of pi/n is the well-conditioned one, so the rounding of
+def _log_sines(n):
+    """log sin(i pi/n) for i in 1..n-1, each taken as log sin(j pi/n) with
+    j = min(i, n - i): sin(i pi/n) = sin((n - i) pi/n), and the smaller
+    multiple of pi/n is the well-conditioned one, so the rounding of
     ``math.pi`` does not pile up in one direction over the upper half."""
-    return [min(i, n - i) for i in range(1, n)]
+    return [math.log(math.sin(min(i, n - i) * math.pi / n)) for i in range(1, n)]
 
 
 def check_sine_product(n: int, tolerance: float | None = None) -> IdentityReport:
@@ -338,7 +349,7 @@ def check_sine_product(n: int, tolerance: float | None = None) -> IdentityReport
     Compared in log space; lhs/rhs are the logs of the two sides.
     """
     n = integer(n, "n", 2, MAX_N)
-    lhs_terms = [math.log(math.sin(k * math.pi / n)) for k in _sine_indices(n)]
+    lhs_terms = _log_sines(n)
     rhs_terms = [math.log(n), (1 - n) * _LN_2]
     return _log_report("sine-product", {"n": n}, lhs_terms, rhs_terms, tolerance)
 
@@ -434,8 +445,7 @@ def check_gamma_square_product(n: int, tolerance: float | None = None) -> Identi
     """
     n = integer(n, "n", 2, MAX_N)
     lhs_terms = [2.0 * term for term in _log_gamma_fractions(n)]
-    rhs_terms = [(n - 1) * _LN_PI]
-    rhs_terms += [-math.log(math.sin(k * math.pi / n)) for k in _sine_indices(n)]
+    rhs_terms = [(n - 1) * _LN_PI, *map(operator.neg, _log_sines(n))]
     return _log_report("gamma-square-product", {"n": n}, lhs_terms, rhs_terms, tolerance)
 
 
@@ -458,12 +468,11 @@ def check_log_integral_product(n: int, tolerance: float | None = None) -> Identi
     lhs/rhs are the logs of the two sides.
     """
     n = integer(n, "n", 2, MAX_N)
-    estimates = [gamma_log_integral(k / n) for k in range(1, n)]
-    lhs_terms = [_log_value(e) for e in estimates]
+    lhs_terms, converged = _log_values(gamma_log_integral(k / n) for k in range(1, n))
     rhs_terms = [log_gamma(float(n)), -(n - 1) * math.log(n), 0.5 * (n - 1) * _LN_2,
                  0.5 * (n - 1) * _LN_PI, -0.5 * math.log(n)]
     return _log_report("log-integral-product", {"n": n}, lhs_terms, rhs_terms, tolerance,
-                       all(e.converged for e in estimates))
+                       converged)
 
 
 def _factorial_root_log_inner(m, n, mode):
@@ -493,12 +502,8 @@ def _factorial_root_log_inner(m, n, mode):
             map(operator.neg, itertools.islice(batch, 2, None)),
             itertools.repeat(-log_n, n - 1)), True
     terms = [(n - m) * log_n, log_gamma(m)]
-    converged = True
-    for i in range(1, n):
-        estimate = euler_symbol(float(i), m, n)
-        converged = converged and estimate.converged
-        terms.append(_log_value(estimate))
-    return terms, converged
+    logs, converged = _log_values(euler_symbol(float(i), m, n) for i in range(1, n))
+    return terms + logs, converged
 
 
 def check_factorial_root(m: float, n: int, mode: str = "closed",
@@ -539,15 +544,12 @@ def check_algebraic_interpolation(p: int, q: int,
     p = integer(p, "p", 1)
     q = integer(q, "q", 1, MAX_N)
     s = p / q
-    lhs_estimate = gamma_log_integral(s)
-    converged = lhs_estimate.converged
-    terms = [log_gamma(p + 1.0)]
+    # logs[0] is the left side's integral, logs[1:] the right side's Betas
+    logs, converged = _log_values(itertools.chain(
+        [gamma_log_integral(s)], (beta_integral(k * s + 1.0, s + 1.0) for k in range(1, q))))
+    terms = [log_gamma(p + 1.0), *logs[1:]]
     terms += [math.log(j * s + 1.0) for j in range(2, q + 1)]
-    for k in range(1, q):
-        estimate = beta_integral(k * s + 1.0, s + 1.0)
-        converged = converged and estimate.converged
-        terms.append(_log_value(estimate))
-    return _log_report("algebraic-interpolation", {"p": p, "q": q}, [_log_value(lhs_estimate)],
+    return _log_report("algebraic-interpolation", {"p": p, "q": q}, logs[:1],
                        [_fsum(terms) / q], tolerance, converged)
 
 
@@ -557,11 +559,9 @@ def check_symbol_symmetry(p: float, q: float, n: int,
 
     Compared in log space; lhs/rhs are the logs of the two sides.
     """
-    a = euler_symbol(p, q, n)
-    b = euler_symbol(q, p, n)
+    (lhs, rhs), converged = _log_values(euler_symbol(a, b, n) for a, b in ((p, q), (q, p)))
     params = {"n": integer(n, "n", 1), "p": float(p), "q": float(q)}
-    return _log_report("symbol-symmetry", params, [_log_value(a)], [_log_value(b)], tolerance,
-                       a.converged and b.converged)
+    return _log_report("symbol-symmetry", params, [lhs], [rhs], tolerance, converged)
 
 
 def check_symbol_bridge(p: float, q: float, n: int,
@@ -570,10 +570,12 @@ def check_symbol_bridge(p: float, q: float, n: int,
 
     Compared in log space; lhs/rhs are the logs of the two sides.
     """
-    estimate = euler_symbol(p, q, n)
-    p, q, n = float(p), float(q), integer(n, "n", 1)
-    return _log_report("symbol-bridge", {"n": n, "p": p, "q": q}, [_log_value(estimate)],
-                       [log_beta(p / n, q / n), -math.log(n)], tolerance, estimate.converged)
+    p, q, n = positive(p, "p"), positive(q, "q"), integer(n, "n", 1, MAX_N)
+    # p / n or q / n underflows to 0 for a subnormal p or q
+    p_n, q_n = positive(p / n, "p / n"), positive(q / n, "q / n")
+    lhs_terms, converged = _log_values([euler_symbol(p, q, n)])
+    return _log_report("symbol-bridge", {"n": n, "p": p, "q": q}, lhs_terms,
+                       [log_beta(p_n, q_n), -math.log(n)], tolerance, converged)
 
 
 def derivation_chain_values(m: float, n: int) -> tuple:
@@ -718,8 +720,9 @@ def build_grid(identities=None, axis_values=None) -> dict:
             size = math.prod(len(values) for values in axes.values())
             n_cases += size
             if spec.work_axis is not None and size:
+                # a case with a work value <= 0 is refused before it does work
                 values = axes[spec.work_axis]
-                work += sum(values) * (size // len(values))
+                work += sum(max(v, 0) for v in values) * (size // len(values))
                 work_axes.add(spec.work_axis)
             blocks[identity_id].append(axes)
     if n_cases > MAX_GRID_CASES:
@@ -730,15 +733,11 @@ def build_grid(identities=None, axis_values=None) -> dict:
                           f"over its cases; at most {MAX_GRID_N} is allowed")
     grid = {}
     for identity_id, axes_list in blocks.items():
-        cases, seen = [], set()
-        for axes in axes_list:
-            for combo in itertools.product(*axes.values()):
-                params = dict(zip(axes, combo))
-                key = params_key(params)
-                if key not in seen:
-                    seen.add(key)
-                    cases.append(params)
-        grid[identity_id] = cases
+        # every block lists the row's axes in the row's order, so equal
+        # points have equal value tuples
+        points = dict.fromkeys(itertools.chain.from_iterable(
+            itertools.product(*axes.values()) for axes in axes_list))
+        grid[identity_id] = [dict(zip(axes_list[0], point)) for point in points]
     return grid
 
 

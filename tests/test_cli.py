@@ -1,5 +1,6 @@
 """End-to-end CLI tests (subprocess) plus in-process exit-code checks."""
 
+import argparse
 import dataclasses
 import hashlib
 import importlib.util
@@ -10,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import pytest
 
 import eulergamma
 from eulergamma import (
+    DomainError,
     beta_closed,
     beta_integral,
     check_reflection,
@@ -32,7 +35,7 @@ from eulergamma import (
     reporting,
 )
 from eulergamma.cli import main
-from eulergamma.gamma import log_gamma_integral
+from eulergamma.gamma import MAX_N, log_gamma_integral
 from eulergamma.identities import run_suite
 from eulergamma.reporting import render_json, render_report
 
@@ -157,6 +160,23 @@ def test_symbol_exponent_past_the_cap_exits_2(argv, capsys):
     assert captured.err == "error: n must be <= 100000\n"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("eval", "symbol", "5e-324", "1", "2"), "p / n"),
+    (("eval", "symbol", "1", "5e-324", "2"), "q / n"),
+    (("verify", "symbol-bridge", "--p", "5e-324", "--q", "1", "--n", "2"), "p / n"),
+    (("verify", "symbol-bridge", "--p", "1", "--q", "5e-324", "--n", "2"), "q / n"),
+])
+def test_symbol_exponent_over_n_underflowing_names_it(argv, name, monkeypatch, capsys):
+    # p / n rounds to 0 for a subnormal p; the message named log_beta's x or
+    # y.  The bridge refuses it before it integrates.
+    def no_quadrature(*args):
+        raise AssertionError("integrated before validating")
+
+    monkeypatch.setattr(identities, "euler_symbol", no_quadrature)
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err == f"error: {name} must be positive and finite\n"
+
+
 def test_eval_non_finite_symbol_exponent_exits_2():
     result = run_cli("eval", "symbol", "1", "1", "inf")
     assert result.returncode == 2
@@ -278,6 +298,39 @@ def test_grid_past_the_work_budget_exits_2(axes):
     assert result.stdout == ""
     assert (f"error: the grid's {work_axis} sums to 5000050000 over its cases; "
             "at most 10000000 is allowed") in result.stderr
+
+
+def test_axis_list_past_the_cap_is_refused_before_it_is_built(capsys):
+    # Each range is within the cap, but together they pass it.  The range
+    # that would pass it is refused unexpanded, and the later ones unread:
+    # twenty such ranges, a 179-byte flag, built 1,999,980 values.
+    assert len(cli._axis_values("1..50000,50001..100000")) == MAX_N
+    with pytest.raises(argparse.ArgumentTypeError,
+                       match=r"^range '50001\.\.100001' takes the list past 100000 values$"):
+        cli._axis_values("1..50000,50001..100001")
+    tracemalloc.start()
+    try:
+        with pytest.raises(argparse.ArgumentTypeError, match="takes the list past"):
+            cli._axis_values(",".join(["1..99999"] * 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    with pytest.raises(SystemExit) as stopped:
+        main(["suite", "--identities", "sine-product", "--n", "1..99999,1..99999"])
+    assert stopped.value.code == 2
+    assert ("error: argument --n: range '1..99999' takes the list past 100000 values"
+            in capsys.readouterr().err)
+
+
+def test_nonpositive_work_values_do_not_offset_the_budget():
+    # A case with n <= 0 is refused before it does work, so it counts 0:
+    # these 80,000 cases' positive n sum to 4e9, and -100000 used to cancel
+    # them.
+    axes = {"n": [100000, -100000], "x": [float(x) for x in range(1, 40001)]}
+    with pytest.raises(DomainError, match="^the grid's n sums to 4000000000 over its cases; "
+                                          "at most 10000000 is allowed$"):
+        identities.build_grid(["gauss-multiplication"], axes)
 
 
 def test_work_budget_admits_a_grid_at_the_budget(monkeypatch, capsys):

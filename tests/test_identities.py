@@ -781,6 +781,26 @@ def test_default_grid_shape():
     assert len(grid["symbol-symmetry"]) == 125
 
 
+def test_build_grid_collapses_repeated_points_in_first_seen_order():
+    # Values are compared after their axis converts them, so "3", 3 and 3.0
+    # are one n; repr tells the kept int and float values apart.
+    def cases(identity_id, axes):
+        return repr(identities.build_grid([identity_id], axes)[identity_id])
+
+    assert cases("sine-product", {"n": ["3", 2, 2.0, 3]}) == repr([{"n": 3}, {"n": 2}])
+    assert cases("duplication", {"x": [1, 1.0, "0.5"]}) == repr([{"x": 1.0}, {"x": 0.5}])
+    # With mode closed, factorial-root's second block (m 1..5, n 2..5) lies
+    # inside its first.
+    closed = [{"m": m, "n": n, "mode": "closed"}
+              for m in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 0.5, 7.3, 19.9]
+              for n in [1, 2, 3, 4, 5, 6, 7, 8]]
+    assert cases("factorial-root", {"mode": ["closed"]}) == repr(closed)
+    assert cases("factorial-root", {"m": [1, 1.0, "0.5"], "n": ["3", 2, 2.0, 3],
+                                    "mode": ["closed"]}) == repr(
+        [{"m": 1.0, "n": 3, "mode": "closed"}, {"m": 1.0, "n": 2, "mode": "closed"},
+         {"m": 0.5, "n": 3, "mode": "closed"}, {"m": 0.5, "n": 2, "mode": "closed"}])
+
+
 def test_run_suite_default_grid_all_pass():
     suite = run_suite()
     assert suite.n_fail == 0
