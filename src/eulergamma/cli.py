@@ -16,7 +16,9 @@ which defaults to ``closed``, and ``--tol``; ``verify IDENTITY -h`` lists
 them.  A flag written before the identity's name is refused with a message
 saying IDENTITY comes first, since argparse would read the flag's value as
 the name.  ``suite``'s lists are split and its ranges expanded by argparse
-``type`` functions.
+``type`` functions.  A --flag followed by a negative value that argparse
+would read as a flag, such as ``-1e200`` or ``-inf``, is passed to it as
+``--flag=value``, so a phi a report prints can be given back.
 
 Exit codes: 0 success / all checks passed; 1 failed check, unconverged
 quadrature or non-finite integrand; 2 usage error (argparse's message),
@@ -30,6 +32,7 @@ another command; so ``eval`` loads neither.
 
 import argparse
 import math
+import re
 import sys
 
 from .beta import beta_closed, beta_integral, euler_symbol, euler_symbol_closed
@@ -258,6 +261,22 @@ def _cmd_suite(args, parser):
     return EXIT_OK if suite.n_fail == 0 else EXIT_FAIL
 
 
+def _join_negative_values(argv):
+    """``argv`` with each --flag that a negative number follows joined to it
+    as --flag=value: argparse reads "-2" and "-0.5" as numbers, but "-1e5"
+    and "-inf" as flags.  The pattern is compiled only when a token after a
+    flag starts with "-", so a command line without one pays nothing."""
+    joined = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if flag.startswith("--") and "=" not in flag and flag not in ("--", "--help") \
+                and token[:1] == "-" and re.match(r"-(\.?\d|inf|nan)", token, re.IGNORECASE):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -267,7 +286,7 @@ def main(argv=None) -> int:
         # argparse would set the flag aside and read its value as IDENTITY.
         parser.error(f"verify: IDENTITY comes before its flags, as in "
                      f"'eulergamma verify reflection --x 0.25'; got {argv[1]!r} first")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(argv))
     try:
         return args.handler(args, parser)
     except NonFiniteIntegrandError as exc:

@@ -63,16 +63,11 @@ Conventions shared by all checks:
   relative one, and it is never looser than it.  (Over 4,000 sampled
   checks, n up to 10^5 and x up to 10^300, abs_residual stayed within
   1.1 eps S wherever S > 1000, and within 6.8 eps S overall.)
-  sine-multiple-angle passes when rel_residual <= tolerance, or when
-  abs_residual <= 8 n eps r, r = min(eps max(|phi|, pi), 1).  eps r is
-  about the error of one double-double sine argument.  Next to a zero of
-  sin(n phi) one factor carries it absolutely and the product scales it by
-  about n, so there a side is accurate to about n eps r, not relatively,
-  and sin(n phi) can be far smaller: the relative rule alone failed 235 of
-  300 true cases built next to zeros, |phi| up to about 1e31.  The
-  allowance is 2.5e-30 at n = 2 and small phi, and over 4 times the worst
-  such error of either side seen against 60-digit mpmath, n up to 10^5
-  and |phi| up to 1e286.
+  sine-multiple-angle passes when rel_residual <= tolerance alone: it
+  reduces phi exactly (see its docstring), so each side is relatively
+  accurate, next to a zero of sin(n phi) too.  Below _TINY = 1e-300 the
+  denominator is _TINY, so there the rule is absolute, |lhs - rhs| <=
+  tolerance * 1e-300, which subnormal sides meet.
 * Checks that integrate also require every quadrature to have converged;
   a nonconverged estimate fails the report even if the residual looks small.
 """
@@ -97,9 +92,6 @@ _LN_2PI = math.log(math.tau)
 # Rounding allowance of the log-space pass rule, per unit of the summed
 # magnitude of the log terms of both sides.
 _LOG_ROUNDING = 8.0 * sys.float_info.epsilon
-# Rounding allowance of sine-multiple-angle, per unit of n r,
-# r = min(eps max(|phi|, pi), 1) (see the module docstring).
-_SINE_ROUNDING = 8.0 * sys.float_info.epsilon
 
 # ``MAX_N`` (from ``gamma``) is the largest n the product checks accept, and
 # largest q of algebraic-interpolation; the symbol checks meet the same cap
@@ -175,16 +167,14 @@ class SuiteReport(NamedTuple):
     config_echo: Mapping[str, object]
 
 
-def _report(identity_id, params, lhs, rhs, tolerance, aux_ok=True, log_scale=None,
-            rounding=0.0):
+def _report(identity_id, params, lhs, rhs, tolerance, aux_ok=True, log_scale=None):
     """Assemble a report; ``aux_ok`` folds in side conditions (quadrature
     convergence) that must hold for a pass.  ``log_scale``, given when the
     sides are logs, is the summed magnitude of their terms; such sides pass
     on the absolute residual, or on the relative one where the absolute
     residual is within rounding of them.  Linear sides, sine-multiple-angle's
-    alone, pass on the relative residual, or where the absolute residual is
-    within ``rounding``.  A ``tolerance`` of None is the identity's
-    default."""
+    alone, pass on the relative residual.  A ``tolerance`` of None is the
+    identity's default."""
     tolerance = _resolved(tolerance, identity_id, params)
     abs_residual = abs(lhs - rhs)
     rel_residual = abs_residual / max(abs(lhs), abs(rhs), _TINY)
@@ -192,7 +182,7 @@ def _report(identity_id, params, lhs, rhs, tolerance, aux_ok=True, log_scale=Non
         passed = abs_residual <= tolerance or (
             abs_residual <= _LOG_ROUNDING * log_scale and rel_residual <= tolerance)
     else:
-        passed = rel_residual <= tolerance or abs_residual <= rounding
+        passed = rel_residual <= tolerance
     # A side that is nan or infinite makes a nan or inf residual, which
     # fails every comparison above.
     passed = bool(passed and aux_ok)
@@ -354,40 +344,16 @@ def check_sine_product(n: int, tolerance: float | None = None) -> IdentityReport
     return _log_report("sine-product", {"n": n}, lhs_terms, rhs_terms, tolerance)
 
 
-# pi as the unevaluated sum _PI_HI + _PI_LO, good to about 2^-107.
-_PI_HI = math.pi
-_PI_LO = 1.2246467991473532e-16
-_VELTKAMP = 134217729.0  # 2^27 + 1
-# The largest |phi| of sine-multiple-angle, a round figure below
-# sys.float_info.max / _VELTKAMP (1.339e300), where splitting phi overflows.
-_PHI_MAX = 1.3e300
+# floor(pi 2^_BITS): pi in fixed point, to reduce sine arguments exactly.
+_BITS = 1280
+_PI = 0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b54709179216d5d98979fb1bd1310ba698dfb5ac2ffd72dbd01adfb7b8e1afed6a267e96ba7c9045f12c7f9924a19947b3916cf70801f2e2858efc16636920d871574e69a458fea3f4933d7e0d95748f728eb658718bcd5882154aee7b54a41dc25a59b5
 
 
-def _split(a):
-    """Veltkamp's split: a = hi + lo exactly, each half with at most 26
-    significant bits.  Past |a| = 1.339e300 the split overflows to nan."""
-    c = _VELTKAMP * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_product(a, b):
-    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's TwoProduct),
-    for a and b that ``_split`` can split."""
-    p = a * b
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = _split(b)
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return p, e
-
-
-def _sin_dd(hi, lo):
-    """sin(hi + lo) by the addition formula.  libm reduces each argument
-    exactly, so lo need not be small: past |hi| of about 3e9, lo, an ulp of
-    hi, is too large for the first-order sin(hi) + lo cos(hi).  For
-    |lo| < 1e-8, cos(lo) rounds to 1 and sin(lo) to lo, so the two agree to
-    the bit."""
-    return math.sin(hi) * math.cos(lo) + math.cos(hi) * math.sin(lo)
+def _sin_quadrant(q, t):
+    """sin(q pi/2 + t), as +-sin t or +-cos t.  ``math.sin`` and ``math.cos``
+    are looked up at each call, so a test can replace them."""
+    value = (math.cos if q % 2 else math.sin)(t)
+    return -value if q % 4 >= 2 else value
 
 
 def check_sine_multiple_angle(n: int, phi: float,
@@ -396,46 +362,48 @@ def check_sine_multiple_angle(n: int, phi: float,
 
     The uniform product runs over phi + k pi/n; the alternating-sign pairing
     seen in older statements is the same thing because
-    sin((n-k) pi/n + phi) = sin(k pi/n - phi).  Factors may be negative, so
-    the sign is tracked separately from the log-space magnitude.
+    sin((n-k) pi/n + phi) = sin(k pi/n - phi).
 
-    Every sine argument is carried as a double-double, so rounding the
-    argument does not cost the digits sin loses near its zeros.  Each side
-    has its own arithmetic: n phi by TwoProduct; phi + k pi/n by TwoSum
-    onto k (pi/n), with pi/n from pi = _PI_HI + _PI_LO.  Past |phi| =
-    1.3e300 the TwoProduct split overflows, so phi is refused there.
+    phi is reduced once, exactly, in fixed point with ``_BITS`` fraction
+    bits (Payne and Hanek's reduction): phi = m pi/(2n) + rho, |rho| <=
+    pi/(4n).  So n phi = m pi/2 + n rho, and phi + k pi/n = q pi/2 +
+    j pi/(2n) + rho with |j| <= n/2, and each sine is +-sin or +-cos of an
+    argument of at most about pi/4.  rho is off by less than m 2^-_BITS <=
+    2^(1040 - _BITS), since m < 2^1040 for every finite phi and n <= MAX_N.
+    So the factor next to a zero of sin(n phi), whose j is 0, takes rho
+    itself, every other argument is at least pi/(4n) in size, and both
+    sides are relatively accurate.
+
+    Each factor's argument is j step + (j tail + rho), with step + tail =
+    pi/(2n) and j step exact, so it is rounded about once: j fl(pi/(2n))
+    would scale every argument by the same relative error, which put the
+    product 1.4e-12 off at n = 72,748.  The product is kept as a mantissa in
+    [0.5, 1) and a power of two, and each factor is split the same way
+    before it is multiplied in, so no partial product underflows.
     """
     n = integer(n, "n", 1, MAX_N)
     phi = finite(phi, "phi")
-    if abs(phi) > _PHI_MAX:
-        raise DomainError("|phi| must be at most 1.3e300")
-    lhs = _sin_dd(*_two_product(float(n), phi))
-    # pi/n = step + tail.  k < 2^27 splits as (k, 0), so k step = a + a_err
-    # is TwoProduct with the split of step taken once.
-    step = _PI_HI / n
-    r, r_err = _two_product(step, float(n))
-    tail = ((_PI_HI - r) - r_err + _PI_LO) / n
-    step_hi, step_lo = _split(step)
-    factors = []
+    a, b = phi.as_integer_ratio()  # b divides 2^1074, so phi 2^_BITS is exact
+    scale = 1 << _BITS
+    unit = _PI // (2 * n)
+    m, rest = divmod((a << _BITS) // b + unit // 2, unit)
+    rest -= unit // 2
+    m %= 4 * n
+    lhs = _sin_quadrant(m, n * rest / scale)
+    # pi/(2n) = step + tail, step to 36 bits, so that j step is exact for
+    # every |j| <= n/2 < 2^16
+    shift = unit.bit_length() - 36
+    head = unit >> shift << shift
+    step, tail, rho = head / scale, (unit - head) / scale, rest / scale
+    rhs, exponent = 1.0, n - 1
     for k in range(n):
-        a = k * step
-        a_err = (k * step_hi - a) + k * step_lo
-        s = phi + a  # TwoSum(phi, a), inline
-        bb = s - phi
-        lo = (phi - (s - bb)) + (a - bb) + a_err + k * tail
-        factors.append(_sin_dd(s, lo))
-    if any(f == 0.0 for f in factors):
-        rhs = 0.0
-    else:
-        sign = -1.0 if sum(f < 0.0 for f in factors) % 2 else 1.0
-        rhs = sign * math.exp(
-            math.fsum([(n - 1) * _LN_2] + [math.log(abs(f)) for f in factors])
-        )
-    # Each argument is off by about eps^2 max(|phi|, pi), and by no more
-    # than about eps: past |phi| = 1/eps its low word is an O(1) angle.
-    rounding = _SINE_ROUNDING * n * min(sys.float_info.epsilon * max(abs(phi), _PI_HI), 1.0)
-    return _report("sine-multiple-angle", {"n": n, "phi": phi}, lhs, rhs, tolerance,
-                   rounding=rounding)
+        q, j = divmod(m + 2 * k + n // 2, n)
+        j -= n // 2
+        mantissa, e = math.frexp(_sin_quadrant(q, j * step + (j * tail + rho)))
+        rhs, e2 = math.frexp(rhs * mantissa)
+        exponent += e + e2
+    return _report("sine-multiple-angle", {"n": n, "phi": phi}, lhs,
+                   math.ldexp(rhs, exponent), tolerance)
 
 
 def check_gamma_square_product(n: int, tolerance: float | None = None) -> IdentityReport:

@@ -7,6 +7,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -257,10 +258,50 @@ def test_verify_sine_multiple_angle_at_large_phi():
     result = run_cli("verify", "sine-multiple-angle", "--n", "3", "--phi", "1e200")
     assert result.returncode == 0
     assert "result:        PASS" in result.stdout
-    refused = run_cli("verify", "sine-multiple-angle", "--n", "3", "--phi", "1.31e300")
+    # phi is reduced exactly at any finite size
+    result = run_cli("verify", "sine-multiple-angle", "--n", "3", "--phi", "1.31e300")
+    assert result.returncode == 0
+    assert "result:        PASS" in result.stdout
+    refused = run_cli("verify", "sine-multiple-angle", "--n", "3", "--phi", "inf")
     assert refused.returncode == 2
     assert refused.stdout == ""
-    assert refused.stderr == "error: |phi| must be at most 1.3e300\n"
+    assert refused.stderr == "error: phi must be finite\n"
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    # sin(-3e200) = 0.8637...
+    (["verify", "sine-multiple-angle", "--n", "3", "--phi", "-1e200"], 0, "result:        PASS"),
+    (["verify", "sine-multiple-angle", "--n", "3", "--phi", "-inf"], 2,
+     "error: phi must be finite"),
+    (["suite", "--identities", "sine-multiple-angle", "--n", "2", "--phi", "-1e5,2"], 0,
+     "pass 2  fail 0"),
+])
+def test_a_negative_value_in_exponent_form_is_read_as_a_flag_value(argv, code, text, capsys):
+    # argparse reads "-1e200" and "-inf" as flags, not as --phi's value,
+    # which reports print with repr (phi=-1.8777312195033856e+17).
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert text in captured.out + captured.err
+    assert "expected one argument" not in captured.err
+
+
+def test_readme_exit_code_table_holds(capsys):
+    # Each row of the README's exit-code table, run in-process: its exit
+    # code, and the `error: ...` text its meaning quotes.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    row = re.compile(r"\| (\d) \| (.+) \| `([^`]+)` \|")
+    rows = [m.groups() for m in map(row.fullmatch, readme.read_text(encoding="utf-8").splitlines())
+            if m]
+    assert len(rows) == 31
+    for code, meaning, example in rows:
+        try:
+            exit_code = main(example.split())
+        except SystemExit as exc:  # argparse's usage errors
+            exit_code = exc.code
+        stderr = capsys.readouterr().err
+        assert exit_code == int(code), example
+        for quoted in re.findall(r"`(error: [^`]+)`", meaning):
+            assert quoted in stderr, example
 
 
 def test_verify_non_finite_integer_axis_exits_2():
@@ -717,9 +758,9 @@ def test_suite_command_shares_integrals(refine_calls, tmp_path):
 # The sha256 of each default `suite` output, byte for byte.  A change that
 # means to move an output updates its pin here and says why in CHANGES.md.
 DEFAULT_SUITE_SHA256 = {
-    "json": "1532b395a6352c9b318169a498637914cb90ae98fe42c68b4798d08aaad3352c",
-    "csv": "3ec5f16b6633a39d065ec2cab6663019b74dd9cb913ffd42d10ec11711ac2770",
-    "table": "5c3bd73de3d3981ac545a2ef2b5d11829b4e715acd099ee020bd1c2bb2385f9c",
+    "json": "b039049da8095e5720fe9dd47ca41d5d7be40c4f97c7e539c27baa14ea127601",
+    "csv": "46962fd9708061a5ec55a185f2e51a113dffcb5d923d4633a8f15a42c33bcc36",
+    "table": "072639a0248e5ee2082e2be1d49b19ba0ea4707f7634550639974ae29c372ce9",
 }
 
 

@@ -229,35 +229,34 @@ def test_sine_multiple_angle_zero_crossing_passes_on_the_relative_rule():
     assert report.lhs == report.rhs == 0.0 and report.passed
 
 
+def _perturb_sines(monkeypatch, factor):
+    """Scale every sine and cosine the check takes by ``factor``."""
+    sin, cos = math.sin, math.cos
+    monkeypatch.setattr(math, "sin", lambda x: sin(x) * factor)
+    monkeypatch.setattr(math, "cos", lambda x: cos(x) * factor)
+
+
 def test_sine_multiple_angle_near_zero_fails_a_perturbed_sine(monkeypatch):
     # Every sine off by 1 + 1e-9 puts the product side (two factors) off by
     # 1e-9 relative from sin(n phi) (one).  Near a zero that is a difference
     # of 1.2e-25, which an absolute rule for sides within 1e-6 of zero
-    # passed; the rounding allowance here is 2.5e-30.
-    sin = math.sin
-    monkeypatch.setattr(math, "sin", lambda x: sin(x) * (1.0 + 1e-9))
+    # passed.
+    _perturb_sines(monkeypatch, 1.0 + 1e-9)
     report = check_sine_multiple_angle(2, math.pi / 2.0)
     assert report.rel_residual > report.tolerance
     assert report.abs_residual > 1e-26
     assert not report.passed
 
 
-def _sine_rounding_unit(n, phi):
-    """n eps r, r = eps max(|phi|, pi) capped at 1: the absolute error of a
-    side next to a zero is a few of these, and the pass rule allows 8."""
-    eps = sys.float_info.epsilon
-    return n * eps * min(eps * max(abs(phi), math.pi), 1.0)
-
-
-def _assert_sides_match_mpmath(cases, rel):
-    """Every case passes, and both sides match a 60-digit sin(n phi) to
-    ``rel`` relative plus two rounding units."""
-    with mpmath.workdps(60):
+def _assert_sides_match_mpmath(cases, rel, dps=60):
+    """Every case passes, and both sides match a ``dps``-digit sin(n phi)
+    to ``rel`` relative."""
+    with mpmath.workdps(dps):
         for n, phi in cases:
             report = check_sine_multiple_angle(n, phi)
             assert report.passed, (n, phi)
             exact = mpmath.sin(n * mpmath.mpf(phi))
-            bound = rel * abs(exact) + 2 * _sine_rounding_unit(n, phi)
+            bound = rel * abs(exact)
             for side in (report.lhs, report.rhs):
                 assert abs(side - exact) <= bound, (n, phi, side)
 
@@ -278,14 +277,14 @@ def _sine_multiple_angle_near_zero_sweep():
 
 def test_sine_multiple_angle_near_zero_matches_mpmath():
     # Most of these deltas are below an ulp of j pi/n, so phi is fl(j pi/n)
-    # or j = 0's tiny phi; the sides stay within 4.1e-13 relative.
+    # or j = 0's tiny phi.
     _assert_sides_match_mpmath(_sine_multiple_angle_near_zero_sweep(), 1e-12)
 
 
 def _large_n_near_zero_sweep():
     """Seed 31: n in 50,000..MAX_N and j in 1..3, at phi = fl(j pi/n) or
     that plus a delta log-uniform between an ulp of it and 1e-6; and
-    fl(pi/83434), whose sin(n phi) is 1.5e-22."""
+    fl(pi/83434), whose sin(n phi) is -3.7e-18."""
     rng = random.Random(31)
     cases = [(83434, math.pi / 83434)]
     for i in range(20):
@@ -299,9 +298,9 @@ def _large_n_near_zero_sweep():
 
 
 def test_sine_multiple_angle_passes_next_to_zeros_at_large_n():
-    # The factor next to zero has an argument next to pi, off by about
-    # eps^2 pi, and rhs carries that times n.  At fl(pi/83434) rel_residual
-    # is 9.6e-10; the relative rule alone failed 10 of 600 draws like these.
+    # With phi + k pi/n rounded to a double-double, the factor next to zero
+    # was off by about eps^2 pi, and rhs by that times n: rel_residual 9.6e-10
+    # at fl(pi/83434).  Reduced exactly, that factor takes rho itself.
     _assert_sides_match_mpmath(_large_n_near_zero_sweep(), 1e-11)
 
 
@@ -318,13 +317,28 @@ def _double_next_to_a_zero(n, e):
 
 def test_sine_multiple_angle_passes_next_to_zeros_of_any_size():
     # Seed 37: 300 doubles phi = q 2^e, q < 2^53, e in -50..50, with sin(n phi)
-    # far below the rounding of phi + k pi/n.  The relative rule alone
-    # failed 235 of them; every side is within 1.8 rounding units.
+    # far below the rounding of phi + k pi/n in double-double, with which
+    # the relative rule failed 235 of them.
     rng = random.Random(37)
     with mpmath.workdps(60):
         cases = [(n, rng.choice((-1.0, 1.0)) * _double_next_to_a_zero(n, rng.randint(-50, 50)))
                  for n in (rng.randint(1, 60) for _ in range(300))]
-    _assert_sides_match_mpmath(cases, 0.0)
+    _assert_sides_match_mpmath(cases, 1e-13)
+
+
+def test_sine_multiple_angle_fails_perturbed_sines_next_to_zeros(monkeypatch):
+    # Seed 41: 200 doubles next to a zero of sin(n phi), n in 2..60, e in
+    # 30..900.  Every sine off by 1 + 1e-9 puts the sides (n - 1) 1e-9
+    # apart relatively, so each case fails; an absolute allowance for the
+    # rounding of a double-double argument let all 200 pass.
+    rng = random.Random(41)
+    with mpmath.workdps(420):
+        cases = [(n, rng.choice((-1.0, 1.0)) * _double_next_to_a_zero(n, rng.randint(30, 900)))
+                 for n in (rng.randint(2, 60) for _ in range(200))]
+    assert all(abs(phi) <= 1.3e300 for _, phi in cases)
+    _perturb_sines(monkeypatch, 1.0 + 1e-9)
+    passed = [(n, phi) for n, phi in cases if check_sine_multiple_angle(n, phi).passed]
+    assert passed == []
 
 
 def _sine_multiple_angle_sweep():
@@ -352,24 +366,14 @@ def test_sine_multiple_angle_left_side_is_within_an_ulp_of_mpmath():
     with mpmath.workdps(40):
         for n, phi in _sine_multiple_angle_sweep():
             exact = mpmath.sin(n * mpmath.mpf(phi))
-            lhs = identities._sin_dd(*identities._two_product(float(n), phi))
+            lhs = check_sine_multiple_angle(n, phi).lhs
             assert abs(lhs - exact) <= sys.float_info.epsilon * abs(exact), (n, phi)
 
 
-def test_two_product_and_split_are_exact():
-    rng = random.Random(5)
-    for _ in range(1000):
-        a = rng.uniform(-1e6, 1e6)
-        b = math.ldexp(rng.random(), rng.randint(-60, 60))
-        hi, lo = identities._split(a)
-        assert hi + lo == a
-        p, e = identities._two_product(a, b)
-        with mpmath.workdps(60):
-            assert mpmath.mpf(p) + mpmath.mpf(e) == mpmath.mpf(a) * mpmath.mpf(b)
-    # Up to the largest phi of sine-multiple-angle the split stays exact.
-    assert identities._two_product(1e300, 1.0) == (1e300, 0.0)
-    hi, lo = identities._split(1.3e300)
-    assert hi + lo == 1.3e300
+def test_fixed_point_pi_is_pi_rounded_down():
+    with mpmath.workprec(identities._BITS + 64):
+        exact = mpmath.floor(mpmath.pi * mpmath.mpf(2) ** identities._BITS)
+    assert identities._PI == int(exact)
 
 
 def _large_phi_sweep():
@@ -396,12 +400,42 @@ def test_sine_multiple_angle_holds_at_large_phi():
                 assert abs(side - exact) <= bound, (n, phi, side)
 
 
-def test_sine_multiple_angle_refuses_phi_past_the_split():
-    assert check_sine_multiple_angle(3, 1.3e300).passed
-    assert check_sine_multiple_angle(3, -1.3e300).passed
-    for phi in (1.31e300, -1.5e300, 1e308):
-        with pytest.raises(DomainError, match=r"\|phi\| must be at most 1.3e300"):
-            check_sine_multiple_angle(3, phi)
+def test_sine_multiple_angle_accepts_phi_past_the_old_split():
+    # Splitting phi for a double-double product overflowed past 1.339e300,
+    # so such phi were refused; reduced exactly, they hold like any other.
+    phis = (1.3e300, 1.31e300, 1.5e300, 1e308, sys.float_info.max)
+    _assert_sides_match_mpmath([(3, s * phi) for phi in phis for s in (1.0, -1.0)], 1e-15,
+                               dps=420)
+
+
+def _whole_domain_sweep():
+    """Seed 43: 600 draws with n in 1..200 and |phi| log-uniform in
+    [1e-300, 1.79e308], both signs; 20 with n up to MAX_N and |phi|
+    log-uniform in [1e-300, 1e-6]; and +-5e-324 and +-1e-320 at seven n."""
+    rng = random.Random(43)
+
+    def draw(n_max, phi_max):
+        return (rng.randint(1, n_max), rng.choice((-1.0, 1.0)) * math.exp(
+            rng.uniform(math.log(1e-300), math.log(phi_max))))
+
+    cases = [draw(200, 1.79e308) for _ in range(600)]
+    cases += [draw(identities.MAX_N, 1e-6) for _ in range(20)]
+    cases += [(n, phi) for n in (1, 2, 3, 7, 60, 1000, identities.MAX_N)
+              for phi in (5e-324, -5e-324, 1e-320, -1e-320)]
+    return cases
+
+
+def test_sine_multiple_angle_holds_over_the_whole_finite_domain():
+    # Both sides within 1e-13 relative of a 420-digit sin(n phi), or, where
+    # it is subnormal, within 1e-13 of the smallest normal double.
+    with mpmath.workdps(420):
+        for n, phi in _whole_domain_sweep():
+            report = check_sine_multiple_angle(n, phi)
+            assert report.passed, (n, phi)
+            exact = mpmath.sin(n * mpmath.mpf(phi))
+            bound = 1e-13 * max(abs(exact), sys.float_info.min)
+            for side in (report.lhs, report.rhs):
+                assert abs(side - exact) <= bound, (n, phi, side)
 
 
 @pytest.mark.parametrize("check", [lambda: check_gauss_multiplication(1e308, 2),
