@@ -15,11 +15,13 @@ There are three families, one per integral of the engines: Euler's
 S(p, q; n).  Every other integral the engines take is one of these, as the
 algebraic interpolation's (x^k - x^(k+1))^s is B(ks + 1, s + 1).
 
-A family level does its bookkeeping once: one lookup of the family's row in
-``_FAMILIES``, one fetch of the level's stored rows, which it hands to the
-family's loop, and a node count read off the rows the loop visited (two
-nodes a row, but one for the centre row), never counted from the level
-again.
+A family level does its bookkeeping once, in two Python frames,
+``level_sum`` and the family's loop: one lookup of the family's entry in
+``_FAMILIES``, one lookup of the level's stored rows (``_rows`` builds them
+on a miss), which it hands to the family's loop, and a node count read off
+the rows the loop visited (two nodes a row, but one for the centre row),
+never counted from the level again.  ``EULER_SYMBOL``'s loop looks up its
+exponent columns itself.
 
 Stopping a level
 ----------------
@@ -66,22 +68,26 @@ needs them before any integrand is evaluated:
   (1 + ez2)^2), the factors of its distance and weight on (-1, 1).  Only
   arbitrary callables read it; the families' rows are computed from the same
   geometry without storing it;
-* ``_row_tables``, keyed on (h, odd_only): each node's (w, log(dist),
-  log1p(-dist)) on (0, 1), its weight with what the families read of its
-  distance.  An even level (``odd_only`` false) starts with the centre row
-  ``CENTRE_ROW``, (pi/8, log 1/2, log1p(-1/2)): in binary64 log1p(-1/2) ==
-  log 1/2, so a family's two values there are the same v, and
-  (pi/8) * (v + v) is the same double as the centre's (pi/4) * v while
-  v + v does not overflow (v is at most 4 for every input the engines
-  accept);
+* ``_row_tables``, keyed on (h, odd_only): each node's (w, -log(dist),
+  -log1p(-dist)) on (0, 1), its weight with what the families read of its
+  distance, negated: -log x and -log(1 - x) at the node near 0, and the
+  other way round at the node near 1.  (-log x)^s reads them as they are,
+  and Beta and the symbol take 1 - p for p - 1, which gives the same
+  doubles, since IEEE negation is exact and (1 - p) = -(p - 1).  An even
+  level (``odd_only`` false) starts with the centre row ``CENTRE_ROW``,
+  (pi/8, -log 1/2, -log1p(-1/2)): in binary64 log1p(-1/2) == log 1/2, so a
+  family's two values there are the same v, and (pi/8) * (v + v) is the
+  same double as the centre's (pi/4) * v while v + v does not overflow (v
+  is at most 4 for every input the engines accept);
 * ``_symbol_tables``, keyed on (h, odd_only, p2) with p2 in
   ``TABLE_EXPONENTS``, the integers 1..``TABLE_MAX_EXPONENTS`` (16): the
   rows, each extended by the two exponent columns of ``EULER_SYMBOL``,
-  log(-expm1(p2 * log1p(-dist))) and log(-expm1(p2 * log(dist))): the log of
-  1 - x^p2 at the node near 1 and at the node near 0.  They depend on the
-  exponent n = p2 but not on p or q, so every S(p, q; n) with the same n
-  reads one table.  An exponent outside ``TABLE_EXPONENTS`` streams its
-  columns from the same expressions instead.
+  -log(-expm1(-p2 * -log1p(-dist))) and -log(-expm1(-p2 * -log(dist))):
+  -log(1 - x^p2) at the node near 1 and at the node near 0, read off the
+  row's negated logs.  They depend on the exponent n = p2 but not on p or
+  q, so every S(p, q; n) with the same n reads one table.  An exponent
+  outside ``TABLE_EXPONENTS`` streams its columns from the same
+  expressions instead.
 
 The levels a quadrature can visit are h = 2^-j for j in
 0..``quadrature.MAX_REFINEMENTS`` (12), which hold 24,985 nodes on each side
@@ -134,7 +140,7 @@ EULER_SYMBOL = 4    # x^(p0-1) (1-x^p2)^(p1/p2 - 1)   on (0, 1)
 
 # The centre node t = 0 of (0, 1), x = 1/2, at half its weight (pi/4): a
 # family loop adds its value there twice, once from each end.
-CENTRE_ROW = (0.25 * HALF_PI, log(0.5), log1p(-0.5))
+CENTRE_ROW = (0.25 * HALF_PI, -log(0.5), -log1p(-0.5))
 
 
 def _node_geometry(h, odd_only):
@@ -164,13 +170,13 @@ def _nodes(h, odd_only):
 
 
 def _unit_rows(h, odd_only):
-    """(w, log(dist), log1p(-dist)) per node on (0, 1), for the built-in
+    """(w, -log(dist), -log1p(-dist)) per node on (0, 1), for the built-in
     families, after ``CENTRE_ROW`` on an even level."""
     if not odd_only:
         yield CENTRE_ROW
     for dm, ch, ez2, opez2sq in _node_geometry(h, odd_only):
         dist = 0.5 * dm
-        yield 0.5 * HALF_PI * ch * 4.0 * ez2 / opez2sq, log(dist), log1p(-dist)
+        yield 0.5 * HALF_PI * ch * 4.0 * ez2 / opez2sq, -log(dist), -log1p(-dist)
 
 
 def _rows(h, odd_only):
@@ -182,25 +188,9 @@ def _rows(h, odd_only):
 
 
 def _symbol_columns(rows, p2):
-    """Each row extended by log(1 - x^p2) at the node near 1 and near 0."""
-    for w, ln_dist, ln_1md in rows:
-        yield w, ln_dist, ln_1md, log(-expm1(p2 * ln_1md)), log(-expm1(p2 * ln_dist))
-
-
-def _symbol_rows(rows, h, odd_only, p2):
-    """The level's ``rows`` with the EULER_SYMBOL columns of exponent p2, as
-    (columns, source): ``columns`` iterates a stored table, or a stream for
-    an exponent outside TABLE_EXPONENTS, and ``source`` is the iterator over
-    a stored tuple as long as ``rows`` that it draws one row from per row
-    it yields."""
-    if p2 not in TABLE_EXPONENTS:
-        source = iter(rows)
-        return _symbol_columns(source, p2), source
-    table = _symbol_tables.get((h, odd_only, p2))
-    if table is None:
-        table = _symbol_tables[h, odd_only, p2] = tuple(_symbol_columns(rows, p2))
-    source = iter(table)
-    return source, source
+    """Each row extended by -log(1 - x^p2) at the node near 1 and near 0."""
+    for w, nl_dist, nl_1md in rows:
+        yield w, nl_dist, nl_1md, -log(-expm1(-p2 * nl_1md)), -log(-expm1(-p2 * nl_dist))
 
 
 # One loop per family, the only definition of its integrand.  Each reads the
@@ -209,13 +199,14 @@ def _symbol_rows(rows, h, odd_only, p2):
 # total unchanged (see the module docstring).  It returns the total and the
 # rows it visited, the stopping row included, read off what its iterator
 # over a stored tuple has left.  None tests finiteness: ``level_sum`` tests
-# the total once.
+# the total once.  The rows hold negated logs, so Beta and the symbol take
+# their exponents negated too: (1 - p) * -log x is the double (p - 1) * log x.
 
 def _neg_log_pow_sum(rows, h, odd_only, p0, p1, p2):
     total = 0.0
     source = iter(rows)
-    for w, ln_dist, ln_1md in source:
-        new = total + w * ((-ln_1md) ** p0 + (-ln_dist) ** p0)
+    for w, nl_dist, nl_1md in source:
+        new = total + w * (nl_1md ** p0 + nl_dist ** p0)
         if new == total and total:
             break
         total = new
@@ -224,11 +215,11 @@ def _neg_log_pow_sum(rows, h, odd_only, p0, p1, p2):
 
 def _beta_sum(rows, h, odd_only, p0, p1, p2):
     total = 0.0
-    c0 = p0 - 1.0
-    c1 = p1 - 1.0
+    c0 = 1.0 - p0
+    c1 = 1.0 - p1
     source = iter(rows)
-    for w, ln_dist, ln_1md in source:
-        new = total + w * (exp(c0 * ln_1md + c1 * ln_dist) + exp(c0 * ln_dist + c1 * ln_1md))
+    for w, nl_dist, nl_1md in source:
+        new = total + w * (exp(c0 * nl_1md + c1 * nl_dist) + exp(c0 * nl_dist + c1 * nl_1md))
         if new == total and total:
             break
         total = new
@@ -237,13 +228,23 @@ def _beta_sum(rows, h, odd_only, p0, p1, p2):
 
 def _euler_symbol_sum(rows, h, odd_only, p0, p1, p2):
     total = 0.0
-    c0 = p0 - 1.0
+    c0 = 1.0 - p0
     # c1 before the exponent columns: an invalid exponent such as 0 meets
     # p1 / p2 first, on every level, since the centre is a row of the loop.
-    c1 = p1 / p2 - 1.0
-    columns, source = _symbol_rows(rows, h, odd_only, p2)
-    for w, ln_dist, ln_1md, ln_1mxn_p, ln_1mxn_m in columns:
-        new = total + w * (exp(c0 * ln_1md + c1 * ln_1mxn_p) + exp(c0 * ln_dist + c1 * ln_1mxn_m))
+    c1 = 1.0 - p1 / p2
+    # The level's rows with the exponent columns of p2: a stored table, or
+    # for an exponent outside TABLE_EXPONENTS a stream that draws one row
+    # from ``source`` per row it yields.
+    if p2 in TABLE_EXPONENTS:
+        table = _symbol_tables.get((h, odd_only, p2))
+        if table is None:
+            table = _symbol_tables[h, odd_only, p2] = tuple(_symbol_columns(rows, p2))
+        columns = source = iter(table)
+    else:
+        source = iter(rows)
+        columns = _symbol_columns(source, p2)
+    for w, nl_dist, nl_1md, nl_1mxn_p, nl_1mxn_m in columns:
+        new = total + w * (exp(c0 * nl_1md + c1 * nl_1mxn_p) + exp(c0 * nl_dist + c1 * nl_1mxn_m))
         if new == total and total:
             break
         total = new
@@ -262,18 +263,13 @@ _FAMILIES = {
 }
 
 
-def _family(family):
-    """The (loop, powers) row of a built-in family; ValueError for any other tag."""
-    row = _FAMILIES.get(family)
-    if row is None:
-        raise ValueError(f"unknown integrand family {family}")
-    return row
-
-
 def family_powers(family, p0, p1, p2):
     """The sum e of the |powers| a built-in family's integrand raises x,
-    1 - x, 1 - x^n or -log x to."""
-    return _family(family)[1](p0, p1, p2)
+    1 - x, 1 - x^n or -log x to; ValueError for any other tag."""
+    entry = _FAMILIES.get(family)
+    if entry is None:
+        raise ValueError(f"unknown integrand family {family}")
+    return entry[1](p0, p1, p2)
 
 
 def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
@@ -288,13 +284,14 @@ def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
     (0, 1) raises ValueError (see the module docstring for both).
     """
     if family != GENERIC:
-        # A tag missing from the table raises through ``_family``.
-        family_sum = (_FAMILIES.get(family) or _family(family))[0]
+        entry = _FAMILIES.get(family)
+        if entry is None:
+            raise ValueError(f"unknown integrand family {family}")
         if a != 0.0 or b != 1.0:
             raise ValueError(f"integrand family {family} is defined on (0, 1) only")
-        rows = _rows(h, odd_only)
+        rows = _row_tables.get((h, odd_only)) or _rows(h, odd_only)
         try:
-            total, visited = family_sum(rows, h, odd_only, p0, p1, p2)
+            total, visited = entry[0](rows, h, odd_only, p0, p1, p2)
         except OverflowError:
             raise NonFiniteIntegrandError("integrand not finite") from None
         if not isfinite(total):

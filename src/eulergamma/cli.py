@@ -18,7 +18,8 @@ saying IDENTITY comes first, since argparse would read the flag's value as
 the name.  ``suite``'s lists are split and its ranges expanded by argparse
 ``type`` functions.  A --flag followed by a negative value that argparse
 would read as a flag, such as ``-1e200`` or ``-inf``, is passed to it as
-``--flag=value``, so a phi a report prints can be given back.
+``--flag=value``, so a phi a report prints can be given back; such a value
+among ``eval``'s VALUEs is read as one, and reaches its engine.
 
 Exit codes: 0 success / all checks passed; 1 failed check, unconverged
 quadrature or non-finite integrand; 2 usage error (argparse's message),
@@ -262,18 +263,24 @@ def _cmd_suite(args, parser):
 
 
 def _join_negative_values(argv):
-    """``argv`` with each --flag that a negative number follows joined to it
-    as --flag=value: argparse reads "-2" and "-0.5" as numbers, but "-1e5"
-    and "-inf" as flags.  The pattern is compiled only when a token after a
-    flag starts with "-", so a command line without one pays nothing."""
+    """``argv`` with each negative number made a value: argparse reads "-2"
+    and "-0.5" as numbers, but "-1e5" and "-inf" as flags.  One that follows
+    a --flag is joined to it as --flag=value; any other one under ``eval``
+    is written after a space, and argparse reads a token that does not start
+    with "-" as a value, which ``float`` reads as if the space were not
+    there.  The pattern is compiled only when a token starts with one "-",
+    so a command line without one pays nothing."""
     joined = []
     for token in argv:
-        flag = joined[-1] if joined else ""
-        if flag.startswith("--") and "=" not in flag and flag not in ("--", "--help") \
-                and token[:1] == "-" and re.match(r"-(\.?\d|inf|nan)", token, re.IGNORECASE):
-            joined[-1] += "=" + token
-        else:
-            joined.append(token)
+        if token[:1] == "-" and token[1:2] != "-" \
+                and re.match(r"-(\.?\d|inf|nan)", token, re.IGNORECASE):
+            flag = joined[-1] if joined else ""
+            if flag.startswith("--") and "=" not in flag and flag not in ("--", "--help"):
+                joined[-1] += "=" + token
+                continue
+            if argv[0] == "eval":
+                token = " " + token
+        joined.append(token)
     return joined
 
 

@@ -132,17 +132,20 @@ def _recurrence(x):
     """Lift x > 0 into [1, 100], where Euler's integral is taken.
 
     Returns (y, divisor, factors) with gamma(x) = gamma(y) * product of
-    ``factors`` / divisor.  Below 1, gamma(x) = gamma(x + 1) / x; above 100,
+    ``factors`` / divisor, and y - 1 >= 0.  Below 1, gamma(x) =
+    gamma(x + 1) / x; on [1, 100] y is x, with no factor; above 100,
     gamma(x) = (x - 1) gamma(x - 1), applied until x <= 100, since
     (-log u)^(x-1) overflows at a node the levels visit from about
     x = 111.02.
-    ``factors`` yields x - 1, x - 2, ..., y lazily, in the order the
-    recurrence applies them, so a caller reads only as many as it needs;
-    below MAX_N each subtraction is exact.
+    ``factors`` is empty but above 100, where it yields x - 1, x - 2, ..., y
+    lazily, in the order the recurrence applies them, so a caller reads only
+    as many as it needs; below MAX_N each subtraction is exact.
     """
     if x < 1.0:
         return x + 1.0, x, ()
-    steps = max(0, math.ceil(x - 100.0))
+    if x <= 100.0:
+        return x, 1.0, ()
+    steps = math.ceil(x - 100.0)
     return x - steps, 1.0, (x - k for k in range(1, steps + 1))
 
 
@@ -151,7 +154,10 @@ def gamma_integral(x: float) -> IntegralEstimate:
 
     The integral is taken for x in [1, 100] only, and the recurrence lifts
     it to x (``_recurrence``): value and error are the integral's times the
-    recurrence's factor, and ``converged`` is the quadrature's.  Past the
+    recurrence's factor, and ``converged`` is the quadrature's.  The
+    integral is the ``NEG_LOG_POW`` family's at s = y - 1, which the
+    recurrence keeps >= 0 and finite, so it is passed to the quadrature
+    driver as it is, as ``gamma_log_integral`` would after its check.  Past the
     double-precision range (x above about 171.62, or x below about
     5.6e-309) the estimate is inf with error inf, not converged, and no node
     is evaluated once the factor itself is infinite, which it is within
@@ -166,7 +172,7 @@ def gamma_integral(x: float) -> IntegralEstimate:
         factor *= f
     if not math.isfinite(factor):
         return IntegralEstimate(math.inf, math.inf, 0, False)
-    estimate = gamma_log_integral(y - 1.0)
+    estimate = _integrate_family(backend.NEG_LOG_POW, y - 1.0, 0.0, 0.0)
     value = estimate.value * factor
     if not math.isfinite(value):
         return IntegralEstimate(value, math.inf, estimate.evaluations, False)
@@ -187,7 +193,7 @@ def log_gamma_integral(x: float) -> IntegralEstimate:
     if x > MAX_N:
         raise DomainError(f"x must be <= {MAX_N}")
     y, divisor, factors = _recurrence(x)
-    estimate = gamma_log_integral(y - 1.0)
+    estimate = _integrate_family(backend.NEG_LOG_POW, y - 1.0, 0.0, 0.0)
     terms = [math.log(estimate.value), -math.log(divisor)]
     terms += map(math.log, factors)
     return IntegralEstimate(math.fsum(terms), estimate.error_estimate / estimate.value,

@@ -285,6 +285,24 @@ def test_a_negative_value_in_exponent_form_is_read_as_a_flag_value(argv, code, t
     assert "expected one argument" not in captured.err
 
 
+@pytest.mark.parametrize("argv, plain", [
+    (["eval", "gamma", "-1e-5"], ["eval", "gamma", "-0.00001"]),
+    (["eval", "gamma", "-1e-5", "--engine", "integral"],
+     ["eval", "gamma", "-0.00001", "--engine", "integral"]),
+    (["eval", "gamma", "-inf"], ["eval", "gamma", "-1.0"]),
+    (["eval", "beta", "1", "-1e-3"], ["eval", "beta", "1", "-0.001"]),
+    (["eval", "symbol", "1", "1", "-2e0"], ["eval", "symbol", "1", "1", "-2.0"]),
+])
+def test_eval_reads_a_negative_value_in_exponent_form(argv, plain, capsys):
+    # argparse reads "-1e-5" and "-inf" as flags; eval hands them to the
+    # engine, which refuses them as it does the plain decimal.
+    assert main(plain) == 2
+    message = capsys.readouterr()
+    assert message.out == "" and message.err.startswith("error: ")
+    assert main(argv) == 2
+    assert capsys.readouterr() == message
+
+
 def test_readme_exit_code_table_holds(capsys):
     # Each row of the README's exit-code table, run in-process: its exit
     # code, and the `error: ...` text its meaning quotes.
@@ -292,7 +310,7 @@ def test_readme_exit_code_table_holds(capsys):
     row = re.compile(r"\| (\d) \| (.+) \| `([^`]+)` \|")
     rows = [m.groups() for m in map(row.fullmatch, readme.read_text(encoding="utf-8").splitlines())
             if m]
-    assert len(rows) == 31
+    assert len(rows) == 32
     for code, meaning, example in rows:
         try:
             exit_code = main(example.split())

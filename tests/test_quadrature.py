@@ -6,6 +6,8 @@ everything downstream asserts against the frozen constant, not against the
 engine under test.
 """
 
+import gc
+import hashlib
 import math
 import random
 import sys
@@ -365,7 +367,7 @@ def test_default_suite_stores_rows_that_start_at_the_centre(monkeypatch):
     run_suite(default_grid())
     assert kern._node_tables == {}
     assert (1.0, False) in kern._row_tables
-    assert kern.CENTRE_ROW == (math.pi / 8, math.log(0.5), math.log(0.5))
+    assert kern.CENTRE_ROW == (math.pi / 8, -math.log(0.5), -math.log(0.5))
     for h, odd_only in kern._row_tables:
         rows = kern._row_tables[h, odd_only]
         assert len(rows) == (not odd_only) + _node_count(h, odd_only)
@@ -441,7 +443,7 @@ def test_level_sum_keeps_its_error_order(monkeypatch):
         kern.level_sum(0.1, 0.7, 1.0, False, 7, 1.5, 2.5, 0.0, None)
     # An exponent of 0 meets p1 / p2 before any exponent column is read.
     read = []
-    monkeypatch.setattr(kern, "_symbol_rows", lambda *args: read.append(args) or ())
+    monkeypatch.setattr(kern, "_symbol_columns", lambda *args: read.append(args) or ())
     with pytest.raises(ZeroDivisionError):
         kern.level_sum(0.0, 1.0, 1.0, False, kern.EULER_SYMBOL, 1.0, 1.0, 0.0, None)
     assert read == []
@@ -464,7 +466,9 @@ def test_level_sum_keeps_its_error_order(monkeypatch):
 
 def _calls(thunk):
     """Python-level calls made by thunk(), in all, and inside each
-    ``backend.level_sum`` call, with the number of those calls."""
+    ``backend.level_sum`` call, with the number of those calls.  The
+    collector is run before and kept off during thunk(): a generator it
+    finalizes there (pytest's ``-k`` parser leaves one) would count too."""
     code = kern.level_sum.__code__
     depth = 0
     calls = inside = levels = 0
@@ -481,20 +485,27 @@ def _calls(thunk):
         elif event == "return" and frame.f_code is code:
             depth -= 1
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         thunk()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return calls, inside, levels
 
 
 @pytest.mark.parametrize("thunk, per_level, per_quadrature", [
-    # level_sum, _rows and the family loop; each validated argument costs
-    # its validator and errors.number
-    (lambda: beta_integral(1.5, 2.5), 3, 13),
-    # and _symbol_rows, for the stored exponent columns of n = 5
-    (lambda: euler_symbol(3.0, 2.0, 5), 4, 17),
+    # level_sum and the family loop, which finds the stored exponent columns
+    # of n = 5 itself; each validated argument costs its validator and
+    # errors.number
+    pytest.param(lambda: beta_integral(1.5, 2.5), 2, 12, id="beta_integral"),
+    pytest.param(lambda: euler_symbol(3.0, 2.0, 5), 2, 16, id="euler_symbol"),
+    pytest.param(lambda: gamma_log_integral(2.5), 2, 10, id="gamma_log_integral"),
+    # x = 50 needs no factor and goes to its family with no second check;
+    # it takes a fifth level, and tries the extrapolated stop once
+    pytest.param(lambda: gamma_integral(50.0), 2, 13, id="gamma_integral"),
 ])
 def test_per_level_work_is_pinned(thunk, per_level, per_quadrature):
     # A count of calls, not a timing, so it does not swing with the host.
@@ -508,8 +519,8 @@ def test_per_level_work_is_pinned(thunk, per_level, per_quadrature):
 
 
 def test_families_off_the_unit_interval_raise():
-    # The rows read log(dist) as log x and log1p(-dist) as log(1 - x), which
-    # holds on (0, 1) alone.
+    # The rows read -log(dist) as -log x and -log1p(-dist) as -log(1 - x),
+    # which holds on (0, 1) alone.
     with pytest.raises(ValueError, match=r"defined on \(0, 1\) only"):
         kern.level_sum(0.1, 0.7, 0.5, True, kern.BETA, 1.5, 2.5, 0.0, None)
     # Integer bounds are the same interval.
@@ -714,6 +725,36 @@ def test_an_integral_of_zero_value_does_not_converge():
     # A callable's bar is at least ABS_TOL, so an integral of 0 converges.
     estimate = integrate_finite(math.cos, 0.0, math.pi)
     assert estimate.converged and abs(estimate.value) <= 1e-12
+
+
+def _bit_lock_calls():
+    """Seed 37: 250 integrals per engine.  Euler's symbol with p and q in
+    [0.05, 40] and n in 1..40, past TABLE_MAX_EXPONENTS, so streamed
+    exponent columns are read too; Beta with exponents e^U(-3, 4);
+    gamma_integral at x = e^U(-5, 5.1), lifted both ways by the recurrence,
+    past 100 too; gamma_log_integral with s in [0, 100]."""
+    rng = random.Random(37)
+    calls = []
+    for _ in range(250):
+        p, q, n = rng.uniform(0.05, 40.0), rng.uniform(0.05, 40.0), rng.randint(1, 40)
+        x, y = math.exp(rng.uniform(-3.0, 4.0)), math.exp(rng.uniform(-3.0, 4.0))
+        z, s = math.exp(rng.uniform(-5.0, 5.1)), rng.uniform(0.0, 100.0)
+        calls += [lambda p=p, q=q, n=n: euler_symbol(p, q, n),
+                  lambda x=x, y=y: beta_integral(x, y),
+                  lambda z=z: gamma_integral(z),
+                  lambda s=s: gamma_log_integral(s)]
+    return calls
+
+
+def test_engine_estimates_are_locked_to_the_bit():
+    # A change to the node loop, the driver or the recurrence that moves any
+    # bit of a value or an error estimate, or any count, moves this digest.
+    digest = hashlib.sha256()
+    for call in _bit_lock_calls():
+        estimate = call()
+        digest.update(f"{estimate.value.hex()} {estimate.error_estimate.hex()} "
+                      f"{estimate.evaluations} {estimate.converged}\n".encode())
+    assert digest.hexdigest() == "efd35ba6bb4d1030a928ef666944c6a1bafb415b21cf628e1a8e9d7a0dbb75ce"
 
 
 # --------------------------------------------------------------- suite memo
