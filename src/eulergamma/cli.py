@@ -25,6 +25,10 @@ Exit codes: 0 success / all checks passed; 1 failed check, unconverged
 quadrature or non-finite integrand; 2 usage error (argparse's message),
 domain error or a result past the double-precision range; 3 I/O error.
 
+``verify`` calls its row's check, the row's ``run``, with the flags'
+values as keywords; ``suite`` writes what ``reporting.render_<format>``
+returns for the --format given, looked up when the command runs.
+
 ``eval`` needs only the engines.  The identity layer and the renderers are
 imported by the verify and suite handlers, and by the code that adds those
 two commands' arguments, which ``main`` skips when its first argument names
@@ -237,19 +241,19 @@ def _cmd_verify(args, parser):
     spec = IDENTITIES[args.identity]
     params = {axis: convert(getattr(flags, axis), axis) for axis, convert in spec.axes.items()}
     start = time.perf_counter()
-    report = spec.run(params, flags.tol)
+    report = spec.run(**params, tolerance=flags.tol)
     sys.stdout.write(render_report(report, time.perf_counter() - start))
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def _cmd_suite(args, parser):
     # Imported per call: a tracer may have replaced these since the last one.
+    from . import reporting
     from .identities import build_grid, run_suite
-    from .reporting import params_string, render_suite
 
     axis_values = {axis: getattr(args, axis) for axis in _axes() if hasattr(args, axis)}
     suite = run_suite(build_grid(args.identities, axis_values), dict(args.tol))
-    text = render_suite(suite, args.format)
+    text = getattr(reporting, "render_" + args.format)(suite)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -257,8 +261,8 @@ def _cmd_suite(args, parser):
         sys.stdout.write(text)
     for report in suite.reports:
         if report.error is not None:
-            print(f"error: {report.identity_id} {params_string(report.params)}: {report.error}",
-                  file=sys.stderr)
+            print(f"error: {report.identity_id} {reporting.params_string(report.params)}: "
+                  f"{report.error}", file=sys.stderr)
     return EXIT_OK if suite.n_fail == 0 else EXIT_FAIL
 
 

@@ -6,14 +6,16 @@ parameter grids and aggregates.  A report is a value of the identity, its
 parameters and the tolerance alone: equal inputs give equal reports, and
 nothing in one is timed.
 
-``IDENTITIES`` holds one ``IdentitySpec`` row per identity: its axes, default
-grid, default tolerance, work axis and ``run``.  ``default_tolerance``,
-``build_grid``, ``run_suite`` and the command line's ``--<axis>`` flags all
-read the rows.  Adding an identity takes one check function, one row and
-the function's name in ``eulergamma.__all__``, which the package's lazy
-``__getattr__`` reads; the benchmark's tracer lists the ids in its own
-``IDENTITY_IDS``, which a test pins at these twelve, so that list changes
-too until it is read from the rows.
+``IDENTITIES`` holds one ``IdentitySpec`` row per identity: its check, axes,
+default grid, default tolerance and work axis.  The row's ``run`` is the
+check function itself, which ``run_suite`` and ``verify`` call with a case's
+params as keywords.  ``default_tolerance``, ``build_grid``, ``run_suite`` and
+the command line's ``--<axis>`` flags all read the rows.  Adding an identity
+takes one check function, one row and the function's name in
+``eulergamma.__all__``, which the package's lazy ``__getattr__`` reads; the
+benchmark's tracer lists the ids in its own ``IDENTITY_IDS``, which a test
+pins at these twelve, so that list changes too until it is read from the
+rows.
 
 Conventions shared by all checks:
 
@@ -580,12 +582,13 @@ def derivation_chain_values(m: float, n: int) -> tuple:
 class IdentitySpec:
     """Everything the suite knows about one identity.
 
-    ``axes`` maps each parameter, in order, to its converter, called as
-    ``converter(value, name)``.  ``grid`` is the default grid: blocks of axis
-    value lists, each expanded by product.  ``tolerance`` is the default pass
-    tolerance, or a mapping from mode to it.  ``work_axis`` is the axis the
-    check's work grows with, if any.  ``run(params, tolerance)`` checks one
-    case.
+    ``run`` is the identity's check function, called with one case's params
+    as keywords and ``tolerance=``.  ``axes`` maps each parameter, in order,
+    to its converter, called as ``converter(value, name)``.  ``grid`` is the
+    default grid: a tuple of blocks of axis value lists, each expanded by
+    product.  ``tolerance`` is the default pass tolerance, or a mapping from
+    mode to it.  ``work_axis`` is the axis the check's work grows with, if
+    any.
 
     This is the package's one dataclass: the benchmark's tracer swaps each
     row's ``run`` through ``dataclasses.replace``.  The report types are
@@ -593,58 +596,51 @@ class IdentitySpec:
     """
 
     identity_id: str
+    run: Callable
     axes: Mapping[str, Callable]
     grid: tuple
     tolerance: float | Mapping[str, float]
-    work_axis: str | None
-    run: Callable
-
-
-def _row(check, identity_id, axes, grid, tolerance, work_axis=None):
-    """The IdentitySpec whose run calls ``check(**params, tolerance=...)``."""
-    def run(params, tolerance):
-        return check(**params, tolerance=tolerance)
-    return IdentitySpec(identity_id, axes, tuple(grid), tolerance, work_axis, run)
+    work_axis: str | None = None
 
 
 _X_GRID = [0.1, 0.5, 1.0, 2.5, 7.0, 19.3, 50.0]
 _SYMBOL_AXES = {"p": finite, "q": finite, "n": integer}
-_SYMBOL_GRID = [{"p": [1.0, 2.0, 3.0, 4.0, 5.0], "q": [1.0, 2.0, 3.0, 4.0, 5.0],
-                 "n": [2, 3, 4, 5, 6]}]
+_SYMBOL_GRID = ({"p": [1.0, 2.0, 3.0, 4.0, 5.0], "q": [1.0, 2.0, 3.0, 4.0, 5.0],
+                 "n": [2, 3, 4, 5, 6]},)
 
-# Each row: check, id, axes, default grid blocks, default tolerance, work
+# Each row: id, check, axes, default grid blocks, default tolerance, work
 # axis.  Closed-form-only identities run at 1e-10; one layer of quadrature
 # loosens that to 1e-7; the algebraic interpolation chains q-1 quadratures
 # and gets 1e-6.  Conservative multiples of observed engine accuracy.
 IDENTITIES = {spec.identity_id: spec for spec in (
-    _row(check_reflection, "reflection", {"x": finite},
-         [{"x": sorted(set(i / 20 for i in range(1, 20)) | {1 / 2, 1 / 3, 1 / 4})}],
-         1e-12),
-    _row(check_gauss_multiplication, "gauss-multiplication", {"n": integer, "x": finite},
-         [{"n": list(range(1, 13)), "x": _X_GRID}], 1e-10, "n"),
-    _row(check_duplication, "duplication", {"x": finite}, [{"x": _X_GRID}], 1e-10),
-    _row(check_sine_product, "sine-product", {"n": integer},
-         [{"n": list(range(2, 31))}], 1e-10, "n"),
-    _row(check_sine_multiple_angle, "sine-multiple-angle", {"n": integer, "phi": finite},
-         [{"n": list(range(1, 11)), "phi": [0.3, 0.7, 1.1]}], 1e-10, "n"),
-    _row(check_gamma_square_product, "gamma-square-product", {"n": integer},
-         [{"n": list(range(2, 26))}], 1e-10, "n"),
-    _row(check_gamma_fraction_product, "gamma-fraction-product", {"n": integer},
-         [{"n": list(range(2, 51))}], 1e-10, "n"),
-    _row(check_log_integral_product, "log-integral-product", {"n": integer},
-         [{"n": list(range(2, 9))}], 1e-7, "n"),
-    _row(check_factorial_root, "factorial-root",
-         {"m": finite, "n": integer, "mode": _mode_axis},
-         [{"m": [float(m) for m in range(1, 11)] + [0.5, 7.3, 19.9],
-           "n": list(range(1, 9)), "mode": ["closed"]},
-          {"m": [float(m) for m in range(1, 6)], "n": list(range(2, 6)),
-           "mode": ["quadrature"]}],
-         {"closed": 1e-10, "quadrature": 1e-7}, "n"),
-    _row(check_algebraic_interpolation, "algebraic-interpolation",
-         {"p": integer, "q": integer}, [{"p": [1, 2, 3, 4], "q": [1, 2, 3, 4]}],
-         1e-6, "q"),
-    _row(check_symbol_symmetry, "symbol-symmetry", _SYMBOL_AXES, _SYMBOL_GRID, 1e-7, "n"),
-    _row(check_symbol_bridge, "symbol-bridge", _SYMBOL_AXES, _SYMBOL_GRID, 1e-7, "n"),
+    IdentitySpec("reflection", check_reflection, {"x": finite},
+                 ({"x": sorted(set(i / 20 for i in range(1, 20)) | {1 / 2, 1 / 3, 1 / 4})},),
+                 1e-12),
+    IdentitySpec("gauss-multiplication", check_gauss_multiplication, {"n": integer, "x": finite},
+                 ({"n": list(range(1, 13)), "x": _X_GRID},), 1e-10, "n"),
+    IdentitySpec("duplication", check_duplication, {"x": finite}, ({"x": _X_GRID},), 1e-10),
+    IdentitySpec("sine-product", check_sine_product, {"n": integer},
+                 ({"n": list(range(2, 31))},), 1e-10, "n"),
+    IdentitySpec("sine-multiple-angle", check_sine_multiple_angle, {"n": integer, "phi": finite},
+                 ({"n": list(range(1, 11)), "phi": [0.3, 0.7, 1.1]},), 1e-10, "n"),
+    IdentitySpec("gamma-square-product", check_gamma_square_product, {"n": integer},
+                 ({"n": list(range(2, 26))},), 1e-10, "n"),
+    IdentitySpec("gamma-fraction-product", check_gamma_fraction_product, {"n": integer},
+                 ({"n": list(range(2, 51))},), 1e-10, "n"),
+    IdentitySpec("log-integral-product", check_log_integral_product, {"n": integer},
+                 ({"n": list(range(2, 9))},), 1e-7, "n"),
+    IdentitySpec("factorial-root", check_factorial_root,
+                 {"m": finite, "n": integer, "mode": _mode_axis},
+                 ({"m": [float(m) for m in range(1, 11)] + [0.5, 7.3, 19.9],
+                   "n": list(range(1, 9)), "mode": ["closed"]},
+                  {"m": [float(m) for m in range(1, 6)], "n": list(range(2, 6)),
+                   "mode": ["quadrature"]}),
+                 {"closed": 1e-10, "quadrature": 1e-7}, "n"),
+    IdentitySpec("algebraic-interpolation", check_algebraic_interpolation,
+                 {"p": integer, "q": integer}, ({"p": [1, 2, 3, 4], "q": [1, 2, 3, 4]},),
+                 1e-6, "q"),
+    IdentitySpec("symbol-symmetry", check_symbol_symmetry, _SYMBOL_AXES, _SYMBOL_GRID, 1e-7, "n"),
+    IdentitySpec("symbol-bridge", check_symbol_bridge, _SYMBOL_AXES, _SYMBOL_GRID, 1e-7, "n"),
 )}
 
 
@@ -749,7 +745,7 @@ def run_suite(grid: dict | None = None,
             tol = tolerances.get(identity_id)
             for params in sorted(grid[identity_id], key=params_key):
                 try:
-                    report = spec.run(params, tol)
+                    report = spec.run(**params, tolerance=tol)
                 except Exception as exc:
                     report = IdentityReport(
                         identity_id=identity_id,

@@ -37,6 +37,17 @@ integrand raises x, 1 - x, 1 - x^n or -log x to, which ``backend`` keeps
 beside each family's node loop (0 for a callable): the error rounding alone
 leaves in a value.  So no converged estimate is 0.
 
+A family integral's estimate then takes its tail term (see ``backend``):
+the mass beyond the outermost node of the last level, which neither test
+sees, since no level has a node there.  It is added once, after the
+refinement, to the estimate and never to the value, and the quadrature is
+converged only if the sum still meets the bar.  Below an endpoint exponent
+of about 0.05 (x and y for beta, p and q/n for Euler's symbol) that mass
+nears or passes the bar, and most such integrals are reported unconverged.
+Above it the term is below 2.2e-14 of the integral; over 1,000 seeded
+integrals of the four engines it moved no bit of an estimate whose
+smallest exponent was above 0.109.
+
 C = 1000, the exponent 1.5 and K = 16 were set against a seeded 30-digit
 mpmath sweep (``tests/test_error_estimates.py``): no true error exceeds its
 estimate while every endpoint exponent (x and y for beta, ks + 1 and s + 1
@@ -44,9 +55,9 @@ for the algebraic interpolation's B(ks + 1, s + 1), p and q/n for Euler's
 symbol) is at least 0.05.  C = 100 under-reported S(2.26, 2.64; 10)
 3.7 times, its level changes dropping faster than the error that was left;
 K = 4 under-reported cos over (0, b) for b near 3, where the integrand's
-two signs cancel.  Below an endpoint exponent of 0.05 the nodes stop at
-``backend.T_MAX`` before the endpoint's mass is resolved, and an estimate
-there may fall below its true error under either test.
+two signs cancel.  Below an exponent of 0.05 the same file's second sweep,
+with exponents down to 1e-300, finds every estimate at or above its true
+error or unconverged.
 
 Two evaluation paths share this driver.  Arbitrary callables, through
 ``integrate_finite``, are integrated over any finite interval: they receive
@@ -110,9 +121,10 @@ class IntegralEstimate(NamedTuple):
 
     ``error_estimate`` is the last level's change or, where the extrapolated
     test stopped the refinement, the extrapolated error; either is at least
-    the rounding floor (see the module docstring).  ``converged`` is True
-    exactly when ``value`` is finite and ``error_estimate`` met the bar of
-    the module docstring, a bar of 0 being met by none; a False value still
+    the rounding floor, and a built-in family's adds its tail term, the mass
+    beyond the outermost node (see the module docstring).  ``converged`` is
+    True exactly when ``value`` is finite and ``error_estimate`` met the bar
+    of the module docstring, a bar of 0 being met by none; a False value still
     carries the best estimate found.  Refinement stops at the first level
     whose value is not finite, and reports an ``error_estimate`` of inf.
     """
@@ -191,6 +203,10 @@ def _refine(a, b, family, p0, p1, p2, f):
     if not isfinite(value):
         # An infinite value meets the stop rule vacuously (inf <= inf).
         return IntegralEstimate(value, math.inf, evaluations, False)
+    if family != backend.GENERIC:
+        # the mass beyond the outermost node, which no level sees
+        error += backend._FAMILIES[family][2](p0, p1, p2, backend.LOG_EDGE[h])
+        converged = converged and error <= bar
     return IntegralEstimate(value, error, evaluations, converged)
 
 

@@ -6,6 +6,10 @@ significant digits.  Reports carry no timing, so identical flags produce
 byte-identical output; only the single-check view shows a wall time, the one
 its caller measured.
 
+Each ``suite --format`` has one renderer, ``render_table``, ``render_json``
+or ``render_csv``, which the command looks up on this module by name when it
+runs, so a replacement put here beforehand is the one it calls.
+
 ``render_json`` writes the document ``{"config", "reports", "summary"}``
 with one ``json.JSONEncoder(allow_nan=False).encode`` call per part: the
 config echo, each report, then the summary, in that order, one report per
@@ -137,13 +141,3 @@ def render_report(report: IdentityReport, seconds: float) -> str:
         f"result:        {'PASS' if report.passed else 'FAIL'}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def render_suite(suite: SuiteReport, kind: str) -> str:
-    if kind == "table":
-        return render_table(suite)
-    if kind == "json":
-        return render_json(suite)
-    if kind == "csv":
-        return render_csv(suite)
-    raise ValueError(f"unknown output format {kind!r}")

@@ -310,7 +310,7 @@ def test_readme_exit_code_table_holds(capsys):
     row = re.compile(r"\| (\d) \| (.+) \| `([^`]+)` \|")
     rows = [m.groups() for m in map(row.fullmatch, readme.read_text(encoding="utf-8").splitlines())
             if m]
-    assert len(rows) == 32
+    assert len(rows) == 33
     for code, meaning, example in rows:
         try:
             exit_code = main(example.split())
@@ -653,9 +653,9 @@ def test_rows_swap_their_run_as_the_benchmark_tracer_does(monkeypatch, tmp_path)
 
     calls = []
     for identity_id, spec in list(identities.IDENTITIES.items()):
-        def traced(params, tolerance, identity_id=identity_id, run=spec.run):
+        def traced(*args, identity_id=identity_id, run=spec.run, **kwargs):
             calls.append(identity_id)
-            return run(params, tolerance)
+            return run(*args, **kwargs)
         monkeypatch.setitem(identities.IDENTITIES, identity_id,
                             dataclasses.replace(spec, run=traced))
     grid = {identity_id: cases[:1] for identity_id, cases in identities.default_grid().items()}

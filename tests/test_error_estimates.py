@@ -4,8 +4,10 @@ A seeded sweep over every integrand the engines integrate, inside the domain
 README states for them: each estimate must converge, report an error
 estimate above zero, and have a true error no larger than that estimate.
 The smallest endpoint exponent is held at 0.05 or more (x, y for beta; p
-and q/n for Euler's symbol): below it, nodes stop at ``backend.T_MAX`` before
-the endpoint's mass is resolved, which is a known open limit.
+and q/n for Euler's symbol).  Below it, nodes stop at ``backend.T_MAX``
+before the endpoint's mass is resolved, and a second sweep, with one
+exponent down to 1e-300, holds each estimate to the weaker rule the tail
+term gives: at or above its true error, or unconverged.
 
 Each integral is also run through a plain loop that stops on the level
 change alone, the rule the extrapolated stop sits behind: no integral may
@@ -101,6 +103,70 @@ def test_sweep_estimates_bound_their_true_error():
         saved += est.evaluations < plain
     assert failures == []
     assert saved >= DRAWS_PER_FAMILY  # the extrapolated stop fires
+
+
+WEAK_DRAWS = 150
+
+
+def _weak_endpoint_sweep(lo):
+    """(label, estimate, 40-digit mpmath value) of seeded Beta and symbol
+    integrals, one endpoint exponent log-uniform in [lo, 0.05) and the other
+    in [0.05, 40], n in 1..16."""
+    mp = mpmath.mpf
+    rng = random.Random(20261020)
+    cases = []
+    for i in range(WEAK_DRAWS):
+        alpha = _log_uniform(rng, lo, MIN_ENDPOINT_EXPONENT)
+        other = _log_uniform(rng, 0.05, 40.0)
+        weak_first = rng.random() < 0.5
+        if i % 2 == 0:
+            x, y = (alpha, other) if weak_first else (other, alpha)
+            estimate = beta_integral(x, y)
+            with mpmath.workdps(40):
+                exact = mpmath.beta(mp(x), mp(y))
+            cases.append((f"beta({x!r}, {y!r})", estimate, exact))
+        else:
+            n = rng.randint(1, 16)
+            p, q = (alpha, other) if weak_first else (other, alpha * n)
+            estimate = euler_symbol(p, q, n)
+            with mpmath.workdps(40):
+                exact = mpmath.beta(mp(p) / n, mp(q) / n) / n
+            cases.append((f"S({p!r}, {q!r}; {n})", estimate, exact))
+    return cases
+
+
+@pytest.mark.parametrize("lo", [1e-4, 1e-300])
+def test_weak_endpoint_estimates_bound_their_true_error_or_do_not_converge(lo):
+    # Without the tail term 10 of the 150 draws from 1e-4 report converged
+    # below their true error; every draw from 1e-300 is unconverged.
+    failures = []
+    for label, estimate, exact in _weak_endpoint_sweep(lo):
+        with mpmath.workdps(40):
+            true_error = abs(mpmath.mpf(estimate.value) - exact)
+        if estimate.converged and not true_error <= estimate.error_estimate:
+            failures.append((label, estimate, float(true_error)))
+    assert failures == []
+
+
+def test_a_weak_endpoint_is_not_converged_where_its_mass_passes_the_bar():
+    # S(2.0639, 0.11756; 4) has q/n = 0.029 at x = 1: its level changes fall
+    # to 5.1e-11 while the mass beyond the outermost node, 1.02e-8, is in no
+    # level, and without the tail term it reported converged.
+    estimate = euler_symbol(2.0639, 0.11756, 4)
+    with mpmath.workdps(40):
+        exact = mpmath.beta(mpmath.mpf(2.0639) / 4, mpmath.mpf(0.11756) / 4) / 4
+        true_error = abs(mpmath.mpf(estimate.value) - exact)
+    assert not estimate.converged
+    assert 1e-8 < true_error <= estimate.error_estimate
+
+
+def test_log_edge_is_the_outermost_node_of_each_level():
+    # The tail term reads log delta from LOG_EDGE; the rows hold -log(dist)
+    # of each node, the outermost last.
+    assert len(backend.LOG_EDGE) == quadrature.MAX_REFINEMENTS + 1
+    for j in range(quadrature.MAX_REFINEMENTS + 1):
+        *_, (_, neg_log_dist, _) = backend._unit_rows(0.5 ** j, False)
+        assert backend.LOG_EDGE[0.5 ** j] == pytest.approx(-neg_log_dist, rel=1e-15)
 
 
 @pytest.mark.parametrize("x", [79.74, 80.0])

@@ -942,7 +942,7 @@ def test_suite_reports_equal_checks_run_outside_a_suite():
     suite = run_suite()
     assert quadrature.suite_memo.get() is None
     for report in suite.reports:
-        direct = IDENTITIES[report.identity_id].run(report.params, None)
+        direct = IDENTITIES[report.identity_id].run(**report.params, tolerance=None)
         assert direct == report
 
 

@@ -499,13 +499,13 @@ def _calls(thunk):
 @pytest.mark.parametrize("thunk, per_level, per_quadrature", [
     # level_sum and the family loop, which finds the stored exponent columns
     # of n = 5 itself; each validated argument costs its validator and
-    # errors.number
-    pytest.param(lambda: beta_integral(1.5, 2.5), 2, 12, id="beta_integral"),
-    pytest.param(lambda: euler_symbol(3.0, 2.0, 5), 2, 16, id="euler_symbol"),
-    pytest.param(lambda: gamma_log_integral(2.5), 2, 10, id="gamma_log_integral"),
+    # errors.number, and each quadrature its family's tail term
+    pytest.param(lambda: beta_integral(1.5, 2.5), 2, 13, id="beta_integral"),
+    pytest.param(lambda: euler_symbol(3.0, 2.0, 5), 2, 17, id="euler_symbol"),
+    pytest.param(lambda: gamma_log_integral(2.5), 2, 11, id="gamma_log_integral"),
     # x = 50 needs no factor and goes to its family with no second check;
     # it takes a fifth level, and tries the extrapolated stop once
-    pytest.param(lambda: gamma_integral(50.0), 2, 13, id="gamma_integral"),
+    pytest.param(lambda: gamma_integral(50.0), 2, 14, id="gamma_integral"),
 ])
 def test_per_level_work_is_pinned(thunk, per_level, per_quadrature):
     # A count of calls, not a timing, so it does not swing with the host.
@@ -754,7 +754,7 @@ def test_engine_estimates_are_locked_to_the_bit():
         estimate = call()
         digest.update(f"{estimate.value.hex()} {estimate.error_estimate.hex()} "
                       f"{estimate.evaluations} {estimate.converged}\n".encode())
-    assert digest.hexdigest() == "efd35ba6bb4d1030a928ef666944c6a1bafb415b21cf628e1a8e9d7a0dbb75ce"
+    assert digest.hexdigest() == "59912818cec65545affcb52296425490b148b767f74670ef38fee42a7ecac37f"
 
 
 # --------------------------------------------------------------- suite memo

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from eulergamma import reporting
 from eulergamma.identities import IdentityReport, SuiteReport, build_grid, run_suite
-from eulergamma.reporting import render_json, render_suite
+from eulergamma.cli import main
+from eulergamma.reporting import render_json
 
 
 def reference_json(suite):
@@ -204,7 +205,8 @@ def test_render_json_matches_encoder_on_wide_closed_form_grid():
     assert isinstance(assert_matches_encoder(suite), list)
 
 
-def test_render_suite_reaches_render_json_through_the_module(monkeypatch):
+def test_suite_reaches_render_json_through_the_module(monkeypatch, capsys):
     # Instrumentation wraps reporting.render_json by name.
     monkeypatch.setattr(reporting, "render_json", lambda suite: "wrapped")
-    assert render_suite(SuiteReport((), 0, 0, {}), "json") == "wrapped"
+    assert main(["suite", "--format", "json", "--identities", "sine-product", "--n", "2"]) == 0
+    assert capsys.readouterr().out == "wrapped"
