@@ -23,7 +23,17 @@ among ``eval``'s VALUEs is read as one, and reaches its engine.
 
 Exit codes: 0 success / all checks passed; 1 failed check, unconverged
 quadrature or non-finite integrand; 2 usage error (argparse's message),
-domain error or a result past the double-precision range; 3 I/O error.
+domain error or a result past the double-precision range; 3 I/O error,
+also a standard output that cannot be written.
+
+``main()`` with no argument runs the process's own command line, as the
+console script and ``python -m eulergamma`` do.  It flushes standard output
+itself, so a failed write there (a full disk, a closed pipe) is one ``error:``
+line and exit 3, then points fd 1 at the null device, as Python's "Note on
+SIGPIPE" does, so the interpreter's flush at exit cannot fail again.  On every
+way out it calls ``gc.freeze()``: the collector's passes at shutdown then skip
+what the OS is about to reclaim, none of which needs a finalizer.
+``main(argv)`` with a list does neither.
 
 ``verify`` calls its row's check, the row's ``run``, with the flags'
 values as keywords; ``suite`` writes what ``reporting.render_<format>``
@@ -36,7 +46,9 @@ another command; so ``eval`` loads neither.
 """
 
 import argparse
+import gc
 import math
+import os
 import re
 import sys
 
@@ -289,8 +301,22 @@ def _join_negative_values(argv):
 
 
 def main(argv=None) -> int:
+    """Run a command line, the process's own when ``argv`` is None; return
+    its exit code."""
     if argv is None:
-        argv = sys.argv[1:]
+        try:
+            try:
+                return main(sys.argv[1:])
+            finally:
+                # A failed flush replaces the command's exit code, or its SystemExit.
+                if sys.stdout is not None:
+                    sys.stdout.flush()
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_IO
+        finally:
+            gc.freeze()
     parser = _build_parser(argv[0] if argv else None)
     if argv[:1] == ["verify"] and len(argv) > 1 and argv[1].startswith("-") \
             and argv[1] not in ("-h", "--help", "--"):

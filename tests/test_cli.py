@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import json
@@ -1025,3 +1026,94 @@ def test_console_script_installed(tmp_path):
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert result.stdout == "1.77245385090552\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["eval", "gamma", "0.5"], 0),
+    (["verify", "reflection", "--x", "0.25"], 0),
+    (["suite", "--identities", "reflection", "--format", "csv"], 0),
+    (["eval", "gamma"], 2),
+])
+def test_main_with_a_list_never_freezes(argv, code, capsys):
+    # Only the process's own command line ends with gc.freeze(); a program
+    # that imports the CLI keeps its collector as it was.
+    before = gc.get_freeze_count()
+    try:
+        exit_code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        exit_code = exc.code
+    assert exit_code == code
+    assert gc.get_freeze_count() == before
+
+
+def test_main_with_a_list_leaves_fd_1_alone(monkeypatch, capsys):
+    # A write that fails under main(argv) is the error line and exit 3, as
+    # ever, but only the process's own command line repoints fd 1.
+    class Unwritable:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    dup2_calls = []
+    monkeypatch.setattr(os, "dup2", lambda *args: dup2_calls.append(args))
+    monkeypatch.setattr(sys, "stdout", Unwritable())
+    assert main(["suite", "--identities", "reflection"]) == 3
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert dup2_calls == []
+
+
+def test_the_process_command_line_freezes_before_exit():
+    # The atexit probe runs in Py_FinalizeEx before the collector's passes,
+    # which skip what gc.freeze() moved to the permanent generation.
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        "sys.argv = ['eulergamma', 'eval', 'gamma', '0.5']\n"
+        "runpy.run_module('eulergamma', run_name='__main__')\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "1.77245385090552\n"
+    label, count = result.stderr.split()
+    assert label == "frozen" and int(count) > 0
+
+
+def _stdout_sink(kind):
+    """A standard output no write reaches: the full device, or the write end
+    of a pipe whose read end is already closed (EPIPE, never a race)."""
+    if kind == "full":
+        return open("/dev/full", "wb")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return os.fdopen(write_end, "wb")
+
+
+@pytest.mark.parametrize("kind", ["full", "closed-pipe"])
+@pytest.mark.parametrize("args", [
+    ("eval", "gamma", "0.5"),
+    ("verify", "reflection", "--x", "0.25"),
+    ("suite", "--identities", "reflection", "--format", "csv"),
+    ("suite", "--format", "json"),
+    ("-h",),
+])
+def test_unwritable_stdout_exits_3(args, kind):
+    # Buffered, as stdout is unless PYTHONUNBUFFERED is set, the small
+    # outputs fail only when flushed; the interpreter's flush at exit used to
+    # print "Exception ignored ..." and exit 120.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    with _stdout_sink(kind) as sink:
+        result = subprocess.run([sys.executable, "-m", "eulergamma", *args], stdout=sink,
+                                stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert result.returncode == 3, result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: [Errno ")
+    assert "Exception ignored" not in result.stderr and "Traceback" not in result.stderr
+
+
+def test_closed_stdout_is_no_error():
+    # With fd 1 closed the interpreter sets sys.stdout to None and print()
+    # writes nothing; main()'s own flush must not turn that into a traceback.
+    result = subprocess.run(["sh", "-c", '"$0" -m eulergamma eval gamma 0.5 >&-', sys.executable],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0
+    assert result.stderr == ""
