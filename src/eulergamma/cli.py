@@ -24,14 +24,18 @@ among ``eval``'s VALUEs is read as one, and reaches its engine.
 Exit codes: 0 success / all checks passed; 1 failed check, unconverged
 quadrature or non-finite integrand; 2 usage error (argparse's message),
 domain error or a result past the double-precision range; 3 I/O error,
-also a standard output that cannot be written.
+also a standard output that cannot be written.  A standard error that
+cannot be written drops the ``error:`` and warning lines, as argparse drops
+its usage message, and the exit code stands.
 
 ``main()`` with no argument runs the process's own command line, as the
 console script and ``python -m eulergamma`` do.  It flushes standard output
 itself, so a failed write there (a full disk, a closed pipe) is one ``error:``
 line and exit 3, then points fd 1 at the null device, as Python's "Note on
-SIGPIPE" does, so the interpreter's flush at exit cannot fail again.  On every
-way out it calls ``gc.freeze()``: the collector's passes at shutdown then skip
+SIGPIPE" does, so the interpreter's flush at exit cannot fail again.  It
+flushes standard error too, and points fd 2 at the null device when that
+fails, keeping the command's exit code.  On every way out it calls
+``gc.freeze()``: the collector's passes at shutdown then skip
 what the OS is about to reclaim, none of which needs a finalizer.
 ``main(argv)`` with a list does neither.
 
@@ -234,11 +238,8 @@ def _cmd_eval(args, parser):
         raise DomainError(NOT_FINITE)
     print(format(value, ".15g"))
     if estimate is not None and not estimate.converged:
-        print(
-            f"warning: quadrature did not converge "
-            f"(error estimate {estimate.error_estimate:.3e})",
-            file=sys.stderr,
-        )
+        _say(f"warning: quadrature did not converge "
+             f"(error estimate {estimate.error_estimate:.3e})")
         return EXIT_FAIL
     return EXIT_OK
 
@@ -273,8 +274,8 @@ def _cmd_suite(args, parser):
         sys.stdout.write(text)
     for report in suite.reports:
         if report.error is not None:
-            print(f"error: {report.identity_id} {reporting.params_string(report.params)}: "
-                  f"{report.error}", file=sys.stderr)
+            _say(f"error: {report.identity_id} {reporting.params_string(report.params)}: "
+                 f"{report.error}")
     return EXIT_OK if suite.n_fail == 0 else EXIT_FAIL
 
 
@@ -300,6 +301,16 @@ def _join_negative_values(argv):
     return joined
 
 
+def _say(line):
+    """Write ``line`` to standard error.  One that cannot be written is
+    dropped, as argparse drops its own messages, so the command keeps its
+    exit code."""
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):  # fd 2 closed makes sys.stderr None
+        pass
+
+
 def main(argv=None) -> int:
     """Run a command line, the process's own when ``argv`` is None; return
     its exit code."""
@@ -312,10 +323,15 @@ def main(argv=None) -> int:
                 if sys.stdout is not None:
                     sys.stdout.flush()
         except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _say(f"error: {exc}")
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return EXIT_IO
         finally:
+            if sys.stderr is not None:
+                try:
+                    sys.stderr.flush()
+                except OSError:  # what it held is dropped; the exit code stands
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
             gc.freeze()
     parser = _build_parser(argv[0] if argv else None)
     if argv[:1] == ["verify"] and len(argv) > 1 and argv[1].startswith("-") \
@@ -327,18 +343,18 @@ def main(argv=None) -> int:
     try:
         return args.handler(args, parser)
     except NonFiniteIntegrandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_FAIL
     except ValueError as exc:
         # DomainError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_USAGE
     except OverflowError:
         # gamma_reference and other closed forms raise it, as math.gamma does
-        print(f"error: {NOT_FINITE}", file=sys.stderr)
+        _say(f"error: {NOT_FINITE}")
         return EXIT_USAGE
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_IO
 
 

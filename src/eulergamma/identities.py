@@ -169,20 +169,21 @@ class SuiteReport(NamedTuple):
     config_echo: Mapping[str, object]
 
 
-def _report(identity_id, params, lhs, rhs, tolerance, aux_ok=True, log_scale=None):
+def _report(identity_id, params, lhs, rhs, tolerance, aux_ok=True, log_terms=None):
     """Assemble a report; ``aux_ok`` folds in side conditions (quadrature
-    convergence) that must hold for a pass.  ``log_scale``, given when the
-    sides are logs, is the summed magnitude of their terms; such sides pass
-    on the absolute residual, or on the relative one where the absolute
-    residual is within rounding of them.  Linear sides, sine-multiple-angle's
+    convergence) that must hold for a pass.  ``log_terms``, given when the
+    sides are logs, is the pair of their term lists; such sides pass on the
+    absolute residual, or on the relative one where the absolute residual is
+    within rounding of the terms' summed magnitude, which is summed only
+    when the absolute rule fails.  Linear sides, sine-multiple-angle's
     alone, pass on the relative residual.  A ``tolerance`` of None is the
     identity's default."""
     tolerance = _resolved(tolerance, identity_id, params)
     abs_residual = abs(lhs - rhs)
     rel_residual = abs_residual / max(abs(lhs), abs(rhs), _TINY)
-    if log_scale is not None:
-        passed = abs_residual <= tolerance or (
-            abs_residual <= _LOG_ROUNDING * log_scale and rel_residual <= tolerance)
+    if log_terms is not None:
+        passed = abs_residual <= tolerance or (rel_residual <= tolerance and abs_residual <=
+            _LOG_ROUNDING * (sum(map(abs, log_terms[0])) + sum(map(abs, log_terms[1]))))
     else:
         passed = rel_residual <= tolerance
     # A side that is nan or infinite makes a nan or inf residual, which
@@ -221,10 +222,9 @@ def _log_values(estimates):
 
 def _log_report(identity_id, params, lhs_terms, rhs_terms, tolerance, aux_ok=True):
     """Report on sides given as lists of log terms: each side is their
-    ``_fsum``, and the summed magnitude of all the terms, their rounding
-    scale, is the ``log_scale``."""
+    ``_fsum``, and the terms are the ``log_terms`` of its rounding rule."""
     return _report(identity_id, params, _fsum(lhs_terms), _fsum(rhs_terms), tolerance, aux_ok,
-                   log_scale=sum(map(abs, lhs_terms)) + sum(map(abs, rhs_terms)))
+                   log_terms=(lhs_terms, rhs_terms))
 
 
 # The store of log gamma(i/n) tables (see the module docstring).  A fixed
@@ -331,8 +331,10 @@ def _log_sines(n):
     """log sin(i pi/n) for i in 1..n-1, each taken as log sin(j pi/n) with
     j = min(i, n - i): sin(i pi/n) = sin((n - i) pi/n), and the smaller
     multiple of pi/n is the well-conditioned one, so the rounding of
-    ``math.pi`` does not pile up in one direction over the upper half."""
-    return [math.log(math.sin(min(i, n - i) * math.pi / n)) for i in range(1, n)]
+    ``math.pi`` does not pile up in one direction over the upper half.  So
+    the upper half is the lower half's floats in reverse, computed once."""
+    half = [math.log(math.sin(j * math.pi / n)) for j in range(1, n // 2 + 1)]
+    return half + half[:(n - 1) // 2][::-1]
 
 
 def check_sine_product(n: int, tolerance: float | None = None) -> IdentityReport:

@@ -18,9 +18,15 @@ sorted by name.  Non-finite sides (lhs, rhs, residuals) are written as null,
 as only crashed checks produce them.  Everything else follows json's own
 rules and raises json's own ValueError or TypeError, in document order.
 
-``json`` is imported only by ``render_json``, and ``csv`` and ``io`` only by
-``render_csv``, so the table loads neither module, and ``suite --format
-csv`` loads no ``json``.
+``render_csv`` writes one line per row, the header first, with no ``csv``
+module: only the params field can hold a comma, a double quote, CR or LF
+(a crashed check echoes its grid's raw params), and then it is quoted by
+CSV's minimal rule, wrapped in double quotes with each inner one doubled.
+Ids are ``IDENTITIES`` keys, and every other field is a float ``repr`` or
+true/false.
+
+``json`` is imported only by ``render_json``, so the table and ``suite
+--format csv`` load neither ``json`` nor ``csv``.
 """
 
 import math
@@ -72,24 +78,14 @@ CSV_HEADER = ("identity_id", "params", "lhs", "rhs", "abs_residual",
 
 
 def render_csv(suite: SuiteReport) -> str:
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    lines = [",".join(CSV_HEADER)]
     for r in suite.reports:
-        writer.writerow([
-            r.identity_id,
-            params_string(r.params),
-            repr(r.lhs),
-            repr(r.rhs),
-            repr(r.abs_residual),
-            repr(r.rel_residual),
-            repr(r.tolerance),
-            "true" if r.passed else "false",
-        ])
-    return buffer.getvalue()
+        params = params_string(r.params)
+        if "," in params or '"' in params or "\r" in params or "\n" in params:
+            params = '"' + params.replace('"', '""') + '"'
+        lines.append(f"{r.identity_id},{params},{r.lhs!r},{r.rhs!r},{r.abs_residual!r},"
+                     f"{r.rel_residual!r},{r.tolerance!r},{'true' if r.passed else 'false'}")
+    return "\n".join(lines) + "\n"
 
 
 _TABLE_COLUMNS = ("identity_id", "params", "lhs", "rhs", "rel_residual",

@@ -823,9 +823,11 @@ def test_json_path_imports_json_but_no_csv(tmp_path):
 
 
 def test_csv_path_imports_no_json(tmp_path):
+    # render_csv writes its rows itself, so the csv module stays unloaded too.
     loaded = _modules_loaded("-m", "eulergamma", "suite", "--format", "csv",
                              "--out", str(tmp_path / "r.csv"))
-    assert _csv_and_json(loaded) == {"csv", "_csv"}
+    assert {"eulergamma.cli", "eulergamma.identities", "eulergamma.reporting"} <= loaded
+    assert _csv_and_json(loaded) == set()
 
 
 @pytest.mark.parametrize("args", [
@@ -1078,8 +1080,8 @@ def test_the_process_command_line_freezes_before_exit():
     assert label == "frozen" and int(count) > 0
 
 
-def _stdout_sink(kind):
-    """A standard output no write reaches: the full device, or the write end
+def _unwritable_sink(kind):
+    """A stream no write reaches: the full device, or the write end
     of a pipe whose read end is already closed (EPIPE, never a race)."""
     if kind == "full":
         return open("/dev/full", "wb")
@@ -1101,7 +1103,7 @@ def test_unwritable_stdout_exits_3(args, kind):
     # outputs fail only when flushed; the interpreter's flush at exit used to
     # print "Exception ignored ..." and exit 120.
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-    with _stdout_sink(kind) as sink:
+    with _unwritable_sink(kind) as sink:
         result = subprocess.run([sys.executable, "-m", "eulergamma", *args], stdout=sink,
                                 stderr=subprocess.PIPE, text=True, env=env, timeout=120)
     assert result.returncode == 3, result.stderr
@@ -1117,3 +1119,44 @@ def test_closed_stdout_is_no_error():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0
     assert result.stderr == ""
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("kind", ["full", "closed-pipe"])
+@pytest.mark.parametrize("args, code", [
+    (("eval", "gamma", "172"), 2),
+    (("suite", "--identities", "reflection", "--x", "0.5,1.5", "--format", "csv"), 1),
+    (("eval", "gamma"), 2),
+])
+def test_unwritable_stderr_keeps_the_exit_code(args, code, kind, buffered):
+    # The error line is dropped; the interpreter used to report its failed
+    # write and exit 120 (buffered) or 1 (PYTHONUNBUFFERED=1).
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with _unwritable_sink(kind) as sink:
+        result = subprocess.run([sys.executable, "-m", "eulergamma", *args],
+                                stdout=subprocess.PIPE, stderr=sink, env=env, timeout=120)
+    assert result.returncode == code
+
+
+def test_closed_stderr_keeps_the_exit_code():
+    # With fd 2 closed sys.stderr is None; the error line must not go to
+    # standard output instead.
+    result = subprocess.run(["sh", "-c", '"$0" -m eulergamma eval gamma 172 2>&-',
+                             sys.executable], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == ""
+
+
+def test_main_with_a_list_drops_an_unwritable_error_line(monkeypatch):
+    # main(argv) keeps the command's exit code too, and leaves fd 2 alone.
+    class Unwritable:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    dup2_calls = []
+    monkeypatch.setattr(os, "dup2", lambda *args: dup2_calls.append(args))
+    monkeypatch.setattr(sys, "stderr", Unwritable())
+    assert main(["eval", "gamma", "172"]) == 2
+    assert dup2_calls == []

@@ -197,6 +197,15 @@ def test_sine_product_rounding_does_not_drift_at_large_n():
     assert abs(report.lhs - report.rhs) <= 1e-12
 
 
+def test_log_sines_mirror_their_lower_half_bit_for_bit():
+    # The upper half is the lower half's floats in reverse: each term is the
+    # one log sin(j pi/n), j = min(i, n - i), evaluates to.
+    for n in [*range(1, 5001), identities.MAX_N]:
+        expected = array("d", [math.log(math.sin(min(i, n - i) * math.pi / n))
+                               for i in range(1, n)])
+        assert array("d", identities._log_sines(n)).tobytes() == expected.tobytes(), n
+
+
 def test_sine_multiple_angle_degenerate_n1():
     report = check_sine_multiple_angle(1, 0.77)
     assert report.passed

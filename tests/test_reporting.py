@@ -1,21 +1,34 @@
-"""render_json against json's own encoder.
+"""render_json against json's own encoder, render_csv against the csv module.
 
-The oracle is the document as dicts through the compact
+The JSON oracle is the document as dicts through the compact
 ``json.dumps(document, allow_nan=False)``.  Every SuiteReport must render to
 text that parses to the oracle's document, with one line per report, or
-raise the oracle's exception.
+raise the oracle's exception.  The CSV oracle is ``csv.writer``'s minimal
+quoting, under which a field holding a comma, a quote, CR or LF is quoted;
+every report must parse back through ``csv.reader`` to its eight fields.
 """
 
+import csv
+import io
 import json
 import math
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulergamma import reporting
-from eulergamma.identities import IdentityReport, SuiteReport, build_grid, run_suite
+from eulergamma.identities import (
+    IDENTITIES,
+    MODES,
+    IdentityReport,
+    SuiteReport,
+    build_grid,
+    run_suite,
+)
 from eulergamma.cli import main
-from eulergamma.reporting import render_json
+from eulergamma.reporting import CSV_HEADER, params_string, render_csv, render_json
 
 
 def reference_json(suite):
@@ -210,3 +223,72 @@ def test_suite_reaches_render_json_through_the_module(monkeypatch, capsys):
     monkeypatch.setattr(reporting, "render_json", lambda suite: "wrapped")
     assert main(["suite", "--format", "json", "--identities", "sine-product", "--n", "2"]) == 0
     assert capsys.readouterr().out == "wrapped"
+
+
+def _csv_fields(report):
+    return [report.identity_id, params_string(report.params), repr(report.lhs),
+            repr(report.rhs), repr(report.abs_residual), repr(report.rel_residual),
+            repr(report.tolerance), "true" if report.passed else "false"]
+
+
+def reference_csv(suite):
+    """csv.writer's minimal quoting, one row per line.  Each row is written
+    alone with the CRLF terminator, under which the writer quotes a field
+    holding CR as well as LF, and that terminator is then made LF."""
+    rows = []
+    for fields in [list(CSV_HEADER), *map(_csv_fields, suite.reports)]:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(fields)
+        rows.append(buffer.getvalue()[:-2] + "\n")
+    return "".join(rows)
+
+
+def parsed_csv(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+# Reports as checks make them: a row's id and float sides, any params,
+# often holding the characters CSV quotes.
+csv_texts = st.text(st.sampled_from(',"\r\n;= aé'), max_size=6)
+csv_reports = st.builds(
+    IdentityReport,
+    identity_id=st.sampled_from(sorted(IDENTITIES)),
+    params=st.one_of(params, st.dictionaries(csv_texts, csv_texts, max_size=3)),
+    lhs=st.floats(),
+    rhs=st.floats(),
+    abs_residual=st.floats(),
+    rel_residual=st.floats(),
+    tolerance=st.floats(),
+    passed=st.booleans(),
+)
+
+
+@given(st.lists(csv_reports, max_size=4).map(tuple))
+@settings(max_examples=200, deadline=None)
+def test_render_csv_matches_the_csv_module(reports):
+    suite = SuiteReport(reports, 0, 0, {})
+    text = render_csv(suite)
+    assert text == reference_csv(suite)
+    assert parsed_csv(text) == [list(CSV_HEADER), *map(_csv_fields, reports)]
+
+
+@pytest.mark.parametrize("value", ["a,b", 'a"b', "a\rb", "a\nb", "a\r\nb", ',"\r\n'])
+def test_a_crashed_reports_params_parse_back_as_one_row(value):
+    # A crashed check echoes its grid's raw params; a bare CR there used to
+    # split the report into two rows.
+    suite = run_suite({"reflection": [{"x": value}]})
+    (report,) = suite.reports
+    assert report.error is not None
+    assert parsed_csv(render_csv(suite)) == [
+        list(CSV_HEADER),
+        ["reflection", f"x={value}", "nan", "nan", "inf", "inf", "1e-12", "false"],
+    ]
+
+
+def test_only_params_can_need_csv_quoting():
+    # render_csv quotes the params field alone: ids, axis names and modes
+    # hold nothing a CSV field would need quoted, and the other fields are
+    # float reprs and true/false.
+    names = [*IDENTITIES, *MODES]
+    names += [axis for spec in IDENTITIES.values() for axis in spec.axes]
+    assert not [name for name in names if set(name) & set(',"\r\n')]
