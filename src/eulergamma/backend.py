@@ -5,11 +5,12 @@ what depends only on the level and the ``EULER_SYMBOL`` exponent from
 per-process tables (see below) and dispatches on the integrand family once
 per level, to a loop written for that family.  That loop is the one
 definition of the family's integrand; ``_FAMILIES`` keeps it beside the sum
-e of the |powers| the integrand raises x, 1 - x, 1 - x^n or -log x to, which
-``quadrature`` reads through ``family_powers`` for its rounding floor, and
-beside the family's tail term, which ``quadrature`` adds to a family
-integral's error estimate (see "Tail term" below).  The built-in families
-are defined on (0, 1) alone; arbitrary callables take any finite interval.
+e of the |powers| the integrand raises x, 1 - x, 1 - x^n or -log x to and
+the family's tail term (see "Tail term" below).  ``quadrature`` reads that
+row once per integral, for its rounding floor and the tail it adds to the
+error estimate.  The built-in families are defined on (0, 1) alone, and
+``level_sum`` trusts its caller for that and for the family's tag;
+arbitrary callables take any finite interval.
 
 There are three families, one per integral of the engines: Euler's
 (-log x)^s for Gamma, Beta's x^(p-1) (1-x)^(q-1), and Euler's symbol
@@ -305,15 +306,6 @@ def _log_edge(h):
 LOG_EDGE = {0.5 ** j: _log_edge(0.5 ** j) for j in range(13)}
 
 
-def family_powers(family, p0, p1, p2):
-    """The sum e of the |powers| a built-in family's integrand raises x,
-    1 - x, 1 - x^n or -log x to; ValueError for any other tag."""
-    entry = _FAMILIES.get(family)
-    if entry is None:
-        raise ValueError(f"unknown integrand family {family}")
-    return entry[1](p0, p1, p2)
-
-
 def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
     """Sum weighted integrand values at the tanh-sinh nodes of spacing ``h``.
 
@@ -322,18 +314,14 @@ def level_sum(a, b, h, odd_only, family, p0, p1, p2, f):
     weighted sum (to be scaled by ``h`` by the caller) and the number of
     distinct nodes evaluated, up to the row where a built-in family's loop
     stops.  A built-in family's total is finite, or the level raises
-    NonFiniteIntegrandError; a family asked for over an interval other than
-    (0, 1) raises ValueError (see the module docstring for both).
+    NonFiniteIntegrandError (see the module docstring).  A family ignores
+    ``a`` and ``b``: its rows describe (0, 1), the interval every caller
+    passes it.
     """
     if family != GENERIC:
-        entry = _FAMILIES.get(family)
-        if entry is None:
-            raise ValueError(f"unknown integrand family {family}")
-        if a != 0.0 or b != 1.0:
-            raise ValueError(f"integrand family {family} is defined on (0, 1) only")
         rows = _row_tables.get((h, odd_only)) or _rows(h, odd_only)
         try:
-            total, visited = entry[0](rows, h, odd_only, p0, p1, p2)
+            total, visited = _FAMILIES[family][0](rows, h, odd_only, p0, p1, p2)
         except OverflowError:
             raise NonFiniteIntegrandError("integrand not finite") from None
         if not isfinite(total):

@@ -654,9 +654,20 @@ def _row_of(identity_id):
         raise DomainError(f"unknown identity {identity_id!r}") from None
 
 
+def _sortable(value):
+    """A sort key for one parameter name or value that compares with any
+    other's: real numbers by value, then anything else by its type's name,
+    strings by themselves and the rest by repr.  A grid from ``build_grid``
+    holds numbers of one type per axis and strings, which keep their order."""
+    if isinstance(value, (int, float)) and value == value:
+        return 0, value, type(value).__name__
+    return 1, type(value).__name__, value if isinstance(value, str) else repr(value)
+
+
 def params_key(params: Mapping) -> tuple:
-    """Deterministic sort key: (name, value) pairs ordered by name."""
-    return tuple(sorted(params.items()))
+    """Deterministic sort key that cannot fail: (name, value) pairs ordered
+    by name, each taken through ``_sortable``."""
+    return tuple(sorted([(_sortable(name), _sortable(value)) for name, value in params.items()]))
 
 
 def build_grid(identities=None, axis_values=None) -> dict:
@@ -716,8 +727,9 @@ def run_suite(grid: dict | None = None,
               tolerances: Mapping[str, float] | None = None) -> SuiteReport:
     """Run every check in ``grid`` (default: the full built-in grid).
 
-    Reports come back sorted by identity_id, then by parameter values, no
-    matter the order of the input.  A check that raises is recorded as a
+    Reports come back sorted by identity_id, then by parameter values
+    (``params_key``, which orders any values, of any types), no matter the
+    order of the input.  A check that raises is recorded as a
     failed report with NaN sides, and the exception in its ``error``, rather
     than aborting the suite.
 

@@ -26,16 +26,23 @@ against the bar REL_TOL * |I_j| (for callables, at least ABS_TOL):
   reported.  Where it fires it saves the level the change test would
   compute; it never adds one.
 
-A quadrature that passes neither test within MAX_REFINEMENTS halvings is
-reported unconverged.  A bar of 0 is met by neither test: a family value of
-0, as when every node of S(1.7e308, 1; 2) underflows, is not known to be
-the integral, and is reported unconverged.
+A family integral also stops, unconverged and with an estimate of inf, at
+the first level that passes neither test while its tail term (see below)
+at the finest level, the least any level can reach, exceeds a nonzero
+bar: a later level could converge only if its value grew past that tail
+over REL_TOL, and in the seeded sweeps of the README no integral that
+converges without this stop is stopped by it.  A quadrature that passes neither test
+within MAX_REFINEMENTS halvings is reported unconverged.  A bar of 0 is met
+by neither test nor stops on the tail: a family value of 0, as when every
+node of S(1.7e308, 1; 2) underflows, is not known to be the integral, and
+is reported unconverged.
 
 Either estimate is raised to at least the rounding floor
 ROUNDING_K * eps * (1 + e) * |I_j|, with e the sum of the |powers| the
-integrand raises x, 1 - x, 1 - x^n or -log x to, which ``backend`` keeps
-beside each family's node loop (0 for a callable): the error rounding alone
-leaves in a value.  So no converged estimate is 0.
+integrand raises x, 1 - x, 1 - x^n or -log x to (0 for a callable): the
+error rounding alone leaves in a value.  So no converged estimate is 0.
+The driver reads e and the tail term below from the family's one row of
+``backend._FAMILIES``, once per integral.
 
 A family integral's estimate then takes its tail term (see ``backend``):
 the mass beyond the outermost node of the last level, which neither test
@@ -43,10 +50,10 @@ sees, since no level has a node there.  It is added once, after the
 refinement, to the estimate and never to the value, and the quadrature is
 converged only if the sum still meets the bar.  Below an endpoint exponent
 of about 0.05 (x and y for beta, p and q/n for Euler's symbol) that mass
-nears or passes the bar, and most such integrals are reported unconverged.
-Above it the term is below 2.2e-14 of the integral; over 1,000 seeded
-integrals of the four engines it moved no bit of an estimate whose
-smallest exponent was above 0.109.
+nears or passes the bar, and most such integrals are reported unconverged,
+most after two levels, by the stop on the tail.  Above it the term is below
+2.2e-14 of the integral; over 1,000 seeded integrals of the four engines it
+moved no bit of an estimate whose smallest exponent was above 0.109.
 
 C = 1000, the exponent 1.5 and K = 16 were set against a seeded 30-digit
 mpmath sweep (``tests/test_error_estimates.py``): no true error exceeds its
@@ -100,7 +107,7 @@ ABS_TOL = 1e-12
 
 # The most step halvings past the coarsest level.  Each halving doubles the
 # nodes, so an integral that does not converge evaluates at most 49,971
-# (fewer where its levels stop before T_MAX), and
+# (fewer where its levels stop before T_MAX or its tail stops it early), and
 # every level a quadrature visits has h >= 2^-12, which ``backend`` stores.
 # Past 12 the new nodes fall where h = 2^-12 already resolves the integrand,
 # and the error left is the truncation at ``backend.T_MAX``, which no halving
@@ -135,14 +142,6 @@ class IntegralEstimate(NamedTuple):
     converged: bool
 
 
-def _rounding_floor(family, p0, p1, p2):
-    """ROUNDING_K * eps * (1 + e), with e from ``backend.family_powers``
-    (0 for a callable): the relative error a value can carry from rounding
-    alone.  An unknown family tag raises ValueError, as ``level_sum`` does."""
-    powers = 0.0 if family == backend.GENERIC else backend.family_powers(family, p0, p1, p2)
-    return ROUNDING_K * EPSILON * (1.0 + powers)
-
-
 def _extrapolated(d2, d1, d0, size):
     """EXTRAPOLATION_C * r0^2 / r1 * size, where r2, r1, r0 are the last
     three level changes relative to ``size``, once they contract
@@ -158,16 +157,23 @@ def _extrapolated(d2, d1, d0, size):
 def _refine(a, b, family, p0, p1, p2, f):
     """Run the level-doubling loop over (a, b); returns an IntegralEstimate.
 
-    ``backend.level_sum``, ``math.isfinite`` and ``REL_TOL`` are bound once
-    per quadrature, as locals, rather than looked up on every level.  They
-    are bound when the call starts, not at import, so a tracer or a test
-    that replaces one of them beforehand still takes effect.
+    A family's row of ``backend._FAMILIES`` is read once, for the power sum
+    e of the rounding floor and for the tail term; a callable takes e = 0,
+    no tail and the bar's floor ABS_TOL.  ``backend.level_sum``,
+    ``math.isfinite`` and ``REL_TOL`` are bound once per quadrature, as
+    locals, rather than looked up on every level.  They are bound when the
+    call starts, not at import, so a tracer or a test that replaces one of
+    them beforehand still takes effect.
     """
     level_sum = backend.level_sum
     isfinite = math.isfinite
     rel_tol = REL_TOL
-    floor = ABS_TOL if family == backend.GENERIC else 0.0
-    rounding = _rounding_floor(family, p0, p1, p2)
+    floor, rounding, tail, least_tail = ABS_TOL, ROUNDING_K * EPSILON, None, 0.0
+    if family != backend.GENERIC:
+        _, powers, tail = backend._FAMILIES[family]
+        floor, rounding = 0.0, rounding * (1.0 + powers(p0, p1, p2))
+        # the tail at the finest level, the least any level can reach
+        least_tail = tail(p0, p1, p2, backend.LOG_EDGE[0.5 ** MAX_REFINEMENTS])
     h = 1.0
     value, evaluations = level_sum(a, b, h, False, family, p0, p1, p2, f)
     error = math.inf
@@ -199,13 +205,16 @@ def _refine(a, b, family, p0, p1, p2, f):
                 error = extrapolated
                 converged = True
                 break
+        if least_tail > bar > 0.0:
+            error = math.inf  # even the least tail passes the bar
+            break
         d2, d1 = d1, change
     if not isfinite(value):
         # An infinite value meets the stop rule vacuously (inf <= inf).
         return IntegralEstimate(value, math.inf, evaluations, False)
-    if family != backend.GENERIC:
+    if tail is not None:
         # the mass beyond the outermost node, which no level sees
-        error += backend._FAMILIES[family][2](p0, p1, p2, backend.LOG_EDGE[h])
+        error += tail(p0, p1, p2, backend.LOG_EDGE[h])
         converged = converged and error <= bar
     return IntegralEstimate(value, error, evaluations, converged)
 

@@ -199,10 +199,13 @@ def test_sine_product_rounding_does_not_drift_at_large_n():
 
 def test_log_sines_mirror_their_lower_half_bit_for_bit():
     # The upper half is the lower half's floats in reverse: each term is the
-    # one log sin(j pi/n), j = min(i, n - i), evaluates to.
+    # one log sin(j pi/n), j = min(i, n - i), evaluates to.  That per-term
+    # form is evaluated once per j <= n/2; the term at i > n/2 is, by
+    # definition, the one at j = n - i.
+    log, sin, pi = math.log, math.sin, math.pi
     for n in [*range(1, 5001), identities.MAX_N]:
-        expected = array("d", [math.log(math.sin(min(i, n - i) * math.pi / n))
-                               for i in range(1, n)])
+        lower = [log(sin(j * pi / n)) for j in range(1, n // 2 + 1)]
+        expected = array("d", lower + [lower[n - i - 1] for i in range(n // 2 + 1, n)])
         assert array("d", identities._log_sines(n)).tobytes() == expected.tobytes(), n
 
 
@@ -882,6 +885,23 @@ def test_crash_report_records_the_exception():
     assert crashed.params == {"x": 1.5}
     assert crashed.error == "DomainError: x must lie in (0,1)"
     assert passed.error is None
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("a", "DomainError: x must be a number, got 'a'"),
+    (None, "TypeError: float() argument must be a string or a real number, not 'NoneType'"),
+])
+def test_run_suite_reports_values_that_do_not_compare(bad, error):
+    # A hand-built grid may hold values that do not compare with a number;
+    # sorting its points must not raise before any check runs, nor depend on
+    # the order they come in.
+    points = [{"x": bad}, {"x": 1.5}]
+    runs = [run_suite({"reflection": order}) for order in (points, points[::-1])]
+    for suite in runs:
+        assert (suite.n_pass, suite.n_fail) == (0, 2)
+        assert [(r.params, r.error) for r in suite.reports] == [
+            ({"x": 1.5}, "DomainError: x must lie in (0,1)"), ({"x": bad}, error)]
+    assert render_csv(runs[0]) == render_csv(runs[1])
 
 
 def test_run_suite_tolerance_override_forces_failure():
