@@ -17,13 +17,13 @@ class NonFiniteIntegrandError(ValueError):
 
 def number(value, name="parameter"):
     """``value`` as a float; DomainError where ``float()`` refuses it, for an
-    integer past the double range or text that is no number.  Every
-    validator here converts through it."""
+    integer past the double range, text that is no number or a value of
+    another type (None, a list).  Every validator here converts through it."""
     try:
         return float(value)
     except OverflowError:
         raise DomainError(f"{name} must be finite") from None
-    except ValueError:
+    except (TypeError, ValueError):
         raise DomainError(f"{name} must be a number, got {value!r}") from None
 
 

@@ -4,18 +4,24 @@ The reference engine is a Lanczos approximation with the classic g = 7,
 n = 9 double-precision coefficient set.  Measured against a 50-digit
 reference, its relative error stays below 7e-14 on [0.5, 100]; arguments
 below 0.5 are lifted through the recurrence gamma(x) = gamma(x + 1) / x,
-evaluated at x + 1 in the same call.  ``log_gamma`` reuses the same
-coefficients in log form rather than calling ``math.lgamma`` so that both
-engines share one rounding profile and results are reproducible across libm
-builds.  The Lanczos sum is written out term by term in the order a loop
-over the coefficients adds them, so it rounds exactly as that loop does, on
-every platform.
+evaluated at x + 1 in the same call.  ``log_gamma`` is the same coefficients
+in log form.  The Lanczos sum is written out term by term in the order a
+loop over the coefficients adds them, so it rounds exactly as that loop
+does, on every platform.
 
-``log_gamma_terms`` is the batch form of ``log_gamma`` for callers that
-evaluate many terms at once.  It takes arguments the caller has already
-validated as positive and finite, skips the per-call check, and returns
-exactly the floats ``log_gamma`` would: ``log_gamma`` validates its one
-argument and runs the same loop, so the log form is written once.
+``log_gamma_terms`` is a second, independent engine for callers that
+evaluate many log gamma terms at once: ``math.lgamma`` of each, which is
+CPython's own Lanczos approximation (g about 6.02, 13 terms), not the C
+library's ``lgamma``.  A batch of 100 terms takes about a tenth of the time
+the g = 7 log form takes in Python (6 against 70 us on a 2-CPU Xeon), and
+it is more accurate: against 50-digit mpmath its worst error is 1.9e-15
+relative to max(|log gamma|, 1), where the g = 7 form reaches 4.1e-15, both
+next to x = 3 (69,000 seeded draws in (1e-300, 1e5) and (0.2, 4)).  It takes
+arguments the caller has already validated as positive and finite, and
+skips the per-call check.  Both engines depend on the C library only
+through its ``log``.  They are kept apart on purpose: where a check puts a
+batch on one side and ``log_gamma`` on the other, a fault in either engine
+shows as a residual.
 
 The integral engines evaluate gamma through Euler's integral
 
@@ -30,7 +36,7 @@ recurrence's factors, so it stays finite wherever log gamma does.
 
 import math
 
-from .errors import DomainError, nonnegative, number, positive
+from .errors import NOT_FINITE, DomainError, nonnegative, number, positive
 from .quadrature import IntegralEstimate, _integrate_family
 from . import backend
 
@@ -103,29 +109,26 @@ def log_gamma(x: float) -> float:
     relative error is 1.4e-6 and 2.3e-6 because log Gamma itself is below
     1e-9 in magnitude.  ``log_gamma(1.0)`` is -8.9e-16, not 0.
     """
-    return log_gamma_terms((positive(x, "x"),))[0]
+    x = positive(x, "x")
+    shift = 0.0
+    if x < 0.5:
+        shift = math.log(x)
+        x += 1.0
+    t = x + (_LANCZOS_G - 0.5)
+    return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(_lanczos_sum(x - 1.0)) - shift
 
 
 def log_gamma_terms(xs) -> list:
-    """[log(Gamma(x)) for x in xs], for arguments the caller has already
+    """[math.lgamma(x) for x in xs], for arguments the caller has already
     validated as positive finite floats.
 
-    Nothing is checked here; each value is the float ``log_gamma`` returns
-    for the same argument, since ``log_gamma`` is this loop run once.
+    Nothing is checked here.  A term past the double range (x above about
+    2.6e305) raises DomainError(NOT_FINITE), as a side summed past it does.
     """
-    log = math.log
-    lanczos_sum = _lanczos_sum
-    ln_sqrt_2pi = _LN_SQRT_2PI
-    t_offset = _LANCZOS_G - 0.5
-    terms = []
-    for x in xs:
-        shift = 0.0
-        if x < 0.5:
-            shift = log(x)
-            x += 1.0
-        t = x + t_offset
-        terms.append(ln_sqrt_2pi + (x - 0.5) * log(t) - t + log(lanczos_sum(x - 1.0)) - shift)
-    return terms
+    try:
+        return list(map(math.lgamma, xs))
+    except OverflowError:
+        raise DomainError(NOT_FINITE) from None
 
 
 def _recurrence(x):

@@ -33,15 +33,22 @@ Conventions shared by all checks:
 * The log gamma terms of the gamma products, and of closed-mode factorial-root
   and ``derivation_chain_values``, are evaluated one batch per side: each
   side passes all its log gamma arguments to ``gamma.log_gamma_terms`` as
-  one list, and only the log gamma(i/n) table, a subnormal quotient's term
-  (``_log_gamma_quotient``) and gauss-multiplication's right-hand
-  ``log_gamma(x)`` are taken apart from it.  The arguments are positive by
-  construction, so the per-call check is skipped, and each term is the
-  float ``log_gamma`` gives.  The table log gamma(i/n), i = 1..n-1, is kept in
-  ``_fraction_tables``, keyed on n <= FRACTION_TABLE_MAX_N (1024), for the
-  life of the process and shared by every check that needs it, in or
-  outside a run: 8 bytes per term, at most 4.2 MB.  A larger n's table is
-  computed by each call that needs it and kept by none.
+  one list, and only the log gamma(i/n) table and a subnormal quotient's
+  term (``_log_gamma_quotient``) are taken apart from it.  The arguments are
+  positive by construction, so the per-call check is skipped.  Each term is
+  ``math.lgamma``'s float, CPython's own Lanczos engine, while the single
+  log gamma terms (gauss-multiplication's log gamma(x), factorial-root's
+  log gamma(m/n + 1), log-integral-product's log gamma(n) and
+  algebraic-interpolation's log gamma(p + 1)) come from the g = 7
+  ``log_gamma``.  So no closed-form check compares one log gamma engine
+  with itself: gauss-multiplication (with duplication) and closed-mode
+  factorial-root put one engine on each side, and reflection and the gamma
+  fraction and square products have log gamma terms on one side only.  The
+  table log gamma(i/n), i = 1..n-1, is kept in ``_fraction_tables``, keyed
+  on n <= FRACTION_TABLE_MAX_N (1024), for the life of the process and
+  shared by every check that needs it, in or outside a run: 8 bytes per
+  term, at most 4.2 MB.  A larger n's table is computed by each call that
+  needs it and kept by none.
 * The log of an n-th root is the fsum of the radicand's log terms divided by
   n once; every radicand on the supported domain is a product of positive
   reals, so there is no branch to pick.
@@ -269,10 +276,10 @@ def _log_quotient(a, n):
 def _log_gamma_quotient(a, n):
     """log gamma(a / n), the float ``log_gamma_terms`` gives.  Below the
     smallest normal double, gamma(q) = gamma(q + 1) / q with q + 1 rounding
-    to 1, so the term is log gamma(1) - ``_log_quotient(a, n)``."""
+    to 1, and log gamma(1) is 0, so the term is -``_log_quotient(a, n)``."""
     quotient = a / n
     if quotient < sys.float_info.min:
-        return log_gamma_terms((1.0,))[0] - _log_quotient(a, n)
+        return -_log_quotient(a, n)
     return log_gamma_terms((quotient,))[0]
 
 

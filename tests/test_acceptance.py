@@ -35,15 +35,29 @@ REFLECTION_GRID = sorted({i / 20.0 for i in range(1, 20)} | {1 / 2, 1 / 3, 1 / 4
 ENGINE_GAMMA_GRID = (0.1, 0.25, 0.5, 1.0, 2.5, 7.0, 19.3, 30.0)
 
 
+# The two log gamma engines' worst errors against 50-digit mpmath where
+# |log gamma| < 1, which are absolute there, summed: 1.9e-15 for the batch
+# math.lgamma and 4.1e-15 for the g = 7 log_gamma (see test_identities).
+TWO_ENGINE_ERROR = 1.9e-15 + 4.1e-15
+
+
 def _assert_all(reports, limit, label, product=False):
     # Every report's sides are logs, so abs_residual is the relative error
     # of the linear sides to first order.  The product identities' logs
-    # grow with n, and their rel_residual is held to the limit as well.
+    # grow with n, and their rel_residual is held to the limit as well,
+    # but for gauss-multiplication at n = 1 with both sides below 1 in size:
+    # each side is one log gamma term, one from each engine, and next to a
+    # zero of log gamma rel_residual measures nothing (log gamma(1) is 0.0
+    # from one engine and -8.9e-16 from the other, rel_residual 1.0).  There
+    # abs_residual is held to the two engines' summed error.
     worst = 0.0
     for report in reports:
         assert report.passed, (label, report.params, report.abs_residual)
         assert report.abs_residual <= limit, (label, report.params)
-        if product:
+        if product and report.params.get("n") == 1 and max(abs(report.lhs),
+                                                           abs(report.rhs)) < 1.0:
+            assert report.abs_residual <= TWO_ENGINE_ERROR, (label, report.params)
+        elif product:
             assert report.rel_residual <= limit, (label, report.params)
         worst = max(worst, report.abs_residual)
     print(f"{label}: {len(reports)} cases, worst |delta log| "
