@@ -54,8 +54,8 @@ def _assert_all(reports, limit, label, product=False):
     for report in reports:
         assert report.passed, (label, report.params, report.abs_residual)
         assert report.abs_residual <= limit, (label, report.params)
-        if product and report.params.get("n") == 1 and max(abs(report.lhs),
-                                                           abs(report.rhs)) < 1.0:
+        near_zero = report.params.get("n") == 1 and max(abs(report.lhs), abs(report.rhs)) < 1.0
+        if product and near_zero:
             assert report.abs_residual <= TWO_ENGINE_ERROR, (label, report.params)
         elif product:
             assert report.rel_residual <= limit, (label, report.params)
