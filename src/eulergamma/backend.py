@@ -12,10 +12,11 @@ error estimate.  The built-in families are defined on (0, 1) alone, and
 ``level_sum`` trusts its caller for that and for the family's tag;
 arbitrary callables take any finite interval.
 
-There are three families, one per integral of the engines: Euler's
-(-log x)^s for Gamma, Beta's x^(p-1) (1-x)^(q-1), and Euler's symbol
-S(p, q; n).  Every other integral the engines take is one of these, as the
-algebraic interpolation's (x^k - x^(k+1))^s is B(ks + 1, s + 1).
+There are two families, one per integral of the paper: Euler's
+(-log x)^s for Gamma, and Euler's symbol S(p, q; n), whose n = 1 is Beta's
+x^(p-1) (1-x)^(q-1).  Every other integral the engines take is one of
+these, as the algebraic interpolation's (x^k - x^(k+1))^s is
+B(ks + 1, s + 1) = S(ks + 1, s + 1; 1).
 
 A family level does its bookkeeping once, in two Python frames,
 ``level_sum`` and the family's loop: one lookup of the family's entry in
@@ -37,8 +38,8 @@ is smaller and changes nothing either.  A total of 0 (every node so far
 underflowed) never stops a level.  The default suite evaluates 15,568 nodes
 of the 23,936 its levels hold.
 
-This holds for (-log x)^s at every s, for Beta at every p and q, and for
-Euler's symbol while n <= ``gamma.MAX_N``, which ``euler_symbol`` enforces.
+This holds for (-log x)^s at every s, and for Euler's symbol while
+n <= ``gamma.MAX_N``, which ``euler_symbol`` enforces (Beta is its n = 1).
 For larger n, 1 - x^n falls to about n * dist within 1/n of x = 1, so the
 near-1 values level off at about pi cosh(t) / n and grow again with
 cosh(t); once that plateau falls below the total's last bit, a later term
@@ -59,16 +60,18 @@ endpoint, and the mass beyond them is in no level.  Near an endpoint with
 exponent alpha and leading coefficient A the integrand is about
 A u^(alpha - 1), u the distance to it, so that mass is A delta^alpha / alpha.
 A family's tail is that summed over its ends, from (p0, p1, p2, log delta):
-Beta's ends are (A, alpha) = (1, p) and (1, q), the symbol's (1, p) at 0
-and (n^(q/n - 1), q/n) at 1, since 1 - x^n is about n (1 - x) there; the
-symbol's end at 1 is taken as exp((q/n) (log n + log delta)) / q, which
-cannot overflow.  (-log x)^s has alpha = s + 1 >= 1 at 1, and at 0 the mass
-past the nodes is Gamma(s + 1, -log delta), below 1e-144 of Gamma(s + 1)
-for every s a level can sum (s <= 110.02), so its tail is 0.  ``LOG_EDGE``
-holds log delta for each level a quadrature can visit.  Over 8,000 seeded
-Beta and symbol integrals with every exponent 0.05 or more, the term stayed
-below 2.2e-14 of the integral, and over the default suite's, whose
-exponents are 1/6 or more, below 2e-46.
+the symbol's ends are (A, alpha) = (1, p) at 0 and (n^(q/n - 1), q/n) at 1,
+since 1 - x^n is about n (1 - x) there; its end at 1 is taken as
+exp((q/n) (log n + log delta)) / q, which cannot overflow.  Beta's ends
+are the symbol's at n = 1, (1, p) and (1, q): q / 1 is q and
+log 1 + log delta is log delta, so that end's term is the double
+exp(q log delta) / q.  (-log x)^s has alpha = s + 1 >= 1 at 1, and at 0
+the mass past the nodes is Gamma(s + 1, -log delta), below 1e-144 of
+Gamma(s + 1) for every s a level can sum (s <= 110.02), so its tail is 0.
+``LOG_EDGE`` holds log delta for each level a quadrature can visit.  Over
+8,000 seeded Beta and symbol integrals with every exponent 0.05 or more,
+the term stayed below 2.2e-14 of the integral, and over the default
+suite's, whose exponents are 1/6 or more, below 2e-46.
 
 Node geometry
 -------------
@@ -99,8 +102,8 @@ needs them before any integrand is evaluated:
   -log1p(-dist)) on (0, 1), its weight with what the families read of its
   distance, negated: -log x and -log(1 - x) at the node near 0, and the
   other way round at the node near 1.  (-log x)^s reads them as they are,
-  and Beta and the symbol take 1 - p for p - 1, which gives the same
-  doubles, since IEEE negation is exact and (1 - p) = -(p - 1).  An even
+  and the symbol takes 1 - p for p - 1, which gives the same doubles,
+  since IEEE negation is exact and (1 - p) = -(p - 1).  An even
   level (``odd_only`` false) starts with the centre row ``CENTRE_ROW``,
   (pi/8, -log 1/2, -log1p(-1/2)): in binary64 log1p(-1/2) == log 1/2, so a
   family's two values there are the same v, and (pi/8) * (v + v) is the
@@ -111,9 +114,12 @@ needs them before any integrand is evaluated:
   rows, each extended by the two exponent columns of ``EULER_SYMBOL``,
   -log(-expm1(-p2 * -log1p(-dist))) and -log(-expm1(-p2 * -log(dist))):
   -log(1 - x^p2) at the node near 1 and at the node near 0, read off the
-  row's negated logs.  They depend on the exponent n = p2 but not on p or
-  q, so every S(p, q; n) with the same n reads one table.  An exponent
-  outside ``TABLE_EXPONENTS`` streams its columns from the same
+  row's negated logs.  At p2 = 1 they are the row's own -log(dist) and
+  -log1p(-dist), since 1 - x^1 is 1 - x: the expressions would be off by
+  an ulp or two there, and with the row's logs S(p, q; 1) sums Beta's
+  integrand to the bit.  The columns depend on the exponent n = p2 but not
+  on p or q, so every S(p, q; n) with the same n reads one table.  An
+  exponent outside ``TABLE_EXPONENTS`` streams its columns from the same
   expressions instead.
 
 The levels a quadrature can visit are h = 2^-j for j in
@@ -122,8 +128,9 @@ of the centre between them, and no level is stored but one it visits.  So the
 store is bounded whatever is asked of the engines: all levels of node
 geometry hold 4.2 MiB, all levels of rows 3.4 MiB, and all levels of one
 exponent 3.2 MiB, 52 MiB for all 16 (tracemalloc).  In practice far less is
-stored: the default suite keeps 98 rows (97 nodes and the centre) and 490
-rows of columns for its five exponents, and no node geometry.
+stored: the default suite keeps 98 rows (97 nodes and the centre) and 588
+rows of columns for its six exponents (n = 1 for its Beta integrals), and
+no node geometry.
 
 Finiteness
 ----------
@@ -161,8 +168,7 @@ _symbol_tables = {}
 
 # Integrand family tags.
 GENERIC = 0
-NEG_LOG_POW = 2     # (-log x)^p0              on (0, 1)
-BETA = 3            # x^(p0-1) (1-x)^(p1-1)    on (0, 1)
+NEG_LOG_POW = 2     # (-log x)^p0                     on (0, 1)
 EULER_SYMBOL = 4    # x^(p0-1) (1-x^p2)^(p1/p2 - 1)   on (0, 1)
 
 # The centre node t = 0 of (0, 1), x = 1/2, at half its weight (pi/4): a
@@ -215,7 +221,12 @@ def _rows(h, odd_only):
 
 
 def _symbol_columns(rows, p2):
-    """Each row extended by -log(1 - x^p2) at the node near 1 and near 0."""
+    """Each row extended by -log(1 - x^p2) at the node near 1 and near 0:
+    at p2 = 1, by the row's own negated logs, exactly."""
+    if p2 == 1.0:
+        for w, nl_dist, nl_1md in rows:
+            yield w, nl_dist, nl_1md, nl_dist, nl_1md
+        return
     for w, nl_dist, nl_1md in rows:
         yield w, nl_dist, nl_1md, -log(-expm1(-p2 * nl_1md)), -log(-expm1(-p2 * nl_dist))
 
@@ -226,27 +237,14 @@ def _symbol_columns(rows, p2):
 # total unchanged (see the module docstring).  It returns the total and the
 # rows it visited, the stopping row included, read off what its iterator
 # over a stored tuple has left.  None tests finiteness: ``level_sum`` tests
-# the total once.  The rows hold negated logs, so Beta and the symbol take
-# their exponents negated too: (1 - p) * -log x is the double (p - 1) * log x.
+# the total once.  The rows hold negated logs, so the symbol takes its
+# exponents negated too: (1 - p) * -log x is the double (p - 1) * log x.
 
 def _neg_log_pow_sum(rows, h, odd_only, p0, p1, p2):
     total = 0.0
     source = iter(rows)
     for w, nl_dist, nl_1md in source:
         new = total + w * (nl_1md ** p0 + nl_dist ** p0)
-        if new == total and total:
-            break
-        total = new
-    return total, len(rows) - length_hint(source)
-
-
-def _beta_sum(rows, h, odd_only, p0, p1, p2):
-    total = 0.0
-    c0 = 1.0 - p0
-    c1 = 1.0 - p1
-    source = iter(rows)
-    for w, nl_dist, nl_1md in source:
-        new = total + w * (exp(c0 * nl_1md + c1 * nl_dist) + exp(c0 * nl_dist + c1 * nl_1md))
         if new == total and total:
             break
         total = new
@@ -281,14 +279,10 @@ def _euler_symbol_sum(rows, h, odd_only, p0, p1, p2):
 # Each family's loop; the sum e of the |powers| its integrand raises x,
 # 1 - x, 1 - x^n or -log x to; and its tail, the mass A delta^alpha / alpha
 # beyond the outermost node, summed over the ends, from log delta (see the
-# module docstring).  B(p, q) is S(p, q; 1), but Beta keeps its own loop
-# because it is faster: over 2,000 seeded Beta integrals with p, q in
-# [1/6, 5/2], 10 alternating runs on a 2-vCPU x86-64 container, a median of
-# 13.5 us per integral here against 15.4 us through EULER_SYMBOL at n = 1.
+# module docstring).  B(p, q) is S(p, q; 1): at n = 1 the symbol's loop,
+# power sum and tail give Beta's doubles.
 _FAMILIES = {
     NEG_LOG_POW: (_neg_log_pow_sum, lambda p0, p1, p2: p0, lambda p0, p1, p2, ld: 0.0),
-    BETA: (_beta_sum, lambda p0, p1, p2: abs(p0 - 1.0) + abs(p1 - 1.0),
-           lambda p0, p1, p2, ld: exp(p0 * ld) / p0 + exp(p1 * ld) / p1),
     EULER_SYMBOL: (_euler_symbol_sum, lambda p0, p1, p2: abs(p0 - 1.0) + abs(p1 / p2 - 1.0),
                    lambda p0, p1, p2, ld: exp(p0 * ld) / p0 + exp(p1 / p2 * (log(p2) + ld)) / p1),
 }

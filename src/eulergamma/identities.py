@@ -34,7 +34,9 @@ Conventions shared by all checks:
   and ``derivation_chain_values``, are evaluated one batch per side: each
   side passes all its log gamma arguments to ``gamma.log_gamma_terms`` as
   one list, and only the log gamma(i/n) table and a subnormal quotient's
-  term (``_log_gamma_quotient``) are taken apart from it.  The arguments are
+  term are taken apart from it: below the smallest normal double,
+  gamma(q) = gamma(q + 1) / q with q + 1 rounding to 1, so log gamma(q) is
+  -``_log_quotient``.  The arguments are
   positive by construction, so the per-call check is skipped.  Each term is
   ``math.lgamma``'s float, CPython's own Lanczos engine, while the single
   log gamma terms (gauss-multiplication's log gamma(x), factorial-root's
@@ -273,16 +275,6 @@ def _log_quotient(a, n):
     return math.log(quotient)
 
 
-def _log_gamma_quotient(a, n):
-    """log gamma(a / n), the float ``log_gamma_terms`` gives.  Below the
-    smallest normal double, gamma(q) = gamma(q + 1) / q with q + 1 rounding
-    to 1, and log gamma(1) is 0, so the term is -``_log_quotient(a, n)``."""
-    quotient = a / n
-    if quotient < sys.float_info.min:
-        return -_log_quotient(a, n)
-    return log_gamma_terms((quotient,))[0]
-
-
 def check_reflection(x: float, tolerance: float | None = None) -> IdentityReport:
     """gamma(x) * gamma(1-x) = pi / sin(pi x), for x in (0, 1).
 
@@ -318,7 +310,7 @@ def check_gauss_multiplication(x: float, n: int,
     quotient = positive(x / n, "x / n")
     lhs_terms = log_gamma_terms([(x + k) / n for k in range(n)])
     if quotient < sys.float_info.min:
-        lhs_terms[0] = _log_gamma_quotient(x, n)
+        lhs_terms[0] = -_log_quotient(x, n)
     rhs_terms = [0.5 * (n - 1) * _LN_2PI, (0.5 - x) * math.log(n), log_gamma(x)]
     return _log_report("gauss-multiplication", {"n": n, "x": x}, lhs_terms, rhs_terms, tolerance)
 
@@ -462,7 +454,7 @@ def _factorial_root_log_inner(m, n, mode):
     log gamma(i/n) + log gamma(m/n) - log gamma((i+m)/n) - log n, through
     B(i/n, m/n)/n.  log gamma(m), log gamma(m/n) and every
     log gamma((i+m)/n) are one ``log_gamma_terms`` batch, the (i + m)/n
-    for i = 0 giving m/n (a subnormal m/n keeps ``_log_gamma_quotient``).
+    for i = 0 giving m/n (a subnormal m/n's term is -``_log_quotient``).
     The terms are grouped by kind rather than symbol by symbol, and
     log gamma(m/n) and log n, which do not depend on i, are repeated n-1
     times by ``itertools.repeat``: the terms are the floats the per-symbol
@@ -474,7 +466,7 @@ def _factorial_root_log_inner(m, n, mode):
         batch = log_gamma_terms([m] + [(i + m) / n for i in range(n)])
         log_gamma_quotient = batch[1]
         if m / n < sys.float_info.min:
-            log_gamma_quotient = _log_gamma_quotient(m, n)
+            log_gamma_quotient = -_log_quotient(m, n)
         return itertools.chain(
             ((n - m) * log_n, batch[0]), _log_gamma_fractions(n),
             itertools.repeat(log_gamma_quotient, n - 1),

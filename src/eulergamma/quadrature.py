@@ -49,18 +49,20 @@ the mass beyond the outermost node of the last level, which neither test
 sees, since no level has a node there.  It is added once, after the
 refinement, to the estimate and never to the value, and the quadrature is
 converged only if the sum still meets the bar.  Below an endpoint exponent
-of about 0.05 (x and y for beta, p and q/n for Euler's symbol) that mass
-nears or passes the bar, and most such integrals are reported unconverged,
-most after two levels, by the stop on the tail.  Above it the term is below
-2.2e-14 of the integral; over 1,000 seeded integrals of the four engines it
-moved no bit of an estimate whose smallest exponent was above 0.109.
+of about 0.05 (p and q/n for Euler's symbol, so x and y for beta, its
+n = 1) that mass nears or passes the bar, and most such integrals are
+reported unconverged, most after two levels, by the stop on the tail.
+Above it the term is below 2.2e-14 of the integral; over 1,000 seeded
+integrals of the four engines it moved no bit of an estimate whose
+smallest exponent was above 0.109.
 
 C = 1000, the exponent 1.5 and K = 16 were set against a seeded 30-digit
 mpmath sweep (``tests/test_error_estimates.py``): no true error exceeds its
-estimate while every endpoint exponent (x and y for beta, ks + 1 and s + 1
-for the algebraic interpolation's B(ks + 1, s + 1), p and q/n for Euler's
-symbol) is at least 0.05.  C = 100 under-reported S(2.26, 2.64; 10)
-3.7 times, its level changes dropping faster than the error that was left;
+estimate while every endpoint exponent (p and q/n for Euler's symbol, so
+x and y for beta, its n = 1, and ks + 1 and s + 1 for the algebraic
+interpolation's B(ks + 1, s + 1)) is at least 0.05.  C = 100
+under-reported S(2.26, 2.64; 10) 3.7 times, its level changes dropping
+faster than the error that was left;
 K = 4 under-reported cos over (0, b) for b near 3, where the integrand's
 two signs cancel.  Below an exponent of 0.05 the same file's second sweep,
 with exponents down to 1e-300, finds every estimate at or above its true

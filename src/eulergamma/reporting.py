@@ -34,15 +34,10 @@ import math
 from .identities import IdentityReport, SuiteReport
 
 
-def _fmt_value(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def params_string(params) -> str:
-    """Canonical `name=value` list, ';'-joined, sorted by name."""
-    return ";".join([f"{k}={_fmt_value(v)}" for k, v in sorted(params.items())])
+    """Canonical `name=value` list, ';'-joined, sorted by name; a float's
+    str is its repr."""
+    return ";".join([f"{k}={v}" for k, v in sorted(params.items())])
 
 
 def _side(value):

@@ -179,3 +179,15 @@ def test_beta_integral_tiny_values_converge_to_mpmath(x, y):
         estimate = beta_integral(x, y)
         assert estimate.converged
         assert abs((mpmath.mpf(estimate.value) - exact) / exact) <= 1e-15
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 400.0), (0.2, 900.0)])
+def test_symbol_at_n_1_reads_exact_exponent_columns(p, q):
+    # At n = 1, 1 - x^n is 1 - x, and the symbol's exponent columns are the
+    # rows' own negated logs.  Taken as -log(-expm1(-log x)) they were off
+    # by an ulp or two, and these values by 2.9e-15 and 5.3e-15 relative.
+    with mpmath.workdps(40):
+        exact = mpmath.beta(p, q)
+        estimate = euler_symbol(p, q, 1)
+        assert estimate.converged
+        assert abs((mpmath.mpf(estimate.value) - exact) / exact) <= 1e-15

@@ -47,7 +47,7 @@ def _sweep():
         x, y = _log_uniform(rng, 0.05, 40.0), _log_uniform(rng, 0.05, 40.0)
         cases.append((f"beta({x!r}, {y!r})", lambda x=x, y=y: beta_integral(x, y),
                       lambda x=x, y=y: mpmath.beta(x, y),
-                      (0.0, 1.0, backend.BETA, x, y, 0.0, None)))
+                      (0.0, 1.0, backend.EULER_SYMBOL, x, y, 1.0, None)))
         p, q, n = _log_uniform(rng, 0.05, 7.0), _log_uniform(rng, 0.05, 7.0), rng.randint(1, 12)
         while q / n < MIN_ENDPOINT_EXPONENT:
             q = _log_uniform(rng, 0.05, 7.0)
@@ -63,7 +63,7 @@ def _sweep():
         x, y = k * s + 1.0, s + 1.0
         cases.append((f"(u^{k} (1 - u))^{s!r}", lambda x=x, y=y: beta_integral(x, y),
                       lambda k=k, s=s: mpmath.beta(k * mp(s) + 1, mp(s) + 1),
-                      (0.0, 1.0, backend.BETA, x, y, 0.0, None)))
+                      (0.0, 1.0, backend.EULER_SYMBOL, x, y, 1.0, None)))
         b = rng.uniform(0.1, 3.0)
         cases.append((f"cos on (0, {b!r})", lambda b=b: integrate_finite(math.cos, 0.0, b),
                       lambda b=b: mpmath.sin(b),

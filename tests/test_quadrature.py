@@ -239,10 +239,9 @@ def family_value(family, p0, p1, p2, dist, near_upper):
     else:
         ln_x = math.log(dist)
         ln_1mx = math.log1p(-dist)
-    if family == kern.BETA:
-        return math.exp((p0 - 1.0) * ln_x + (p1 - 1.0) * ln_1mx)
     if family == kern.EULER_SYMBOL:
-        ln_1mxn = math.log(-math.expm1(p2 * ln_x))
+        # at n = 1, 1 - x^n is 1 - x: Beta's integrand, from the same logs
+        ln_1mxn = ln_1mx if p2 == 1.0 else math.log(-math.expm1(p2 * ln_x))
         return math.exp((p0 - 1.0) * ln_x + (p1 / p2 - 1.0) * ln_1mxn)
     raise ValueError(f"unknown integrand family {family}")
 
@@ -311,15 +310,15 @@ FAMILY_CASES = [
     (kern.NEG_LOG_POW, 108.0, 0.0, 0.0),  # the whole level overflows from 108.44
     (kern.NEG_LOG_POW, 2.5, 0.0, 0.0),
     (kern.NEG_LOG_POW, 0.5, 0.0, 0.0),
-    (kern.BETA, 0.5, 0.5, 0.0),
-    (kern.BETA, 1.5, 1.5, 0.0),
-    (kern.BETA, 1.5, 2.5, 0.0),  # asymmetric: the two ends differ
+    (kern.EULER_SYMBOL, 0.5, 0.5, 1.0),  # Beta, the symbol at n = 1
+    (kern.EULER_SYMBOL, 1.5, 1.5, 1.0),
+    (kern.EULER_SYMBOL, 1.5, 2.5, 1.0),  # asymmetric: the two ends differ
     (kern.EULER_SYMBOL, 1.0, 1.0, 2.0),
     (kern.EULER_SYMBOL, 3.0, 2.0, 5.0),
     (kern.EULER_SYMBOL, 0.7, 5.4, 9.0),
-    (kern.BETA, 7.0, 4.0, 0.0),          # algebraic-interpolation's B(ks + 1, s + 1):
-    (kern.BETA, 1.25, 1.25, 0.0),        # s below 1
-    (kern.BETA, 5.0, 7.0 / 3.0, 0.0),    # and not an integer
+    (kern.EULER_SYMBOL, 7.0, 4.0, 1.0),        # algebraic-interpolation's B(ks + 1, s + 1):
+    (kern.EULER_SYMBOL, 1.25, 1.25, 1.0),      # s below 1
+    (kern.EULER_SYMBOL, 5.0, 7.0 / 3.0, 1.0),  # and not an integer
     (kern.EULER_SYMBOL, 4.5, 0.8, 5.0),  # reads the columns of n = 5
     (kern.EULER_SYMBOL, 2.0, 1.5, 2.5),
     (kern.EULER_SYMBOL, 0.5, 7.0, 3.0),  # q > n: vanishes at x = 1
@@ -397,7 +396,7 @@ def _node_count(h, odd_only):
 
 @pytest.mark.parametrize("family, p0, p1, p2", [
     (kern.NEG_LOG_POW, 2.5, 0.0, 0.0),
-    (kern.BETA, 1.5, 2.5, 0.0),
+    (kern.EULER_SYMBOL, 1.5, 2.5, 1.0),
     (kern.EULER_SYMBOL, 3.0, 2.0, 5.0),
 ])
 def test_level_sum_counts_the_nodes_of_every_level_a_quadrature_visits(family, p0, p1, p2):
@@ -420,18 +419,20 @@ def test_level_sum_counts_the_nodes_of_every_level_a_quadrature_visits(family, p
 
 def _level_sum_draws():
     """Seed 34: (family, p0, p1, p2, level) over each family's domain, ends
-    included: Beta's p and q log-uniform in [1e-6, 1e4], (-log x)^s with s
-    in [0, 108.4] (the whole level overflows from 108.44), and Euler's
-    symbol with p and q as Beta's and n in {1, 2, 16, 17, 1e3, 1e5}, each
-    at a level 0..MAX_REFINEMENTS as a quadrature visits it."""
+    included: Beta (the symbol at n = 1) with p and q log-uniform in
+    [1e-6, 1e4], (-log x)^s with s in [0, 108.4] (the whole level overflows
+    from 108.44), and Euler's symbol with p and q as Beta's and n in
+    {1, 2, 16, 17, 1e3, 1e5}, each at a level 0..MAX_REFINEMENTS as a
+    quadrature visits it."""
     rng = random.Random(34)
-    draws = [(kern.BETA, p, q, 0.0) for p in (1e-6, 1e4) for q in (1e-6, 1e4)]
+    draws = [(kern.EULER_SYMBOL, p, q, 1.0) for p in (1e-6, 1e4) for q in (1e-6, 1e4)]
     draws += [(kern.NEG_LOG_POW, s, 0.0, 0.0) for s in (0.0, 108.4)]
     draws += [(kern.EULER_SYMBOL, p, q, n) for p, q in ((1e-6, 1e-6), (1e4, 1e4), (1e-6, 1e4))
               for n in (1.0, 1e5)]
     for _ in range(40):
         p, q = _log_uniform(rng, 1e-6, 1e4), _log_uniform(rng, 1e-6, 1e4)
-        draws += [(kern.BETA, p, q, 0.0), (kern.NEG_LOG_POW, rng.uniform(0.0, 108.4), 0.0, 0.0),
+        draws += [(kern.EULER_SYMBOL, p, q, 1.0),
+                  (kern.NEG_LOG_POW, rng.uniform(0.0, 108.4), 0.0, 0.0),
                   (kern.EULER_SYMBOL, p, q, rng.choice((1.0, 2.0, 16.0, 17.0, 1e3, 1e5)))]
     return [draw + (rng.randint(0, quadrature.MAX_REFINEMENTS),) for draw in draws]
 
@@ -560,8 +561,6 @@ def _documented_powers(family, p0, p1, p2):
     it: the |powers| the integrand raises x, 1 - x, 1 - x^n or -log x to."""
     if family == kern.NEG_LOG_POW:
         return p0
-    if family == kern.BETA:
-        return abs(p0 - 1.0) + abs(p1 - 1.0)
     assert family == kern.EULER_SYMBOL
     return abs(p0 - 1.0) + abs(p1 / p2 - 1.0)
 
@@ -628,7 +627,7 @@ def test_exponent_columns_stay_within_their_cap(monkeypatch):
 
 def test_non_finite_node_raises_once_the_level_total_is_not_finite(monkeypatch):
     with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
-        kern.level_sum(0.0, 1.0, 0.5, True, kern.BETA, math.nan, 1.5, 0.0, None)
+        kern.level_sum(0.0, 1.0, 0.5, True, kern.EULER_SYMBOL, math.nan, 1.5, 1.0, None)
     # A NaN row makes the total NaN, which raises once the loop is done.
     rows = list(kern._rows(0.5, True))
     rows[1] = (rows[1][0], math.nan, rows[1][2])
@@ -637,11 +636,13 @@ def test_non_finite_node_raises_once_the_level_total_is_not_finite(monkeypatch):
     centre[0] = (centre[0][0], math.nan, math.nan)
     monkeypatch.setattr(kern, "_row_tables", {(0.5, True): tuple(rows),
                                               (1.0, False): tuple(centre)})
+    # the exponent columns of n = 1 are rebuilt from those rows
+    monkeypatch.setattr(kern, "_symbol_tables", {})
     with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
-        kern.level_sum(0.0, 1.0, 0.5, True, kern.BETA, 1.5, 2.5, 0.0, None)
+        kern.level_sum(0.0, 1.0, 0.5, True, kern.EULER_SYMBOL, 1.5, 2.5, 1.0, None)
     # A centre node that is not finite is caught by the same test.
     with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
-        kern.level_sum(0.0, 1.0, 1.0, False, kern.BETA, 1.5, 2.5, 0.0, None)
+        kern.level_sum(0.0, 1.0, 1.0, False, kern.EULER_SYMBOL, 1.5, 2.5, 1.0, None)
 
 
 def test_finite_node_values_whose_sum_overflows_raise():
@@ -649,7 +650,7 @@ def test_finite_node_values_whose_sum_overflows_raise():
     # outermost nodes; the sum of that pair is not, and a family level
     # returns no total that is not finite.
     with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
-        kern.level_sum(0, 1, 1.0, True, kern.BETA, -2.0425, -2.0425, 0, None)
+        kern.level_sum(0, 1, 1.0, True, kern.EULER_SYMBOL, -2.0425, -2.0425, 1.0, None)
 
 
 def _log_uniform(rng, lo, hi):
@@ -712,18 +713,26 @@ def test_an_integral_of_zero_value_does_not_converge():
     assert estimate.converged and abs(estimate.value) <= 1e-12
 
 
-def _bit_lock_calls():
-    """Seed 37: 250 integrals per engine.  Euler's symbol with p and q in
-    [0.05, 40] and n in 1..40, past TABLE_MAX_EXPONENTS, so streamed
-    exponent columns are read too; Beta with exponents e^U(-3, 4);
-    gamma_integral at x = e^U(-5, 5.1), lifted both ways by the recurrence,
-    past 100 too; gamma_log_integral with s in [0, 100]."""
+def _bit_lock_draws():
+    """Seed 37: 250 draws (p, q, n, x, y, z, s), one integral per engine
+    each.  Euler's symbol with p and q in [0.05, 40] and n in 1..40, past
+    TABLE_MAX_EXPONENTS, so streamed exponent columns are read too; Beta
+    with exponents x, y = e^U(-3, 4); gamma_integral at z = e^U(-5, 5.1),
+    lifted both ways by the recurrence, past 100 too; gamma_log_integral
+    with s in [0, 100]."""
     rng = random.Random(37)
-    calls = []
+    draws = []
     for _ in range(250):
         p, q, n = rng.uniform(0.05, 40.0), rng.uniform(0.05, 40.0), rng.randint(1, 40)
         x, y = math.exp(rng.uniform(-3.0, 4.0)), math.exp(rng.uniform(-3.0, 4.0))
         z, s = math.exp(rng.uniform(-5.0, 5.1)), rng.uniform(0.0, 100.0)
+        draws.append((p, q, n, x, y, z, s))
+    return draws
+
+
+def _bit_lock_calls():
+    calls = []
+    for p, q, n, x, y, z, s in _bit_lock_draws():
         calls += [lambda p=p, q=q, n=n: euler_symbol(p, q, n),
                   lambda x=x, y=y: beta_integral(x, y),
                   lambda z=z: gamma_integral(z),
@@ -737,12 +746,27 @@ def test_engine_estimates_are_locked_to_the_bit():
     # The stop on the finest level's tail moved two draws, both unconverged
     # before and after: S(7.771..., 0.05935...; 35) and S(1.72..., 0.5414...;
     # 40) now end after two levels, 25 nodes, with an estimate of inf.
+    # Exact exponent columns at n = 1 moved two draws of 1,000, both
+    # euler_symbol(p, q, 1) and both converged before and after, by two
+    # ulps of value: S(4.4907..., 36.383...; 1) and S(11.348..., 16.969...;
+    # 1), now each bit for bit beta_integral(p, q), as it was before.
     digest = hashlib.sha256()
     for call in _bit_lock_calls():
         estimate = call()
         digest.update(f"{estimate.value.hex()} {estimate.error_estimate.hex()} "
                       f"{estimate.evaluations} {estimate.converged}\n".encode())
-    assert digest.hexdigest() == "9d7097738dd4f32a10be54ef7e2ef659cba561395c65cbef3ad66d994bd8bdee"
+    assert digest.hexdigest() == "82af1fb9ce01c4ee39df7a6b1187de746c5376ce2d4a4e460c66e4fd697888e8"
+
+
+def test_beta_integral_is_euler_symbol_at_n_1_to_the_bit():
+    # B(x, y) is S(x, y; 1) and is integrated as such: value, error
+    # estimate, node count and converged flag are one estimate's, over the
+    # bit-lock Beta draws and the corners of each exponent's range.
+    corners = (1e-300, 1e-6, 0.01, 0.5, 1.0, 3000.0, 1e4)
+    pairs = [(x, y) for _, _, _, x, y, _, _ in _bit_lock_draws()]
+    pairs += [(x, y) for x in corners for y in corners]
+    for x, y in pairs:
+        assert beta_integral(x, y) == euler_symbol(x, y, 1), (x, y)
 
 
 def test_every_quadrature_is_a_callable_or_a_family_on_the_unit_interval(refine_calls):
@@ -778,16 +802,16 @@ def test_memo_shares_equal_integrals_and_separates_distinct_ones(refine_calls):
         first = euler_symbol(3.0, 2.0, 5)
         assert euler_symbol(3.0, 2.0, 5) is first
         assert len(refine_calls) == 1
-        # keys that differ in the order of p and q, in n alone, or in the
-        # family alone (B(3, 2) is S(3, 2; 1))
+        # keys that differ in the order of p and q, or in n alone
         euler_symbol(2.0, 3.0, 5)
         euler_symbol(3.0, 2.0, 6)
-        assert beta_integral(3.0, 2.0) is not euler_symbol(3.0, 2.0, 1)
-        assert len(refine_calls) == 5
+        assert len(refine_calls) == 3
+        # B(3, 2) is S(3, 2; 1), one integral: one entry, one quadrature
+        assert beta_integral(3.0, 2.0) is euler_symbol(3.0, 2.0, 1)
+        assert len(refine_calls) == 4
         assert set(quadrature.suite_memo.get()) == {
             (kern.EULER_SYMBOL, 3.0, 2.0, 5.0), (kern.EULER_SYMBOL, 2.0, 3.0, 5.0),
-            (kern.EULER_SYMBOL, 3.0, 2.0, 6.0), (kern.BETA, 3.0, 2.0, 0.0),
-            (kern.EULER_SYMBOL, 3.0, 2.0, 1.0)}
+            (kern.EULER_SYMBOL, 3.0, 2.0, 6.0), (kern.EULER_SYMBOL, 3.0, 2.0, 1.0)}
     finally:
         quadrature.suite_memo.reset(token)
 
