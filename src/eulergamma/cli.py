@@ -350,7 +350,8 @@ def main(argv=None) -> int:
         _say(f"error: {exc}")
         return EXIT_USAGE
     except OverflowError:
-        # gamma_reference and other closed forms raise it, as math.gamma does
+        # math.gamma (gamma_reference) and math.exp (beta_closed) raise it
+        # past the double range
         _say(f"error: {NOT_FINITE}")
         return EXIT_USAGE
     except OSError as exc:

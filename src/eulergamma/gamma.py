@@ -1,24 +1,29 @@
-"""Gamma function: closed-form reference engine and integral engines.
+"""Gamma function: closed-form engines and integral engines.
 
-The reference engine is a Lanczos approximation with the classic g = 7,
-n = 9 double-precision coefficient set.  Measured against a 50-digit
-reference, its relative error stays below 7e-14 on [0.5, 100]; arguments
-below 0.5 are lifted through the recurrence gamma(x) = gamma(x + 1) / x,
-evaluated at x + 1 in the same call.  ``log_gamma`` is the same coefficients
-in log form.  The Lanczos sum is written out term by term in the order a
-loop over the coefficients adds them, so it rounds exactly as that loop
-does, on every platform.
+``gamma_reference`` is ``math.gamma``, CPython's own Lanczos approximation
+(g about 6.02, 13 terms), not the C library's ``tgamma``.  It is exact at
+the integers 1 through 23, and against 50-digit mpmath its relative error
+stays below 1e-15 over (1e-300, 171.62).  Where Gamma(x) rounds past the
+largest double, above about 171.62 or below about 5.6e-309, it raises
+OverflowError.
 
-``log_gamma_terms`` is a second, independent engine for callers that
-evaluate many log gamma terms at once: ``math.lgamma`` of each, which is
-CPython's own Lanczos approximation (g about 6.02, 13 terms), not the C
-library's ``lgamma``.  A batch of 100 terms takes about a tenth of the time
-the g = 7 log form takes in Python (6 against 70 us on a 2-CPU Xeon), and
-it is more accurate: against 50-digit mpmath its worst error is 1.9e-15
-relative to max(|log gamma|, 1), where the g = 7 form reaches 4.1e-15, both
-next to x = 3 (90,000 seeded draws in (1e-300, 1e5) and (0.2, 4)).  It takes
+``log_gamma`` is a Lanczos approximation in log form with the classic
+g = 7, n = 9 double-precision coefficient set; arguments below 0.5 are
+lifted through the recurrence log gamma(x) = log gamma(x + 1) - log x,
+evaluated at x + 1 in the same call.  The Lanczos sum is written out term
+by term in the order a loop over the coefficients adds them, so it rounds
+exactly as that loop does, on every platform.
+
+``log_gamma_terms`` is a second, independent log engine for callers that
+evaluate many log gamma terms at once: ``math.lgamma`` of each, which is the
+same CPython Lanczos sum as ``math.gamma``, not the C library's ``lgamma``.
+A batch of 100 terms takes about a tenth of the time the g = 7 log form
+takes in Python (6 against 70 us on a 2-CPU Xeon), and it is more accurate:
+against 50-digit mpmath its worst error is 1.9e-15 relative to
+max(|log gamma|, 1), where the g = 7 form reaches 4.1e-15, both next to
+x = 3 (90,000 seeded draws in (1e-300, 1e5) and (0.2, 4)).  It takes
 arguments the caller has already validated as positive and finite, and
-skips the per-call check.  Both engines depend on the C library only
+skips the per-call check.  Both log engines depend on the C library only
 through its ``log``.  They are kept apart on purpose: where a check puts a
 batch on one side and ``log_gamma`` on the other, a fault in either engine
 shows as a residual.
@@ -43,7 +48,6 @@ from . import backend
 # Lanczos g = 7; the nine coefficients live in ``_lanczos_sum``.
 _LANCZOS_G = 7.0
 
-_SQRT_2PI = math.sqrt(math.tau)
 _LN_SQRT_2PI = 0.5 * math.log(math.tau)
 
 # Largest argument the log-space integral engine lifts by the recurrence,
@@ -51,10 +55,6 @@ _LN_SQRT_2PI = 0.5 * math.log(math.tau)
 # value, and ``beta.euler_symbol`` its n.  The cap turns a mistyped x such
 # as 1e300 into a DomainError instead of a loop that never ends.
 MAX_N = 100_000
-
-# Above this, t**(x - 0.5) overflows on its own even though gamma(x) is still
-# finite; switch to the exp-combined form there.
-_POW_EXPONENT_LIMIT = 700.0
 
 
 def _lanczos_sum(y):
@@ -78,30 +78,16 @@ def _lanczos_sum(y):
 
 
 def gamma_reference(x: float) -> float:
-    """Gamma(x) for x > 0 via the Lanczos approximation.
+    """Gamma(x) for x > 0: ``math.gamma``, after the package's argument check.
 
-    Overflows (OverflowError, as with ``math.gamma``) wherever the result is
-    not finite: x above about 171.62, or below about 5.6e-309.
+    Overflows (OverflowError, from ``math.gamma``) wherever the result rounds
+    past the largest double: x above about 171.62, or below about 5.6e-309.
     """
-    x = positive(x, "x")
-    divisor = 1.0
-    if x < 0.5:
-        divisor = x
-        x += 1.0
-    t = x + (_LANCZOS_G - 0.5)
-    a = _lanczos_sum(x - 1.0)
-    pow_exponent = (x - 0.5) * math.log(t)
-    if pow_exponent > _POW_EXPONENT_LIMIT:
-        value = _SQRT_2PI * a * math.exp(pow_exponent - t) / divisor
-    else:
-        value = _SQRT_2PI * t ** (x - 0.5) * math.exp(-t) * a / divisor
-    if not math.isfinite(value):
-        raise OverflowError("math range error")
-    return value
+    return math.gamma(positive(x, "x"))
 
 
 def log_gamma(x: float) -> float:
-    """log(Gamma(x)) for x > 0, on the same coefficient set as gamma_reference.
+    """log(Gamma(x)) for x > 0, by the g = 7 Lanczos sum in log form.
 
     Near the zeros of log Gamma, x = 1 and x = 2, the error is absolute, not
     relative: against 50-digit mpmath it stays below 4e-15 for x within 0.1

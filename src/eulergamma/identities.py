@@ -553,7 +553,7 @@ def derivation_chain_values(m: float, n: int) -> tuple:
     """Three independent routes to (m/n)!, for cross-validation.
 
     Returns (direct, root_form, product_form):
-      direct       gamma(m/n + 1) from the reference engine;
+      direct       gamma(m/n + 1) by ``math.gamma`` (``factorial_interp``);
       root_form    the factorial-root right side in closed mode;
       product_form (m/n) gamma(m) n^(1-m) * prod_k gamma(k/n)/gamma((m+k)/n),
                    i.e. the multiplication formula rearranged for gamma(m/n)

@@ -55,6 +55,12 @@ def test_eval_gamma_reference():
     assert result.stdout == "1.77245385090552\n"
 
 
+def test_eval_gamma_at_an_integer_prints_the_factorial():
+    result = run_cli("eval", "gamma", "10")
+    assert result.returncode == 0
+    assert result.stdout == "362880\n"
+
+
 def test_eval_beta_reference():
     result = run_cli("eval", "beta", "0.5", "0.5")
     assert result.returncode == 0
@@ -224,6 +230,8 @@ def test_eval_gamma_integral_reaches_the_double_ceiling():
     ("verify", "gauss-multiplication", "--n", "2", "--x", "1e308"),
     ("verify", "duplication", "--x", "1e306"),
     ("verify", "duplication", "--x", "3e305"),
+    # a double next to the upper edge, whose Gamma rounds to inf
+    ("eval", "gamma", "171.62437695630274"),
 ])
 def test_result_past_double_range_exits_2(args):
     result = run_cli(*args)

@@ -73,17 +73,28 @@ def test_reference_domain():
 
 
 def test_reference_overflow_behaves_like_stdlib():
-    # finite just below the binary64 ceiling, OverflowError past it, also
-    # where the last product or the exponent overflows to inf rather than
-    # raising (171.7, 1e306) and below the range (1e-320)
+    # finite just below the binary64 ceiling, OverflowError past it and
+    # below the range (1e-320), also at a double next to each edge whose
+    # Gamma lies above the midpoint between the largest double and 2**1024,
+    # so it rounds to inf
+    midpoint = mpmath.mpf(sys.float_info.max) + mpmath.mpf(2) ** 970
     assert math.isfinite(gamma_reference(171.5))
-    for x in (172.0, 171.7, 1e306, sys.float_info.max, 1e-320):
+    edges = (float.fromhex("0x1.573fae561f648p+7"), 5.562684646268003e-309)
+    for x in (172.0, 171.7, 1e306, sys.float_info.max, 1e-320, *edges):
         with pytest.raises(OverflowError):
             math.gamma(x)
         with pytest.raises(OverflowError):
             gamma_reference(x)
+    for x in edges:
+        assert mpmath.gamma(mpmath.mpf(x)) > midpoint
     with pytest.raises(OverflowError):
         factorial_interp(170.7)
+
+
+def test_reference_is_exact_at_the_integers():
+    # (k - 1)! is a double for k up to 23
+    for k in range(1, 24):
+        assert gamma_reference(k) == math.factorial(k - 1), k
 
 
 def test_log_gamma_matches_reference():
@@ -238,25 +249,12 @@ def _loop_log_gamma(x):
     return 0.5 * math.log(math.tau) + (x - 0.5) * math.log(t) - t + math.log(_loop_lanczos_sum(x))
 
 
-def _loop_gamma(x):
-    if x < 0.5:
-        return _loop_gamma(x + 1.0) / x
-    t = x + 6.5
-    a = _loop_lanczos_sum(x)
-    pow_exponent = (x - 0.5) * math.log(t)
-    if pow_exponent > 700.0:
-        return math.sqrt(math.tau) * a * math.exp(pow_exponent - t)
-    return math.sqrt(math.tau) * t ** (x - 0.5) * math.exp(-t) * a
-
-
 def _outcome(f, x):
-    """The result's hex, or "OverflowError" where f raises it or returns a
-    non-finite value, which the loop form does past the double range."""
+    """The result's hex, or "OverflowError" where f raises it."""
     try:
-        value = f(x)
+        return f(x).hex()
     except OverflowError:
         return "OverflowError"
-    return value.hex() if math.isfinite(value) else "OverflowError"
 
 
 def _sweep_arguments():
@@ -278,14 +276,21 @@ def _sweep_arguments():
 
 
 def test_unrolled_engine_is_bitwise_the_loop_form():
+    for x in _sweep_arguments():
+        assert log_gamma(x).hex() == _loop_log_gamma(x).hex(), x
+
+
+def test_reference_is_math_gamma_on_the_sweep():
+    # Bit for bit, and with the same OverflowError set: past 171.62, below
+    # 5.6e-309, and nowhere else.
     overflows = 0
     xs = _sweep_arguments()
+    assert len(xs) == 10_406
     for x in xs:
-        assert log_gamma(x).hex() == _loop_log_gamma(x).hex(), x
-        expected = _outcome(_loop_gamma, x)
+        expected = _outcome(math.gamma, x)
         assert _outcome(gamma_reference, x) == expected, x
         overflows += expected == "OverflowError"
-    assert overflows >= 2000  # the sweep reaches the overflow branch
+    assert overflows >= 2000  # the sweep reaches both overflow edges
 
 
 def test_batch_engine_is_math_lgamma_term_by_term():
@@ -338,6 +343,28 @@ def test_batch_engine_against_mpmath_by_band(band):
     for x, value in zip(xs, gamma_module.log_gamma_terms(xs)):
         exact = mpmath.loggamma(mpmath.mpf(x))
         assert abs(mpmath.mpf(value) - exact) <= bound * max(abs(exact), 1), x
+
+
+# Bands of the reference engine's accuracy test: each draws 300 arguments,
+# and its bound is the worst relative error measured over 363,000 seeded
+# draws of the band against 50-digit mpmath, rounded up; the overall worst,
+# 9.8e-16, lies near x = 6.7.
+_GAMMA_BANDS = {
+    "[1e-300, 1e-10)": (6e-16, lambda rng: _log_uniform(rng, 1e-300, 1e-10)),
+    "[1e-10, 0.5)": (7e-16, lambda rng: _log_uniform(rng, 1e-10, 0.5)),
+    "[0.5, 10)": (1e-15, lambda rng: rng.uniform(0.5, 10.0)),
+    "[10, 100)": (8e-16, lambda rng: rng.uniform(10.0, 100.0)),
+    "[100, 171.62)": (7e-16, lambda rng: rng.uniform(100.0, 171.62)),
+}
+
+
+@pytest.mark.parametrize("band", sorted(_GAMMA_BANDS))
+def test_reference_against_mpmath_by_band(band):
+    bound, draw = _GAMMA_BANDS[band]
+    rng = random.Random(20261021)
+    for x in (draw(rng) for _ in range(300)):
+        exact = mpmath.gamma(mpmath.mpf(x))
+        assert abs(mpmath.mpf(gamma_reference(x)) - exact) <= bound * exact, x
 
 
 def test_batch_engine_is_cpythons_own_lanczos():

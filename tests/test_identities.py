@@ -1265,12 +1265,17 @@ def test_closed_factorial_root_computes_log_gamma_m_over_n_once(log_gamma_args, 
 
 
 def test_derivation_chain_values_are_pinned():
+    # (direct, root, product): the direct route is math.gamma and the root
+    # route math.lgamma, CPython's one Lanczos sum; the product route adds
+    # the g = 7 log_gamma(m) to math.lgamma terms.  Against 50-digit mpmath
+    # their worst relative errors over these points are 2.6e-16, 4.5e-16
+    # and 8e-15.
     pinned = {
-        (1.0, 2): ("0x1.c5bf891b4ef70p-1", "0x1.c5bf891b4ef6dp-1", "0x1.c5bf891b4ef66p-1"),
-        (5.0, 7): ("0x1.d2a614791d369p-1", "0x1.d2a614791d36cp-1", "0x1.d2a614791d361p-1"),
-        (0.5, 3): ("0x1.dafe074b9da91p-1", "0x1.dafe074b9da96p-1", "0x1.dafe074b9da94p-1"),
-        (7.3, 40): ("0x1.d89420b65968bp-1", "0x1.d89420b659690p-1", "0x1.d89420b659691p-1"),
-        (19.9, 120): ("0x1.db1fbe7046be4p-1", "0x1.db1fbe7046be3p-1", "0x1.db1fbe7046c2ap-1"),
+        (1.0, 2): ("0x1.c5bf891b4ef6bp-1", "0x1.c5bf891b4ef6dp-1", "0x1.c5bf891b4ef66p-1"),
+        (5.0, 7): ("0x1.d2a614791d36fp-1", "0x1.d2a614791d36cp-1", "0x1.d2a614791d361p-1"),
+        (0.5, 3): ("0x1.dafe074b9da95p-1", "0x1.dafe074b9da96p-1", "0x1.dafe074b9da94p-1"),
+        (7.3, 40): ("0x1.d89420b659692p-1", "0x1.d89420b659690p-1", "0x1.d89420b659691p-1"),
+        (19.9, 120): ("0x1.db1fbe7046be8p-1", "0x1.db1fbe7046be3p-1", "0x1.db1fbe7046c2ap-1"),
     }
     for (m, n), expected in pinned.items():
         assert tuple(v.hex() for v in derivation_chain_values(m, n)) == expected
