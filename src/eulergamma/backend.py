@@ -67,7 +67,8 @@ are the symbol's at n = 1, (1, p) and (1, q): q / 1 is q and
 log 1 + log delta is log delta, so that end's term is the double
 exp(q log delta) / q.  (-log x)^s has alpha = s + 1 >= 1 at 1, and at 0
 the mass past the nodes is Gamma(s + 1, -log delta), below 1e-144 of
-Gamma(s + 1) for every s a level can sum (s <= 110.02), so its tail is 0.
+Gamma(s + 1) for every s a level can sum (s <= 110.02, and the engines sum
+s <= 99 only), so its tail is 0.
 ``LOG_EDGE`` holds log delta for each level a quadrature can visit.  Over
 8,000 seeded Beta and symbol integrals with every exponent 0.05 or more,
 the term stayed below 2.2e-14 of the integral, and over the default
@@ -145,7 +146,9 @@ terms that overflows; either raises.  The stop hides neither: a total that
 is NaN or infinite stays so.  A node past the row where a level stops is
 never evaluated, so its overflow raises nothing: (-log x)^s overflows at
 the outermost nodes from s = 108.44, but a level reaches such a node only
-from about s = 110.02, at t = 6 of the coarsest level.
+from about s = 110.02, at t = 6 of the coarsest level.  Both are reached
+only by calling the family directly: the gamma engines lift s to at most
+99 (``gamma._lift``).
 The generic-callable loop tests every node instead, since a user's function
 must not be called twice, and returns the total as summed.
 """

@@ -22,7 +22,9 @@ would read as a flag, such as ``-1e200`` or ``-inf``, is passed to it as
 among ``eval``'s VALUEs is read as one, and reaches its engine.
 
 Exit codes: 0 success / all checks passed; 1 failed check, unconverged
-quadrature or non-finite integrand; 2 usage error (argparse's message),
+quadrature or non-finite integrand (the handler stays, but no ``eval`` or
+``verify`` input reaches it: Gamma's engines lift (-log x)^s to s <= 99);
+2 usage error (argparse's message),
 domain error or a result past the double-precision range; 3 I/O error,
 also a standard output that cannot be written.  A standard error that
 cannot be written drops the ``error:`` and warning lines, as argparse drops

@@ -33,10 +33,13 @@ The integral engines evaluate gamma through Euler's integral
     Gamma(s + 1) = s! = integral over (0, 1) of (-log u)^s du
 
 with tanh-sinh quadrature and report an IntegralEstimate rather than a bare
-float.  ``gamma_integral`` is ``gamma_log_integral`` at s = x - 1, lifted by
-the recurrence into x in [1, 100], where the integrand stays finite;
-``log_gamma_integral`` takes the same integral and adds the logs of the
-recurrence's factors, so it stays finite wherever log gamma does.
+float.  Each takes the integral one way: ``_lift`` carries s into [0, 99],
+where the integrand stays finite at every node the levels visit, by
+Gamma(s + 1) = s (s - 1) ... (t + 1) Gamma(t + 1).  ``gamma_log_integral``
+scales the integral at t by those factors, so it is finite wherever
+Gamma(s + 1) is; ``gamma_integral`` is the same at s = x - 1, and below 1
+is Gamma(x + 1) / x, integrated at s = x; ``log_gamma_integral`` adds the
+logs of the factors, so it stays finite wherever log gamma does.
 """
 
 import math
@@ -50,8 +53,8 @@ _LANCZOS_G = 7.0
 
 _LN_SQRT_2PI = 0.5 * math.log(math.tau)
 
-# Largest argument the log-space integral engine lifts by the recurrence,
-# one log term per unit of x; ``identities`` caps its n and q at the same
+# Largest argument the log-space integral engine lifts, one log term per
+# unit of x; ``identities`` caps its n and q at the same
 # value, and ``beta.euler_symbol`` its n.  The cap turns a mistyped x such
 # as 1e300 into a DomainError instead of a loop that never ends.
 MAX_N = 100_000
@@ -117,61 +120,67 @@ def log_gamma_terms(xs) -> list:
         raise DomainError(NOT_FINITE) from None
 
 
-def _recurrence(x):
-    """Lift x > 0 into [1, 100], where Euler's integral is taken.
+def _lift(s):
+    """Lift s >= 0 into [0, 99], where Euler's integral is taken.
 
-    Returns (y, divisor, factors) with gamma(x) = gamma(y) * product of
-    ``factors`` / divisor, and y - 1 >= 0.  Below 1, gamma(x) =
-    gamma(x + 1) / x; on [1, 100] y is x, with no factor; above 100,
-    gamma(x) = (x - 1) gamma(x - 1), applied until x <= 100, since
-    (-log u)^(x-1) overflows at a node the levels visit from about
-    x = 111.02.
-    ``factors`` is empty but above 100, where it yields x - 1, x - 2, ..., y
-    lazily, in the order the recurrence applies them, so a caller reads only
-    as many as it needs; below MAX_N each subtraction is exact.
+    Returns (t, steps) with Gamma(s + 1) = s (s - 1) ... (t + 1) Gamma(t + 1),
+    the ``steps`` factors s - k for k in range(steps): for s above 99,
+    steps = ceil(s - 99) and t = s - steps, in (98, 99]; else t is s and
+    there is no factor.  (-log u)^s passes the double range at a node the
+    levels visit from about s = 110.02 (see ``backend``), so no engine sums
+    it above 99.  Below 2^52 each subtraction is exact.
     """
-    if x < 1.0:
-        return x + 1.0, x, ()
-    if x <= 100.0:
-        return x, 1.0, ()
-    steps = math.ceil(x - 100.0)
-    return x - steps, 1.0, (x - k for k in range(1, steps + 1))
+    steps = math.ceil(s - 99.0) if s > 99.0 else 0
+    return s - steps, steps
+
+
+def _scaled_integral(s, factor):
+    """Gamma(s + 1) * factor, for s >= 0, as Euler's integral at the lifted
+    t (``_lift``) times ``factor`` and the lift's factors s, s - 1, ...,
+    t + 1, multiplied in that order.
+
+    The product is no longer multiplied once it is inf, and then no node is
+    evaluated: the estimate is (inf, inf, 0, False), which it is within about
+    70 factors for any s past the double range.  A value that passes the
+    double range is inf with error inf, not converged.  Otherwise value and
+    error are the integral's times the product, and ``converged`` is the
+    quadrature's; a product of 1 hands the quadrature's estimate back as it
+    is.
+    """
+    t, steps = _lift(s)
+    for k in range(steps):
+        if math.isinf(factor):
+            break
+        factor *= s - k
+    if math.isinf(factor):
+        return IntegralEstimate(math.inf, math.inf, 0, False)
+    estimate = _integrate_family(backend.NEG_LOG_POW, t, 0.0, 0.0)
+    if factor == 1.0:
+        return estimate
+    value, error, evaluations, converged = estimate
+    value *= factor
+    if not math.isfinite(value):
+        return IntegralEstimate(value, math.inf, evaluations, False)
+    return IntegralEstimate(value, error * factor, evaluations, converged)
 
 
 def gamma_integral(x: float) -> IntegralEstimate:
-    """Gamma(x) as Euler's integral of (-log u)^(x-1) over (0, 1).
+    """Gamma(x) as Euler's integral: for x >= 1 it is ``gamma_log_integral``
+    at s = x - 1, and below 1 it is Gamma(x + 1) / x, the integral at s = x
+    times 1 / x.
 
-    The integral is taken for x in [1, 100] only, and the recurrence lifts
-    it to x (``_recurrence``): value and error are the integral's times the
-    recurrence's factor, and ``converged`` is the quadrature's.  The
-    integral is the ``NEG_LOG_POW`` family's at s = y - 1, which the
-    recurrence keeps >= 0 and finite, so it is passed to the quadrature
-    driver as it is, as ``gamma_log_integral`` would after its check.  Past the
-    double-precision range (x above about 171.62, or x below about
-    5.6e-309) the estimate is inf with error inf, not converged, and no node
-    is evaluated once the factor itself is infinite, which it is within
-    about 70 factors for any x past that range.
+    Past the double-precision range (x above about 171.62, or x below about
+    5.6e-309, where 1 / x is inf) the estimate is inf with error inf, not
+    converged, and no node is evaluated once the factor is inf.
     """
     x = positive(x, "x")
-    y, divisor, factors = _recurrence(x)
-    factor = 1.0 / divisor
-    for f in factors:
-        if not math.isfinite(factor):
-            break
-        factor *= f
-    if not math.isfinite(factor):
-        return IntegralEstimate(math.inf, math.inf, 0, False)
-    estimate = _integrate_family(backend.NEG_LOG_POW, y - 1.0, 0.0, 0.0)
-    value = estimate.value * factor
-    if not math.isfinite(value):
-        return IntegralEstimate(value, math.inf, estimate.evaluations, False)
-    return IntegralEstimate(value, estimate.error_estimate * factor, estimate.evaluations,
-                            estimate.converged)
+    return _scaled_integral(x, 1.0 / x) if x < 1.0 else _scaled_integral(x - 1.0, 1.0)
 
 
 def log_gamma_integral(x: float) -> IntegralEstimate:
-    """log(Gamma(x)) as the log of Euler's integral at the lifted argument
-    plus the ``math.fsum`` of the logs of the recurrence's factors.
+    """log(Gamma(x)) as the ``math.fsum`` of the log of Euler's integral at
+    the lifted argument (``_lift``, from s = x - 1, or s = x below 1), the
+    logs of the lift's factors and, below 1, -log x.
 
     Finite wherever log Gamma(x) is.  Its work grows with x, one log term
     per unit of x, so x is capped at MAX_N (DomainError past it).  The error
@@ -181,24 +190,23 @@ def log_gamma_integral(x: float) -> IntegralEstimate:
     x = positive(x, "x")
     if x > MAX_N:
         raise DomainError(f"x must be <= {MAX_N}")
-    y, divisor, factors = _recurrence(x)
-    estimate = _integrate_family(backend.NEG_LOG_POW, y - 1.0, 0.0, 0.0)
-    terms = [math.log(estimate.value), -math.log(divisor)]
-    terms += map(math.log, factors)
-    return IntegralEstimate(math.fsum(terms), estimate.error_estimate / estimate.value,
-                            estimate.evaluations, estimate.converged)
+    s, divisor = (x, x) if x < 1.0 else (x - 1.0, 1.0)
+    t, steps = _lift(s)
+    value, error, evaluations, converged = _integrate_family(backend.NEG_LOG_POW, t, 0.0, 0.0)
+    terms = [math.log(value), -math.log(divisor)] + [math.log(s - k) for k in range(steps)]
+    return IntegralEstimate(math.fsum(terms), error / value, evaluations, converged)
 
 
 def gamma_log_integral(s: float) -> IntegralEstimate:
     """Integral of (-log x)^s over (0, 1), which equals Gamma(s + 1).
 
-    Requires s >= 0.  Node values are formed in linear space, so s large
-    enough to push (-log x)^s past the double-precision ceiling at a node
-    the levels visit (s from about 110.02) raises NonFiniteIntegrandError;
-    the closed-form engine is the right tool there.
+    Requires s >= 0.  Above 99 the integral is taken at the lifted s
+    (``_lift``) and scaled by the lift's factors, so it is finite up to
+    about s = 170.62, where Gamma(s + 1) passes the largest double; past
+    that the estimate is inf with error inf, not converged, and no node is
+    evaluated once the factors' product is inf.
     """
-    s = nonnegative(s, "s")
-    return _integrate_family(backend.NEG_LOG_POW, s, 0.0, 0.0)
+    return _scaled_integral(nonnegative(s, "s"), 1.0)
 
 
 def factorial_interp(lam: float) -> float:

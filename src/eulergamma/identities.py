@@ -218,12 +218,15 @@ def _fsum(terms):
 def _log_values(estimates):
     """(the logs of the quadrature values, whether every quadrature
     converged), taking ``estimates`` one at a time as they are produced.  A
-    value that underflowed to 0, whose log is not finite, raises DomainError
-    before any later estimate is computed."""
+    value whose log is not finite raises DomainError before any later
+    estimate is computed: one that underflowed to 0, or one past the double
+    range, as ``gamma_log_integral`` returns past Gamma's."""
     logs, converged = [], True
     for estimate in estimates:
         if estimate.value <= 0.0:
             raise DomainError("an integral underflowed to 0 in double precision")
+        if estimate.value == math.inf:
+            raise DomainError(NOT_FINITE)
         logs.append(math.log(estimate.value))
         converged = converged and estimate.converged
     return logs, converged

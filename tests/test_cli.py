@@ -192,20 +192,28 @@ def test_eval_non_finite_symbol_exponent_exits_2():
     assert "Traceback" not in result.stderr
 
 
-# (-log x)^s passes the double range at a node the family loop visits from
-# s = 110.02: the node t = 6 of the coarsest level.
-@pytest.mark.parametrize("args", [("loggamma_integral", "150")])
-def test_eval_overflowing_integrand_exits_1(args):
-    result = run_cli("eval", *args, "--engine", "integral")
-    assert result.returncode == 1
+def test_eval_loggamma_integral_lifted_past_the_level_overflow():
+    # (-log x)^150 passes the double range at a node the levels visit (from
+    # s = 110.02); the engine integrates at s - 51 = 99 and scales by the
+    # 51 factors 150, 149, ..., 100.
+    result = run_cli("eval", "loggamma_integral", "150", "--engine", "integral")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    exact = mpmath.gamma(mpmath.mpf("151"))
+    assert abs(mpmath.mpf(result.stdout) - exact) <= 1e-14 * exact
+
+
+def test_eval_loggamma_integral_past_the_double_range_exits_2():
+    result = run_cli("eval", "loggamma_integral", "171", "--engine", "integral")
+    assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr == "error: integrand not finite\n"
+    assert result.stderr == "error: result not finite in double precision\n"
 
 
 def test_eval_loggamma_integral_past_the_outermost_node_overflow():
-    # (-log x)^108.5 overflows at the outermost nodes of every level but the
-    # coarsest, yet each level stops before them, where its terms no longer
-    # change its total: the integral is Gamma(109.5).
+    # Gamma(109.5), integrated at s = 108.5 - 10 = 98.5 and scaled by the ten
+    # factors 108.5, ..., 99.5; the kernel's own stop before the overflowing
+    # outermost nodes is tested on the family integral in test_quadrature.
     result = run_cli("eval", "loggamma_integral", "108.5", "--engine", "integral")
     assert result.returncode == 0
     assert result.stderr == ""
@@ -336,6 +344,18 @@ def test_verify_non_finite_integer_axis_exits_2():
     assert result.returncode == 2
     assert "must be finite" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("p, quadratures", [(1000000, 0), (512, 1)])
+def test_verify_refuses_an_infinite_integral_before_the_next(p, quadratures, refine_calls,
+                                                             capsys):
+    # s = p / 3 puts Gamma(s + 1) past the double range.  At p = 10^6 the
+    # lift's factors overflow and no node is evaluated; at p = 512
+    # (s = 170.67) the integral at s - 72 times them does.  Either way the
+    # check is refused at that estimate, before any Beta integral runs.
+    assert main(["verify", "algebraic-interpolation", "--p", str(p), "--q", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: result not finite in double precision\n")
+    assert len(refine_calls) == quadratures
 
 
 def test_closed_form_n_past_the_cap_exits_2():

@@ -417,8 +417,8 @@ def test_infinite_gamma_integral_is_not_converged():
 
 
 def test_gamma_integral_sweep_against_mpmath():
-    # Euler's integral over (0, 1) on [1, 100], lifted by the recurrence
-    # elsewhere, holds 1e-13 relative up to the double-precision ceiling.
+    # Euler's integral over (0, 1) at s = x - 1 <= 99, or at s = x below 1,
+    # lifted past 99, holds 1e-13 relative up to the double-precision ceiling.
     rng = random.Random(1729)
     xs = [math.exp(rng.uniform(math.log(0.01), math.log(171.6))) for _ in range(500)]
     xs += [0.1, 1.0, 100.0, 100.5, 171.0, 171.5]
@@ -430,20 +430,45 @@ def test_gamma_integral_sweep_against_mpmath():
             assert abs((mpmath.mpf(estimate.value) - exact) / exact) <= 1e-13, x
 
 
+def test_gamma_log_integral_lifted_sweep_against_mpmath():
+    # Past s = 99 the integral is taken at s - ceil(s - 99) and scaled by the
+    # lift's factors, so it converges up to Gamma's double range, where the
+    # integrand itself passes it at a node the levels visit from s = 110.02.
+    # Seed 45, 600 draws and the edges: worst 1.36e-15 relative against
+    # 50-digit mpmath, and every estimate at or above its true error.
+    rng = random.Random(45)
+    ss = [rng.uniform(99.0, 170.62) for _ in range(600)]
+    ss += [99.0, 108.4, 110.02, 150.0, 170.6, 170.62]
+    with mpmath.workdps(50):
+        for s in ss:
+            estimate = gamma_log_integral(s)
+            exact = mpmath.gamma(mpmath.mpf(s) + 1)
+            error = abs(mpmath.mpf(estimate.value) - exact)
+            assert estimate.converged, s
+            assert error <= 1.4e-15 * exact, s
+            assert error <= estimate.error_estimate, s
+    # past Gamma's range, the estimate gamma_integral gives one above
+    for s in (170.63, 171.0, 799.0, 1e300):
+        estimate = gamma_log_integral(s)
+        assert estimate[:2] == (math.inf, math.inf) and not estimate.converged, s
+        assert estimate == gamma_integral(s + 1.0), s
+
+
 @pytest.mark.parametrize("x", [800.0, 1e300, 1e-310])
 def test_gamma_integral_past_the_double_range_integrates_nothing(x):
-    # The recurrence's factor is infinite before any node is evaluated.
+    # The lift's factor is infinite before any node is evaluated.
     assert gamma_integral(x) == IntegralEstimate(math.inf, math.inf, 0, False)
 
 
 def test_gamma_integral_is_the_log_integral_one_below(refine_calls):
     token = quadrature.suite_memo.set({})
     try:
-        for x in (1.0, 3.7, 100.0):
+        for x in (1.0, 3.7, 100.0, 150.5, 800.0):
             assert gamma_integral(x) == gamma_log_integral(x - 1.0)
     finally:
         quadrature.suite_memo.reset(token)
-    assert len(refine_calls) == 3
+    # 800 is past the range: its lift's factor is inf and nothing is integrated
+    assert len(refine_calls) == 4
 
 
 def test_log_gamma_integral_sweep_against_mpmath():
@@ -461,7 +486,7 @@ def test_log_gamma_integral_sweep_against_mpmath():
 
 
 def test_log_gamma_integral_reports_the_relative_error_of_its_integral():
-    # The error of log I is the relative error of I; the recurrence's
+    # The error of log I is the relative error of I; the lift's
     # factors add no error estimate of their own.
     for x, s in ((0.25, 0.25), (7.7, 6.7), (200.0, 99.0)):
         inner = gamma_log_integral(s)

@@ -724,7 +724,11 @@ def test_algebraic_interpolation_trivial_and_derived():
     report = check_algebraic_interpolation(1, 2)
     assert abs(report.lhs - math.log(HALF_SQRT_PI)) <= 1e-8
     assert report.abs_residual <= 1e-6
-    assert check_algebraic_interpolation(3, 4).abs_residual <= 1e-6
+    # p/q = 150 and 166.67 take the left side's integral past s = 99, where
+    # it is lifted
+    for p, q in ((3, 4), (300, 2), (500, 3)):
+        report = check_algebraic_interpolation(p, q)
+        assert report.passed and report.abs_residual <= 1e-6, (p, q)
 
 
 def test_symbol_symmetry_and_bridge_spot():

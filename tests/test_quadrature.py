@@ -14,6 +14,7 @@ import sys
 import threading
 from collections import Counter
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -510,9 +511,11 @@ def _calls(thunk):
     # term twice, at the finest level up front and at its last level
     pytest.param(lambda: beta_integral(1.5, 2.5), 2, 12, id="beta_integral"),
     pytest.param(lambda: euler_symbol(3.0, 2.0, 5), 2, 16, id="euler_symbol"),
-    pytest.param(lambda: gamma_log_integral(2.5), 2, 10, id="gamma_log_integral"),
-    # x = 50 needs no factor and goes to its family with no second check;
-    # it takes a fifth level, and tries the extrapolated stop once
+    # Gamma's two engines share the lift (gamma._lift) and the scaling by its
+    # factors (gamma._scaled_integral), which hands an unscaled estimate back
+    # as it is; x = 50 needs no factor, takes a fifth level and tries the
+    # extrapolated stop once
+    pytest.param(lambda: gamma_log_integral(2.5), 2, 12, id="gamma_log_integral"),
     pytest.param(lambda: gamma_integral(50.0), 2, 13, id="gamma_integral"),
 ])
 def test_per_level_work_is_pinned(thunk, per_level, per_quadrature):
@@ -661,38 +664,60 @@ def _extreme_family_calls():
     """Seed 14: 25 valid calls per family, every parameter log-uniform over
     [1e-300, 1e300] but Euler's symbol's n, over [1, MAX_N] (algebraic
     interpolation's Beta integrals B(kt + 1, t + 1) with k in 1..8), plus
-    the edges named below."""
+    the edges named below.  Each call comes with the s it passes to
+    gamma_log_integral, or None."""
     rng = random.Random(14)
-    calls = [lambda: gamma_log_integral(108.4), lambda: gamma_log_integral(108.45),
-             lambda: gamma_log_integral(110.0), lambda: gamma_log_integral(110.02),
-             lambda: euler_symbol(1e300, 1.0, 2), lambda: euler_symbol(1.0, 1.0, MAX_N),
-             lambda: beta_integral(1e-300, 1e300)]
+    edges = (108.4, 108.45, 110.0, 110.02)
+    calls = [(lambda s=s: gamma_log_integral(s), s) for s in edges]
+    calls += [(lambda: euler_symbol(1e300, 1.0, 2), None),
+              (lambda: euler_symbol(1.0, 1.0, MAX_N), None),
+              (lambda: beta_integral(1e-300, 1e300), None)]
     for _ in range(25):
         x, y, p, q, s, t = (_log_uniform(rng, 1e-300, 1e300) for _ in range(6))
         n = int(_log_uniform(rng, 1.0, MAX_N))
         k = float(rng.randint(1, 8))
-        calls += [lambda x=x, y=y: beta_integral(x, y),
-                  lambda p=p, q=q, n=n: euler_symbol(p, q, n),
-                  lambda s=s: gamma_log_integral(s),
-                  lambda k=k, t=t: beta_integral(k * t + 1.0, t + 1.0)]
+        calls += [(lambda x=x, y=y: beta_integral(x, y), None),
+                  (lambda p=p, q=q, n=n: euler_symbol(p, q, n), None),
+                  (lambda s=s: gamma_log_integral(s), s),
+                  (lambda k=k, t=t: beta_integral(k * t + 1.0, t + 1.0), None)]
     return calls
 
 
-def test_extreme_parameters_give_a_finite_estimate_or_raise():
-    # Every level of a built-in family returns a finite total or raises
-    # NonFiniteIntegrandError, so no call returns a value that is not finite.
+def test_extreme_parameters_give_a_finite_estimate_or_inf_past_the_range():
+    # No call raises: every engine lifts (-log x)^s to s <= 99, so no family
+    # level passes the double range.  gamma_log_integral's estimate is
+    # (inf, inf, n, False) exactly where Gamma(s + 1) passes the largest
+    # double; every other estimate is finite.
     outcomes = Counter()
-    for call in _extreme_family_calls():
-        try:
+    with mpmath.workdps(30):
+        for call, s in _extreme_family_calls():
             estimate = call()
-        except NonFiniteIntegrandError:
-            outcomes["raised"] += 1
-            continue
-        assert math.isfinite(estimate.value), estimate
-        assert math.isfinite(estimate.error_estimate) or not estimate.converged, estimate
-        outcomes["converged" if estimate.converged else "unconverged"] += 1
+            if s is not None and mpmath.gamma(mpmath.mpf(s) + 1) > sys.float_info.max:
+                assert estimate[:2] == (math.inf, math.inf) and not estimate.converged, s
+                outcomes["past range"] += 1
+                continue
+            assert math.isfinite(estimate.value), estimate
+            assert math.isfinite(estimate.error_estimate) or not estimate.converged, estimate
+            outcomes["converged" if estimate.converged else "unconverged"] += 1
     # the sweep meets all three outcomes
     assert min(outcomes.values()) > 0 and len(outcomes) == 3
+
+
+def test_neg_log_pow_levels_stop_before_their_overflowing_outermost_nodes(monkeypatch):
+    # (-log x)^108.5 passes the double range at the outermost nodes of the
+    # levels with h <= 2^-5, the last level this integral visits, yet each
+    # level stops before them, where its terms no longer change its total:
+    # the integral is Gamma(109.5).  No engine sums it there: they lift s to
+    # at most 99.
+    level_sum, steps = kern.level_sum, []
+    monkeypatch.setattr(kern, "level_sum", lambda *args: steps.append(args[2]) or level_sum(*args))
+    estimate = quadrature._integrate_family(kern.NEG_LOG_POW, 108.5, 0.0, 0.0)
+    overflowing = [h for h in steps
+                   if 108.5 * math.log(-kern.LOG_EDGE[h]) > math.log(sys.float_info.max)]
+    assert overflowing == [0.5 ** 5]
+    exact = mpmath.gamma(mpmath.mpf("109.5"))
+    assert estimate.converged
+    assert abs(mpmath.mpf(estimate.value) - exact) <= 1e-14 * exact
 
 
 def test_an_integral_of_zero_value_does_not_converge():
@@ -718,8 +743,8 @@ def _bit_lock_draws():
     each.  Euler's symbol with p and q in [0.05, 40] and n in 1..40, past
     TABLE_MAX_EXPONENTS, so streamed exponent columns are read too; Beta
     with exponents x, y = e^U(-3, 4); gamma_integral at z = e^U(-5, 5.1),
-    lifted both ways by the recurrence, past 100 too; gamma_log_integral
-    with s in [0, 100]."""
+    below 1 as Gamma(z + 1) / z and past 100 through the lift;
+    gamma_log_integral with s in [0, 100], past 99 through the lift."""
     rng = random.Random(37)
     draws = []
     for _ in range(250):
@@ -750,12 +775,17 @@ def test_engine_estimates_are_locked_to_the_bit():
     # euler_symbol(p, q, 1) and both converged before and after, by two
     # ulps of value: S(4.4907..., 36.383...; 1) and S(11.348..., 16.969...;
     # 1), now each bit for bit beta_integral(p, q), as it was before.
+    # Lifting s, not x, moved 36 draws, compared entry by entry, with no
+    # count or converged flag moved: the 34 gamma_integral draws with z < 1,
+    # now integrated at s = z rather than at (z + 1) - 1, and the 2
+    # gamma_log_integral draws with s in (99, 100], now integrated at s - 1
+    # and scaled by s.
     digest = hashlib.sha256()
     for call in _bit_lock_calls():
         estimate = call()
         digest.update(f"{estimate.value.hex()} {estimate.error_estimate.hex()} "
                       f"{estimate.evaluations} {estimate.converged}\n".encode())
-    assert digest.hexdigest() == "82af1fb9ce01c4ee39df7a6b1187de746c5376ce2d4a4e460c66e4fd697888e8"
+    assert digest.hexdigest() == "aafc6e12ee8bebbff9944456fe04ed253a71fac56bc995e7893ccefd733dbb3b"
 
 
 def test_beta_integral_is_euler_symbol_at_n_1_to_the_bit():
