@@ -39,7 +39,7 @@ from eulergamma import (
 from eulergamma.cli import main
 from eulergamma.gamma import MAX_N, log_gamma_integral
 from eulergamma.identities import run_suite
-from eulergamma.reporting import render_json, render_report
+from eulergamma.reporting import render_csv, render_json, render_report
 
 
 def run_cli(*args, **kwargs):
@@ -733,6 +733,24 @@ def test_closed_form_wide_grid_has_no_false_fail(monkeypatch):
         worst = max(worst, *(r.abs_residual / r.tolerance for r in suite.reports))
     # rounding alone: 1.33e-3 of the tolerance at worst (seed 2, n = 98)
     assert worst < 2e-3
+
+
+def test_dealt_closed_form_wide_output_is_pinned(monkeypatch):
+    # The benchmark hands run_suite each identity's cases shuffled and dealt
+    # into six slices; the CSVs of those six runs at seed 1951, concatenated,
+    # are pinned byte for byte, so the order a run sorts its cases into
+    # cannot depend on the order they come in.  The hash was taken before
+    # run_suite sorted uniform case lists by itemgetter.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports refjobs
+    workloads = _perfbench_module("workloads")
+    grid = identities.build_grid(list(workloads.WIDE_IDENTITIES), workloads.wide_axes(1951))
+    suites = [identities.run_suite(part)
+              for part in workloads.deal_slices(grid, 1951, workloads.WIDE_SLICES)]
+    text = "".join(map(render_csv, suites)).encode()
+    assert (sum(len(s.reports) for s in suites), sum(s.n_fail for s in suites),
+            len(text)) == (2747, 0, 359_428)
+    assert hashlib.sha256(text).hexdigest() == (
+        "4f35776df8111d32816ea8b9bbf0ee1fe41e5aff30c006ae94020727e1a5a559")
 
 
 def test_traced_integrals_unique_pass_runs_clean(tmp_path):

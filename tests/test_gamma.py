@@ -7,6 +7,7 @@ reference engine's accuracy gate; the engines themselves never see mpmath.
 import math
 import random
 import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -428,6 +429,31 @@ def test_gamma_integral_sweep_against_mpmath():
             exact = mpmath.gamma(mpmath.mpf(x))
             assert estimate.converged, x
             assert abs((mpmath.mpf(estimate.value) - exact) / exact) <= 1e-13, x
+
+
+def test_gamma_integral_readme_sweep():
+    # The README's `gamma_integral` figures, at their seed and size: 3,000 x
+    # log-uniform in [0.01, 171.6] against 30-digit mpmath give a worst
+    # relative error of 1.21e-15 at 101.9 evaluations per call, every true
+    # error within its estimate; the README quotes them rounded up.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bullet = " ".join(readme.split("- `gamma_integral(x)`", 1)[1].split("\n- ", 1)[0].split())
+    assert ("over 3,000 x drawn at seed 2026, log-uniform in [0.01, 171.6], its worst "
+            "relative error is below 1.3e-15, at fewer than 102 evaluations per call on "
+            "average, and every true error is within its estimate.") in bullet
+    rng = random.Random(2026)
+    xs = [math.exp(rng.uniform(math.log(0.01), math.log(171.6))) for _ in range(3000)]
+    worst, evaluations = 0.0, 0
+    with mpmath.workdps(30):
+        for x in xs:
+            estimate = gamma_integral(x)
+            exact = mpmath.gamma(mpmath.mpf(x))
+            error = abs(mpmath.mpf(estimate.value) - exact)
+            assert estimate.converged and error <= estimate.error_estimate, x
+            worst = max(worst, error / exact)
+            evaluations += estimate.evaluations
+    assert worst < 1.3e-15
+    assert evaluations / len(xs) < 102
 
 
 def test_gamma_log_integral_lifted_sweep_against_mpmath():

@@ -1,6 +1,8 @@
 """Identity check and suite tests."""
 
+import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -45,6 +47,7 @@ from eulergamma import (
 from eulergamma import backend, identities, quadrature
 from eulergamma import gamma as gamma_module
 from eulergamma.beta import log_beta
+from eulergamma.errors import NOT_FINITE
 from eulergamma.gamma import log_gamma_integral, log_gamma_terms
 from eulergamma.identities import derivation_chain_values
 from eulergamma.reporting import render_csv
@@ -712,6 +715,45 @@ def test_closed_radicand_grouped_by_kind_is_the_per_symbol_fsum():
         assert math.fsum(terms).hex() == want.hex(), (m, n)
 
 
+def test_exact_pairs_sum_as_the_repeats_they_stand_for():
+    # (n - 1) copies of one float reach fsum as k times its Veltkamp head and
+    # tail, both exact while k < 2^17; fsum rounds the exact sum, so the
+    # result is the repeats' double, beside any other terms, bit for bit.
+    # Where the split is not exact (near overflow, near the subnormal range,
+    # at 0) the float is repeated as before.
+    assert identities.MAX_N < 2 ** 17
+    low, high = identities._SPLIT_RANGE
+    rng = random.Random(46)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    vs = [math.lgamma(log_uniform(1e-300, 1e300)) for _ in range(1500)]
+    vs += [sign * math.log(rng.randint(2, identities.MAX_N)) for _ in range(500)
+           for sign in (1.0, -1.0)]
+    edges = [0.0, -0.0, low, high, math.nextafter(low, 1.0), math.nextafter(high, 0.0),
+             math.nextafter(low, 0.0), math.nextafter(high, math.inf), 2.0 ** 1020, 1e-320]
+    vs += [sign * v for v in edges for sign in (1.0, -1.0)]
+    for i, v in enumerate(vs):
+        k = (0, 1, identities.MAX_N - 1)[i % 3] if i % 10 == 0 else int(
+            log_uniform(1.0, identities.MAX_N))
+        # terms up to the size of k v, so that some sums nearly cancel
+        others = [rng.choice((-1.0, 1.0)) * min(log_uniform(1e-20, 1.0) * abs(v) * max(k, 1),
+                                               sys.float_info.max)
+                  for _ in range(rng.randint(0, 6))]
+        sums = []
+        for copies in (itertools.repeat(v, k), identities._repeated(v, k)):
+            try:
+                sums.append(math.fsum(itertools.chain(others, copies)).hex())
+            except (OverflowError, ValueError) as exc:
+                sums.append(repr(exc))
+        assert sums[0] == sums[1], (v, k, others)
+    # an overflowing radicand is still refused
+    for m, n in ((1e306, 3), (1e307, identities.MAX_N), (5e306, identities.MAX_N - 1)):
+        with pytest.raises(DomainError, match=NOT_FINITE):
+            check_factorial_root(m, n)
+
+
 def test_factorial_root_mode_validation():
     with pytest.raises(DomainError):
         check_factorial_root(1.0, 2, mode="symbolic")
@@ -912,6 +954,63 @@ def test_run_suite_deterministic_order_and_values():
         ["reflection"] * 2 + ["sine-product"] * 3
     )
     assert [r.params["n"] for r in first.reports[2:]] == [2, 5, 11]
+
+
+def _exact_params(params):
+    # names, value types and values, so that 1 and 1.0 and the two zeros differ
+    return sorted((repr(name), type(value).__name__, repr(value))
+                  for name, value in params.items())
+
+
+class _Half(float):
+    pass
+
+
+def test_run_suite_orders_cases_as_params_key(monkeypatch):
+    # A uniform case list is sorted by itemgetter of its sorted names; any
+    # other goes through params_key.  Either way the reports come in
+    # params_key's order, ties in input order.
+    rng = random.Random(46)
+    uniform = [default_grid(), _closed_form_wide_grid(),
+               {"sine-product": [{"n": rng.randint(2, 30)} for _ in range(40)]}]
+    for grid in uniform:
+        for cases in grid.values():
+            rng.shuffle(cases)
+            assert identities._order_key(cases) is not identities.params_key
+        suite = run_suite(grid)
+        want = [params for identity_id in sorted(grid)
+                for params in sorted(grid[identity_id], key=identities.params_key)]
+        assert [_exact_params(r.params) for r in suite.reports] == list(map(_exact_params, want))
+
+    # Every case of an echoing row crashes, and its report keeps the params
+    # as given, so the order is visible for any names and values.
+    def echo(**params):
+        raise LookupError
+
+    monkeypatch.setitem(identities.IDENTITIES, "reflection",
+                        dataclasses.replace(identities.IDENTITIES["reflection"], run=echo))
+    ties = [{"x": 0.0}, {"x": -0.0}, {"x": 0.5}, {"x": 0.0}]
+    general = [
+        [{"x": True}, {"x": 1}, {"x": False}],  # bool
+        [{"x": _Half(0.5)}, {"x": 0.25}, {"x": _Half(0.125)}],  # float subclass
+        [{"x": 0.5}, {"x": math.nan}, {"x": 0.25}],  # NaN
+        [{"x": 1}, {"x": 1.0}, {"x": 0.5}, {"x": 0}],  # int and float on one axis
+        [{"x": 0.5}, {"y": 0.25}, {"x": 0.125}],  # names that differ
+        [{"x": 0.5, "n": 2}, {"x": 0.25}],  # a missing name
+        [{1: 0.5}, {1: 0.25}],  # non-str names
+        [{}, {}],  # no names
+    ]
+    strs = [{"x": "b"}, {"x": "a"}, {"x": "b"}]
+    for cases, uniform in [(ties, True), (strs, True)] + [(c, False) for c in general]:
+        cases = cases * 2
+        rng.shuffle(cases)
+        assert (identities._order_key(cases) is not identities.params_key) == uniform, cases
+        reports = run_suite({"reflection": cases}).reports
+        assert [_exact_params(r.params) for r in reports] == list(
+            map(_exact_params, sorted(cases, key=identities.params_key))), cases
+    # a case that is not a mapping raises, as params_key does
+    with pytest.raises(AttributeError):
+        run_suite({"reflection": [{"x": 0.5}, [("x", 0.25)]]})
 
 
 def test_run_suite_records_check_crash_as_failure():
