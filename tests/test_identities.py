@@ -971,9 +971,9 @@ def test_run_suite_orders_cases_as_params_key(monkeypatch):
     # other goes through params_key.  Either way the reports come in
     # params_key's order, ties in input order.
     rng = random.Random(46)
-    uniform = [default_grid(), _closed_form_wide_grid(),
-               {"sine-product": [{"n": rng.randint(2, 30)} for _ in range(40)]}]
-    for grid in uniform:
+    grids = [default_grid(), _closed_form_wide_grid(),
+             {"sine-product": [{"n": rng.randint(2, 30)} for _ in range(40)]}]
+    for grid in grids:
         for cases in grid.values():
             rng.shuffle(cases)
             assert identities._order_key(cases) is not identities.params_key
