@@ -30,22 +30,23 @@ Conventions shared by all checks:
   symbol-bridge at S(200, 200; 2), both sides about 1e-61, read
   rel_residual 0.5 and passed.  sine-multiple-angle, whose sides change
   sign, reports linear values.
-* The log gamma terms of the gamma products, and of closed-mode factorial-root
-  and ``derivation_chain_values``, are evaluated one batch per side: each
-  side passes all its log gamma arguments to ``gamma.log_gamma_terms`` as
-  one list, and only the log gamma(i/n) table and a subnormal quotient's
-  term are taken apart from it: below the smallest normal double,
-  gamma(q) = gamma(q + 1) / q with q + 1 rounding to 1, so log gamma(q) is
-  -``_log_quotient``.  The arguments are
+* The log gamma terms of the gamma products and of factorial-root are
+  evaluated one batch per side: each side passes all its log gamma
+  arguments to ``gamma.log_gamma_terms`` as one list, and only the
+  log gamma(i/n) table and a subnormal quotient's term are taken apart from
+  it.  Gauss's shifted terms log gamma((x + k)/n), k = 0..n-1, are one
+  ``_gauss_terms`` batch for gauss-multiplication and closed-mode
+  factorial-root alike, which holds the subnormal rule.  The arguments are
   positive by construction, so the per-call check is skipped.  Each term is
   ``math.lgamma``'s float, CPython's own Lanczos engine, while the single
   log gamma terms (gauss-multiplication's log gamma(x), factorial-root's
-  log gamma(m/n + 1), log-integral-product's log gamma(n) and
+  log gamma(m/n + 1) in closed mode and its right side's log gamma(m) in
+  quadrature mode, log-integral-product's log gamma(n) and
   algebraic-interpolation's log gamma(p + 1)) come from the g = 7
-  ``log_gamma``.  So no closed-form check compares one log gamma engine
-  with itself: gauss-multiplication (with duplication) and closed-mode
-  factorial-root put one engine on each side, and reflection and the gamma
-  fraction and square products have log gamma terms on one side only.  The
+  ``log_gamma``.  So no check compares one log gamma engine with itself:
+  gauss-multiplication (with duplication) and both factorial-root modes put
+  one engine on each side, and reflection and the gamma fraction and square
+  products have log gamma terms on one side only.  The
   table log gamma(i/n), i = 1..n-1, is kept in ``_fraction_tables``, keyed
   on n <= FRACTION_TABLE_MAX_N (1024), for the life of the process and
   shared by every check that needs it, in or outside a run: 8 bytes per
@@ -93,7 +94,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .beta import beta_integral, euler_symbol, log_beta
 from .errors import NOT_FINITE, DomainError, finite, integer, number, positive
-from .gamma import MAX_N, factorial_interp, gamma_log_integral, log_gamma, log_gamma_terms
+from .gamma import MAX_N, gamma_log_integral, log_gamma, log_gamma_terms
 from .quadrature import suite_memo
 
 _LN_2 = math.log(2.0)
@@ -300,6 +301,17 @@ def check_reflection(x: float, tolerance: float | None = None) -> IdentityReport
                        tolerance)
 
 
+def _gauss_terms(x, n, *extra):
+    """log gamma((x + k)/n) for k = 0..n-1, then log gamma of each of
+    ``extra``, as one ``log_gamma_terms`` batch.  Below the smallest normal
+    double gamma(q) = gamma(q + 1)/q with q + 1 rounding to 1, so a
+    subnormal x/n's term is -``_log_quotient``."""
+    terms = log_gamma_terms([(x + k) / n for k in range(n)] + list(extra))
+    if x / n < sys.float_info.min:
+        terms[0] = -_log_quotient(x, n)
+    return terms
+
+
 def check_gauss_multiplication(x: float, n: int,
                                tolerance: float | None = None) -> IdentityReport:
     """gamma(x/n) gamma((x+1)/n) ... gamma((x+n-1)/n) = (2 pi)^((n-1)/2) n^(1/2-x) gamma(x).
@@ -310,10 +322,8 @@ def check_gauss_multiplication(x: float, n: int,
     x = positive(x, "x")
     n = integer(n, "n", 1, MAX_N)
     # the smallest term, x/n, can underflow to 0 for a subnormal x
-    quotient = positive(x / n, "x / n")
-    lhs_terms = log_gamma_terms([(x + k) / n for k in range(n)])
-    if quotient < sys.float_info.min:
-        lhs_terms[0] = -_log_quotient(x, n)
+    positive(x / n, "x / n")
+    lhs_terms = _gauss_terms(x, n)
     rhs_terms = [0.5 * (n - 1) * _LN_2PI, (0.5 - x) * math.log(n), log_gamma(x)]
     return _log_report("gauss-multiplication", {"n": n, "x": x}, lhs_terms, rhs_terms, tolerance)
 
@@ -468,15 +478,15 @@ def _repeated(v, k):
     return itertools.repeat(v, k)
 
 
-def _factorial_root_log_inner(m, n, mode):
+def _factorial_root_log_inner(m, n, mode, batch):
     """Log of the radicand n^(n-m) gamma(m) S(1,m;n) S(2,m;n) ... S(n-1,m;n).
 
     Returns (log terms, all quadratures converged); the terms are an
-    iterable to be summed once.  In closed mode each symbol contributes
+    iterable to be summed once.  ``batch`` is ``_gauss_terms(m, n, m)``,
+    Gauss's shifted terms at x = m with log gamma(m) appended.  In closed
+    mode each symbol contributes
     log gamma(i/n) + log gamma(m/n) - log gamma((i+m)/n) - log n, through
-    B(i/n, m/n)/n.  log gamma(m), log gamma(m/n) and every
-    log gamma((i+m)/n) are one ``log_gamma_terms`` batch, the (i + m)/n
-    for i = 0 giving m/n (a subnormal m/n's term is -``_log_quotient``).
+    B(i/n, m/n)/n, all taken from ``batch``.
     The terms are grouped by kind rather than symbol by symbol, and the
     n-1 copies of log gamma(m/n) and of -log n, which do not depend on i,
     come as two exact products each (``_repeated``): their exact sum is
@@ -486,15 +496,9 @@ def _factorial_root_log_inner(m, n, mode):
     """
     log_n = math.log(n)
     if mode == "closed":
-        batch = log_gamma_terms([m] + [(i + m) / n for i in range(n)])
-        log_gamma_quotient = batch[1]
-        if m / n < sys.float_info.min:
-            log_gamma_quotient = -_log_quotient(m, n)
         return itertools.chain(
-            ((n - m) * log_n, batch[0]), _log_gamma_fractions(n),
-            _repeated(log_gamma_quotient, n - 1),
-            map(operator.neg, itertools.islice(batch, 2, None)),
-            _repeated(-log_n, n - 1)), True
+            ((n - m) * log_n, batch[n]), _log_gamma_fractions(n), _repeated(batch[0], n - 1),
+            map(operator.neg, itertools.islice(batch, 1, n)), _repeated(-log_n, n - 1)), True
     terms = [(n - m) * log_n, log_gamma(m)]
     logs, converged = _log_values(euler_symbol(float(i), m, n) for i in range(1, n))
     return terms + logs, converged
@@ -507,20 +511,35 @@ def check_factorial_root(m: float, n: int, mode: str = "closed",
     The n-th-root reconstruction of the interpolated factorial from Euler
     symbols S(i, m; n); gamma(m) interpolates the (m-1)! that a natural m
     would contribute, and the formula holds for real m > 0.  In closed mode
-    the symbols come from the Beta closed form, in quadrature mode from
-    direct integration.  Compared in log space; lhs/rhs are the logs of the
-    two sides, and the log of the n-th root is the fsum of the radicand's
-    log terms divided by n once.
+    the left side is log gamma(m/n + 1) and the symbols come from the Beta
+    closed form.  Quadrature mode checks the paper's equivalence of this
+    root with Gauss's multiplication formula: the symbols are integrated
+    directly, and the left side is the multiplication formula at x = m
+    solved for gamma(m/n), with (2 pi)^((n-1)/2) eliminated through the
+    fraction product: log(m/n) + log gamma(m) + (1 - m) log n
+    + sum_i log gamma(i/n) - sum_k log gamma((m + k)/n), k = 1..n-1, its
+    terms from the ``_gauss_terms`` batch closed mode takes.  Below
+    m/n = 0.05 the symbols' endpoint at x = 1 is too weak for the quadrature
+    to converge, and such a case fails.  Compared in log space; lhs/rhs are
+    the logs of the two sides, and the log of the n-th root is the fsum of
+    the radicand's log terms divided by n once.
     """
     m = positive(m, "m")
     n = integer(n, "n", 1, MAX_N)
     mode = _mode_axis(mode)
     # m / n underflows to 0 for a subnormal m
     lam = positive(m / n, "m / n")
-    terms, converged = _factorial_root_log_inner(m, n, mode)
+    batch = _gauss_terms(m, n, m)
+    terms, converged = _factorial_root_log_inner(m, n, mode, batch)
+    log_quotient = _log_quotient(m, n)
+    if mode == "closed":
+        lhs_terms = [log_gamma(lam + 1.0)]
+    else:
+        lhs_terms = [log_quotient, batch[n], (1.0 - m) * math.log(n), *_log_gamma_fractions(n),
+                     *map(operator.neg, batch[1:n])]
     params = {"m": m, "n": n, "mode": mode}
-    return _log_report("factorial-root", params, [log_gamma(lam + 1.0)],
-                       [_log_quotient(m, n), _fsum(terms) / n], tolerance, converged)
+    return _log_report("factorial-root", params, lhs_terms,
+                       [log_quotient, _fsum(terms) / n], tolerance, converged)
 
 
 def check_algebraic_interpolation(p: int, q: int,
@@ -570,36 +589,6 @@ def check_symbol_bridge(p: float, q: float, n: int,
     lhs_terms, converged = _log_values([euler_symbol(p, q, n)])
     return _log_report("symbol-bridge", {"n": n, "p": p, "q": q}, lhs_terms,
                        [log_beta(p_n, q_n), -math.log(n)], tolerance, converged)
-
-
-def derivation_chain_values(m: float, n: int) -> tuple:
-    """Three independent routes to (m/n)!, for cross-validation.
-
-    Returns (direct, root_form, product_form):
-      direct       gamma(m/n + 1) by ``math.gamma`` (``factorial_interp``);
-      root_form    the factorial-root right side in closed mode;
-      product_form (m/n) gamma(m) n^(1-m) * prod_k gamma(k/n)/gamma((m+k)/n),
-                   i.e. the multiplication formula rearranged for gamma(m/n)
-                   with (2 pi)^((n-1)/2) eliminated through the fraction
-                   product gamma(1/n)...gamma((n-1)/n) = sqrt((2 pi)^(n-1)/n).
-
-    Pairwise agreement of the three certifies that the factorial-root
-    identity plus the fraction product imply the multiplication formula.
-    """
-    m = positive(m, "m")
-    n = integer(n, "n", 1, MAX_N)
-    # m / n underflows to 0 for a subnormal m, as in check_factorial_root
-    direct = factorial_interp(positive(m / n, "m / n"))
-    # log(m/n) is added inside each exp: for a tiny m/n the root alone,
-    # exp(fsum / n), overflows although its product with m/n is about 1
-    log_quotient = _log_quotient(m, n)
-    terms, _ = _factorial_root_log_inner(m, n, "closed")
-    root_form = math.exp(log_quotient + math.fsum(terms) / n)
-    product_terms = itertools.chain(
-        (log_quotient, log_gamma(m), (1.0 - m) * math.log(n)), _log_gamma_fractions(n),
-        map(operator.neg, log_gamma_terms([(m + k) / n for k in range(1, n)])))
-    product_form = math.exp(math.fsum(product_terms))
-    return direct, root_form, product_form
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,19 @@ true/false.
 
 import math
 
-from .identities import IdentityReport, SuiteReport
+from .identities import IdentityReport, SuiteReport, _sortable
+
+
+def _names(params):
+    """``params``' names in the order ``run_suite`` gives names
+    (``identities._sortable``), which for str names alone is ``sorted``'s."""
+    return sorted(params, key=_sortable)
 
 
 def params_string(params) -> str:
     """Canonical `name=value` list, ';'-joined, sorted by name; a float's
     str is its repr."""
-    return ";".join([f"{k}={v}" for k, v in sorted(params.items())])
+    return ";".join([f"{k}={params[k]}" for k in _names(params)])
 
 
 def _side(value):
@@ -55,7 +61,7 @@ def render_json(suite: SuiteReport) -> str:
     config = encode(suite.config_echo)
     reports = [encode({
         "identity_id": r.identity_id,
-        "params": {k: r.params[k] for k in sorted(r.params)},
+        "params": {k: r.params[k] for k in _names(r.params)},
         "lhs": _side(r.lhs),
         "rhs": _side(r.rhs),
         "abs_residual": _side(r.abs_residual),

@@ -28,7 +28,6 @@ from eulergamma import (
     gamma_integral,
     gamma_reference,
 )
-from eulergamma.identities import derivation_chain_values
 
 GAUSS_X_GRID = (0.1, 0.5, 1.0, 2.5, 7.0, 19.3, 50.0)
 REFLECTION_GRID = sorted({i / 20.0 for i in range(1, 20)} | {1 / 2, 1 / 3, 1 / 4})
@@ -111,13 +110,18 @@ def test_criterion_06_factorial_root():
 
 
 def test_criterion_07_derivation_chain():
+    # Four routes to log (m/n)!: closed mode's lhs (Gamma direct) and rhs
+    # (E421 with the Beta closed forms), quadrature mode's lhs (Gauss's
+    # product form) and rhs (E421 by quadrature).
     worst = 0.0
     for m in range(1, 9):
         for n in range(2, 9):
-            values = derivation_chain_values(float(m), n)
-            scale = max(max(abs(v) for v in values), 1e-300)
-            spread = (max(values) - min(values)) / scale
-            assert spread <= 1e-9, (m, n, values)
+            closed = check_factorial_root(float(m), n)
+            quadrature = check_factorial_root(float(m), n, mode="quadrature")
+            assert closed.passed and quadrature.passed, (m, n)
+            routes = (closed.lhs, closed.rhs, quadrature.lhs, quadrature.rhs)
+            spread = max(routes) - min(routes)
+            assert spread <= 1e-9, (m, n, routes)
             worst = max(worst, spread)
     print(f"derivation-chain: 56 cases, worst spread {worst:.3e} (limit 1e-09)")
 

@@ -327,7 +327,9 @@ def test_readme_exit_code_table_holds(capsys):
     row = re.compile(r"\| (\d) \| (.+) \| `([^`]+)` \|")
     rows = [m.groups() for m in map(row.fullmatch, readme.read_text(encoding="utf-8").splitlines())
             if m]
-    assert len(rows) == 33
+    # 34 rows since the row for the paper's equivalence, quadrature-mode
+    # factorial-root, was added
+    assert len(rows) == 34
     for code, meaning, example in rows:
         try:
             exit_code = main(example.split())
@@ -840,9 +842,9 @@ def test_suite_command_shares_integrals(refine_calls, tmp_path):
 # The sha256 of each default `suite` output, byte for byte.  A change that
 # means to move an output updates its pin here and says why in CHANGES.md.
 DEFAULT_SUITE_SHA256 = {
-    "json": "e18ff90fd264b67132dc8e7575ba9825755b1c301bbae0674bd93e3733f7f627",
-    "csv": "622cce2e50bd5cd768e4075a613f6656a3e3003403be4ab13556c4b703dd23fe",
-    "table": "221477ca5a85be368c269c1c45095a2fa11b12ed3fb5503a1384e14fe9045b81",
+    "json": "0fac04fec204a46bbefaf0a4cf0078ca1e46c861ea9ae085baa9ebd88922c91a",
+    "csv": "0d8f7ca12f101aff34b9a5b7ed5ec1b944c03a8b05b37b47e5fcb3a39822e1fe",
+    "table": "d8d7054f0d4abaa115f4e669de320a139f0e08cf859449be463b857e2b18a6d9",
 }
 
 

@@ -49,7 +49,6 @@ from eulergamma import gamma as gamma_module
 from eulergamma.beta import log_beta
 from eulergamma.errors import NOT_FINITE
 from eulergamma.gamma import log_gamma_integral, log_gamma_terms
-from eulergamma.identities import derivation_chain_values
 from eulergamma.reporting import render_csv
 
 HALF_SQRT_PI = 0.8862269254527580
@@ -133,10 +132,10 @@ ENGINES_AND_CHECKS = [
     (check_gamma_square_product, {"n": 3}), (check_gamma_fraction_product, {"n": 3}),
     (check_log_integral_product, {"n": 3}),
     (check_factorial_root, {"m": 2.0, "n": 3, "mode": "closed"}),
+    (check_factorial_root, {"m": 2.0, "n": 3, "mode": "quadrature"}),
     (check_algebraic_interpolation, {"p": 1, "q": 2}),
     (check_symbol_symmetry, {"p": 1.0, "q": 2.0, "n": 3}),
     (check_symbol_bridge, {"p": 1.0, "q": 2.0, "n": 3}),
-    (derivation_chain_values, {"m": 2.0, "n": 3}),
 ]
 
 
@@ -561,10 +560,9 @@ def test_gauss_multiplication_rejects_an_underflowing_term():
 
 def test_factorial_root_rejects_an_underflowing_m_over_n():
     # m / n rounds to 0 for a subnormal m; the message named x
-    with pytest.raises(DomainError, match="m / n must be positive"):
-        check_factorial_root(5e-324, 3)
-    with pytest.raises(DomainError, match="m / n must be positive"):
-        derivation_chain_values(5e-324, 3)
+    for mode in identities.MODES:
+        with pytest.raises(DomainError, match="m / n must be positive"):
+            check_factorial_root(5e-324, 3, mode=mode)
 
 
 def test_subnormal_quotients_pass():
@@ -709,7 +707,8 @@ def test_closed_radicand_grouped_by_kind_is_the_per_symbol_fsum():
     cases += [(7.3, identities.FRACTION_TABLE_MAX_N + 1), (1e-320, 3)]
     assert 1e-320 / 3 < sys.float_info.min
     for m, n in cases:
-        terms, converged = identities._factorial_root_log_inner(m, n, "closed")
+        batch = identities._gauss_terms(m, n, m)
+        terms, converged = identities._factorial_root_log_inner(m, n, "closed", batch)
         assert converged
         want = math.fsum(_per_symbol_radicand_terms(m, n))
         assert math.fsum(terms).hex() == want.hex(), (m, n)
@@ -828,23 +827,57 @@ def test_symbol_symmetry_sides_are_distinct_integrals():
 
 
 def test_derivation_chain_spot():
+    # Three closed-form routes to log (m/n)!: Gamma direct (closed lhs),
+    # E421 with the Beta closed forms (closed rhs) and Gauss's product form
+    # (quadrature-mode lhs).
     for m, n in [(1, 2), (5, 7), (8, 8)]:
-        direct, root_form, product_form = derivation_chain_values(m, n)
-        scale = max(direct, root_form, product_form)
-        assert abs(direct - root_form) / scale <= 1e-12
-        assert abs(direct - product_form) / scale <= 1e-12
-        assert abs(root_form - product_form) / scale <= 1e-12
+        closed = check_factorial_root(m, n)
+        gauss = check_factorial_root(m, n, mode="quadrature").lhs
+        for a, b in itertools.combinations((closed.lhs, closed.rhs, gauss), 2):
+            assert abs(a - b) <= 1e-12, (m, n)
 
 
 @pytest.mark.parametrize("m", [1e-300, 3e-308, 1e-308, 1e-310, 1e-320, 3e-322])
 def test_derivation_chain_values_hold_for_a_tiny_m(m):
-    # (m/n) times the root's exp overflowed from m = 1e-308 down, and the
-    # product route logged a rounded subnormal m/n.  Each route's sum of
-    # logs of about 700 in size leaves it off by up to an ulp of 700.
+    # Gauss's product form for a tiny m: log(m/n) is taken as log m - log n
+    # where m/n is subnormal, and log(m/n) + log gamma(m), each about 700 in
+    # size, cancel to about 0, leaving up to an ulp of 700 each.  The right
+    # side is not converged there (the symbols' exponent m/n at x = 1 is far
+    # below 0.05), so the check fails honestly.  Closed mode's E421 root
+    # (rhs), where (m/n) times the root's exp once overflowed, is held
+    # to the same reference.
+    report = check_factorial_root(m, 3, mode="quadrature")
+    assert not report.passed
+    closed = check_factorial_root(m, 3)
+    assert closed.passed
     with mpmath.workdps(40):
-        exact = mpmath.gamma(mpmath.mpf(m) / 3 + 1)
-        for value in derivation_chain_values(m, 3):
-            assert abs(mpmath.mpf(value) / exact - 1) <= 2e-13
+        exact = mpmath.loggamma(mpmath.mpf(m) / 3 + 1)
+    assert abs(report.lhs - exact) <= 2e-13
+    assert abs(closed.rhs - exact) <= 2e-13
+
+
+def test_quadrature_mode_sides_agree_with_mpmath():
+    # Gauss's product form (lhs) and E421's radicand by quadrature (rhs)
+    # each against 50-digit mpmath log (m/n)!; a pass needs every symbol
+    # converged.
+    for m, n in itertools.product([0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 7.3, 19.9], range(2, 9)):
+        report = check_factorial_root(m, n, mode="quadrature")
+        with mpmath.workdps(50):
+            exact = mpmath.loggamma(mpmath.mpf(m) / n + 1)
+        assert report.passed, (m, n)
+        assert abs(report.lhs - exact) <= 1e-14, (m, n)
+        assert abs(report.rhs - exact) <= 1e-14, (m, n)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_quadrature_mode_catches_a_shifted_log_gamma(monkeypatch, n):
+    # The right side's g = 7 log gamma(m) shifted by 1e-6 moves the rhs by
+    # 1e-6 / n, past the 1e-7 tolerance; the lhs takes log gamma(m) from the
+    # batch engine, so at n = 1 the check does not compare one float with
+    # itself.
+    assert check_factorial_root(7.3, n, mode="quadrature").passed
+    monkeypatch.setattr(identities, "log_gamma", lambda x: log_gamma(x) + 1e-6)
+    assert not check_factorial_root(7.3, n, mode="quadrature").passed
 
 
 def test_log_space_accumulation_is_permutation_invariant():
@@ -1082,13 +1115,16 @@ def test_default_suite_integrates_each_distinct_integral_once(refine_calls):
 
 def test_default_suite_evaluates_each_fraction_table_once(log_gamma_args):
     run_suite()
-    # 3,319 when every check evaluated its own log gamma(i/n) table
-    assert len(log_gamma_args) == 2655
+    # 3,319 when every check evaluated its own log gamma(i/n) table; 2,655
+    # before quadrature-mode factorial-root took its lhs from Gauss's product
+    # (n more terms at each of its 20 cases: n + 1 batch terms in place of
+    # the scalar log gamma(m/n + 1))
+    assert len(log_gamma_args) == 2725
     # A second run reads the tables the first one stored: 1,225 fewer, the
     # 1 + 2 + ... + 49 terms of n = 2..50.
     log_gamma_args.clear()
     run_suite()
-    assert len(log_gamma_args) == 1430
+    assert len(log_gamma_args) == 1500
 
 
 def test_distinct_n_sweep_keeps_8_bytes_per_table_term(fraction_tables):
@@ -1368,20 +1404,19 @@ def test_closed_factorial_root_computes_log_gamma_m_over_n_once(log_gamma_args, 
 
 
 def test_derivation_chain_values_are_pinned():
-    # (direct, root, product): the direct route is math.gamma and the root
-    # route math.lgamma, CPython's one Lanczos sum; the product route adds
-    # the g = 7 log_gamma(m) to math.lgamma terms.  Against 50-digit mpmath
-    # their worst relative errors over these points are 2.6e-16, 4.5e-16
-    # and 8e-15.
+    # Quadrature-mode factorial-root's lhs, Gauss's product form of
+    # log (m/n)!: math.lgamma terms and the log gamma(i/n) table.  Against
+    # 50-digit mpmath its worst absolute error over these points is 8.1e-15,
+    # at n = 120.
     pinned = {
-        (1.0, 2): ("0x1.c5bf891b4ef6bp-1", "0x1.c5bf891b4ef6dp-1", "0x1.c5bf891b4ef66p-1"),
-        (5.0, 7): ("0x1.d2a614791d36fp-1", "0x1.d2a614791d36cp-1", "0x1.d2a614791d361p-1"),
-        (0.5, 3): ("0x1.dafe074b9da95p-1", "0x1.dafe074b9da96p-1", "0x1.dafe074b9da94p-1"),
-        (7.3, 40): ("0x1.d89420b659692p-1", "0x1.d89420b659690p-1", "0x1.d89420b659691p-1"),
-        (19.9, 120): ("0x1.db1fbe7046be8p-1", "0x1.db1fbe7046be3p-1", "0x1.db1fbe7046c2ap-1"),
+        (1.0, 2): "-0x1.eeb95b094c178p-4",
+        (5.0, 7): "-0x1.7be51bd16f9e4p-4",
+        (0.5, 3): "-0x1.334e7fb05a3a4p-4",
+        (7.3, 40): "-0x1.482c6cb4b6d6ep-4",
+        (19.9, 120): "-0x1.322bcd1687d10p-4",
     }
     for (m, n), expected in pinned.items():
-        assert tuple(v.hex() for v in derivation_chain_values(m, n)) == expected
+        assert check_factorial_root(m, n, mode="quadrature").lhs.hex() == expected
 
 
 def test_closed_form_n_is_capped():
@@ -1396,7 +1431,6 @@ def test_closed_form_n_is_capped():
         lambda n: check_factorial_root(1.0, n, mode="quadrature"),
         check_log_integral_product,
         lambda q: check_algebraic_interpolation(1, q),
-        lambda n: derivation_chain_values(1.0, n),
     ]
     for check in checks:
         for n in (too_big, 1e30):

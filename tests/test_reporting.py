@@ -24,6 +24,7 @@ from eulergamma.identities import (
     MODES,
     IdentityReport,
     SuiteReport,
+    _sortable,
     build_grid,
     run_suite,
 )
@@ -42,7 +43,7 @@ def reference_json(suite):
         "reports": [
             {
                 "identity_id": r.identity_id,
-                "params": {k: r.params[k] for k in sorted(r.params)},
+                "params": {k: r.params[k] for k in sorted(r.params, key=_sortable)},
                 "lhs": number(r.lhs),
                 "rhs": number(r.rhs),
                 "abs_residual": number(r.abs_residual),
@@ -109,11 +110,12 @@ values = st.recursive(
     ),
     max_leaves=6,
 )
-# run_suite sorts every params mapping by its items, so a grid whose keys do
-# not compare with each other never reaches a report.
+# Names of one type, or of types that do not compare with each other, as a
+# crashed check echoes from a grid such as {1: 0.5, "x": 0.3}.
 params = st.one_of(
     st.dictionaries(texts, values, max_size=4),
     st.dictionaries(st.integers(), values, min_size=1, max_size=2),
+    st.dictionaries(st.one_of(texts, st.integers()), values, min_size=2, max_size=3),
 )
 sides = st.one_of(floats, ints)
 reports = st.builds(
@@ -283,6 +285,17 @@ def test_a_crashed_reports_params_parse_back_as_one_row(value):
         list(CSV_HEADER),
         ["reflection", f"x={value}", "nan", "nan", "inf", "inf", "1e-12", "false"],
     ]
+
+
+def test_a_crashed_report_whose_names_mix_types_renders():
+    # Every renderer sorted the names with <, and raised "'<' not supported
+    # between instances of 'str' and 'int'" on the report run_suite returns.
+    suite = run_suite({"reflection": [{1: 0.5, "x": 0.3}]})
+    (report,) = suite.reports
+    assert report.error == "TypeError: keywords must be strings"
+    assert render_csv(suite).splitlines()[1] == "reflection,1=0.5;x=0.3,nan,nan,inf,inf,1e-12,false"
+    assert json.loads(render_json(suite))["reports"][0]["params"] == {"1": 0.5, "x": 0.3}
+    assert "reflection   1=0.5;x=0.3  nan  nan" in reporting.render_table(suite)
 
 
 def test_only_params_can_need_csv_quoting():
