@@ -74,6 +74,20 @@ s <= 99 only), so its tail is 0.
 the term stayed below 2.2e-14 of the integral, and over the default
 suite's, whose exponents are 1/6 or more, below 2e-46.
 
+Peak
+----
+A family's row also gives the log of its integrand's largest value on
+(0, 1), for ``quadrature`` to tell an integral that underflows from one
+whose nodes missed its mass.  (-log x)^s is unbounded at 0 for s > 0, and
+its row says inf.  The symbol is bounded where p >= 1 and q/n >= 1: with
+a = (p - 1)/n, c = q/n - 1 and y = x^n its log is a log y + c log(1 - y),
+largest at y = a/(a + c), and 0 where a or c is 0.  Both terms are <= 0, so
+they do not cancel; the larger exponent takes log1p of the smaller share,
+so neither log loses bits next to 1.  Against 200-bit mpmath over 20,000
+seeded (p, q, n), p - 1 and q/n - 1 log-uniform in [1e-300, 1e308], the
+error stayed below 1e-15 relative, and below 3e-13 wherever the log lies
+within 2,000 of 0.
+
 Node geometry
 -------------
 The substitution x(t) = mid + halfspan * tanh((pi/2) * sinh(t)) maps the real
@@ -279,15 +293,34 @@ def _euler_symbol_sum(rows, h, odd_only, p0, p1, p2):
     return total, len(rows) - length_hint(source)
 
 
+def _symbol_log_peak(p0, p1, p2):
+    """The log of the largest value of x^(p0-1) (1-x^p2)^(p1/p2 - 1) on
+    (0, 1), or inf where it is unbounded (see the module docstring)."""
+    a = (p0 - 1.0) / p2
+    c = p1 / p2 - 1.0
+    if a < 0.0 or c < 0.0:
+        return math.inf
+    if not (a and c):
+        return 0.0
+    # with y = x^p2 the log is a log y + c log(1 - y), largest at
+    # y = a / (a + c); the larger exponent takes log1p of the smaller share
+    lo, hi = sorted((a, c))
+    share = lo / (lo + hi)
+    return lo * log(share) + hi * log1p(-share)
+
+
 # Each family's loop; the sum e of the |powers| its integrand raises x,
-# 1 - x, 1 - x^n or -log x to; and its tail, the mass A delta^alpha / alpha
-# beyond the outermost node, summed over the ends, from log delta (see the
-# module docstring).  B(p, q) is S(p, q; 1): at n = 1 the symbol's loop,
-# power sum and tail give Beta's doubles.
+# 1 - x, 1 - x^n or -log x to; its tail, the mass A delta^alpha / alpha
+# beyond the outermost node, summed over the ends, from log delta; and the
+# log of its largest value, inf where unbounded (see the module docstring).
+# B(p, q) is S(p, q; 1): at n = 1 the symbol's loop, power sum and tail give
+# Beta's doubles.
 _FAMILIES = {
-    NEG_LOG_POW: (_neg_log_pow_sum, lambda p0, p1, p2: p0, lambda p0, p1, p2, ld: 0.0),
+    NEG_LOG_POW: (_neg_log_pow_sum, lambda p0, p1, p2: p0, lambda p0, p1, p2, ld: 0.0,
+                  lambda p0, p1, p2: math.inf),
     EULER_SYMBOL: (_euler_symbol_sum, lambda p0, p1, p2: abs(p0 - 1.0) + abs(p1 / p2 - 1.0),
-                   lambda p0, p1, p2, ld: exp(p0 * ld) / p0 + exp(p1 / p2 * (log(p2) + ld)) / p1),
+                   lambda p0, p1, p2, ld: exp(p0 * ld) / p0 + exp(p1 / p2 * (log(p2) + ld)) / p1,
+                   _symbol_log_peak),
 }
 
 

@@ -301,13 +301,27 @@ def check_reflection(x: float, tolerance: float | None = None) -> IdentityReport
                        tolerance)
 
 
+# The floats 0.0, 1.0, ..., n - 1 for the largest n Gauss's terms were asked
+# for (see the module docstring): at most MAX_N of them, 3.2 MB, kept for the
+# life of the process.  A longer column replaces it whole, in one assignment.
+_shift_column = []
+
+
 def _gauss_terms(x, n, *extra):
     """log gamma((x + k)/n) for k = 0..n-1, then log gamma of each of
-    ``extra``, as one ``log_gamma_terms`` batch.  Below the smallest normal
-    double gamma(q) = gamma(q + 1)/q with q + 1 rounding to 1, so a
-    subnormal x/n's term is -``_log_quotient``."""
-    terms = log_gamma_terms([(x + k) / n for k in range(n)] + list(extra))
-    if x / n < sys.float_info.min:
+    ``extra``, as one ``log_gamma_terms`` batch.  The arguments are
+    (x + k)/float(n) over the stored float column of k, the same doubles
+    as (x + k)/n with int k and n.  Below the smallest normal double
+    gamma(q) = gamma(q + 1)/q with q + 1 rounding to 1, so a subnormal
+    x/n's term is -``_log_quotient``."""
+    global _shift_column
+    column = _shift_column
+    if len(column) < n:
+        column = _shift_column = [float(k) for k in range(n)]
+    fn = float(n)
+    args = [(x + k) / fn for k in column[:n]]
+    terms = log_gamma_terms(args + list(extra))
+    if args[0] < sys.float_info.min:
         terms[0] = -_log_quotient(x, n)
     return terms
 

@@ -35,7 +35,16 @@ converges without this stop is stopped by it.  A quadrature that passes neither 
 within MAX_REFINEMENTS halvings is reported unconverged.  A bar of 0 is met
 by neither test nor stops on the tail: a family value of 0, as when every
 node of S(1.7e308, 1; 2) underflows, is not known to be the integral, and
-is reported unconverged.
+is reported unconverged.  But where the first level sums to 0 and the
+family's integrand, bounded, peaks below 2^-1075 (``UNDERFLOW_LOG``, from
+the log of its largest value, see ``backend``), the integral is less than
+that peak and rounds to 0, and so does every node of every level: the
+quadrature stops there, with value 0, unconverged and an estimate of inf,
+as the stop on the tail reports.  B(1e4, 1e4) stops after the first
+level's 13 nodes, not 49,971.  The margin of 1e-6 below log 2^-1075 is
+over three million times the log peak's worst error there, 3e-13 (see
+``backend``).  A nonzero level is never tested, and an unbounded
+integrand, as S(1.7e308, 1; 2) with q/n < 1, still runs every level.
 
 Either estimate is raised to at least the rounding floor
 ROUNDING_K * eps * (1 + e) * |I_j|, with e the sum of the |powers| the
@@ -97,6 +106,10 @@ CONTRACTION = 1.5
 ROUNDING_K = 16.0
 EPSILON = sys.float_info.epsilon
 
+
+# log 2^-1075, below which a double rounds to 0, less a margin for the
+# rounding of a family's log peak (see the module docstring).
+UNDERFLOW_LOG = -1075.0 * math.log(2.0) - 1e-6
 
 # The bar's relative tolerance, and its absolute floor for arbitrary
 # callables only, so that an integral of 0 (cos over (0, pi)) converges.
@@ -160,8 +173,8 @@ def _refine(a, b, family, p0, p1, p2, f):
     """Run the level-doubling loop over (a, b); returns an IntegralEstimate.
 
     A family's row of ``backend._FAMILIES`` is read once, for the power sum
-    e of the rounding floor and for the tail term; a callable takes e = 0,
-    no tail and the bar's floor ABS_TOL.  ``backend.level_sum``,
+    e of the rounding floor, the tail term and the log peak; a callable
+    takes e = 0, no tail, no peak and the bar's floor ABS_TOL.  ``backend.level_sum``,
     ``math.isfinite`` and ``REL_TOL`` are bound once per quadrature, as
     locals, rather than looked up on every level.  They are bound when the
     call starts, not at import, so a tracer or a test that replaces one of
@@ -170,14 +183,16 @@ def _refine(a, b, family, p0, p1, p2, f):
     level_sum = backend.level_sum
     isfinite = math.isfinite
     rel_tol = REL_TOL
-    floor, rounding, tail, least_tail = ABS_TOL, ROUNDING_K * EPSILON, None, 0.0
+    floor, rounding, tail, least_tail, log_peak = ABS_TOL, ROUNDING_K * EPSILON, None, 0.0, None
     if family != backend.GENERIC:
-        _, powers, tail = backend._FAMILIES[family]
+        _, powers, tail, log_peak = backend._FAMILIES[family]
         floor, rounding = 0.0, rounding * (1.0 + powers(p0, p1, p2))
         # the tail at the finest level, the least any level can reach
         least_tail = tail(p0, p1, p2, backend.LOG_EDGE[0.5 ** MAX_REFINEMENTS])
     h = 1.0
     value, evaluations = level_sum(a, b, h, False, family, p0, p1, p2, f)
+    if not value and log_peak is not None and log_peak(p0, p1, p2) < UNDERFLOW_LOG:
+        return IntegralEstimate(0.0, math.inf, evaluations, False)  # no level can sum more
     error = math.inf
     converged = False
     d2 = d1 = math.inf  # the two level changes before this one

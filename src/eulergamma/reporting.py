@@ -30,14 +30,39 @@ true/false.
 """
 
 import math
+import operator
 
 from .identities import IdentityReport, SuiteReport, _sortable
 
+# The order ``_names`` found for each tuple of names and their types, as an
+# ``itemgetter`` of positions.  The store is emptied when it reaches
+# _NAME_ORDERS_MAX entries; a suite's reports share a dozen.
+_name_orders = {}
+_NAME_ORDERS_MAX = 256
+
 
 def _names(params):
-    """``params``' names in the order ``run_suite`` gives names
-    (``identities._sortable``), which for str names alone is ``sorted``'s."""
-    return sorted(params, key=_sortable)
+    """``params``' names in the order ``run_suite`` gives names,
+    ``sorted(params, key=identities._sortable)``, which for str names alone
+    is ``sorted``'s.
+
+    The sort is done once per tuple of names and their types, and its
+    positions are kept in ``_name_orders``: names that are equal but of
+    different types, such as 1, 1.0 and True, can sort apart, so the types
+    are part of the key.  The positions then pick each report's own name
+    objects, so 0.0 and -0.0 each render as themselves."""
+    names = tuple(params)
+    key = (*names, *map(type, names))
+    order = _name_orders.get(key)
+    if order is None:
+        keys = list(map(_sortable, names))
+        positions = sorted(range(len(keys)), key=keys.__getitem__)
+        # itemgetter of one position returns the name alone, not a tuple
+        order = operator.itemgetter(*positions) if len(positions) > 1 else tuple
+        if len(_name_orders) >= _NAME_ORDERS_MAX:
+            _name_orders.clear()
+        _name_orders[key] = order
+    return order(names)
 
 
 def params_string(params) -> str:
