@@ -84,9 +84,9 @@ a = (p - 1)/n, c = q/n - 1 and y = x^n its log is a log y + c log(1 - y),
 largest at y = a/(a + c), and 0 where a or c is 0.  Both terms are <= 0, so
 they do not cancel; the larger exponent takes log1p of the smaller share,
 so neither log loses bits next to 1.  Against 200-bit mpmath over 20,000
-seeded (p, q, n), p - 1 and q/n - 1 log-uniform in [1e-300, 1e308], the
-error stayed below 1e-15 relative, and below 3e-13 wherever the log lies
-within 2,000 of 0.
+seeded (p, q, n), p - 1 and q/n - 1 log-uniform in [1e-15, 1e300], the
+error stayed below 6.9e-14 of max(1, |log|), and below 4.9e-13 wherever
+the log lies within 2,000 of 0.
 
 Node geometry
 -------------
@@ -302,8 +302,6 @@ def _symbol_log_peak(p0, p1, p2):
         return math.inf
     if not (a and c):
         return 0.0
-    # with y = x^p2 the log is a log y + c log(1 - y), largest at
-    # y = a / (a + c); the larger exponent takes log1p of the smaller share
     lo, hi = sorted((a, c))
     share = lo / (lo + hi)
     return lo * log(share) + hi * log1p(-share)

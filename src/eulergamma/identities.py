@@ -35,10 +35,16 @@ Conventions shared by all checks:
   arguments to ``gamma.log_gamma_terms`` as one list, and only the
   log gamma(i/n) table and a subnormal quotient's term are taken apart from
   it.  Gauss's shifted terms log gamma((x + k)/n), k = 0..n-1, are one
-  ``_gauss_terms`` batch for gauss-multiplication and closed-mode
-  factorial-root alike, which holds the subnormal rule.  The arguments are
-  positive by construction, so the per-call check is skipped.  Each term is
-  ``math.lgamma``'s float, CPython's own Lanczos engine, while the single
+  ``_gauss_terms`` batch for gauss-multiplication and factorial-root
+  alike, which holds the subnormal rule.  Its arguments are
+  (x + k)/float(n) over ``_shift_column``, the floats 0.0, 1.0, ...,
+  stored once: an int below 2^53 converts to a double exactly, so each is
+  the double (x + k)/n gives, without CPython's mixed int and float
+  arithmetic per term.  The column grows to the largest n asked for, at
+  most MAX_N (3.2 MB), and is kept for the life of the process.  The
+  arguments are positive by construction, so the per-call check is
+  skipped.  Each term is ``math.lgamma``'s float, CPython's own Lanczos
+  engine, while the single
   log gamma terms (gauss-multiplication's log gamma(x), factorial-root's
   log gamma(m/n + 1) in closed mode and its right side's log gamma(m) in
   quadrature mode, log-integral-product's log gamma(n) and
@@ -302,8 +308,8 @@ def check_reflection(x: float, tolerance: float | None = None) -> IdentityReport
 
 
 # The floats 0.0, 1.0, ..., n - 1 for the largest n Gauss's terms were asked
-# for (see the module docstring): at most MAX_N of them, 3.2 MB, kept for the
-# life of the process.  A longer column replaces it whole, in one assignment.
+# for (see the module docstring).  A longer column replaces it whole, in one
+# assignment, so a thread reads a complete column or its predecessor.
 _shift_column = []
 
 
@@ -788,9 +794,9 @@ def run_suite(grid: dict | None = None,
     run's memo, ``quadrature.suite_memo``, is keyed on (family, p0, p1, p2),
     holds family integrals and nothing else, and ends with the run;
     calls outside a run never share an integral.  The stores that outlive a
-    run, the log gamma(i/n) tables (see the module docstring) and
-    ``backend``'s node tables, keep what a rule on their key admits, whatever
-    the run asks for.
+    run, the log gamma(i/n) tables and Gauss's shift column (see the module
+    docstring) and ``backend``'s node tables, keep what a rule on their key
+    admits, whatever the run asks for.
     """
     if grid is None:
         grid = default_grid()

@@ -36,15 +36,14 @@ within MAX_REFINEMENTS halvings is reported unconverged.  A bar of 0 is met
 by neither test nor stops on the tail: a family value of 0, as when every
 node of S(1.7e308, 1; 2) underflows, is not known to be the integral, and
 is reported unconverged.  But where the first level sums to 0 and the
-family's integrand, bounded, peaks below 2^-1075 (``UNDERFLOW_LOG``, from
-the log of its largest value, see ``backend``), the integral is less than
-that peak and rounds to 0, and so does every node of every level: the
-quadrature stops there, with value 0, unconverged and an estimate of inf,
-as the stop on the tail reports.  B(1e4, 1e4) stops after the first
-level's 13 nodes, not 49,971.  The margin of 1e-6 below log 2^-1075 is
-over three million times the log peak's worst error there, 3e-13 (see
-``backend``).  A nonzero level is never tested, and an unbounded
-integrand, as S(1.7e308, 1; 2) with q/n < 1, still runs every level.
+family's integrand is bounded, with a peak below 2^-1075
+(``UNDERFLOW_LOG``, against the log peak of the family's row, see
+``backend``), the integral, less than its peak, rounds to 0, as does every
+node of every level: the quadrature stops there, with value 0, unconverged
+and an estimate of inf, as the stop on the tail reports.  B(1e4, 1e4)
+takes 13 nodes, not 49,971.  The margin of 1e-6 is over two million times
+the log peak's worst error near the threshold.  An unbounded integrand,
+as S(1.7e308, 1; 2)'s at x = 1, still runs every level.
 
 Either estimate is raised to at least the rounding floor
 ROUNDING_K * eps * (1 + e) * |I_j|, with e the sum of the |powers| the
@@ -174,11 +173,11 @@ def _refine(a, b, family, p0, p1, p2, f):
 
     A family's row of ``backend._FAMILIES`` is read once, for the power sum
     e of the rounding floor, the tail term and the log peak; a callable
-    takes e = 0, no tail, no peak and the bar's floor ABS_TOL.  ``backend.level_sum``,
-    ``math.isfinite`` and ``REL_TOL`` are bound once per quadrature, as
-    locals, rather than looked up on every level.  They are bound when the
-    call starts, not at import, so a tracer or a test that replaces one of
-    them beforehand still takes effect.
+    takes e = 0, no tail, no peak and the bar's floor ABS_TOL.
+    ``backend.level_sum``, ``math.isfinite`` and ``REL_TOL`` are bound once
+    per quadrature, as locals, rather than looked up on every level.  They
+    are bound when the call starts, not at import, so a tracer or a test
+    that replaces one of them beforehand still takes effect.
     """
     level_sum = backend.level_sum
     isfinite = math.isfinite

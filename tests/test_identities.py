@@ -1360,6 +1360,80 @@ def test_fraction_tables_built_by_racing_threads_are_identical(fraction_tables):
     assert {n: table.tobytes() for n, table in fraction_tables.items()} == want
 
 
+def _int_gauss_terms(x, n, *extra):
+    """Gauss's batch as int arithmetic gives it: (x + k)/n with int k and n,
+    then the subnormal rule."""
+    terms = log_gamma_terms([(x + k) / n for k in range(n)] + list(extra))
+    if x / n < sys.float_info.min:
+        terms[0] = -identities._log_quotient(x, n)
+    return terms
+
+
+@pytest.fixture
+def shift_column(monkeypatch):
+    """The stored float column of Gauss's shifts, empty for the test."""
+    monkeypatch.setattr(identities, "_shift_column", [])
+
+
+def test_gauss_arguments_from_the_float_column_match_int_arithmetic(shift_column):
+    # k and n convert to doubles exactly, so (x + float(k))/float(n) is the
+    # double (x + k)/n: the batch is bit for bit the int arithmetic's, for x
+    # log-uniform over [1e-320, 1e305] (x/n subnormal too), with and
+    # without extras, n = 1 and MAX_N included, and n past the longest
+    # column stored so far, which then grows to it.
+    rng = random.Random(48)
+    cases = [(math.exp(rng.uniform(math.log(1e-320), math.log(1e305))), rng.randint(1, 130))
+             for _ in range(1500)]
+    cases += [(7.3, 1), (1e-320, 1), (1e305, 1), (2.5, gamma_module.MAX_N),
+              (1e-310, gamma_module.MAX_N), (0.7, 500), (3.1, 499)]
+    assert any(x / n < sys.float_info.min for x, n in cases)
+    longest = 0
+    for i, (x, n) in enumerate(cases):
+        extra = (x,) if i % 2 else ()
+        got = identities._gauss_terms(x, n, *extra)
+        assert [t.hex() for t in got] == [t.hex() for t in _int_gauss_terms(x, n, *extra)], (x, n)
+        longest = max(longest, n)
+        assert identities._shift_column == [float(k) for k in range(longest)]
+    # a term past the double range still raises, as a side summed past it does
+    for x, n in ((1e306, 1), (1e306, 2), (1.7e308, 3)):
+        with pytest.raises(DomainError, match=NOT_FINITE):
+            identities._gauss_terms(x, n)
+
+
+def test_gauss_shift_columns_built_by_racing_threads_give_identical_terms(shift_column):
+    # Each thread asks for the n in its own order, so columns of many
+    # lengths are built and published while others read: every batch is
+    # still the int arithmetic's, and the column left stored is complete.
+    ns = list(range(1, 160))
+    want = {n: [t.hex() for t in _int_gauss_terms(2.75, n, 2.75)] for n in ns}
+    results, errors = [], []
+
+    def work(seed):
+        order = ns[:]
+        random.Random(seed).shuffle(order)
+        try:
+            results.append({n: [t.hex() for t in identities._gauss_terms(2.75, n, 2.75)]
+                            for n in order})
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert results == [want] * len(threads)
+    column = identities._shift_column
+    assert column == [float(k) for k in range(len(column))] and len(column) >= 1
+
+
 def test_run_suite_config_echo():
     suite = run_suite({"sine-product": [{"n": 4}]})
     # Every quadrature runs at the one tolerance and budget; only the grid

@@ -738,6 +738,89 @@ def test_an_integral_of_zero_value_does_not_converge():
     assert estimate.converged and abs(estimate.value) <= 1e-12
 
 
+def test_an_integral_whose_bounded_integrand_underflows_stops_after_one_level():
+    # B(1100, 1100), B(1e4, 1e4) and S(1e4, 1e4; 3) are below 2^-1075, and
+    # so is their integrand's largest value: every node of every level is 0.
+    # The quadrature stops after the first level's 13 nodes, where it ran
+    # all 49,971, unconverged with an estimate of inf.  S(1.7e308, 1; 2) is
+    # unbounded at x = 1 (q/n < 1), so it still runs every level.
+    for estimate in (beta_integral(1100, 1100), beta_integral(1e4, 1e4),
+                     euler_symbol(1e4, 1e4, 3)):
+        assert estimate == (0.0, math.inf, 13, False)
+    estimate = euler_symbol(1.7e308, 1.0, 2)
+    assert (estimate.value, estimate.evaluations, estimate.converged) == (0.0, 49_971, False)
+
+
+def _mp_symbol_log_peak(p, q, n):
+    """The log of the largest value of S(p, q; n)'s integrand, in 200-bit
+    mpmath from the doubles p, q and n: with a = (p - 1)/n and c = q/n - 1,
+    a log(a/(a + c)) + c log(c/(a + c)), each log taken as a log1p."""
+    with mpmath.workprec(200):
+        a = (mpmath.mpf(p) - 1) / n
+        c = mpmath.mpf(q) / n - 1
+        return -a * mpmath.log1p(c / a) - c * mpmath.log1p(a / c)
+
+
+def test_symbol_log_peak_is_within_rounding_of_mpmath():
+    # Over seeded (p, q, n) with p - 1 and q/n - 1 log-uniform in
+    # [1e-15, 1e300], the double is within 1e-12 of mpmath's log peak,
+    # relative to max(1, |log peak|).  At the stop's threshold, |log peak|
+    # 745.13, that is under 1e-9, far inside UNDERFLOW_LOG's margin.
+    rng = random.Random(48)
+    checked = 0
+    for _ in range(2000):
+        n = rng.choice([1, 2, 3, 10, 1000, MAX_N, rng.randint(1, MAX_N)])
+        p = 1.0 + math.exp(rng.uniform(math.log(1e-15), math.log(1e300)))
+        q = n * (1.0 + math.exp(rng.uniform(math.log(1e-15), math.log(1e300))))
+        got = kern._symbol_log_peak(p, q, float(n))
+        if got == 0.0:  # p - 1 or q/n - 1 rounded to 0: the integrand peaks at 1
+            assert p == 1.0 or q / n == 1.0
+            continue
+        want = _mp_symbol_log_peak(p, q, n)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (p, q, n)
+        checked += 1
+    assert checked > 1800
+    margin = -1075.0 * math.log(2.0) - quadrature.UNDERFLOW_LOG
+    assert 1e-12 * 746.0 < margin / 1000.0
+    # the integrand peaks at 1 where an exponent is 0, and is unbounded
+    # where one is negative; (-log x)^s is taken as unbounded
+    assert kern._symbol_log_peak(1.0, 7.0, 3.0) == kern._symbol_log_peak(5.0, 3.0, 3.0) == 0.0
+    assert kern._symbol_log_peak(0.5, 2.0, 1.0) == kern._symbol_log_peak(2.0, 0.5, 1.0) == math.inf
+    assert kern._FAMILIES[kern.NEG_LOG_POW][3](0.0, 0.0, 0.0) == math.inf
+    assert math.isclose(kern._symbol_log_peak(2.0, 2.0, 1.0), math.log(0.25), rel_tol=1e-15)
+
+
+def test_an_integral_stopped_for_underflow_rounds_to_0(monkeypatch):
+    # Seeded S(p, q; n) whose log peak lies within 4 of log 2^-1075: the log
+    # peak is linear in (p - 1, q/n - 1) along a ray, so each draw is scaled
+    # onto its target.  Where the stop fires, mpmath puts the integral below
+    # 2^-1075 and the whole ladder, run without the stop, sums 0 too;
+    # elsewhere the estimate is the whole ladder's.
+    rng = random.Random(1075)
+    outcomes = Counter()
+    for _ in range(24):
+        n = rng.randint(1, 5)
+        a, c = math.exp(rng.uniform(-3.0, 3.0)), math.exp(rng.uniform(-3.0, 3.0))
+        scale = (-1075.0 * math.log(2.0) + rng.uniform(-4.0, 4.0)) / kern._symbol_log_peak(
+            1.0 + a, 1.0 + c, 1.0)
+        p, q = 1.0 + n * a * scale, n * (1.0 + c * scale)
+        estimate = euler_symbol(p, q, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "UNDERFLOW_LOG", -math.inf)
+            ladder = euler_symbol(p, q, n)
+        if kern._symbol_log_peak(p, q, float(n)) < quadrature.UNDERFLOW_LOG:
+            assert estimate == (0.0, math.inf, 13, False), (p, q, n)
+            assert ladder.value == 0.0 and not ladder.converged
+            with mpmath.workprec(100):
+                exact = mpmath.beta(mpmath.mpf(p) / n, mpmath.mpf(q) / n) / n
+            assert exact < mpmath.mpf(2) ** -1075, (p, q, n)
+            outcomes["stopped"] += 1
+        else:
+            assert estimate == ladder, (p, q, n)
+            outcomes["ran"] += 1
+    assert outcomes["stopped"] >= 6 and outcomes["ran"] >= 6
+
+
 def _bit_lock_draws():
     """Seed 37: 250 draws (p, q, n, x, y, z, s), one integral per engine
     each.  Euler's symbol with p and q in [0.05, 40] and n in 1..40, past

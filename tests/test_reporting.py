@@ -12,6 +12,11 @@ import csv
 import io
 import json
 import math
+import random
+import sys
+import threading
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -111,11 +116,15 @@ values = st.recursive(
     max_leaves=6,
 )
 # Names of one type, or of types that do not compare with each other, as a
-# crashed check echoes from a grid such as {1: 0.5, "x": 0.3}.
+# crashed check echoes from a grid such as {1: 0.5, "x": 0.3}, or names equal
+# to each other's across reports but of different types, which can sort
+# apart ({1: .., Decimal(2): ..} and {Fraction(1): .., Decimal(2): ..}).
+equal_names = st.sampled_from([1, 1.0, True, Fraction(1), 0, 0.0, -0.0, False, Decimal(2), "x"])
 params = st.one_of(
     st.dictionaries(texts, values, max_size=4),
     st.dictionaries(st.integers(), values, min_size=1, max_size=2),
     st.dictionaries(st.one_of(texts, st.integers()), values, min_size=2, max_size=3),
+    st.dictionaries(equal_names, values, min_size=1, max_size=3),
 )
 sides = st.one_of(floats, ints)
 reports = st.builds(
@@ -228,7 +237,9 @@ def test_suite_reaches_render_json_through_the_module(monkeypatch, capsys):
 
 
 def _csv_fields(report):
-    return [report.identity_id, params_string(report.params), repr(report.lhs),
+    names = sorted(report.params, key=_sortable)
+    params = ";".join(f"{k}={report.params[k]}" for k in names)
+    return [report.identity_id, params, repr(report.lhs),
             repr(report.rhs), repr(report.abs_residual), repr(report.rel_residual),
             repr(report.tolerance), "true" if report.passed else "false"]
 
@@ -296,6 +307,63 @@ def test_a_crashed_report_whose_names_mix_types_renders():
     assert render_csv(suite).splitlines()[1] == "reflection,1=0.5;x=0.3,nan,nan,inf,inf,1e-12,false"
     assert json.loads(render_json(suite))["reports"][0]["params"] == {"1": 0.5, "x": 0.3}
     assert "reflection   1=0.5;x=0.3  nan  nan" in reporting.render_table(suite)
+    # Names equal to that 1 but of other types, rendered in one call, so the
+    # name order each report's key set takes is shared: each report renders
+    # its own names, in sorted(params, key=_sortable)'s order, which the
+    # type can change (1 sorts before Decimal(2), Fraction(1) after it, by
+    # type name).  0.0 and -0.0 render as themselves.
+    grids = [{1: 0.5, "x": 0.3}, {True: 0.5, "x": 0.3}, {1.0: 0.5, "x": 0.3},
+             {Fraction(1): 0.5, "x": 0.3}, {1: 0.5, Decimal(2): 0.3},
+             {Fraction(1): 0.5, Decimal(2): 0.3}, {True: 0.5, Decimal(2): 0.3},
+             {0.0: 0.5, "x": 0.3}, {-0.0: 0.5, "x": 0.3}]
+    suite = run_suite({"reflection": grids})
+    assert sorted(map(params_string, (r.params for r in suite.reports))) == sorted(
+        ";".join(f"{k}={p[k]}" for k in sorted(p, key=_sortable)) for p in grids)
+    assert [type(sorted(p, key=_sortable)[0]) for p in grids[4:7]] == [int, Decimal, bool]
+    rows = render_csv(suite).splitlines()[1:]
+    assert len(rows) == len(grids)
+    for report, row in zip(suite.reports, rows):
+        want = ";".join(f"{k}={report.params[k]}" for k in sorted(report.params, key=_sortable))
+        assert row == f"reflection,{want},nan,nan,inf,inf,1e-12,false"
+        assert [type(k) for k in reporting._names(report.params)] == [
+            type(k) for k in sorted(report.params, key=_sortable)]
+    assert_matches_encoder(suite)  # json refuses the Fraction and Decimal names
+    assert_matches_encoder(suite._replace(reports=tuple(
+        r for r in suite.reports if not any(isinstance(k, (Fraction, Decimal)) for k in r.params))))
+
+
+def test_name_orders_shared_by_racing_threads_stay_exact():
+    # Six threads render params of 600 distinct key sets each, more than the
+    # store keeps, so it is emptied while others read it: every rendering
+    # is still sorted(params, key=_sortable)'s, with the params' own names.
+    grids = [{name: 0.5, Fraction(i): 0.3, "x": 0.1} for i in range(300)
+             for name in (1, True, 1.0, -0.0 if i % 2 else 0.0)]
+    want = [";".join(f"{k}={p[k]}" for k in sorted(p, key=_sortable)) for p in grids]
+    results, errors = [], []
+
+    def work(seed):
+        order = list(range(len(grids)))
+        random.Random(seed).shuffle(order)
+        try:
+            got = {i: params_string(grids[i]) for i in order}
+            results.append([got[i] for i in range(len(grids))])
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert results == [want] * len(threads)
+    assert len(reporting._name_orders) <= reporting._NAME_ORDERS_MAX
 
 
 def test_only_params_can_need_csv_quoting():
