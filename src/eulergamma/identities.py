@@ -36,15 +36,10 @@ Conventions shared by all checks:
   log gamma(i/n) table and a subnormal quotient's term are taken apart from
   it.  Gauss's shifted terms log gamma((x + k)/n), k = 0..n-1, are one
   ``_gauss_terms`` batch for gauss-multiplication and factorial-root
-  alike, which holds the subnormal rule.  Its arguments are
-  (x + k)/float(n) over ``_shift_column``, the floats 0.0, 1.0, ...,
-  stored once: an int below 2^53 converts to a double exactly, so each is
-  the double (x + k)/n gives, without CPython's mixed int and float
-  arithmetic per term.  The column grows to the largest n asked for, at
-  most MAX_N (3.2 MB), and is kept for the life of the process.  The
-  arguments are positive by construction, so the per-call check is
-  skipped.  Each term is ``math.lgamma``'s float, CPython's own Lanczos
-  engine, while the single
+  alike, which holds the subnormal rule and takes k from a stored float
+  column (``_shift_column``).  The arguments are positive by construction,
+  so the per-call check is skipped.  Each term is ``math.lgamma``'s float,
+  CPython's own Lanczos engine, while the single
   log gamma terms (gauss-multiplication's log gamma(x), factorial-root's
   log gamma(m/n + 1) in closed mode and its right side's log gamma(m) in
   quadrature mode, log-integral-product's log gamma(n) and
@@ -308,8 +303,11 @@ def check_reflection(x: float, tolerance: float | None = None) -> IdentityReport
 
 
 # The floats 0.0, 1.0, ..., n - 1 for the largest n Gauss's terms were asked
-# for (see the module docstring).  A longer column replaces it whole, in one
-# assignment, so a thread reads a complete column or its predecessor.
+# for, at most MAX_N (3.2 MB), kept for the life of the process.  An int
+# below 2^53 converts to a double exactly, so (x + k)/float(n) is the double
+# (x + k)/n gives, without CPython's mixed int and float arithmetic per
+# term.  A longer column replaces it whole, in one assignment, so a thread
+# reads a complete column or its predecessor.
 _shift_column = []
 
 
